@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import ConfigurationError
 from .metric_core import DomainSample
@@ -99,8 +98,7 @@ class UniformizedSpace:
             cols = np.concatenate([base.col, np.full(n, n), np.arange(n)])
             vals = np.concatenate([base.data, tail, tail])
             aug = csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1))
-            dist = dijkstra(aug, directed=False, indices=[n], min_only=False)[0]
-            self._boundary_distance = dist[:n]
+            self._boundary_distance = GraphView(aug).rows([n])[0, :n]
         return self._boundary_distance
 
     def qh_view(self) -> GraphView:

@@ -803,8 +803,10 @@ def sample_qh_pairs(
     Filters control the snapping noise floor: both endpoints keep
     clearance_h grid cells from the source boundary, their images keep
     image_clearance_h cells on the target side, and optionally
-    k(x, y) >= min_qh.  The shortest-path rows computed here stay in the
-    view cache, so follow-up estimators reuse them for free.
+    k(x, y) >= min_qh.  The min_qh filter asks the source's quasihyperbolic
+    view for k(x, y), which caches only the full rows it computes (see
+    ``GraphView.pairs``); follow-up estimators reuse those, and recompute
+    pairs whose sources were answered by a bounded search.
     """
     rng = np.random.default_rng(rng)
     bd = m.source.boundary_distance

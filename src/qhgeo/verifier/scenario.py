@@ -86,6 +86,26 @@ def _check_range(value, path, low=None, high=None, open_low=False, open_high=Fal
     return value
 
 
+def _check_count(value, path):
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        _fail(path, "must be a positive integer")
+
+
+# sample sizes a check may set, and those the tolerances section may set
+_SAMPLE_SIZES = (
+    "pairs", "triples", "quadruples", "tuples", "centers", "sources", "pool", "balls",
+    "pts_per_ball", "uniformity_pairs",
+)
+_TOLERANCE_SIZES = ("pairs", "balls", "quadruples", "chain_points")
+# tuple arity drawn from a check's pool: the pool must hold one tuple of distinct points
+_POOL_ARITY = {
+    "metric_axioms": 3,
+    "gromov_basepoint_identity": 6,
+    "delta_hyperbolicity": 4,
+    "quasimobius_slope": 4,
+    "sphericalization_distortion": 4,
+}
+
 _CHECK_IDS = (
     "metric_axioms",
     "qh_calibration",
@@ -169,6 +189,12 @@ def validate_scenario(raw: dict) -> dict:
         for key in ("lam", "t0", "q"):
             if key in chk:
                 _check_range(chk[key], f"{path}.{key}", 0.0, 1.0, True, True)
+        for key in _SAMPLE_SIZES:
+            if key in chk:
+                _check_count(chk[key], f"{path}.{key}")
+        arity = _POOL_ARITY.get(cid)
+        if arity and chk.get("pool", arity) < arity:
+            _fail(f"{path}.pool", f"must be >= {arity} to hold one {arity}-tuple")
         for key in ("domain",):
             if key in chk and chk[key] not in names:
                 _fail(f"{path}.{key}", f"unknown domain {chk[key]!r}")
@@ -181,6 +207,9 @@ def validate_scenario(raw: dict) -> dict:
     tol = raw.get("tolerances", {})
     if "slack" in tol:
         _check_range(tol["slack"], "tolerances.slack", 0.0, None, True)
+    for key in _TOLERANCE_SIZES:
+        if key in tol:
+            _check_count(tol[key], f"tolerances.{key}")
     return raw
 
 
@@ -287,6 +316,12 @@ def _result(cid, params, passed, measured, predicted=None, violations=None, skip
     }
 
 
+def _require_samples(count, what):
+    """A check that tested no sample proves nothing: it is infeasible, not passed."""
+    if count == 0:
+        raise ConfigurationError(f"empty sample: no {what} tested")
+
+
 def _jsonable(v):
     if isinstance(v, (np.floating, np.integer)):
         return v.item()
@@ -301,6 +336,7 @@ def _chk_metric_axioms(ctx, params, rng):
     view = ctx.space_view(params.get("space", ""))
     n_triples = int(params.get("triples", ctx.defaults["pairs"]))
     report = check_metric_axioms(view, n_triples, rng, pool_size=int(params.get("pool", 96)))
+    _require_samples(report.n_triples, "triples")
     return _result(
         "metric_axioms",
         params,
@@ -382,6 +418,7 @@ def _chk_distance_vs_qh_bounds(ctx, params, rng):
     n_pairs = int(params.get("pairs", ctx.defaults["pairs"]))
     pairs = pair_sample(domain.n, n_pairs, rng)
     report = verify_qh_distance_bounds(qh, pairs, slack=float(params.get("slack", ctx.slack)))
+    _require_samples(report.n_pairs, "pairs")
     return _result(
         "distance_vs_qh_bounds",
         params,
@@ -404,6 +441,7 @@ def _chk_ball_containment(ctx, params, rng):
     slack = float(params.get("slack", 1.0))
     expect_violation = bool(params.get("expect_violation", False))
     centers = rng.permutation(domain.n)[:n_centers]
+    _require_samples(len(centers), "centers")
     violations = []
     for c in centers:
         r = safe_ball_radius(domain, int(c)) / slack
@@ -428,6 +466,7 @@ def _chk_basepoint_identity(ctx, params, rng):
     pool = pool_indices(view.n, int(params.get("pool", 64)), rng)
     dist = view.submatrix(pool)
     tuples = tuple_sample_from_pool(len(pool), n_tuples, 6, rng)
+    _require_samples(len(tuples), "tuples")
     residuals = basepoint_identity_residuals(dist, tuples)
     scale = max(1.0, float(dist.max(initial=0.0)))
     tol = 1e-12 * scale
@@ -451,6 +490,7 @@ def _chk_delta(ctx, params, rng):
         exhaustive=bool(params.get("exhaustive", False)),
         seed_label=ctx.seed,
     )
+    _require_samples(report.quadruples_tested, "quadruples")
     max_delta = params.get("max_delta")
     passed = True if max_delta is None else report.delta <= float(max_delta)
     return _result(
@@ -468,6 +508,7 @@ def _chk_uniformity(ctx, params, rng):
     n_pairs = int(params.get("pairs", 200))
     pairs = pair_sample(domain.n, n_pairs, rng, n_sources=int(params.get("sources", 24)))
     report = estimate_uniformity(domain, qh, pairs)
+    _require_samples(report.n_pairs, "pairs")
     max_a = params.get("max_a")
     passed = True if max_a is None else report.constant_a <= float(max_a)
     return _result(
@@ -552,6 +593,7 @@ def _chk_spher_envelope(ctx, params, rng):
     n_pairs = int(params.get("pairs", ctx.defaults["quadruples"]))
     pairs = pair_sample(space.n, n_pairs, rng, n_sources=int(params.get("sources", 48)))
     report = sphericalization_envelope(space, pairs)
+    _require_samples(report.n_pairs, "pairs")
     return _result(
         "sphericalization_envelope",
         params,
@@ -588,6 +630,8 @@ def _chk_spher_distortion(ctx, params, rng):
     n_pairs = int(params.get("pairs", ctx.defaults["quadruples"]))
     pairs = pair_sample(identity.source.n, n_pairs, rng, n_sources=int(params.get("sources", 20)))
     m_hat = estimate_qh_bilipschitz(identity, pairs)
+    _require_samples(qm.n_quadruples, "quadruples")
+    _require_samples(m_hat.n_samples, "pairs")
 
     qm_bound = 16.0 * slack
     m_bound = 80.0 * a_meas * slack
@@ -796,6 +840,7 @@ def _chk_quasimobius(ctx, params, rng):
         report = estimate_quasimobius(m, n_quadruples=n_quad, rng=rng,
                                       pool_size=pool, min_separation=sep)
         bigger = None
+    _require_samples(report.n_quadruples, "quadruples")
     measured = {"slope": report.slope, "n_quadruples": report.n_quadruples}
     predicted = {}
     passed = np.isfinite(report.slope)

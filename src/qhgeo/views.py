@@ -3,6 +3,16 @@
 A view answers vectorized distance queries on an immutable point set.
 Shortest-path views cache one distance row per source behind a lock, so
 concurrent readers over disjoint sources are safe.
+
+``GraphView`` caches only complete rows: every row asked for without a
+limit, and a limited row that happened to reach every vertex.  A pair
+query reads the cached row of its source where there is one.  Every other
+source runs one search bounded by the landmark upper bound
+``k(s, t) <= k(s, L) + k(L, t)`` over the cached rows L (ALT-style
+pruning, Goldberg & Harrelson, SODA 2005); that row answers the source's
+pairs and is dropped.  Every search runs ``directed=True`` on a symmetric
+matrix, which gives the same floats as an undirected run at about half
+the cost.
 """
 
 from __future__ import annotations
@@ -13,6 +23,10 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import InternalError
+
+# Relative padding of a landmark bound, so that rounding in the bound's two-term
+# sum never cuts off a target; a target the search still misses gets a full row.
+_BOUND_PAD = 1e-9
 
 
 class MetricView:
@@ -29,8 +43,14 @@ class MetricView:
         raise NotImplementedError
 
     def pairs(self, i, j) -> np.ndarray:
-        """Distances for index arrays i, j of equal length."""
-        raise NotImplementedError
+        """Distances for index arrays i, j of equal length (one row per source)."""
+        i = np.asarray(i, dtype=np.intp)
+        j = np.asarray(j, dtype=np.intp)
+        out = np.empty(len(i), float)
+        for s in np.unique(i):
+            mask = i == s
+            out[mask] = self.rows([s])[0][j[mask]]
+        return out
 
     def submatrix(self, idx) -> np.ndarray:
         idx = np.asarray(idx, dtype=np.intp)
@@ -60,7 +80,11 @@ class EuclideanView(MetricView):
 
 
 class GraphView(MetricView):
-    """Shortest-path metric on a sparse weighted graph, cached per source."""
+    """Shortest-path metric on a symmetric sparse weighted graph.
+
+    The matrix must be symmetric (every edge stored in both directions):
+    searches run ``directed=True`` on it.
+    """
 
     name = "graph"
 
@@ -75,35 +99,70 @@ class GraphView(MetricView):
     def n(self):
         return self.matrix.shape[0]
 
-    def rows(self, sources):
-        sources = np.atleast_1d(np.asarray(sources, dtype=np.intp))
+    def rows(self, sources, limit: float | None = None):
+        """Distance rows of ``sources``.
+
+        With ``limit``, a newly computed row holds ``inf`` at every vertex
+        farther than ``limit`` and enters the cache only if it has no
+        ``inf``; a cached row is returned whole.  Without ``limit`` every
+        row must be finite (the graph is connected).
+        """
+        keys = np.atleast_1d(np.asarray(sources, dtype=np.intp)).tolist()
         with self._lock:
-            missing = [int(s) for s in sources if int(s) not in self._cache]
+            known = {s: self._cache[s] for s in keys if s in self._cache}
+        missing = [s for s in dict.fromkeys(keys) if s not in known]
         if missing:
-            dist = dijkstra(self.matrix, directed=False, indices=missing)
-            dist = np.atleast_2d(dist)
+            bounded = {} if limit is None else {"limit": limit}
+            dist = np.atleast_2d(dijkstra(self.matrix, directed=True, indices=missing, **bounded))
+            complete = np.isfinite(dist).all(axis=1)
             with self._lock:
-                for k, s in enumerate(missing):
-                    self._cache.setdefault(s, dist[k])
-        with self._lock:
-            out = np.vstack([self._cache[int(s)] for s in sources])
-        if not np.all(np.isfinite(out)):
+                for s, row, ok in zip(missing, dist, complete):
+                    known[s] = self._cache.setdefault(s, row) if ok else row
+        out = np.vstack([known[s] for s in keys])
+        if limit is None and not np.all(np.isfinite(out)):
             raise InternalError("unreachable vertex: graph violates the connectivity invariant")
         return out
 
     def pairs(self, i, j):
+        """Distances for index arrays i, j; bitwise equal to ``rows(i)[j]``.
+
+        A source with a cached row reads it.  Every other source runs one
+        search bounded by the largest landmark bound over its targets, and
+        a full search only if that one misses a target.  With no row cached
+        yet, the most-queried source's full row is computed first to serve
+        as the landmark.
+        """
         i = np.asarray(i, dtype=np.intp)
         j = np.asarray(j, dtype=np.intp)
         out = np.empty(len(i), float)
-        for s in np.unique(i):
-            mask = i == s
-            out[mask] = self.rows([s])[0][j[mask]]
+        sources, inverse, counts = np.unique(i, return_inverse=True, return_counts=True)
+        with self._lock:
+            landmarks = list(self._cache.values())
+            cached = np.array([s in self._cache for s in sources.tolist()], dtype=bool)
+        if not landmarks and len(sources):
+            landmarks = [self.rows([sources[np.argmax(counts)]])[0]]
+        # per query of an uncached source: min over landmarks L of k(i, L) + k(L, j),
+        # gathered from the queried columns only
+        ask = ~cached[inverse]
+        qi, qj = i[ask], j[ask]
+        bound = np.full(len(qi), np.inf)
+        for row in landmarks:
+            np.minimum(bound, row[qi] + row[qj], out=bound)
+        limits = np.zeros(len(sources))
+        np.maximum.at(limits, inverse[ask], bound)
+        for k, s in enumerate(sources.tolist()):
+            mask = inverse == k
+            targets = j[mask]
+            row = self.rows([s], limit=None if cached[k] else limits[k] * (1.0 + _BOUND_PAD))[0]
+            if not np.all(np.isfinite(row[targets])):
+                row = self.rows([s])[0]
+            out[mask] = row[targets]
         return out
 
     def min_distance_to(self, targets) -> np.ndarray:
         """Distance from every vertex to the target set (one multi-source run)."""
         targets = np.asarray(targets, dtype=np.intp)
-        return dijkstra(self.matrix, directed=False, indices=targets, min_only=True)
+        return dijkstra(self.matrix, directed=True, indices=targets, min_only=True)
 
 
 class DenseChainView(MetricView):
@@ -157,12 +216,3 @@ class DenseChainView(MetricView):
                     self._cache.setdefault(s, row)
             out.append(row)
         return np.vstack(out)
-
-    def pairs(self, i, j):
-        i = np.asarray(i, dtype=np.intp)
-        j = np.asarray(j, dtype=np.intp)
-        out = np.empty(len(i), float)
-        for s in np.unique(i):
-            mask = i == s
-            out[mask] = self.rows([s])[0][j[mask]]
-        return out

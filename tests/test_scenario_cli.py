@@ -1,11 +1,14 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qhgeo import ConfigurationError
+from qhgeo.verifier import scenario
 from qhgeo.verifier.cli import main
 from qhgeo.verifier.scenario import (
+    ScenarioContext,
     emit_report,
     report_to_csv,
     report_to_json_bytes,
@@ -66,6 +69,99 @@ class TestValidation:
         assert len(files) >= 10
         for path in files:
             validate_scenario(json.load(open(path)))
+
+
+class TestSampleSizeValidation:
+    @pytest.mark.parametrize(
+        "key, value",
+        [("pairs", -5), ("pairs", 0), ("triples", 2.5), ("tuples", "100"), ("centers", True),
+         ("sources", None), ("pool", -1), ("balls", 0), ("pts_per_ball", 1.0),
+         ("quadruples", -1), ("uniformity_pairs", 0)],
+    )
+    def test_non_positive_or_non_integer_size_names_field(self, key, value):
+        raw = tiny_scenario(checks=[{"check": "metric_axioms", "space": "qh:disk", key: value}])
+        with pytest.raises(ConfigurationError, match=rf"checks\[0\]\.{key}: must be a positive"):
+            validate_scenario(raw)
+
+    @pytest.mark.parametrize("key", ["pairs", "balls", "quadruples", "chain_points"])
+    def test_tolerance_sizes_validated(self, key):
+        with pytest.raises(ConfigurationError, match=rf"tolerances\.{key}"):
+            validate_scenario(tiny_scenario(tolerances={key: -5}))
+
+    @pytest.mark.parametrize(
+        "check, arity",
+        [("metric_axioms", 3), ("gromov_basepoint_identity", 6), ("delta_hyperbolicity", 4)],
+    )
+    def test_pool_smaller_than_tuple_arity(self, check, arity):
+        chk = {"check": check, "space": "qh:disk", "pool": arity - 1}
+        with pytest.raises(ConfigurationError, match=rf"checks\[0\]\.pool: must be >= {arity}"):
+            validate_scenario(tiny_scenario(checks=[chk]))
+        chk["pool"] = arity
+        validate_scenario(tiny_scenario(checks=[chk]))
+
+    def test_cli_exits_two_naming_field(self, tmp_path, capsys):
+        raw = tiny_scenario(checks=[{"check": "distance_vs_qh_bounds", "domain": "disk",
+                                     "pairs": -5}])
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert "checks[0].pairs: must be a positive integer" in capsys.readouterr().err
+
+
+# check id -> parameters that draw an empty sample (validation would reject most of
+# them; the checks are called directly so that the guard behind it is tested too)
+EMPTY_SAMPLE_CASES = {
+    "metric_axioms": {"space": "qh:disk", "triples": 0},
+    "distance_vs_qh_bounds": {"domain": "disk", "pairs": 0},
+    "ball_containment": {"domain": "disk", "centers": 0},
+    "gromov_basepoint_identity": {"space": "qh:disk", "tuples": 0},
+    "delta_hyperbolicity": {"space": "qh:disk", "quadruples": 0},
+    "uniformity": {"domain": "disk", "pairs": 0},
+    "sphericalization_envelope": {"deformation": "sp", "pairs": 0},
+    "sphericalization_distortion": {"deformation": "sp", "quadruples": 0},
+    "quasimobius_slope": {"mapping": "auto", "quadruples": 0},
+}
+
+
+@pytest.fixture(scope="module")
+def empty_sample_ctx():
+    return ScenarioContext(tiny_scenario(
+        deformations=[{"name": "sp", "domain": "disk", "kind": "sphericalize",
+                       "base_point": [1.0, 0.0]}],
+        mappings=[{"name": "auto", "map": "disk_automorphism", "params": {"a": [0.5, 0.0]},
+                   "source": "disk", "target": "disk"}],
+        tolerances={"chain_points": 200},
+    ))
+
+
+class TestEmptySamples:
+    @pytest.mark.parametrize("check", sorted(EMPTY_SAMPLE_CASES))
+    def test_empty_sample_is_infeasible(self, empty_sample_ctx, check):
+        rng = np.random.default_rng(1)
+        with pytest.raises(ConfigurationError, match="empty sample"):
+            scenario._CHECKS[check](empty_sample_ctx, EMPTY_SAMPLE_CASES[check], rng)
+
+    @pytest.mark.parametrize("check, n_vertices", [("metric_axioms", 2),
+                                                   ("delta_hyperbolicity", 3)])
+    def test_too_few_points_fail_with_note_and_exit_one(self, tmp_path, check, n_vertices):
+        # a valid scenario on a path graph too small to hold one triple (quadruple)
+        # of distinct points
+        vertices = [[float(a), 0.0] for a in range(n_vertices)]
+        raw = tiny_scenario(
+            domains=[{"name": "path", "graph": {
+                "vertices": vertices,
+                "edges": [[a, a + 1] for a in range(n_vertices - 1)],
+                "boundary": [[-1.0, 0.0]],
+            }}],
+            checks=[{"check": check, "space": "graph:path"}],
+        )
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "report.json"
+        assert main(["run", "--scenario", str(path), "--report", str(out)]) == 1
+        chk = json.load(open(out))["checks"][0]
+        assert not chk["passed"]
+        assert chk["notes"] and chk["notes"][0].startswith("infeasible: empty sample")
 
 
 class TestRunScenario:
