@@ -16,7 +16,6 @@ from .metric_core import (
     check_ball_containment,
     domain_from_length_graph,
     estimate_quasiconvexity,
-    graph_distance,
     safe_ball_radius,
 )
 from .quasihyperbolic import (
@@ -24,24 +23,18 @@ from .quasihyperbolic import (
     UniformityReport,
     build_quasihyperbolic,
     estimate_uniformity,
-    qh_distance,
-    qh_geodesic,
     verify_qh_distance_bounds,
 )
 from .hyperbolicity import (
     HyperbolicityReport,
-    basepoint_identity_residual,
     estimate_delta,
     estimate_rough_starlikeness,
-    gromov_product,
 )
 from .deformations import (
-    DeformationParams,
     SphericalizedSpace,
     UniformizedSpace,
     basepoint_change_distortion,
     deformation_density,
-    deformed_distance,
     sphericalization_envelope,
     sphericalize,
     uniformize,

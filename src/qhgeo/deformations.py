@@ -21,22 +21,8 @@ from scipy.sparse import csr_matrix
 from .errors import ConfigurationError
 from .metric_core import DomainSample
 from .quasihyperbolic import QuasihyperbolicMetric
-from .sampling import tuple_sample_from_pool
+from .sampling import pool_indices, tuple_sample_from_pool
 from .views import DenseChainView, GraphView
-
-
-@dataclass(frozen=True)
-class DeformationParams:
-    kind: str
-    base_point: tuple[float, float]
-    epsilon: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("uniformize", "sphericalize"):
-            raise ConfigurationError("deformation kind must be 'uniformize' or 'sphericalize'")
-        if self.kind == "uniformize":
-            if self.epsilon is None or not (0.0 < self.epsilon < 1.0):
-                raise ConfigurationError("uniformize requires epsilon in (0, 1)")
 
 
 def deformation_density(k: QuasihyperbolicMetric, i, w: int, eps: float) -> np.ndarray:
@@ -57,7 +43,6 @@ class UniformizedSpace:
         self.k = k
         self.w = int(w)
         self.eps = float(eps)
-        self.params = DeformationParams("uniformize", tuple(domain.coords[self.w]), eps)
 
         self.k_from_base = k.rows([self.w])[0]
         self.density = np.exp(-eps * self.k_from_base)
@@ -138,7 +123,6 @@ class SphericalizedSpace:
                 "sphericalization base point must be one of the boundary samples"
             )
         self.p = p
-        self.params = DeformationParams("sphericalize", (float(p[0]), float(p[1])))
         # 1 + d(., p) for every vertex and boundary sample
         self.depth = 1.0 + np.hypot(domain.coords[:, 0] - p[0], domain.coords[:, 1] - p[1])
         self.boundary_depth = 1.0 + gaps
@@ -225,10 +209,6 @@ def sphericalize(domain: DomainSample, p, max_points: int = 3500, rng=None) -> S
     return SphericalizedSpace(domain, p, max_points=max_points, rng=rng)
 
 
-def deformed_distance(space, i: int, j: int) -> float:
-    return float(space.pairs([i], [j])[0])
-
-
 @dataclass(frozen=True)
 class ComparabilityReport:
     constant: float
@@ -304,7 +284,7 @@ def basepoint_change_distortion(
         raise ConfigurationError("both deformations must use the same epsilon")
     rng = np.random.default_rng(rng)
     if quadruples is None:
-        pool = np.sort(rng.permutation(space0.n)[: min(pool_size, space0.n)]).astype(np.intp)
+        pool = pool_indices(space0.n, pool_size, rng)
         quad_local = tuple_sample_from_pool(len(pool), n_quadruples, 4, rng)
         quadruples = pool[quad_local]
     quadruples = np.asarray(quadruples, dtype=np.intp)

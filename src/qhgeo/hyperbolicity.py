@@ -15,37 +15,19 @@ from .sampling import pool_indices, tuple_sample_from_pool
 from .views import MetricView
 
 
-def gromov_product(view: MetricView, x: int, y: int, w: int) -> float:
-    """(x|y)_w = (d(x,w) + d(y,w) - d(x,y)) / 2."""
-    idx = np.array([x, y, w], dtype=np.intp)
-    d = view.submatrix(idx)
-    return 0.5 * float(d[0, 2] + d[1, 2] - d[0, 1])
-
-
 def gromov_products(dist: np.ndarray, x, y, w) -> np.ndarray:
     """Vectorized Gromov products from a dense distance matrix."""
     return 0.5 * (dist[x, w] + dist[y, w] - dist[x, y])
 
 
-def basepoint_identity_residual(view: MetricView, x, y, z, u, o, w) -> float:
-    """Residual of the base-point cancellation identity.
-
-    (x|y)_o + (z|u)_o - (x|z)_o - (y|u)_o equals the same combination at
-    any other base point; the d(., base) terms cancel algebraically, so
-    the residual is pure float noise.
-    """
-    idx = np.array([x, y, z, u, o, w], dtype=np.intp)
-    d = view.submatrix(idx)
-
-    def combo(base):
-        gp = lambda a, b: 0.5 * (d[a, base] + d[b, base] - d[a, b])
-        return gp(0, 1) + gp(2, 3) - gp(0, 2) - gp(1, 3)
-
-    return abs(combo(4) - combo(5))
-
-
 def basepoint_identity_residuals(dist: np.ndarray, tuples: np.ndarray) -> np.ndarray:
-    """Residuals for an (m, 6) array of (x, y, z, u, o, w) pool indices."""
+    """Residuals of the base-point cancellation identity.
+
+    For each row (x, y, z, u, o, w) of pool indices into ``dist``,
+    (x|y)_o + (z|u)_o - (x|z)_o - (y|u)_o equals the same combination at
+    base point w; the d(., base) terms cancel algebraically, so the
+    residual is pure float noise.
+    """
     x, y, z, u, o, w = (tuples[:, c] for c in range(6))
 
     def combo(base):

@@ -5,12 +5,19 @@ constant; comparison checks against predicted constants are therefore
 one-sided.  Built-in analytic maps are evaluated exactly at off-lattice
 points; only quasihyperbolic queries go through grid snapping, whose
 error is absorbed by the verification slack.
+
+The four ball estimators (boundary Lipschitz, relative slope, local
+biLipschitz, local quasisymmetry) share one ``BallSample``.  It comes in
+a continuum form (coordinates, for analytic maps) and a grid form
+(padded vertex indices, for grid-snapped maps); ``_ball_pair_matrices``
+turns either into masked (B, P, P) distance tensors, so each estimator
+has a single body.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, cKDTree
@@ -18,7 +25,7 @@ from scipy.spatial import ConvexHull, cKDTree
 from .errors import ConfigurationError
 from .metric_core import DomainSample
 from .quasihyperbolic import QuasihyperbolicMetric
-from .sampling import tuple_sample_from_pool
+from .sampling import pool_indices, tuple_sample_from_pool
 from .views import EuclideanView, MetricView
 
 
@@ -42,8 +49,16 @@ class _ReindexedView(MetricView):
         return self.base.pairs(self.index[np.asarray(i, np.intp)], self.index[np.asarray(j, np.intp)])
 
 
+def _restricted(view: MetricView, index) -> MetricView:
+    """``view`` on the points ``index`` of its index space; ``slice(None)`` keeps all."""
+    return view if isinstance(index, slice) else _ReindexedView(view, index)
+
+
 class SpaceSide:
-    """One side of a mapping: point set, ambient metric, boundary data."""
+    """One side of a mapping: point set, ambient metric, boundary data.
+
+    Subclasses set ``domain``, the grid domain sample the points come from.
+    """
 
     supports_continuum = False
 
@@ -68,33 +83,28 @@ class SpaceSide:
 
     @property
     def resolution(self):
-        return 1.0
+        return self.domain.resolution
 
 
 class DomainSide(SpaceSide):
-    """Plain shape-backed domain: Euclidean ambient, analytic continuum data."""
+    """Plain shape-backed domain: Euclidean ambient, analytic continuum data.
+
+    ``metric`` is the domain's quasihyperbolic metric itself (on the whole
+    domain, also for a subset side); ``qh`` is its view on the side's points.
+    """
 
     supports_continuum = True
 
     def __init__(self, domain: DomainSample, qh: QuasihyperbolicMetric | None = None, subset=None):
         self.domain = domain
-        if subset is None:
-            coords = domain.coords
-            bdist = domain.boundary_distance
-            qh_view = qh.view() if qh is not None else None
-        else:
-            subset = np.asarray(subset, dtype=np.intp)
-            coords = domain.coords[subset]
-            bdist = domain.boundary_distance[subset]
-            qh_view = _ReindexedView(qh.view(), subset) if qh is not None else None
-        super().__init__(coords, EuclideanView(coords), bdist, qh_view)
+        self.metric = qh
+        index = slice(None) if subset is None else np.asarray(subset, dtype=np.intp)
+        qh_view = None if qh is None else _restricted(qh.view(), index)
+        coords = domain.coords[index]
+        super().__init__(coords, EuclideanView(coords), domain.boundary_distance[index], qh_view)
 
     def boundary_distance_at(self, points):
         return self.domain.boundary_distance_at(points)
-
-    @property
-    def resolution(self):
-        return self.domain.resolution
 
 
 class DeformedSide(SpaceSide):
@@ -103,21 +113,12 @@ class DeformedSide(SpaceSide):
     supports_continuum = False
 
     def __init__(self, space):
-        if space.kind == "sphericalize":
-            coords = space.domain.coords[space.active]
-            bdist = space.boundary_distance()[space.active]
-            qh = _ReindexedView(space.qh_view(), space.active)
-        else:
-            coords = space.domain.coords
-            bdist = space.boundary_distance()
-            qh = space.qh_view()
-        super().__init__(coords, space.metric_view(), bdist, qh)
+        # a sphericalization's metric lives on its active vertices only
+        index = space.active if space.kind == "sphericalize" else slice(None)
+        super().__init__(space.domain.coords[index], space.metric_view(),
+                         space.boundary_distance()[index], _restricted(space.qh_view(), index))
         self.space = space
         self.domain = space.domain
-
-    @property
-    def resolution(self):
-        return self.space.domain.resolution
 
 
 @dataclass
@@ -233,37 +234,32 @@ def build_mapping(
 
 @dataclass
 class BallSample:
-    """Shared sample of metric balls: one row of points per center.
+    """Shared sample of metric balls B(x, q d_G(x)), one row of P slots per center.
 
-    points[b, 0] is always the center itself, so center-anchored ratios
-    (relative maps) are a subset of the pairwise ratios used by the
-    ball-based estimators, which keeps the cross-estimator comparisons
-    exact on a common sample.
+    Two forms carry the slots.  The continuum form (analytic maps) holds
+    coordinates in ``points``; the grid form (grid-snapped maps) holds
+    vertex indices in ``idx``, padded to P slots, and ``mask`` marks the
+    real slots of both forms.  Slot 0 is always the center itself, so
+    center-anchored ratios (relative maps) are a subset of the pairwise
+    ratios used by the ball-based estimators, which keeps the
+    cross-estimator comparisons exact on a common sample.
     """
 
     centers: np.ndarray          # (B,) vertex indices
-    radii: np.ndarray            # (B,)
-    points: np.ndarray           # (B, P, 2) coordinates, row 0 = center
-    q: float
+    points: np.ndarray | None    # continuum form: (B, P, 2) coordinates, slot 0 = center
+    idx: np.ndarray | None       # grid form: (B, P) vertex indices, slot 0 = center
+    mask: np.ndarray             # (B, P) True on real slots
+    n_skipped: int = 0           # grid form: centers whose ball held no other vertex
 
 
-def sample_balls(
-    side: SpaceSide,
-    q: float,
-    n_balls: int,
-    pts_per_ball: int,
-    rng,
-    centers=None,
-) -> BallSample:
+def sample_balls(side: SpaceSide, q: float, n_balls: int, pts_per_ball: int, rng) -> BallSample:
     """Continuum sample of boundary-proportional balls B(x, q d_G(x))."""
     if not (0.0 < q < 1.0):
         raise ConfigurationError("ball radius factor must lie in (0, 1)")
     if not side.supports_continuum:
         raise ConfigurationError("continuum ball sampling needs an analytic (shape-backed) side")
     rng = np.random.default_rng(rng)
-    if centers is None:
-        centers = rng.permutation(side.n)[: min(n_balls, side.n)]
-    centers = np.asarray(centers, dtype=np.intp)
+    centers = rng.permutation(side.n)[: min(n_balls, side.n)]
     radii = q * side.boundary_distance[centers]
     B, P = len(centers), pts_per_ball + 1
     pts = np.empty((B, P, 2))
@@ -272,57 +268,74 @@ def sample_balls(
     theta = 2.0 * np.pi * rng.random((B, pts_per_ball))
     pts[:, 1:, 0] = pts[:, 0:1, 0] + r * np.cos(theta)
     pts[:, 1:, 1] = pts[:, 0:1, 1] + r * np.sin(theta)
-    return BallSample(centers, radii, pts, q)
+    return BallSample(centers, pts, None, np.ones((B, P), dtype=bool))
 
 
-def sample_vertex_balls(
-    side: SpaceSide,
-    q: float,
-    n_balls: int,
-    pts_per_ball: int,
-    rng,
-    lam_name: str = "q",
-):
-    """Grid-restricted ball sample; balls with < 2 vertices are skipped.
+def _grid_balls(side: SpaceSide, q: float, n_balls: int, pts_per_ball: int, rng) -> BallSample:
+    """Grid form of the ball sample: at most pts_per_ball other vertices per ball.
 
-    Raises when no ball contains a pair, advising a larger radius factor
-    or a finer grid.
+    Centers whose ball holds no other vertex are dropped and counted in
+    ``n_skipped``.  Raises when every ball is dropped, advising a larger
+    radius factor or a finer grid.
     """
     rng = np.random.default_rng(rng)
     tree = cKDTree(side.coords)
-    centers = rng.permutation(side.n)[: min(n_balls, side.n)]
+    drawn = rng.permutation(side.n)[: min(n_balls, side.n)]
     balls = []
-    skipped = 0
-    for c in centers:
-        radius = q * side.boundary_distance[c]
-        members = tree.query_ball_point(side.coords[c], radius)
-        members = np.asarray([m for m in members if m != c], dtype=np.intp)
-        if len(members) < 1:
-            skipped += 1
-            continue
+    for c in drawn:
+        members = tree.query_ball_point(side.coords[c], q * side.boundary_distance[c])
+        members = np.asarray([v for v in members if v != c], dtype=np.intp)
         if len(members) > pts_per_ball:
             members = rng.choice(members, size=pts_per_ball, replace=False)
-        balls.append((int(c), np.concatenate([[c], members])))
+        if len(members):
+            balls.append(np.concatenate([[c], members]))
     if not balls:
         raise ConfigurationError(
-            f"no grid ball at {lam_name}={q} contains two vertices; "
-            f"increase {lam_name} or refine the grid"
+            f"no grid ball at radius factor {q} contains two vertices; "
+            "increase it or refine the grid"
         )
-    return balls, skipped
+    centers = np.array([b[0] for b in balls], dtype=np.intp)
+    mask = np.arange(pts_per_ball + 1) < np.array([len(b) for b in balls])[:, None]
+    idx = np.repeat(centers[:, None], pts_per_ball + 1, axis=1)   # padding repeats the center
+    idx[mask] = np.concatenate(balls)
+    return BallSample(centers, None, idx, mask, len(drawn) - len(balls))
+
+
+def _ball_sample(m: MappingPair, q, balls, n_balls, pts_per_ball, rng) -> BallSample:
+    """The given sample, else a fresh one in the form the mapping can evaluate."""
+    if balls is not None:
+        return balls
+    sampler = sample_balls if m.analytic else _grid_balls
+    return sampler(m.source, q, n_balls, pts_per_ball, rng)
+
+
+def _pairwise(pts: np.ndarray) -> np.ndarray:
+    diff = pts[:, :, None, :] - pts[:, None, :, :]
+    return np.hypot(diff[..., 0], diff[..., 1])
 
 
 def _ball_pair_matrices(m: MappingPair, balls: BallSample):
-    """Source and image pairwise distance tensors (B, P, P) for a sample."""
-    pts = balls.points
-    diff = pts[:, :, None, :] - pts[:, None, :, :]
-    src = np.hypot(diff[..., 0], diff[..., 1])
-    if m.analytic:
-        img_pts = m.forward_fn(pts.reshape(-1, 2)).reshape(pts.shape)
+    """Source and image distance tensors (B, P, P) of a sample, and the
+    boundary distances d_G(x) and d_G'(f(x)) of its centers.
+
+    The continuum form is measured on coordinates and needs an analytic
+    mapping; the grid form asks both sides' metrics for every slot pair.
+    """
+    if balls.points is None:
+        B, P = balls.idx.shape
+        rows = np.repeat(balls.idx, P, axis=1).ravel()
+        cols = np.tile(balls.idx, (1, P)).ravel()
+        src = m.source.ambient.pairs(rows, cols).reshape(B, P, P)
+        img = m.image_distance(rows, cols).reshape(B, P, P)
+        dgx_img = m.image_boundary_distance(balls.centers)
     else:
-        raise ConfigurationError("continuum ball estimators require an analytic mapping")
-    diff = img_pts[:, :, None, :] - img_pts[:, None, :, :]
-    img = np.hypot(diff[..., 0], diff[..., 1])
-    return src, img, img_pts
+        if not m.analytic:
+            raise ConfigurationError("continuum ball samples need an analytic mapping")
+        pts = balls.points
+        img_pts = m.forward_fn(pts.reshape(-1, 2)).reshape(pts.shape)
+        src, img = _pairwise(pts), _pairwise(img_pts)
+        dgx_img = m.target.boundary_distance_at(img_pts[:, 0, :])
+    return src, img, m.source.boundary_distance[balls.centers], dgx_img
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +347,27 @@ class EstimateResult:
     value: float
     n_samples: int
     n_skipped: int = 0
+
+
+def _bilateral(estimator, m, x, balls, n_balls, pts_per_ball, rng) -> EstimateResult:
+    """Max of an estimate on m and on its inverse (two-sided data)."""
+    fwd = estimator(m, x, balls, n_balls, pts_per_ball, rng)
+    bwd = estimator(m.inverse(), x, None, n_balls, pts_per_ball, rng)
+    return EstimateResult(max(fwd.value, bwd.value), fwd.n_samples + bwd.n_samples,
+                          fwd.n_skipped + bwd.n_skipped)
+
+
+def _boundary_ratio_max(m: MappingPair, balls: BallSample, a, b) -> EstimateResult:
+    """max over slot pairs (a, b) of each ball around x of
+    [d'(f(a), f(b)) / d_G'(f(x))] / [d(a, b) / d_G(x)]; pairs with d = 0 are skipped."""
+    src, img, dgx, dgx_img = _ball_pair_matrices(m, balls)
+    num = img[:, a, b] / dgx_img[:, None]
+    den = src[:, a, b] / dgx[:, None]
+    valid = balls.mask[:, a] & balls.mask[:, b]
+    ok = valid & (den > 0)
+    ratio = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
+    return EstimateResult(float(ratio.max(initial=0.0)), int(ok.sum()),
+                          int((valid & ~ok).sum()) + balls.n_skipped)
 
 
 def estimate_boundary_lipschitz(
@@ -353,42 +387,9 @@ def estimate_boundary_lipschitz(
     returned (two-sided data).
     """
     if bilateral:
-        fwd = estimate_boundary_lipschitz(m, lam, balls, n_balls, pts_per_ball, rng)
-        bwd = estimate_boundary_lipschitz(m.inverse(), lam, None, n_balls, pts_per_ball, rng)
-        return EstimateResult(max(fwd.value, bwd.value), fwd.n_samples + bwd.n_samples,
-                              fwd.n_skipped + bwd.n_skipped)
-    if m.analytic:
-        if balls is None:
-            balls = sample_balls(m.source, lam, n_balls, pts_per_ball, rng)
-        src, img, img_pts = _ball_pair_matrices(m, balls)
-        dgx = m.source.boundary_distance[balls.centers]
-        dgx_img = m.target.boundary_distance_at(img_pts[:, 0, :])
-        P = src.shape[1]
-        iu, ju = np.triu_indices(P, k=1)
-        num = img[:, iu, ju] / dgx_img[:, None]
-        den = src[:, iu, ju] / dgx[:, None]
-        ok = den > 0
-        ratio = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
-        return EstimateResult(float(ratio.max(initial=0.0)), int(ok.sum()), int((~ok).sum()))
-
-    vballs, skipped = sample_vertex_balls(m.source, lam, n_balls, pts_per_ball, rng, "lambda")
-    best = 0.0
-    count = 0
-    for c, members in vballs:
-        dgx = m.source.boundary_distance[c]
-        dgx_img = float(m.image_boundary_distance([c])[0])
-        P = len(members)
-        iu, ju = np.triu_indices(P, k=1)
-        d_src = m.source.ambient.pairs(members[iu], members[ju])
-        d_img = m.image_distance(members[iu], members[ju])
-        ok = d_src > 0
-        if not np.any(ok):
-            skipped += 1
-            continue
-        ratio = (d_img[ok] / dgx_img) / (d_src[ok] / dgx)
-        best = max(best, float(ratio.max()))
-        count += int(ok.sum())
-    return EstimateResult(best, count, skipped)
+        return _bilateral(estimate_boundary_lipschitz, m, lam, balls, n_balls, pts_per_ball, rng)
+    balls = _ball_sample(m, lam, balls, n_balls, pts_per_ball, rng)
+    return _boundary_ratio_max(m, balls, *np.triu_indices(balls.mask.shape[1], k=1))
 
 
 def estimate_relative(
@@ -406,39 +407,12 @@ def estimate_relative(
     [d'(f(x), f(y)) / d_G'(f(x))] / [d(x, y) / d_G(x)].
     """
     if bilateral:
-        fwd = estimate_relative(m, t0, balls, n_balls, pts_per_ball, rng)
-        bwd = estimate_relative(m.inverse(), t0, None, n_balls, pts_per_ball, rng)
-        return EstimateResult(max(fwd.value, bwd.value), fwd.n_samples + bwd.n_samples,
-                              fwd.n_skipped + bwd.n_skipped)
+        return _bilateral(estimate_relative, m, t0, balls, n_balls, pts_per_ball, rng)
     if not (0.0 < t0 <= 1.0):
         raise ConfigurationError("t0 must lie in (0, 1]")
-    if m.analytic:
-        if balls is None:
-            balls = sample_balls(m.source, min(t0, 1.0 - 1e-12), n_balls, pts_per_ball, rng)
-        src, img, img_pts = _ball_pair_matrices(m, balls)
-        dgx = m.source.boundary_distance[balls.centers]
-        dgx_img = m.target.boundary_distance_at(img_pts[:, 0, :])
-        num = img[:, 0, 1:] / dgx_img[:, None]
-        den = src[:, 0, 1:] / dgx[:, None]
-        ok = den > 0
-        ratio = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
-        return EstimateResult(float(ratio.max(initial=0.0)), int(ok.sum()), int((~ok).sum()))
-
-    vballs, skipped = sample_vertex_balls(m.source, t0, n_balls, pts_per_ball, rng, "t0")
-    best = 0.0
-    count = 0
-    for c, members in vballs:
-        others = members[1:]
-        d_src = m.source.ambient.pairs(np.full(len(others), c), others)
-        d_img = m.image_distance(np.full(len(others), c), others)
-        dgx = m.source.boundary_distance[c]
-        dgx_img = float(m.image_boundary_distance([c])[0])
-        ok = d_src > 0
-        ratio = (d_img[ok] / dgx_img) / (d_src[ok] / dgx)
-        if len(ratio):
-            best = max(best, float(ratio.max()))
-        count += int(ok.sum())
-    return EstimateResult(best, count, skipped)
+    balls = _ball_sample(m, min(t0, 1.0 - 1e-12), balls, n_balls, pts_per_ball, rng)
+    P = balls.mask.shape[1]
+    return _boundary_ratio_max(m, balls, np.zeros(P - 1, dtype=np.intp), np.arange(1, P))
 
 
 @dataclass(frozen=True)
@@ -460,38 +434,21 @@ def estimate_local_bilipschitz(
     """Per-center scale table C_x and the residual two-sided constant L1.
 
     C_x is the median of d'(f(y), f(z)) / d(y, z) over ball pairs (robust
-    to snapping outliers); L1 is the worst max(ratio/C_x, C_x/ratio).
+    to snapping outliers); L1 is the worst max(ratio/C_x, C_x/ratio) over
+    centers with C_x > 0.
     """
-    if m.analytic:
-        if balls is None:
-            balls = sample_balls(m.source, q, n_balls, pts_per_ball, rng)
-        src, img, _ = _ball_pair_matrices(m, balls)
-        P = src.shape[1]
-        iu, ju = np.triu_indices(P, k=1)
-        ratios = img[:, iu, ju] / src[:, iu, ju]
-        c_x = np.median(ratios, axis=1)
+    balls = _ball_sample(m, q, balls, n_balls, pts_per_ball, rng)
+    src, img, _, _ = _ball_pair_matrices(m, balls)
+    iu, ju = np.triu_indices(src.shape[1], k=1)
+    valid = balls.mask[:, iu] & balls.mask[:, ju]
+    ratios = np.where(valid, img[:, iu, ju] / np.where(valid, src[:, iu, ju], 1.0), np.nan)
+    c_x = np.nanmedian(ratios, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
         spread = np.maximum(ratios / c_x[:, None], c_x[:, None] / ratios)
-        return LocalBiLipschitzResult(
-            float(spread.max(initial=1.0)), balls.centers, c_x, 0
-        )
-    vballs, skipped = sample_vertex_balls(m.source, q, n_balls, pts_per_ball, rng)
-    centers, c_x, l1 = [], [], 1.0
-    for c, members in vballs:
-        P = len(members)
-        iu, ju = np.triu_indices(P, k=1)
-        d_src = m.source.ambient.pairs(members[iu], members[ju])
-        d_img = m.image_distance(members[iu], members[ju])
-        ok = d_src > 0
-        if not np.any(ok):
-            skipped += 1
-            continue
-        ratios = d_img[ok] / d_src[ok]
-        cx = float(np.median(ratios))
-        centers.append(c)
-        c_x.append(cx)
-        if cx > 0:
-            l1 = max(l1, float(np.max(np.maximum(ratios / cx, cx / ratios))))
-    return LocalBiLipschitzResult(l1, np.asarray(centers), np.asarray(c_x), skipped)
+    spread = np.where(valid & (c_x > 0)[:, None], spread, 1.0)
+    return LocalBiLipschitzResult(
+        float(spread.max(initial=1.0)), balls.centers, c_x, balls.n_skipped
+    )
 
 
 def estimate_local_quasisymmetry(
@@ -509,53 +466,22 @@ def estimate_local_quasisymmetry(
     [d'(f(x), f(a)) / d'(f(x), f(b))] / [d(x, a) / d(x, b)].
     """
     if bilateral:
-        fwd = estimate_local_quasisymmetry(m, q, balls, n_balls, pts_per_ball, rng)
-        bwd = estimate_local_quasisymmetry(m.inverse(), q, None, n_balls, pts_per_ball, rng)
-        return EstimateResult(max(fwd.value, bwd.value), fwd.n_samples + bwd.n_samples,
-                              fwd.n_skipped + bwd.n_skipped)
-    if m.analytic:
-        if balls is None:
-            balls = sample_balls(m.source, q, n_balls, pts_per_ball, rng)
-        src, img, _ = _ball_pair_matrices(m, balls)
-        # ratio factorizes: slope over (x, a, b) = max_x rowmax/rowmin of
-        # r[x, .] = d'(fx, f.) / d(x, .), so the P^3 scan reduces to P^2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = img / src
-        P = src.shape[1]
-        eye = np.eye(P, dtype=bool)
-        r_masked = np.where(eye[None, :, :], np.nan, r)
-        degenerate = int(np.sum(~np.isfinite(r_masked) & ~eye[None, :, :]))
-        hi = np.nanmax(np.where(np.isfinite(r_masked), r_masked, np.nan), axis=2)
-        lo = np.nanmin(np.where(np.isfinite(r_masked), r_masked, np.nan), axis=2)
-        slope = float(np.nanmax(hi / lo))
-        n = int(np.isfinite(r_masked).sum())
-        return EstimateResult(slope, n, degenerate)
-
-    vballs, skipped = sample_vertex_balls(m.source, q, n_balls, pts_per_ball, rng)
-    best = 1.0
-    count = 0
-    for _, members in vballs:
-        P = len(members)
-        rows = np.repeat(members, P)
-        cols = np.tile(members, P)
-        d_src = m.source.ambient.pairs(rows, cols).reshape(P, P)
-        d_img = m.image_distance(rows, cols).reshape(P, P)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = d_img / d_src
-        np.fill_diagonal(r, np.nan)
-        degenerate = ~np.isfinite(r)
-        np.fill_diagonal(degenerate, False)
-        skipped += int(degenerate.sum())
-        finite = np.where(np.isfinite(r), r, np.nan)
-        if np.all(np.isnan(finite)):
-            continue
-        hi = np.nanmax(finite, axis=1)
-        lo = np.nanmin(finite, axis=1)
-        ok = np.isfinite(hi) & np.isfinite(lo) & (lo > 0)
-        if np.any(ok):
-            best = max(best, float(np.max(hi[ok] / lo[ok])))
-        count += int(np.isfinite(finite).sum())
-    return EstimateResult(best, count, skipped)
+        return _bilateral(estimate_local_quasisymmetry, m, q, balls, n_balls, pts_per_ball, rng)
+    balls = _ball_sample(m, q, balls, n_balls, pts_per_ball, rng)
+    src, img, _, _ = _ball_pair_matrices(m, balls)
+    # ratio factorizes: slope over (x, a, b) = max_x rowmax/rowmin of
+    # r[x, .] = d'(fx, f.) / d(x, .), so the P^3 scan reduces to P^2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = img / src
+    P = src.shape[1]
+    valid = balls.mask[:, :, None] & balls.mask[:, None, :] & ~np.eye(P, dtype=bool)
+    finite = valid & np.isfinite(r)
+    hi = np.where(finite, r, -np.inf).max(axis=2)
+    lo = np.where(finite, r, np.inf).min(axis=2)
+    # a snapped map can send two vertices to one image vertex (lo = 0): no slope there
+    ok = np.isfinite(hi) & (lo > 0)
+    slope = float((hi[ok] / lo[ok]).max(initial=1.0))
+    return EstimateResult(slope, int(finite.sum()), int((valid & ~finite).sum()) + balls.n_skipped)
 
 
 def _qh_ratio_pairs(m: MappingPair, pairs):
@@ -680,7 +606,7 @@ def sample_quadruples(
     if min_separation > 0:
         pool = separated_pool(m.source.coords, pool_size, min_separation, rng)
     else:
-        pool = np.sort(rng.permutation(m.source.n)[: min(pool_size, m.source.n)]).astype(np.intp)
+        pool = pool_indices(m.source.n, pool_size, rng)
     return pool[tuple_sample_from_pool(len(pool), n_quadruples, 4, rng)]
 
 
@@ -758,7 +684,12 @@ def _euclid_diameter(coords) -> float:
     return float(np.hypot(d[..., 0], d[..., 1]).max())
 
 
-_UNBOUNDED_KINDS = ("half-plane-truncation", "punctured-plane-truncation")
+def is_unbounded_truncation(side: SpaceSide) -> bool:
+    """True when the side's domain is a finite truncation of an unbounded shape."""
+    shape = side.domain.shape
+    return shape is not None and shape.kind in (
+        "half-plane-truncation", "punctured-plane-truncation",
+    )
 
 
 def check_global_qs_hypotheses(m: MappingPair) -> GlobalQSReport:
@@ -770,8 +701,7 @@ def check_global_qs_hypotheses(m: MappingPair) -> GlobalQSReport:
     unbounded shapes are refused: sphericalize first.
     """
     for side, label in ((m.source, "source"), (m.target, "target")):
-        shape = getattr(getattr(side, "domain", None), "shape", None)
-        if shape is not None and shape.kind in _UNBOUNDED_KINDS:
+        if is_unbounded_truncation(side):
             raise ConfigurationError(
                 f"{label} is a truncation of an unbounded shape; sphericalize before "
                 "running global quasisymmetry hypotheses"
@@ -838,24 +768,3 @@ def sample_qh_pairs(
     if len(i) == 0:
         warnings.warn("qh pair sampling filters removed every pair")
     return i, j
-
-
-@dataclass
-class MappingClassReport:
-    """Aggregated distortion data for one mapping, filled per scenario."""
-
-    name: str
-    boundary_lipschitz: float | None = None
-    lam: float | None = None
-    relative_slope: float | None = None
-    t0: float | None = None
-    semisolid_slope: float | None = None
-    local_bilipschitz: float | None = None
-    local_qs_slope: float | None = None
-    q: float | None = None
-    qh_bilipschitz: float | None = None
-    quasi_isometry: tuple[float, float] | None = None
-    quasimobius_slope: float | None = None
-    diam_condition_c0: float | None = None
-    skipped_degenerate: int = 0
-    extras: dict = field(default_factory=dict)

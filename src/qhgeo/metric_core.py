@@ -316,16 +316,10 @@ def domain_from_length_graph(
     return DomainSample(graph, boundary_coords, bdist, quasiconvexity=quasiconvexity)
 
 
-def graph_distance(domain: DomainSample, i, j):
-    """Shortest-path length between interior vertices i and j."""
-    out = domain.graph_view().pairs(np.atleast_1d(i), np.atleast_1d(j))
-    return float(out[0]) if np.isscalar(i) or np.ndim(i) == 0 else out
-
-
 def estimate_quasiconvexity(domain: DomainSample, pairs=None, n_pairs: int = 512, rng=None):
     """Sampled lower bound for the quasiconvexity constant of the length structure.
 
-    Returns max over pairs of graph_distance / ambient distance.  Coincident
+    Returns max over pairs of graph distance / ambient distance.  Coincident
     pairs are skipped with a warning.
     """
     if pairs is None:

@@ -102,14 +102,6 @@ def build_quasihyperbolic(domain: DomainSample, band_h: float = 2.0):
     return restricted, QuasihyperbolicMetric(restricted)
 
 
-def qh_distance(k: QuasihyperbolicMetric, i: int, j: int) -> float:
-    return k.distance(i, j)
-
-
-def qh_geodesic(k: QuasihyperbolicMetric, i: int, j: int) -> np.ndarray:
-    return k.geodesic(i, j)
-
-
 @dataclass(frozen=True)
 class BoundViolation:
     kind: str

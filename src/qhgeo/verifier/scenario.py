@@ -31,6 +31,7 @@ from ..hyperbolicity import (
 from ..mapping_analysis import (
     DeformedSide,
     DomainSide,
+    _euclid_diameter,
     build_mapping,
     check_global_qs_hypotheses,
     estimate_boundary_lipschitz,
@@ -41,6 +42,7 @@ from ..mapping_analysis import (
     estimate_quasimobius,
     estimate_relative,
     estimate_semisolid,
+    is_unbounded_truncation,
     sample_balls,
     sample_qh_pairs,
     sample_quadruples,
@@ -79,6 +81,8 @@ def _check_range(value, path, low=None, high=None, open_low=False, open_high=Fal
         value = float(value)
     except (TypeError, ValueError):
         _fail(path, "must be a number")
+    if not np.isfinite(value):
+        _fail(path, "must be a finite number")   # an infinite slack or bound passes any check
     if low is not None and (value <= low if open_low else value < low):
         _fail(path, f"must be {'>' if open_low else '>='} {low}")
     if high is not None and (value >= high if open_high else value > high):
@@ -94,9 +98,18 @@ def _check_count(value, path):
 # sample sizes a check may set, and those the tolerances section may set
 _SAMPLE_SIZES = (
     "pairs", "triples", "quadruples", "tuples", "centers", "sources", "pool", "balls",
-    "pts_per_ball", "uniformity_pairs",
+    "pts_per_ball", "uniformity_pairs", "max_rays",
 )
 _TOLERANCE_SIZES = ("pairs", "balls", "quadruples", "chain_points")
+# numbers a check may set, and those the tolerances section may set, with the
+# (low, high, open_low, open_high) arguments of _check_range; () = any number
+_CHECK_RANGES = {
+    **dict.fromkeys(("lam", "t0", "q"), (0.0, 1.0, True, True)),
+    **dict.fromkeys(("slack", "separation_frac"), (0.0, None, True)),
+    **dict.fromkeys(("max_a", "max_delta", "max_k", "max_slope", "tol", "stability_drift",
+                     "clearance_h", "image_clearance_h", "min_qh"), ()),
+}
+_TOLERANCE_RANGES = {"slack": (0.0, None, True), "band_h": (0.0,)}
 # tuple arity drawn from a check's pool: the pool must hold one tuple of distinct points
 _POOL_ARITY = {
     "metric_axioms": 3,
@@ -186,9 +199,9 @@ def validate_scenario(raw: dict) -> dict:
         cid = chk.get("check")
         if cid not in _CHECK_IDS:
             _fail(f"{path}.check", f"unknown check id {cid!r}")
-        for key in ("lam", "t0", "q"):
+        for key, bounds in _CHECK_RANGES.items():
             if key in chk:
-                _check_range(chk[key], f"{path}.{key}", 0.0, 1.0, True, True)
+                _check_range(chk[key], f"{path}.{key}", *bounds)
         for key in _SAMPLE_SIZES:
             if key in chk:
                 _check_count(chk[key], f"{path}.{key}")
@@ -205,8 +218,9 @@ def validate_scenario(raw: dict) -> dict:
             if key in chk and chk[key] not in def_names:
                 _fail(f"{path}.{key}", f"unknown deformation {chk[key]!r}")
     tol = raw.get("tolerances", {})
-    if "slack" in tol:
-        _check_range(tol["slack"], "tolerances.slack", 0.0, None, True)
+    for key, bounds in _TOLERANCE_RANGES.items():
+        if key in tol:
+            _check_range(tol[key], f"tolerances.{key}", *bounds)
     for key in _TOLERANCE_SIZES:
         if key in tol:
             _check_count(tol[key], f"tolerances.{key}")
@@ -256,8 +270,10 @@ class ScenarioContext:
             self.sides[name] = DomainSide(domain, qh)
             self.resolutions[name] = domain.resolution
         self.deformations = {}
+        self.bases = {}   # deformation name -> side of the domain it deforms
         for d in raw.get("deformations", []):
             domain, qh = self.domains[d["domain"]]
+            self.bases[d["name"]] = self.sides[d["domain"]]
             if d["kind"] == "uniformize":
                 space = uniformize(domain, qh, d["base_point"], float(d.get("epsilon", 0.2)))
             else:
@@ -388,9 +404,9 @@ def _chk_qh_calibration(ctx, params, rng):
             violations.append({"segment": idx, "k": k_val, "oracle": oracle, "rel_error": rel})
     notes = []
     if params.get("truncation_sensitivity"):
-        spec = domain.shape
-        if spec is None or spec.kind not in ("half-plane-truncation", "punctured-plane-truncation"):
+        if not is_unbounded_truncation(ctx.sides[name]):
             raise ConfigurationError("truncation_sensitivity applies only to truncated shapes")
+        spec = domain.shape
         big = ShapeSpec(
             spec.kind,
             {**spec.params, "radius": 2.0 * float(spec.params.get("radius", 6.0))},
@@ -503,6 +519,13 @@ def _chk_delta(ctx, params, rng):
     )
 
 
+def _uniformity_a(domain, qh, params, rng):
+    """Uniformity constant A of the domain on a small pair sample."""
+    upairs = pair_sample(domain.n, int(params.get("uniformity_pairs", 160)), rng,
+                         n_sources=int(params.get("sources", 20)))
+    return estimate_uniformity(domain, qh, upairs).constant_a
+
+
 def _chk_uniformity(ctx, params, rng):
     domain, qh = ctx.domains[params["domain"]]
     n_pairs = int(params.get("pairs", 200))
@@ -609,13 +632,9 @@ def _chk_spher_distortion(ctx, params, rng):
     if space.kind != "sphericalize":
         raise ConfigurationError("sphericalization_distortion needs a sphericalize deformation")
     slack = float(params.get("slack", ctx.slack))
-    domain = space.domain
-    base_name = next(
-        d["domain"] for d in ctx.raw.get("deformations", []) if d["name"] == params["deformation"]
-    )
-    _, qh = ctx.domains[base_name]
+    base = ctx.bases[params["deformation"]]
 
-    src_side = DomainSide(domain, qh, subset=space.active)
+    src_side = DomainSide(base.domain, base.metric, subset=space.active)
     tgt_side = DeformedSide(space)
     identity = build_mapping(src_side, tgt_side, None, None, name="sphericalization-identity")
 
@@ -623,9 +642,7 @@ def _chk_spher_distortion(ctx, params, rng):
     qm = estimate_quasimobius(identity, n_quadruples=quad_n, rng=rng,
                               pool_size=int(params.get("pool", 64)))
 
-    upairs = pair_sample(domain.n, int(params.get("uniformity_pairs", 160)), rng,
-                         n_sources=int(params.get("sources", 20)))
-    a_meas = estimate_uniformity(domain, qh, upairs).constant_a
+    a_meas = _uniformity_a(base.domain, base.metric, params, rng)
 
     n_pairs = int(params.get("pairs", ctx.defaults["quadruples"]))
     pairs = pair_sample(identity.source.n, n_pairs, rng, n_sources=int(params.get("sources", 20)))
@@ -653,12 +670,11 @@ def _chain_common(ctx, params, rng):
     pts = int(params.get("pts_per_ball", 8))
     n_pairs = int(params.get("pairs", min(ctx.defaults["pairs"], 4000)))
     c = m.source.domain.quasiconvexity if isinstance(m.source, DomainSide) else 1.0
-    return m, n_balls, pts, n_pairs, c
+    return m, n_balls, pts, n_pairs, c, float(params.get("slack", ctx.slack))
 
 
 def _chk_chain_linear(ctx, params, rng):
-    m, n_balls, pts, n_pairs, c = _chain_common(ctx, params, rng)
-    slack = float(params.get("slack", ctx.slack))
+    m, n_balls, pts, n_pairs, c, slack = _chain_common(ctx, params, rng)
     lam = float(params.get("lam", 0.2))
     balls = sample_balls(m.source, lam, n_balls, pts, rng)
     l_meas = estimate_boundary_lipschitz(m, lam, balls=balls).value
@@ -708,8 +724,7 @@ def _chk_chain_linear(ctx, params, rng):
 
 
 def _chk_chain_local(ctx, params, rng):
-    m, n_balls, pts, n_pairs, c = _chain_common(ctx, params, rng)
-    slack = float(params.get("slack", ctx.slack))
+    m, n_balls, pts, n_pairs, c, slack = _chain_common(ctx, params, rng)
     t0 = float(params.get("t0", 0.2))
     c1_bi = estimate_relative(m, t0, n_balls=n_balls, pts_per_ball=pts, rng=rng,
                               bilateral=True).value
@@ -760,30 +775,16 @@ def _chk_chain_local(ctx, params, rng):
 
 
 def _chk_qi_step(ctx, params, rng):
-    m = ctx.mappings[params["mapping"]]
-    slack = float(params.get("slack", ctx.slack))
+    m, n_balls, pts, n_pairs, _, slack = _chain_common(ctx, params, rng)
     q = float(params.get("q", 0.5))
-    n_balls = int(params.get("balls", ctx.defaults["balls"]))
-    pts = int(params.get("pts_per_ball", 8))
-    eta_fwd = estimate_local_quasisymmetry(m, q, n_balls=n_balls, pts_per_ball=pts, rng=rng)
-    eta_inv = estimate_local_quasisymmetry(m.inverse(), q, n_balls=n_balls, pts_per_ball=pts,
-                                           rng=rng)
-    eta_slope = max(eta_fwd.value, eta_inv.value, 1.0)
+    eta_slope = max(estimate_local_quasisymmetry(m, q, n_balls=n_balls, pts_per_ball=pts,
+                                                 rng=rng, bilateral=True).value, 1.0)
 
-    a_vals = []
-    for side in (m.source, m.target):
-        domain, qh = side.domain, None
-        for name, (dom, k) in ctx.domains.items():
-            if dom is domain:
-                qh = k
-                break
-        upairs = pair_sample(domain.n, int(params.get("uniformity_pairs", 160)), rng,
-                             n_sources=int(params.get("sources", 20)))
-        a_vals.append(estimate_uniformity(domain, qh, upairs).constant_a)
-    a_meas = max(a_vals)
+    a_meas = max(_uniformity_a(side.domain, side.metric, params, rng)
+                 for side in (m.source, m.target))
 
     i, j = sample_qh_pairs(
-        m, int(params.get("pairs", min(ctx.defaults["pairs"], 4000))), rng,
+        m, n_pairs, rng,
         clearance_h=float(params.get("clearance_h", 4.0)),
         image_clearance_h=float(params.get("image_clearance_h", 8.0)),
         min_qh=0.0,
@@ -862,22 +863,19 @@ def _chk_global_qs(ctx, params, rng):
     slack = float(params.get("slack", ctx.slack))
     measured = {}
     notes = []
-    try:
+    if not (is_unbounded_truncation(m.source) or is_unbounded_truncation(m.target)):
         report = check_global_qs_hypotheses(m)
         c0 = report.c0
         measured.update(
             {"c0": c0, "w": list(report.w), "diam_source": report.diam_source,
              "diam_target": report.diam_target}
         )
-    except ConfigurationError:
+    else:
         # truncation of an unbounded shape: route through sphericalization,
         # then check the diameter-vs-depth condition in the bounded images
         c0 = 1.0
         for label, side in (("source", m.source), ("target", m.target)):
-            shape = side.domain.shape
-            if shape is not None and shape.kind in (
-                "half-plane-truncation", "punctured-plane-truncation",
-            ):
+            if is_unbounded_truncation(side):
                 gaps = np.hypot(side.domain.boundary_coords[:, 0],
                                 side.domain.boundary_coords[:, 1])
                 p = side.domain.boundary_coords[int(np.argmin(gaps))]
@@ -886,8 +884,6 @@ def _chk_global_qs(ctx, params, rng):
                 diam = float(space.metric_view().submatrix(pool).max())
                 depth = float(space.boundary_distance().max())
             else:
-                from ..mapping_analysis import _euclid_diameter
-
                 diam = _euclid_diameter(side.coords)
                 depth = float(side.boundary_distance.max())
             measured[f"diam_{label}"] = diam
@@ -895,11 +891,7 @@ def _chk_global_qs(ctx, params, rng):
             c0 = max(c0, diam / depth)
         measured["c0"] = c0
         notes.append("unbounded side detected: hypotheses checked on the sphericalization")
-    domain = m.source.domain
-    qh = next(k for dom, k in ctx.domains.values() if dom is domain)
-    upairs = pair_sample(domain.n, int(params.get("uniformity_pairs", 160)), rng,
-                         n_sources=int(params.get("sources", 20)))
-    a_meas = estimate_uniformity(domain, qh, upairs).constant_a
+    a_meas = _uniformity_a(m.source.domain, m.source.metric, params, rng)
     measured["uniformity_a"] = a_meas
     bound = 4.0 * a_meas * slack
     return _result(

@@ -2,16 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from qhgeo import (
     ConfigurationError,
-    DeformationParams,
     ShapeSpec,
     basepoint_change_distortion,
     build_grid_domain,
     build_quasihyperbolic,
     deformation_density,
-    deformed_distance,
     domain_from_length_graph,
     sphericalization_envelope,
     sphericalize,
@@ -55,19 +56,13 @@ class TestDensity:
         idx = np.arange(0, d.n, 37)
         assert np.allclose(deformation_density(k, idx, w, 1e-9), 1.0, atol=1e-6)
 
-    def test_params_validation(self):
-        with pytest.raises(ConfigurationError, match="epsilon"):
-            DeformationParams("uniformize", (0.0, 0.0), epsilon=1.5)
-        with pytest.raises(ConfigurationError, match="kind"):
-            DeformationParams("fold", (0.0, 0.0))
-
 
 class TestUniformizedSpace:
     def test_zero_iff_equal(self, disk_pack):
         d, k, w = disk_pack
         u = uniformize(d, k, w, 0.2)
-        assert deformed_distance(u, 3, 3) == 0.0
-        assert deformed_distance(u, 3, 9) > 0.0
+        assert u.pairs([3], [3])[0] == 0.0
+        assert u.pairs([3], [9])[0] > 0.0
 
     @pytest.mark.parametrize("eps", [0.1, 0.2, 0.5])
     def test_diameter_and_base_depth_bounds(self, disk_pack, eps):
@@ -83,7 +78,7 @@ class TestUniformizedSpace:
         j = int(d.nearest_vertex([(0.5, -0.1)])[0])
         path = k.geodesic(i, j)
         weights = np.asarray(u.matrix[path[:-1], path[1:]]).ravel()
-        assert deformed_distance(u, i, j) <= weights.sum() + 1e-12
+        assert u.pairs([i], [j])[0] <= weights.sum() + 1e-12
 
     def test_metric_axioms_deformed_and_its_qh(self, disk_pack, rng):
         d, k, w = disk_pack
@@ -91,10 +86,11 @@ class TestUniformizedSpace:
         assert check_metric_axioms(u.metric_view(), 3000, rng).passed
         assert check_metric_axioms(u.qh_view(), 3000, rng).passed
 
-    def test_epsilon_range_enforced(self, disk_pack):
+    @pytest.mark.parametrize("eps", [1.2, 1.5])
+    def test_epsilon_range_enforced(self, disk_pack, eps):
         d, k, w = disk_pack
         with pytest.raises(ConfigurationError, match="epsilon"):
-            uniformize(d, k, w, 1.2)
+            uniformize(d, k, w, eps)
 
 
 class TestComparability:
@@ -124,10 +120,25 @@ class TestSphericalization:
         d = domain_from_length_graph(coords, [[0, 1]], [[0.0, 0.0]], lengths=[1.0])
         s = sphericalize(d, (0.0, 0.0))
         quasi = float(s.quasimetric([0], [1])[0])
-        chain = deformed_distance(s, 0, 1)
+        chain = s.pairs([0], [1])[0]
         assert quasi == pytest.approx(0.25, abs=1e-12)
         assert 1.0 / 16.0 - 1e-12 <= chain <= 0.25 + 1e-12
-        assert deformed_distance(s, 0, 0) == 0.0
+        assert s.pairs([0], [0])[0] == 0.0
+
+    @given(st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)), min_size=3,
+                    max_size=14))
+    @settings(max_examples=80, deadline=None)
+    def test_envelope_on_random_point_sets(self, pts):
+        # the last point is the base boundary sample; the others form a path graph
+        pts = np.asarray(pts)
+        assume(pdist(pts).min() > 1e-6)
+        coords, p = pts[:-1], pts[-1]
+        edges = [[a, a + 1] for a in range(len(coords) - 1)]
+        s = sphericalize(domain_from_length_graph(coords, edges, [p]), p)
+        i, j = np.triu_indices(s.n, k=1)
+        report = sphericalization_envelope(s, (i, j))
+        assert report.n_pairs == len(i)
+        assert report.passed, report
 
     def test_base_point_must_be_boundary_sample(self, disk_pack):
         d, _, _ = disk_pack

@@ -7,14 +7,15 @@ from qhgeo import (
     ShapeSpec,
     build_grid_domain,
     build_quasihyperbolic,
-    basepoint_identity_residual,
     domain_from_length_graph,
     estimate_delta,
     estimate_rough_starlikeness,
-    gromov_product,
 )
-from qhgeo.hyperbolicity import basepoint_identity_residuals
+from qhgeo.hyperbolicity import basepoint_identity_residuals, gromov_products
 from qhgeo.views import EuclideanView
+
+
+ONE_TUPLE = np.array([[0, 1, 2, 3, 4, 5]])
 
 
 def euclid_view(points):
@@ -24,23 +25,23 @@ def euclid_view(points):
 class TestGromovProduct:
     def test_equal_points_give_distance_to_base(self):
         v = euclid_view([[0, 0], [0, 0], [3, 4]])
-        assert gromov_product(v, 0, 1, 2) == pytest.approx(5.0, abs=1e-12)
+        assert gromov_products(v.submatrix([0, 1, 2]), 0, 1, 2) == pytest.approx(5.0, abs=1e-12)
 
     def test_base_on_geodesic_gives_zero(self):
         v = euclid_view([[0, 0], [10, 0], [5, 0]])
-        assert gromov_product(v, 0, 1, 2) == pytest.approx(0.0, abs=1e-12)
+        assert gromov_products(v.submatrix([0, 1, 2]), 0, 1, 2) == pytest.approx(0.0, abs=1e-12)
 
     def test_triangle_value(self):
         # d(x,y) = 3, d(x,w) = d(y,w) = 2 -> (x|y)_w = 1/2
         h = np.sqrt(4.0 - 2.25)
         v = euclid_view([[0, 0], [3, 0], [1.5, h]])
-        assert gromov_product(v, 0, 1, 2) == pytest.approx(0.5, abs=1e-12)
+        assert gromov_products(v.submatrix([0, 1, 2]), 0, 1, 2) == pytest.approx(0.5, abs=1e-12)
 
     def test_bounded_by_distances_to_base(self, disk_coarse, rng):
         _, k = disk_coarse
         idx = rng.integers(0, k.n, size=(60, 3))
         for x, y, w in idx:
-            gp = gromov_product(k.view(), int(x), int(y), int(w))
+            gp = gromov_products(k.view().submatrix([x, y, w]), 0, 1, 2)
             bound = min(k.distance(int(x), int(w)), k.distance(int(y), int(w)))
             assert -1e-12 <= gp <= bound + 1e-12
 
@@ -48,18 +49,18 @@ class TestGromovProduct:
 class TestBasepointIdentity:
     def test_same_base_gives_exact_zero(self):
         v = euclid_view([[0, 0], [1, 0], [0, 1], [2, 2], [1, 1], [1, 1]])
-        assert basepoint_identity_residual(v, 0, 1, 2, 3, 4, 5) == 0.0
+        assert basepoint_identity_residuals(v.submatrix(np.arange(6)), ONE_TUPLE)[0] == 0.0
 
     @given(st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)), min_size=6, max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_residual_vanishes_for_random_planar_tuples(self, pts):
         v = euclid_view(pts)
-        residual = basepoint_identity_residual(v, 0, 1, 2, 3, 4, 5)
+        residual = basepoint_identity_residuals(v.submatrix(np.arange(6)), ONE_TUPLE)[0]
         assert residual <= 1e-12 * max(1.0, 200.0)
 
     def test_repeated_points_still_cancel(self):
         v = euclid_view([[0, 0], [0, 0], [1, 0], [1, 0], [2, 0], [5, 5]])
-        assert basepoint_identity_residual(v, 0, 1, 2, 3, 4, 5) <= 1e-12
+        assert basepoint_identity_residuals(v.submatrix(np.arange(6)), ONE_TUPLE)[0] <= 1e-12
 
     def test_vectorized_form_on_graph_metric(self, disk_coarse, rng):
         _, k = disk_coarse

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from qhgeo import (
     ConfigurationError,
+    DeformedSide,
     DomainSide,
     QuasihyperbolicMetric,
     ShapeSpec,
@@ -16,6 +20,7 @@ from qhgeo import (
     estimate_quasimobius,
     estimate_relative,
     estimate_semisolid,
+    sphericalize,
 )
 from qhgeo.mapping_analysis import MappingPair, build_mapping, sample_balls, sample_qh_pairs
 from qhgeo.sampling import pair_sample
@@ -194,6 +199,85 @@ class TestEstimatorMechanics:
         quad = np.array([[1, 1, 2, 3], [4, 5, 6, 7]])
         report = estimate_quasimobius(m, quadruples=quad)
         assert report.n_skipped == 1 and report.n_quadruples == 1
+
+
+# Exact grid-ball ("vertex mode") outputs of the four ball estimators, recorded from
+# the per-ball reference implementation: (value, n_samples, n_skipped), and for local
+# biLipschitz (l1, centers, c_x, n_skipped).  A snapped map can send two vertices to
+# one image vertex, which gives zero scales c_x and an infinite l1.
+GRID_BALL_PINS = {
+    "snapped": {
+        "boundary_lipschitz": (2.874226525764396, 105, 7),
+        "relative": (2.2500000000000013, 34, 6),
+        "local_quasisymmetry": (2.8284271247461903, 394, 0),
+        "local_bilipschitz": (
+            np.inf, [160, 36, 121, 51, 113, 37, 24, 13, 169, 72],
+            [1.4142135623730947, 0.447213595499958, 0.7071067811865472, 0.6324555320336759,
+             1.0, 0.7071067811865476, 0.0, 0.0, 1.2747548783981961, 0.0],
+            2,
+        ),
+    },
+    "snapped_inverse": {
+        "boundary_lipschitz": (2.9935531555637533, 105, 7),
+        "relative": (2.191796260511249, 34, 6),
+        "local_quasisymmetry": (2.8284271247461907, 394, 0),
+        "local_bilipschitz": (
+            np.inf, [160, 36, 121, 51, 113, 37, 24, 13, 169, 72],
+            [0.5000000000000002, 1.0000000000000002, 0.6035533905932735, 1.0,
+             0.7071067811865476, 1.0, 1.0, 1.5811388300841895, 0.44721359549995787,
+             1.0000000000000009],
+            2,
+        ),
+    },
+    "sphericalized_identity": {
+        "boundary_lipschitz": (1.516737321146161, 165, 3),
+        "relative": (1.291046674670229, 27, 6),
+        "local_quasisymmetry": (1.2328087058830266, 316, 2),
+        "local_bilipschitz": (
+            1.2029780425056191, [70, 66, 67, 107, 71, 41, 72, 47],
+            [0.24328675753467913, 0.2129156924495594, 0.22731269256084732,
+             0.34458025742759113, 0.23744792331101308, 0.18747412180168013,
+             0.24012917487176624, 0.20506866104132945],
+            4,
+        ),
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def grid_mappings():
+    d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.1)).with_boundary_band(2.0)
+    k = QuasihyperbolicMetric(d)
+    side = DomainSide(d, k)
+    auto = builtin_mapping("disk_automorphism", {"a": [0.5, 0.0]}, side, side)
+    snapped = dataclasses.replace(auto, forward_fn=None, inverse_fn=None)
+    space = sphericalize(d, d.boundary_coords[0], max_points=150, rng=0)
+    identity = build_mapping(DomainSide(d, k, subset=space.active), DeformedSide(space), None, None)
+    return {"snapped": snapped, "snapped_inverse": snapped.inverse(),
+            "sphericalized_identity": identity}
+
+
+class TestGridBallPins:
+    @pytest.mark.parametrize("case", sorted(GRID_BALL_PINS))
+    def test_grid_ball_estimators_exact(self, grid_mappings, case):
+        m = grid_mappings[case]
+        pins = GRID_BALL_PINS[case]
+        assert not m.analytic
+        kw = {"n_balls": 12, "pts_per_ball": 6}
+        for name, est, seed in (("boundary_lipschitz", estimate_boundary_lipschitz, 1),
+                                ("relative", estimate_relative, 2),
+                                ("local_quasisymmetry", estimate_local_quasisymmetry, 3)):
+            r = est(m, 0.3, rng=seed, **kw)
+            assert (r.value, r.n_samples, r.n_skipped) == pins[name], name
+        with np.errstate(divide="ignore"):
+            lb = estimate_local_bilipschitz(m, 0.3, rng=4, **kw)
+        assert (lb.l1, lb.centers.tolist(), lb.c_x.tolist(), lb.n_skipped) == \
+            pins["local_bilipschitz"]
+        # some sampled ball holds fewer than pts_per_ball other vertices
+        tree = cKDTree(m.source.coords)
+        sizes = [len(tree.query_ball_point(m.source.coords[c], 0.3 * m.source.boundary_distance[c]))
+                 - 1 for c in lb.centers]
+        assert min(sizes) < kw["pts_per_ball"] < max(sizes)
 
 
 class TestGlobalQSHypotheses:

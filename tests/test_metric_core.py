@@ -12,7 +12,6 @@ from qhgeo import (
     check_ball_containment,
     domain_from_length_graph,
     estimate_quasiconvexity,
-    graph_distance,
     safe_ball_radius,
 )
 from qhgeo.sampling import check_metric_axioms, pair_sample
@@ -90,13 +89,13 @@ class TestBuildGridDomain:
 class TestGraphDistance:
     def test_zero_at_identical_points(self, disk_coarse):
         d, _ = disk_coarse
-        assert graph_distance(d, 3, 3) == 0.0
+        assert d.graph_view().pairs([3], [3])[0] == 0.0
 
     def test_interior_chord_close_to_euclidean(self):
         d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.05))
         i = int(d.nearest_vertex([(-0.5, 0.0)])[0])
         j = int(d.nearest_vertex([(0.5, 0.0)])[0])
-        assert graph_distance(d, i, j) == pytest.approx(1.0, rel=0.01)
+        assert d.graph_view().pairs([i], [j])[0] == pytest.approx(1.0, rel=0.01)
 
     def test_matches_reference_dijkstra(self, lshape_coarse):
         d, _ = lshape_coarse
@@ -110,7 +109,7 @@ class TestGraphDistance:
         i = int(d.nearest_vertex([(1.9, 0.9)])[0])
         j = int(d.nearest_vertex([(0.9, 1.9)])[0])
         euclid = float(d.ambient_distance(i, j)[0])
-        assert graph_distance(d, i, j) > euclid * 1.1
+        assert d.graph_view().pairs([i], [j])[0] > euclid * 1.1
 
     def test_dominates_ambient_metric(self, disk_coarse, rng):
         d, _ = disk_coarse
@@ -219,7 +218,7 @@ class TestLengthGraphImport:
         d = domain_from_length_graph(coords, [[0, 1], [1, 2]], [[-1.0, 0.0]])
         assert d.n == 3
         assert d.boundary_distance[0] == pytest.approx(1.0)
-        assert graph_distance(d, 0, 2) == pytest.approx(2.0)
+        assert d.graph_view().pairs([0], [2])[0] == pytest.approx(2.0)
 
     def test_import_requires_boundary(self):
         with pytest.raises(ConfigurationError, match="boundary"):

@@ -2,18 +2,37 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qhgeo import (
+    QuasihyperbolicMetric,
     ShapeSpec,
     build_grid_domain,
     build_quasihyperbolic,
+    domain_from_length_graph,
     estimate_uniformity,
-    qh_distance,
-    qh_geodesic,
     verify_qh_distance_bounds,
 )
 from qhgeo.sampling import check_metric_axioms, pair_sample
+
+
+@st.composite
+def length_graph_domains(draw):
+    """A small connected imported domain: random tree plus extra edges, random
+    lengths, vertices in [-5, 5]^2 and boundary samples on the circle of radius 10."""
+    n = draw(st.integers(2, 12))
+    coord = st.floats(-5.0, 5.0)
+    coords = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    edges = {(p, v) for v, p in zip(range(1, n), parents)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    lengths = draw(st.lists(st.floats(0.01, 10.0), min_size=len(edges), max_size=len(edges)))
+    angles = np.asarray(draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=4)))
+    boundary = 10.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+    return domain_from_length_graph(coords, sorted(edges), boundary, lengths)
 
 
 def radial_oracle(r):
@@ -32,8 +51,8 @@ class TestMetricBasics:
 
     def test_zero_on_diagonal_and_symmetric(self, disk_coarse):
         _, k = disk_coarse
-        assert qh_distance(k, 5, 5) == 0.0
-        assert qh_distance(k, 2, 40) == pytest.approx(qh_distance(k, 40, 2), abs=1e-12)
+        assert k.distance(5, 5) == 0.0
+        assert k.distance(2, 40) == pytest.approx(k.distance(40, 2), abs=1e-12)
 
     def test_radial_distance_matches_density_integral(self, disk_mid):
         d, k = disk_mid
@@ -41,7 +60,7 @@ class TestMetricBasics:
         j = int(d.nearest_vertex([(0.5, 0.0)])[0])
         oracle = radial_oracle(0.5)
         assert oracle == pytest.approx(math.log(2.0), abs=1e-9)
-        assert qh_distance(k, i, j) == pytest.approx(oracle, rel=0.02)
+        assert k.distance(i, j) == pytest.approx(oracle, rel=0.02)
 
     def test_punctured_plane_radial_pair(self):
         d, k = build_quasihyperbolic(
@@ -51,7 +70,7 @@ class TestMetricBasics:
         j = int(d.nearest_vertex([(math.e, 0.0)])[0])
         r1 = np.hypot(*d.coords[i])
         r2 = np.hypot(*d.coords[j])
-        assert qh_distance(k, i, j) == pytest.approx(abs(math.log(r2 / r1)), rel=0.02)
+        assert k.distance(i, j) == pytest.approx(abs(math.log(r2 / r1)), rel=0.02)
 
     def test_density_lower_bound(self, disk_coarse, rng):
         d, k = disk_coarse
@@ -67,30 +86,42 @@ class TestMetricBasics:
 class TestGeodesics:
     def test_single_vertex_path(self, disk_coarse):
         _, k = disk_coarse
-        assert qh_geodesic(k, 7, 7).tolist() == [7]
+        assert k.geodesic(7, 7).tolist() == [7]
 
     def test_radial_path_stays_on_axis(self, disk_coarse):
         d, k = disk_coarse
         i = int(d.nearest_vertex([(0.1, 0.0)])[0])
         j = int(d.nearest_vertex([(0.9, 0.0)])[0])
-        path = qh_geodesic(k, i, j)
+        path = k.geodesic(i, j)
         assert np.abs(d.coords[path][:, 1]).max() <= d.resolution + 1e-12
 
     def test_symmetric_pair_bends_toward_center(self, disk_coarse):
         d, k = disk_coarse
         i = int(d.nearest_vertex([(-0.85, 0.0)])[0])
         j = int(d.nearest_vertex([(0.85, 0.0)])[0])
-        path = qh_geodesic(k, i, j)
+        path = k.geodesic(i, j)
         assert d.boundary_distance[path].max() > 2.0 * d.boundary_distance[i]
 
     def test_path_realizes_distance_and_is_deterministic(self, disk_coarse):
         d, k = disk_coarse
         i = int(d.nearest_vertex([(-0.3, 0.4)])[0])
         j = int(d.nearest_vertex([(0.6, -0.2)])[0])
-        path = qh_geodesic(k, i, j)
+        path = k.geodesic(i, j)
         seg = np.asarray(k.matrix[path[:-1], path[1:]]).ravel()
-        assert seg.sum() == pytest.approx(qh_distance(k, i, j), abs=1e-10)
-        assert np.array_equal(path, qh_geodesic(k, i, j))
+        assert seg.sum() == pytest.approx(k.distance(i, j), abs=1e-10)
+        assert np.array_equal(path, k.geodesic(i, j))
+
+
+    @given(length_graph_domains(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_geodesic_weight_sum_equals_distance(self, d, data):
+        k = QuasihyperbolicMetric(d)
+        i = data.draw(st.integers(0, d.n - 1))
+        j = data.draw(st.integers(0, d.n - 1))
+        path = k.geodesic(i, j)
+        assert path[0] == i and path[-1] == j
+        total = float(np.asarray(k.matrix[path[:-1], path[1:]]).sum()) if len(path) > 1 else 0.0
+        assert abs(total - k.distance(i, j)) <= 1e-12 * k.distance(i, j)
 
 
 class TestDistanceBounds:
@@ -98,7 +129,7 @@ class TestDistanceBounds:
         d, k = disk_mid
         i = int(d.nearest_vertex([(0.0, 0.0)])[0])
         j = int(d.nearest_vertex([(0.5, 0.0)])[0])
-        kv = qh_distance(k, i, j)
+        kv = k.distance(i, j)
         # growth bound: 0.5 <= (e^k - 1) * 1
         assert 0.5 <= (math.exp(kv) - 1.0) * 1.0
         # small-scale two-sided comparison (k <= 1 branch, c = 1)
@@ -185,7 +216,7 @@ class TestStructuralProperties:
             d, k = build_quasihyperbolic(build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, h)))
             i = int(d.nearest_vertex([(0.0, 0.0)])[0])
             j = int(d.nearest_vertex([(0.5, 0.0)])[0])
-            errors.append(abs(qh_distance(k, i, j) - math.log(2.0)))
+            errors.append(abs(k.distance(i, j) - math.log(2.0)))
         assert errors[1] < errors[0]
 
     def test_band_restriction_drops_near_boundary_vertices(self):

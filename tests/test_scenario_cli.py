@@ -76,17 +76,37 @@ class TestSampleSizeValidation:
         "key, value",
         [("pairs", -5), ("pairs", 0), ("triples", 2.5), ("tuples", "100"), ("centers", True),
          ("sources", None), ("pool", -1), ("balls", 0), ("pts_per_ball", 1.0),
-         ("quadruples", -1), ("uniformity_pairs", 0)],
+         ("quadruples", -1), ("uniformity_pairs", 0), ("max_rays", 0), ("max_rays", 2.5)],
     )
     def test_non_positive_or_non_integer_size_names_field(self, key, value):
         raw = tiny_scenario(checks=[{"check": "metric_axioms", "space": "qh:disk", key: value}])
         with pytest.raises(ConfigurationError, match=rf"checks\[0\]\.{key}: must be a positive"):
             validate_scenario(raw)
 
-    @pytest.mark.parametrize("key", ["pairs", "balls", "quadruples", "chain_points"])
+    @pytest.mark.parametrize("key", ["pairs", "balls", "quadruples", "chain_points", "slack",
+                                     "band_h"])
     def test_tolerance_sizes_validated(self, key):
         with pytest.raises(ConfigurationError, match=rf"tolerances\.{key}"):
             validate_scenario(tiny_scenario(tolerances={key: -5}))
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("slack", "x", "must be a number"), ("slack", 0, "must be > 0"),
+         ("slack", "inf", "must be a finite number"), ("max_a", "nan", "must be a finite number"),
+         ("separation_frac", 0.0, "must be > 0"),
+         ("max_a", "abc", "must be a number"), ("max_delta", None, "must be a number"),
+         ("max_k", [1], "must be a number"), ("max_slope", "big", "must be a number"),
+         ("tol", "x", "must be a number"), ("stability_drift", "x", "must be a number"),
+         ("clearance_h", "x", "must be a number"), ("image_clearance_h", {}, "must be a number"),
+         ("min_qh", "x", "must be a number")],
+    )
+    def test_bad_check_number_names_field(self, key, value, message):
+        raw = tiny_scenario(checks=[{"check": "metric_axioms", "space": "qh:disk", key: value}])
+        with pytest.raises(ConfigurationError, match=rf"checks\[0\]\.{key}: {message}"):
+            validate_scenario(raw)
+
+    def test_band_h_zero_accepted(self):
+        validate_scenario(tiny_scenario(tolerances={"band_h": 0}))
 
     @pytest.mark.parametrize(
         "check, arity",
@@ -99,13 +119,25 @@ class TestSampleSizeValidation:
         chk["pool"] = arity
         validate_scenario(tiny_scenario(checks=[chk]))
 
-    def test_cli_exits_two_naming_field(self, tmp_path, capsys):
-        raw = tiny_scenario(checks=[{"check": "distance_vs_qh_bounds", "domain": "disk",
-                                     "pairs": -5}])
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [({"checks": [{"check": "distance_vs_qh_bounds", "domain": "disk", "pairs": -5}]},
+          "checks[0].pairs: must be a positive integer"),
+         ({"checks": [{"check": "distance_vs_qh_bounds", "domain": "disk", "slack": "x"}]},
+          "checks[0].slack: must be a number"),
+         ({"checks": [{"check": "rough_starlikeness", "domain": "disk", "max_rays": 0}]},
+          "checks[0].max_rays: must be a positive integer"),
+         ({"tolerances": {"band_h": "abc"}}, "tolerances.band_h: must be a number"),
+         ({"tolerances": {"slack": "inf"}}, "tolerances.slack: must be a finite number"),
+         ({"deformations": [{"name": "f", "domain": "disk", "kind": "fold",
+                             "base_point": [0.0, 0.0]}]},
+          "deformations[0].kind: must be 'uniformize' or 'sphericalize'")],
+    )
+    def test_cli_exits_two_naming_field(self, tmp_path, capsys, overrides, message):
         path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(raw))
+        path.write_text(json.dumps(tiny_scenario(**overrides)))
         assert main(["run", "--scenario", str(path)]) == 2
-        assert "checks[0].pairs: must be a positive integer" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 # check id -> parameters that draw an empty sample (validation would reject most of
@@ -293,6 +325,21 @@ class TestRunScenario:
         report = run_scenario(raw)
         assert not report["checks"][0]["passed"]
         assert "infeasible" in report["checks"][0]["notes"][0]
+
+    def test_global_qs_error_on_bounded_pair_is_infeasible(self, monkeypatch):
+        # bounded sides go straight to the hypotheses check: its errors are not
+        # re-routed through a sphericalization
+        def boom(m):
+            raise ConfigurationError("boom")
+
+        monkeypatch.setattr(scenario, "check_global_qs_hypotheses", boom)
+        raw = tiny_scenario(
+            mappings=[{"name": "id", "map": "identity", "source": "disk", "target": "disk"}],
+            checks=[{"check": "global_qs_hypotheses", "mapping": "id"}],
+        )
+        chk = run_scenario(raw)["checks"][0]
+        assert not chk["passed"]
+        assert chk["notes"] == ["infeasible: boom"]
 
     def test_infeasible_check_recorded_not_fatal(self):
         raw = tiny_scenario(
