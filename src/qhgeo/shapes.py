@@ -174,19 +174,19 @@ def _polygon_boundary_distance(pts, vertices):
 
 
 def _polygon_contains(pts, vertices):
-    """Even-odd ray casting, robust for points off the boundary."""
-    x = pts[:, 0]
-    y = pts[:, 1]
-    inside = np.zeros(len(pts), dtype=bool)
+    """Even-odd ray casting, robust for points off the boundary.  The ray from
+    (x, y) can cross the edge (x1, y1)-(x2, y2) only if min(y1, y2) <= y <
+    max(y1, y2), so each edge is tested on one slice of the points sorted by y."""
+    order = np.argsort(pts[:, 1])
+    x, y = pts[order, 0], pts[order, 1]
+    odd = np.zeros(len(pts), dtype=bool)
     verts = np.asarray(vertices, float)
-    m = len(verts)
-    for i in range(m):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % m]
-        crosses = (y1 > y) != (y2 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xint = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-        inside ^= crosses & (x < xint)
+    for (x1, y1), (x2, y2) in zip(verts, np.roll(verts, -1, axis=0)):
+        lo, hi = np.searchsorted(y, sorted((y1, y2)))
+        xint = x1 + (y[lo:hi] - y1) * (x2 - x1) / (y2 - y1)
+        odd[lo:hi] ^= x[lo:hi] < xint
+    inside = np.empty_like(odd)
+    inside[order] = odd
     return inside
 
 

@@ -79,7 +79,7 @@ def _fail(path: str, message: str):
 def _check_range(value, path, low=None, high=None, open_low=False, open_high=False):
     try:
         value = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         _fail(path, "must be a number")
     if not np.isfinite(value):
         _fail(path, "must be a finite number")   # an infinite slack or bound passes any check
@@ -88,6 +88,17 @@ def _check_range(value, path, low=None, high=None, open_low=False, open_high=Fal
     if high is not None and (value >= high if open_high else value > high):
         _fail(path, f"must be {'<' if open_high else '<='} {high}")
     return value
+
+
+def _check_base_point(value, path, kind):
+    """uniformize: a vertex index >= 0 or two numbers; sphericalize: two numbers."""
+    if kind == "uniformize" and type(value) is int and value >= 0:
+        return
+    if not (isinstance(value, list) and len(value) == 2):
+        index = "a vertex index >= 0 or " if kind == "uniformize" else ""
+        _fail(path, f"must be {index}two numbers")
+    for c in value:
+        _check_range(c, path)
 
 
 def _check_count(value, path):
@@ -181,6 +192,7 @@ def validate_scenario(raw: dict) -> dict:
             _check_range(d["epsilon"], f"{path}.epsilon", 0.0, 1.0, True, True)
         if "base_point" not in d:
             _fail(f"{path}.base_point", "missing")
+        _check_base_point(d["base_point"], f"{path}.base_point", d["kind"])
     map_names = set()
     for a, mp in enumerate(raw.get("mappings", [])):
         path = f"mappings[{a}]"

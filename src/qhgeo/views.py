@@ -13,6 +13,9 @@ pruning, Goldberg & Harrelson, SODA 2005); that row answers the source's
 pairs and is dropped.  Every search runs ``directed=True`` on a symmetric
 matrix, which gives the same floats as an undirected run at about half
 the cost.
+
+``DenseChainView`` runs a dense Dijkstra with no n x n weight matrix, relaxing
+a vertex only where a padded squared-distance screen says it could change a bit.
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import InternalError
 
-# Relative padding of a landmark bound, so that rounding in the bound's two-term
-# sum never cuts off a target; a target the search still misses gets a full row.
+# Relative padding of a landmark bound or a dense-chain screen, so that rounding never
+# cuts off a target (a target a search still misses gets a full row) or a relaxation.
 _BOUND_PAD = 1e-9
+_CHAIN_BLOCK = 1 << 14  # entries of one block of dense-chain screens
 
 
 class MetricView:
@@ -166,18 +170,24 @@ class GraphView(MetricView):
 
 
 class DenseChainView(MetricView):
-    """Shortest paths on an implicit complete graph.
+    """Chain metric of ``|x_u - x_v| / (D_u D_v)`` on points ``coords`` with ``depth`` D > 0.
 
-    ``weight_row(u)`` returns the quasimetric from point u to every point.
-    Used for chain metrics where materializing all n^2 edges is wasteful;
-    a single source costs O(n^2) with vectorized relaxation.
+    Rows are bitwise those of the dense Dijkstra that relaxes every vertex
+    from every settled one.  The first row is the source's quasimetric row;
+    after it a settled u relaxes only the unsettled v with ``dx^2 + dy^2 <
+    ((dist[v] - du) D_u D_v (1 + 1e-9))^2 + tiny`` (``dx``, ``dy`` as ``hypot``
+    sees them).  A skipped relaxation is a no-op: ``fl(du + w) < dist[v]``
+    needs ``w < dist[v] - du``; the screen's rounding (about 1e-15) is far
+    inside its pad, and ``tiny`` (1e-308) covers underflow.  While no screen
+    passes, the settle order is the sort by (dist, index), so consecutive
+    settled vertices are screened in blocks of about ``_CHAIN_BLOCK`` entries.
     """
 
     name = "chain"
 
-    def __init__(self, weight_row, n: int, name: str | None = None):
-        self._weight_row = weight_row
-        self._n = int(n)
+    def __init__(self, coords, depth, name: str | None = None):
+        self._coords = np.asarray(coords, float)
+        self._depth = np.asarray(depth, float)
         if name:
             self.name = name
         self._cache: dict[int, np.ndarray] = {}
@@ -185,23 +195,41 @@ class DenseChainView(MetricView):
 
     @property
     def n(self):
-        return self._n
+        return len(self._depth)
+
+    def quasimetric(self, i, j) -> np.ndarray:
+        """``|x_i - x_j| / (D_i D_j)`` for index arrays i, j."""
+        c, depth = self._coords, self._depth
+        i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+        return np.hypot(c[i, 0] - c[j, 0], c[i, 1] - c[j, 1]) / (depth[i] * depth[j])
 
     def _single_source(self, source: int) -> np.ndarray:
-        n = self._n
-        dist = np.full(n, np.inf)
-        dist[source] = 0.0
-        done = np.zeros(n, dtype=bool)
-        masked = np.empty(n, float)
-        for _ in range(n):
-            np.copyto(masked, dist)
-            masked[done] = np.inf
-            u = int(np.argmin(masked))
-            if not np.isfinite(masked[u]):
-                break
-            done[u] = True
-            np.minimum(dist, dist[u] + self._weight_row(u), out=dist)
-        return dist
+        x, y, depth, n = self._coords[:, 0], self._coords[:, 1], self._depth, self.n
+        row = self.quasimetric(source, np.arange(n))
+        # settle order while no relaxation lands: the source, then (distance, index)
+        order = np.lexsort((row, np.arange(n) != source))
+        xs, ys, ds, dist = x[order], y[order], depth[order], row[order]
+        a = 1  # positions before a are settled
+        while a < n:
+            k = min(n - a, max(1, _CHAIN_BLOCK // (n - a)))
+            r = slice(a, a + k)  # the next k settled vertices, screened against all unsettled
+            lhs = np.square(xs[a:] - xs[r, None]) + np.square(ys[a:] - ys[r, None])
+            gap = (dist[a:] - dist[r, None]) * ds[a:]
+            gap *= ds[r, None] * (1.0 + _BOUND_PAD)
+            hit = lhs < gap * gap + np.finfo(float).tiny  # no pass is lost to underflow
+            hit[:, :k] = np.triu(hit[:, :k], 1)  # u itself and the vertices settled before it
+            if not hit.any():
+                a += k
+                continue
+            j = int(np.argmax(hit.any(axis=1)))
+            u, v = a + j, a + np.flatnonzero(hit[j])
+            w = np.hypot(xs[v] - xs[u], ys[v] - ys[u]) / (ds[u] * ds[v])
+            dist[v] = np.minimum(dist[v], dist[u] + w)
+            rest = u + 1 + np.lexsort((order[u + 1:], dist[u + 1:]))
+            for arr in (order, xs, ys, ds, dist):
+                arr[u + 1:] = arr[rest]
+            a = u + 1
+        return dist[np.argsort(order)]
 
     def rows(self, sources):
         sources = np.atleast_1d(np.asarray(sources, dtype=np.intp))

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from qhgeo import QuasihyperbolicMetric, ShapeSpec, build_grid_domain
+from qhgeo import (
+    QuasihyperbolicMetric,
+    ShapeSpec,
+    build_grid_domain,
+    build_quasihyperbolic,
+    sphericalize,
+)
 
 
 def make_domain(kind, params, h, band=2.0):
@@ -30,6 +36,14 @@ def square_mid():
 def lshape_coarse():
     domain = make_domain("L-shape", {"arm_width": 1.0, "arm_length": 2.0}, 0.05)
     return domain, QuasihyperbolicMetric(domain)
+
+
+@pytest.fixture(scope="session")
+def punctured_sphericalized():
+    d, k = build_quasihyperbolic(
+        build_grid_domain(ShapeSpec("punctured-plane-truncation", {"radius": 6.0}, 0.25))
+    )
+    return d, k, sphericalize(d, (0.0, 0.0), max_points=1200, rng=np.random.default_rng(0))
 
 
 @pytest.fixture()

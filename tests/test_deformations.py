@@ -11,7 +11,6 @@ from qhgeo import (
     ShapeSpec,
     basepoint_change_distortion,
     build_grid_domain,
-    build_quasihyperbolic,
     deformation_density,
     domain_from_length_graph,
     sphericalization_envelope,
@@ -30,14 +29,6 @@ def disk_pack():
     k = QuasihyperbolicMetric(d)
     w = int(d.nearest_vertex([(0.0, 0.0)])[0])
     return d, k, w
-
-
-@pytest.fixture(scope="module")
-def punctured_sphericalized():
-    d, k = build_quasihyperbolic(
-        build_grid_domain(ShapeSpec("punctured-plane-truncation", {"radius": 6.0}, 0.25))
-    )
-    return d, k, sphericalize(d, (0.0, 0.0), max_points=1200, rng=np.random.default_rng(0))
 
 
 class TestDensity:

@@ -105,6 +105,40 @@ class TestSampleSizeValidation:
         with pytest.raises(ConfigurationError, match=rf"checks\[0\]\.{key}: {message}"):
             validate_scenario(raw)
 
+    @pytest.mark.parametrize(
+        "kind, base_point, message",
+        [("uniformize", "x", "must be a vertex index >= 0 or two numbers"),
+         ("uniformize", True, "must be a vertex index >= 0 or two numbers"),
+         ("uniformize", 2.5, "must be a vertex index >= 0 or two numbers"),
+         ("uniformize", -1, "must be a vertex index >= 0 or two numbers"),
+         ("uniformize", [0.0], "must be a vertex index >= 0 or two numbers"),
+         ("uniformize", [0.0, "x"], "must be a number"),
+         ("uniformize", [0.0, float("nan")], "must be a finite number"),
+         ("uniformize", [0.0, 10**400], "must be a number"),
+         ("sphericalize", 3, "must be two numbers"),
+         ("sphericalize", [1.0, 0.0, 0.0], "must be two numbers"),
+         ("sphericalize", [1.0, None], "must be a number"),
+         ("sphericalize", [1.0, float("inf")], "must be a finite number")],
+    )
+    def test_bad_base_point_names_field(self, kind, base_point, message):
+        raw = tiny_scenario(deformations=[{"name": "f", "domain": "disk", "kind": kind,
+                                           "base_point": base_point}])
+        with pytest.raises(ConfigurationError,
+                           match=rf"deformations\[0\]\.base_point: {message}"):
+            validate_scenario(raw)
+
+    @pytest.mark.parametrize("kind, base_point", [("uniformize", 0), ("uniformize", [0, 0.5]),
+                                                  ("sphericalize", [1, 0.0])])
+    def test_good_base_point_accepted(self, kind, base_point):
+        validate_scenario(tiny_scenario(deformations=[{"name": "f", "domain": "disk",
+                                                       "kind": kind, "base_point": base_point}]))
+
+    def test_base_vertex_out_of_range_is_configuration_error(self):
+        raw = tiny_scenario(deformations=[{"name": "u", "domain": "disk", "kind": "uniformize",
+                                           "base_point": 10**6}], checks=[])
+        with pytest.raises(ConfigurationError, match="base vertex 1000000 is not one of the"):
+            ScenarioContext(validate_scenario(raw))
+
     def test_band_h_zero_accepted(self):
         validate_scenario(tiny_scenario(tolerances={"band_h": 0}))
 
@@ -131,7 +165,13 @@ class TestSampleSizeValidation:
          ({"tolerances": {"slack": "inf"}}, "tolerances.slack: must be a finite number"),
          ({"deformations": [{"name": "f", "domain": "disk", "kind": "fold",
                              "base_point": [0.0, 0.0]}]},
-          "deformations[0].kind: must be 'uniformize' or 'sphericalize'")],
+          "deformations[0].kind: must be 'uniformize' or 'sphericalize'"),
+         ({"deformations": [{"name": "u", "domain": "disk", "kind": "uniformize",
+                             "base_point": "x"}]},
+          "deformations[0].base_point: must be a vertex index >= 0 or two numbers"),
+         ({"deformations": [{"name": "u", "domain": "disk", "kind": "uniformize",
+                             "base_point": 10**6}], "checks": []},
+          "base vertex 1000000 is not one of the")],
     )
     def test_cli_exits_two_naming_field(self, tmp_path, capsys, overrides, message):
         path = tmp_path / "scenario.json"

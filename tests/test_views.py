@@ -125,37 +125,108 @@ class TestGraphViewProperties:
                               dijkstra(g.matrix, directed=False, indices=src))
 
 
+def reference_chain_row(coords, depth, source):
+    """The plain dense Dijkstra: every settled vertex relaxes every vertex with
+    its whole quasimetric row |x_u - x_v| / (D_u * D_v)."""
+    n = len(depth)
+    dist = np.full(n, np.inf)
+    dist[source] = 0.0
+    done = np.zeros(n, dtype=bool)
+    masked = np.empty(n, float)
+    for _ in range(n):
+        np.copyto(masked, dist)
+        masked[done] = np.inf
+        u = int(np.argmin(masked))
+        if not np.isfinite(masked[u]):
+            break
+        done[u] = True
+        d = np.hypot(coords[:, 0] - coords[u, 0], coords[:, 1] - coords[u, 1])
+        np.minimum(dist, dist[u] + d / (depth[u] * depth), out=dist)
+    return dist
+
+
+@st.composite
+def chain_spaces(draw):
+    """(coords, depth): lattice points, so that exact distance ties and repeated
+    points occur, mixed with random ones; the depth is 1 + distance to the first
+    point (a sphericalization) or drawn freely, so that chains beat direct hops."""
+    n = draw(st.integers(1, 30))
+    lattice = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda p: tuple(map(float, p)))
+    free = st.tuples(st.floats(-5, 5), st.floats(-5, 5))
+    coords = np.array(draw(st.lists(st.one_of(lattice, free), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        depth = 1.0 + np.hypot(coords[:, 0] - coords[0, 0], coords[:, 1] - coords[0, 1])
+    else:
+        weight = st.sampled_from([0.5, 1.0, 2.0, 3.0, 7.5]) | st.floats(0.25, 8.0)
+        depth = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+    return coords, depth
+
+
 class TestDenseChainView:
     def test_chaining_beats_direct_hop(self):
-        # direct weight 0 <-> 2 is 10, but the two-hop route costs 2: a
-        # correct solver must find it even though the planar quasimetrics
-        # in this package rarely benefit from chaining
-        w = np.array([[0.0, 1.0, 10.0], [1.0, 0.0, 1.0], [10.0, 1.0, 0.0]])
-        v = DenseChainView(lambda u: w[u], 3)
-        assert v.pairs([0], [2])[0] == 2.0
-        assert v.pairs([0], [1])[0] == 1.0
-        assert v.rows([0])[0].tolist() == [0.0, 1.0, 2.0]
+        # collinear points with a deep middle point: the direct quasimetric
+        # 0 <-> 2 is 2, but the two-hop route costs 1/4 + 1/4; a correct
+        # solver must find it even though the planar quasimetrics in this
+        # package rarely benefit from chaining
+        v = DenseChainView([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [1.0, 4.0, 1.0])
+        assert v.pairs([0], [2])[0] == 0.5
+        assert v.pairs([0], [1])[0] == 0.25
+        assert v.rows([0])[0].tolist() == [0.0, 0.25, 0.5]
 
     def test_matches_sparse_dijkstra_on_random_weights(self):
         rng = np.random.default_rng(5)
         n = 24
-        w = rng.uniform(0.1, 5.0, size=(n, n))
-        w = 0.5 * (w + w.T)
-        np.fill_diagonal(w, 0.0)
-        dense = DenseChainView(lambda u: w[u], n)
+        coords = rng.uniform(0.0, 3.0, size=(n, 2))
+        depth = rng.uniform(0.2, 5.0, size=n)
+        diff = coords[:, None, :] - coords[None, :, :]
+        w = np.hypot(diff[..., 0], diff[..., 1]) / np.outer(depth, depth)
         from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import dijkstra
 
         ref = dijkstra(csr_matrix(w), directed=False, indices=[3])[0]
-        assert np.max(np.abs(dense.rows([3])[0] - ref)) < 1e-12
+        assert np.any(ref < w[3] - 1e-9)  # some chain beats its direct hop
+        assert np.max(np.abs(DenseChainView(coords, depth).rows([3])[0] - ref)) < 1e-12
 
     def test_submatrix_symmetry(self):
         rng = np.random.default_rng(7)
         pts = rng.uniform(0, 1, size=(20, 2))
-        e = EuclideanView(pts)
-        v = DenseChainView(lambda u: e.rows([u])[0], 20)
+        v = DenseChainView(pts, np.ones(20))
         sub = v.submatrix(np.arange(0, 20, 3))
         assert np.max(np.abs(sub - sub.T)) < 1e-12
+
+    def test_chain_below_float_underflow(self):
+        # squared distances of 1e-581 underflow to 0; the chain through the
+        # deeper copy of the source must still be found
+        coords = np.array([[0.0, 0.0], [0.0, 4e-291], [0.0, 0.0]])
+        depth = np.array([0.5, 0.5, 1.0])
+        row = DenseChainView(coords, depth).rows([0])[0]
+        assert row[1] < 4e-291 / 0.25
+        assert np.array_equal(row, reference_chain_row(coords, depth, 0))
+
+    def test_chain_through_a_lower_copy_of_the_source(self):
+        # vertex 0 sits on source 1 with a larger depth, so 1 -> 0 -> 2 costs 0 + 2
+        # against the direct 4; vertex 0 must be relaxed even though it sorts first
+        coords = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+        depth = np.array([1.0, 0.5, 0.5])
+        row = DenseChainView(coords, depth).rows([1])[0]
+        assert row.tolist() == [0.0, 0.0, 2.0]
+        assert np.array_equal(row, reference_chain_row(coords, depth, 1))
+
+    def test_rows_equal_reference_on_punctured_sphericalization(self, punctured_sphericalized):
+        _, _, s = punctured_sphericalized
+        coords, depth = s.domain.coords[s.active], s.depth[s.active]
+        for source in (0, 1, 517, s.n - 1):
+            row = s.metric_view().rows([source])[0]
+            assert np.array_equal(row, reference_chain_row(coords, depth, source))
+
+    @given(chain_spaces(), st.data(), st.sampled_from([1, 5, 1 << 14]))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_reference_on_random_points(self, space, data, block):
+        # small blocks make every block boundary and re-sort path run
+        coords, depth = space
+        source = data.draw(st.integers(0, len(depth) - 1))
+        with mock.patch.object(views, "_CHAIN_BLOCK", block):
+            row = DenseChainView(coords, depth).rows([source])[0]
+        assert np.array_equal(row, reference_chain_row(coords, depth, source))
 
 
 class TestLengthGraphValidation:
