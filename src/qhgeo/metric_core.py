@@ -57,6 +57,8 @@ class LengthGraph:
         self.lengths = lengths
         self.coords = None if coords is None else np.asarray(coords, float)
         self._matrix = _symmetric_csr(self.n, edges, lengths)
+        if self._matrix.nnz != 2 * len(edges):  # the matrix merged a repeated edge or a self-loop
+            _reject_non_simple(edges)
         self._check_connected()
         for arr in (self.edges, self.lengths):
             arr.setflags(write=False)
@@ -81,6 +83,22 @@ class LengthGraph:
         if not np.all(new_lengths > 0):
             raise ConfigurationError("replacement edge weights must be > 0")
         return _symmetric_csr(self.n, self.edges, new_lengths)
+
+
+def _reject_non_simple(edges):
+    """Raise for the first self-loop or repeated edge (in either orientation).
+
+    The sparse matrix sums a repeated edge's weights and puts a self-loop on
+    the diagonal, so its entries would no longer be the edge weights.
+    """
+    lo, hi = edges.min(axis=1), edges.max(axis=1)
+    _, first = np.unique(lo * (int(hi.max()) + 1) + hi, return_index=True)
+    repeated = np.ones(len(edges), dtype=bool)
+    repeated[first] = False
+    k = int(np.flatnonzero(repeated | (lo == hi))[0])
+    a, b = edges[k].tolist()
+    what = "is a self-loop" if a == b else "repeats an earlier edge"
+    raise ConfigurationError(f"edge {k} ({a}, {b}) {what}")
 
 
 def _symmetric_csr(n, edges, weights):

@@ -52,22 +52,25 @@ class QuasihyperbolicMetric:
 
         Determinism contract: among all neighbors u realizing
         dist[u] + w(u,v) == dist[v] (within float tolerance), the lowest
-        vertex index wins.
+        vertex index wins.  One pass over the CSR: the entries of row v are
+        the arcs u -> v (the matrix is symmetric and holds each edge weight
+        once per direction), and a segmented minimum over the rows picks u.
         """
         with self._lock:
             cached = self._pred_cache.get(source)
         if cached is not None:
             return cached
         dist = self.rows([source])[0]
-        e = self.domain.graph.edges
-        w = self.edge_weights
-        heads = np.concatenate([e[:, 0], e[:, 1]])
-        tails = np.concatenate([e[:, 1], e[:, 0]])
-        weights = np.concatenate([w, w])
-        tol = 1e-12 * (1.0 + dist[tails])
-        on_path = (np.abs(dist[heads] + weights - dist[tails]) <= tol) & (dist[heads] < dist[tails])
+        m = self.matrix
+        dt = np.repeat(dist, np.diff(m.indptr))
+        dh = dist[m.indices]
+        tol = 1e-12 * (1.0 + dt)
+        on_path = (np.abs(dh + m.data - dt) <= tol) & (dh < dt)
         pred = np.full(self.n, self.n, dtype=np.intp)
-        np.minimum.at(pred, tails[on_path], heads[on_path])
+        has_arcs = np.diff(m.indptr) > 0  # reduceat would misread an empty row
+        if has_arcs.any():
+            candidates = np.where(on_path, m.indices, self.n)
+            pred[has_arcs] = np.minimum.reduceat(candidates, m.indptr[:-1][has_arcs])
         pred[source] = source
         with self._lock:
             self._pred_cache.setdefault(source, pred)
@@ -212,13 +215,18 @@ def estimate_uniformity(
     d = domain.ambient_distance(i, j)
     length_ratios = np.empty(len(i))
     cigar_ratios = np.empty(len(i))
-    for a in range(len(i)):
-        path = k.geodesic(int(i[a]), int(j[a]))
+    paths = [k.geodesic(int(a), int(b)) for a, b in zip(i, j)]
+    # one sparse lookup for every path step; path a's steps are steps[at[a]:at[a + 1]]
+    at = np.cumsum([0] + [len(path) - 1 for path in paths])
+    if paths:
+        steps = np.asarray(matrix[np.concatenate([path[:-1] for path in paths]),
+                                  np.concatenate([path[1:] for path in paths])]).ravel()
+    for a, path in enumerate(paths):
         if len(path) < 2:
             length_ratios[a] = 1.0
             cigar_ratios[a] = 0.0
             continue
-        seg = np.asarray(matrix[path[:-1], path[1:]]).ravel()
+        seg = steps[at[a]:at[a + 1]]
         s = np.concatenate([[0.0], np.cumsum(seg)])
         total = s[-1]
         length_ratios[a] = total / d[a]

@@ -5,14 +5,16 @@ Shortest-path views cache one distance row per source behind a lock, so
 concurrent readers over disjoint sources are safe.
 
 ``GraphView`` caches only complete rows: every row asked for without a
-limit, and a limited row that happened to reach every vertex.  A pair
-query reads the cached row of its source where there is one.  Every other
-source runs one search bounded by the landmark upper bound
-``k(s, t) <= k(s, L) + k(L, t)`` over the cached rows L (ALT-style
-pruning, Goldberg & Harrelson, SODA 2005); that row answers the source's
-pairs and is dropped.  Every search runs ``directed=True`` on a symmetric
-matrix, which gives the same floats as an undirected run at about half
-the cost.
+limit, and a limited row that reached every vertex within its own source's
+limit.  A pair query reads the cached row of its source where there is one.
+Every other query is bounded by the least of the edge i-j, the lightest path
+i-m-j (sparse row intersections), and the landmark bound
+``k(i, j) <= k(i, L) + k(L, j)`` over the cached rows L (ALT-style pruning,
+Goldberg & Harrelson, SODA 2005).  Sources whose limits lie within a factor
+of 2 (one binary exponent) share one limited search per chunk of about
+1 MiB of rows; a chunk answers its pairs and is dropped.  Every search runs
+``directed=True`` on a symmetric matrix, which gives the same floats as an
+undirected run at about half the cost.
 
 ``DenseChainView`` runs a dense Dijkstra with no n x n weight matrix, relaxing
 a vertex only where a padded squared-distance screen says it could change a bit.
@@ -31,6 +33,8 @@ from .errors import InternalError
 # cuts off a target (a target a search still misses gets a full row) or a relaxation.
 _BOUND_PAD = 1e-9
 _CHAIN_BLOCK = 1 << 14  # entries of one block of dense-chain screens
+_HOP_CHUNK = 1 << 11  # pair queries per sparse row intersection in GraphView._hop_bounds
+_ROW_BLOCK_BYTES = 1 << 20  # largest output of one banded search in GraphView.pairs
 
 
 class MetricView:
@@ -103,38 +107,85 @@ class GraphView(MetricView):
     def n(self):
         return self.matrix.shape[0]
 
-    def rows(self, sources, limit: float | None = None):
+    def rows(self, sources, limit: float | np.ndarray | None = None):
         """Distance rows of ``sources``.
 
-        With ``limit``, a newly computed row holds ``inf`` at every vertex
-        farther than ``limit`` and enters the cache only if it has no
-        ``inf``; a cached row is returned whole.  Without ``limit`` every
-        row must be finite (the graph is connected).
+        ``limit`` is one number or one per source.  Missing rows are computed
+        in one search limited by the largest limit, so a new row holds ``inf``
+        only at vertices farther than that; a finite entry is exact.  A new row
+        enters the cache only if it has no ``inf`` and its largest entry is
+        within its own source's limit, as a search at that limit alone would
+        cache it; a cached row is returned whole.  Without ``limit`` every row
+        must be finite (the graph is connected).
         """
         keys = np.atleast_1d(np.asarray(sources, dtype=np.intp)).tolist()
         with self._lock:
             known = {s: self._cache[s] for s in keys if s in self._cache}
-        missing = [s for s in dict.fromkeys(keys) if s not in known]
+        limits = np.broadcast_to(np.inf if limit is None else limit, len(keys)).tolist()
+        own: dict[int, float] = {}  # missing source -> the largest limit asked for it
+        for s, lim in zip(keys, limits):
+            if s not in known:
+                own[s] = max(lim, own.get(s, -np.inf))
+        missing = list(own)
         if missing:
-            bounded = {} if limit is None else {"limit": limit}
+            bounded = {} if limit is None else {"limit": max(own.values())}
             dist = np.atleast_2d(dijkstra(self.matrix, directed=True, indices=missing, **bounded))
-            complete = np.isfinite(dist).all(axis=1)
+            keep = np.isfinite(dist).all(axis=1) & (dist.max(axis=1) <= list(own.values()))
+            # a batch that is not kept whole is copied from, so that it can be freed
+            copy = not keep.all()
             with self._lock:
-                for s, row, ok in zip(missing, dist, complete):
-                    known[s] = self._cache.setdefault(s, row) if ok else row
+                for s, row, ok in zip(missing, dist, keep):
+                    if ok:
+                        row = self._cache.setdefault(s, row.copy() if copy else row)
+                    known[s] = row
         out = np.vstack([known[s] for s in keys])
         if limit is None and not np.all(np.isfinite(out)):
             raise InternalError("unreachable vertex: graph violates the connectivity invariant")
         return out
 
+    def _hop_bounds(self, i, j) -> np.ndarray:
+        """Upper bounds of ``k(i, j)`` from paths of at most two edges.
+
+        The lightest of the edge i-j and the paths i-m-j, found by intersecting
+        the sparse rows of i and j (``inf`` where there is no such path), and
+        0 where ``i == j``.  Each is a path weight, so never below the
+        Dijkstra distance.  Queries are taken ``_HOP_CHUNK`` at a time.
+        """
+        i = np.asarray(i, dtype=np.intp)
+        j = np.asarray(j, dtype=np.intp)
+        n, out = self.n, np.full(len(i), np.inf)
+        for a in range(0, len(i), _HOP_CHUNK):
+            qi, qj = i[a:a + _HOP_CHUNK], j[a:a + _HOP_CHUNK]
+            q = np.arange(len(qi))
+            rows_i, rows_j = self.matrix[qi], self.matrix[qj]
+            # row q of each side, plus a 0-weight entry at its own vertex: a key
+            # shared by both sides is a path i-m-j (m = j or m = i is the edge i-j)
+            keys = np.concatenate([
+                np.repeat(q, np.diff(rows_i.indptr)) * n + rows_i.indices, q * n + qi,
+                np.repeat(q, np.diff(rows_j.indptr)) * n + rows_j.indices, q * n + qj])
+            weights = np.concatenate([rows_i.data, np.zeros(len(q)),
+                                      rows_j.data, np.zeros(len(q))])
+            order = np.argsort(keys, kind="stable")
+            keys, weights = keys[order], weights[order]
+            both = np.flatnonzero(keys[1:] == keys[:-1])
+            np.minimum.at(out, a + keys[both] // n, weights[both] + weights[both + 1])
+        return out
+
     def pairs(self, i, j):
         """Distances for index arrays i, j; bitwise equal to ``rows(i)[j]``.
 
-        A source with a cached row reads it.  Every other source runs one
-        search bounded by the largest landmark bound over its targets, and
-        a full search only if that one misses a target.  With no row cached
-        yet, the most-queried source's full row is computed first to serve
-        as the landmark.
+        A source with a cached row reads it.  For every other source, each
+        query gets the least of three upper bounds: the edge i-j and the
+        lightest path i-m-j (``_hop_bounds``), and the landmark bound
+        ``k(i, L) + k(L, j)`` over the cached rows L.  The source's limit is
+        the largest bound of its queries, padded by 1e-9.  Sources whose
+        limits share a binary exponent (a band: limits within a factor of 2)
+        are searched together, ``max(1, 2**20 // (8 n))`` rows (about 1 MiB)
+        to a ``rows`` call at their largest limit; each chunk answers its
+        queries and is dropped, and ``rows`` caches a row only as a search at
+        its own limit would.  A source whose row still misses a target gets a
+        full row.  With no row cached yet, the most-queried source's full row
+        is computed first to serve as the landmark.
         """
         i = np.asarray(i, dtype=np.intp)
         j = np.asarray(j, dtype=np.intp)
@@ -142,25 +193,40 @@ class GraphView(MetricView):
         sources, inverse, counts = np.unique(i, return_inverse=True, return_counts=True)
         with self._lock:
             landmarks = list(self._cache.values())
-            cached = np.array([s in self._cache for s in sources.tolist()], dtype=bool)
+            held = [self._cache.get(s) for s in sources.tolist()]
         if not landmarks and len(sources):
-            landmarks = [self.rows([sources[np.argmax(counts)]])[0]]
-        # per query of an uncached source: min over landmarks L of k(i, L) + k(L, j),
-        # gathered from the queried columns only
+            top = int(np.argmax(counts))
+            held[top] = self.rows([sources[top]])[0]
+            landmarks = [held[top]]
+        # the queries of source k are by_source[start[k]:start[k + 1]]
+        by_source = np.argsort(inverse, kind="stable")
+        start = np.concatenate([[0], np.cumsum(counts)])
+        cached = np.array([row is not None for row in held], dtype=bool)
+        for k in np.flatnonzero(cached):
+            q = by_source[start[k]:start[k + 1]]
+            out[q] = held[k][j[q]]
+        todo = np.flatnonzero(~cached)
         ask = ~cached[inverse]
         qi, qj = i[ask], j[ask]
-        bound = np.full(len(qi), np.inf)
+        bound = self._hop_bounds(qi, qj)
         for row in landmarks:
             np.minimum(bound, row[qi] + row[qj], out=bound)
         limits = np.zeros(len(sources))
         np.maximum.at(limits, inverse[ask], bound)
-        for k, s in enumerate(sources.tolist()):
-            mask = inverse == k
-            targets = j[mask]
-            row = self.rows([s], limit=None if cached[k] else limits[k] * (1.0 + _BOUND_PAD))[0]
-            if not np.all(np.isfinite(row[targets])):
-                row = self.rows([s])[0]
-            out[mask] = row[targets]
+        limits *= 1.0 + _BOUND_PAD
+        chunk = max(1, _ROW_BLOCK_BYTES // (8 * self.n))
+        band = np.frexp(limits[todo])[1]
+        for e in np.unique(band):
+            members = todo[band == e]
+            for a in range(0, len(members), chunk):
+                ks = members[a:a + chunk]
+                block = self.rows(sources[ks], limit=limits[ks])
+                for r, k in enumerate(ks.tolist()):
+                    q = by_source[start[k]:start[k + 1]]
+                    got = block[r, j[q]]
+                    if not np.all(np.isfinite(got)):
+                        got = self.rows([sources[k]])[0][j[q]]
+                    out[q] = got
         return out
 
     def min_distance_to(self, targets) -> np.ndarray:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qhgeo import (
+    ConfigurationError,
     QuasihyperbolicMetric,
     ShapeSpec,
     build_grid_domain,
@@ -33,6 +34,38 @@ def length_graph_domains(draw):
     angles = np.asarray(draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=4)))
     boundary = 10.0 * np.column_stack([np.cos(angles), np.sin(angles)])
     return domain_from_length_graph(coords, sorted(edges), boundary, lengths)
+
+
+@st.composite
+def integer_weight_domains(draw):
+    """A connected imported domain whose quasihyperbolic edge weights are small
+    integers, so that exact ties between shortest paths occur: every vertex sits
+    at (1, 0) and the one boundary sample at the origin, so d_G = 1 and each
+    weight equals its edge length."""
+    n = draw(st.integers(2, 12))
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    edges = {(p, v) for v, p in zip(range(1, n), parents)}
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    lengths = draw(st.lists(st.integers(1, 3), min_size=len(edges), max_size=len(edges)))
+    coords = np.tile([1.0, 0.0], (n, 1))
+    return domain_from_length_graph(coords, sorted(edges), [[0.0, 0.0]], np.asarray(lengths, float))
+
+
+def reference_predecessors(k, source):
+    """The edge-list predecessor pass: every edge in both directions, lowest head
+    index per tail on the shortest-path subgraph."""
+    dist = k.rows([source])[0]
+    e, w = k.domain.graph.edges, k.edge_weights
+    heads = np.concatenate([e[:, 0], e[:, 1]])
+    tails = np.concatenate([e[:, 1], e[:, 0]])
+    weights = np.concatenate([w, w])
+    tol = 1e-12 * (1.0 + dist[tails])
+    on_path = (np.abs(dist[heads] + weights - dist[tails]) <= tol) & (dist[heads] < dist[tails])
+    pred = np.full(k.n, k.n, dtype=np.intp)
+    np.minimum.at(pred, tails[on_path], heads[on_path])
+    pred[source] = source
+    return pred
 
 
 def radial_oracle(r):
@@ -124,6 +157,30 @@ class TestGeodesics:
         assert abs(total - k.distance(i, j)) <= 1e-12 * k.distance(i, j)
 
 
+    @given(integer_weight_domains())
+    @settings(max_examples=80, deadline=None)
+    def test_predecessors_equal_edge_list_reference(self, d):
+        k = QuasihyperbolicMetric(d)
+        assert np.array_equal(k.edge_weights, np.round(k.edge_weights))
+        for source in range(d.n):
+            assert np.array_equal(k._predecessors(source), reference_predecessors(k, source))
+
+    def test_predecessors_on_grid_equal_edge_list_reference(self, disk_coarse):
+        d, k = disk_coarse
+        for source in (0, d.n // 2, d.n - 1):
+            assert np.array_equal(QuasihyperbolicMetric(d)._predecessors(source),
+                                  reference_predecessors(k, source))
+
+    def test_repeated_edge_rejected_before_any_geodesic(self):
+        # the sparse matrix used to sum the two copies of edge 0-1 into weight 2,
+        # and the geodesic walk from 0 to 2 then found no predecessor
+        coords = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
+        with pytest.raises(ConfigurationError, match=r"edge 1 \(0, 1\) repeats an earlier edge"):
+            domain_from_length_graph(coords, [[0, 1], [0, 1], [1, 2]], [[0.0, 5.0]])
+        with pytest.raises(ConfigurationError, match=r"edge 1 \(1, 1\) is a self-loop"):
+            domain_from_length_graph(coords, [[0, 1], [1, 1], [1, 2]], [[0.0, 5.0]], np.ones(3))
+
+
 class TestDistanceBounds:
     def test_worked_disk_pair(self, disk_mid):
         d, k = disk_mid
@@ -172,6 +229,22 @@ class TestUniformity:
         j = np.array([3, 9])
         report = estimate_uniformity(d, k, (i, j))
         assert report.n_pairs == 1
+
+    def test_ratios_equal_per_pair_lookups(self, disk_coarse, rng):
+        # the steps of every path are looked up at once; each path's ratios must
+        # equal those from looking its own steps up
+        d, k = disk_coarse
+        i, j = pair_sample(d.n, 40, rng, n_sources=8)
+        report = estimate_uniformity(d, k, (i, j))
+        keep = i != j
+        for a, (x, y) in enumerate(zip(i[keep], j[keep])):
+            path = k.geodesic(int(x), int(y))
+            seg = np.asarray(d.graph.matrix[path[:-1], path[1:]]).ravel()
+            s = np.concatenate([[0.0], np.cumsum(seg)])
+            total = s[-1]
+            assert report.length_ratios[a] == total / d.ambient_distance([x], [y])[0]
+            cigar = np.max(np.minimum(s, total - s) / d.boundary_distance[path])
+            assert report.cigar_ratios[a] == cigar
 
     def test_refinement_stability_near_boundary_pair(self):
         values = []

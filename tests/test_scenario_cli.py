@@ -179,6 +179,21 @@ class TestSampleSizeValidation:
         assert main(["run", "--scenario", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edges, message", [
+        ([[0, 1], [1, 2], [2, 1]], "edge 2 (2, 1) repeats an earlier edge"),
+        ([[0, 1], [1, 2], [0, 0]], "edge 2 (0, 0) is a self-loop"),
+    ])
+    def test_imported_graph_must_be_simple(self, tmp_path, capsys, edges, message):
+        raw = tiny_scenario(
+            domains=[{"name": "path", "graph": {
+                "vertices": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], "edges": edges,
+                "lengths": [1.0] * len(edges), "boundary": [[-1.0, 0.0]]}}],
+            checks=[{"check": "metric_axioms", "space": "graph:path"}])
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
 
 # check id -> parameters that draw an empty sample (validation would reject most of
 # them; the checks are called directly so that the guard behind it is tested too)

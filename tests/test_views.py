@@ -11,15 +11,15 @@ from qhgeo.views import DenseChainView, EuclideanView, GraphView
 
 
 @st.composite
-def connected_graphs(draw):
+def connected_graphs(draw, max_n=14, weights=st.floats(0.01, 10.0)):
     """A random connected LengthGraph: a random spanning tree plus extra edges."""
-    n = draw(st.integers(2, 14))
+    n = draw(st.integers(2, max_n))
     parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
     edges = {(p, v) for v, p in zip(range(1, n), parents)}
     extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
     edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
     edges = sorted(edges)
-    lengths = draw(st.lists(st.floats(0.01, 10.0), min_size=len(edges), max_size=len(edges)))
+    lengths = draw(st.lists(weights, min_size=len(edges), max_size=len(edges)))
     return LengthGraph(n, edges, lengths, np.zeros((n, 2)))
 
 
@@ -123,6 +123,123 @@ class TestGraphViewProperties:
         src = np.arange(g.n)
         assert np.array_equal(dijkstra(g.matrix, directed=True, indices=src),
                               dijkstra(g.matrix, directed=False, indices=src))
+
+
+def banded_graphs():
+    """Random connected graphs whose weights span 13 binary exponents, so that
+    the limits of pair queries fall into several bands."""
+    return connected_graphs(max_n=16, weights=st.builds(np.ldexp, st.floats(1.0, 2.0),
+                                                        st.integers(-6, 6)))
+
+
+def recorded_rows(view):
+    """Wrap ``view.rows`` so that every call's (sources, limit) is kept."""
+    calls, rows = [], view.rows
+
+    def record(sources, limit=None):
+        calls.append((np.atleast_1d(np.asarray(sources)).tolist(), limit))
+        return rows(sources, limit)
+
+    view.rows = record
+    return calls
+
+
+class TestShortPairQueries:
+    @given(connected_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_hop_bound_is_an_upper_bound_tight_on_single_edges(self, g):
+        full = GraphView(g.matrix).rows(np.arange(g.n))
+        i, j = (a.ravel() for a in np.meshgrid(np.arange(g.n), np.arange(g.n), indexing="ij"))
+        bound = GraphView(g.matrix)._hop_bounds(i, j).reshape(g.n, g.n)
+        assert np.all(bound >= full)
+        assert np.all(np.diag(bound) == 0.0)
+        a, b = g.edges.T
+        shortest = full[a, b] == g.lengths  # the edge itself is a shortest path
+        assert np.array_equal(bound[a, b][shortest], full[a, b][shortest])
+        assert np.array_equal(bound[b, a][shortest], full[b, a][shortest])
+
+    def test_hop_bound_values(self):
+        # path 0-1-2-3 with weights 1, 2, 4 and a chord 0-2 of weight 5
+        g = LengthGraph(4, [[0, 1], [1, 2], [2, 3], [0, 2]], [1.0, 2.0, 4.0, 5.0], np.zeros((4, 2)))
+        bound = GraphView(g.matrix)._hop_bounds([0, 0, 0, 1, 3, 2], [1, 2, 3, 3, 0, 2])
+        assert bound.tolist() == [1.0, 3.0, 9.0, 6.0, 9.0, 0.0]
+
+    @given(banded_graphs(), st.data(), st.sampled_from([1, 8 * 3, 8 * 16 * 5]))
+    @settings(max_examples=100, deadline=None)
+    def test_pairs_bitwise_equal_full_rows_across_bands_and_chunks(self, g, data, cap):
+        index = st.integers(0, g.n - 1)
+        pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=60))
+        i, j = (np.array(c, dtype=np.intp) for c in zip(*pairs))
+        warm = data.draw(st.lists(index, max_size=2))
+        expected = GraphView(g.matrix).rows(i)[np.arange(len(i)), j]
+        v = GraphView(g.matrix)
+        if warm:
+            v.rows(warm)
+        with mock.patch.object(views, "_ROW_BLOCK_BYTES", cap):
+            assert np.array_equal(v.pairs(i, j), expected)
+
+    def test_sources_are_searched_per_band_and_chunk(self):
+        # a path with weights 1, 2, 4, ..., each source asks for its right neighbour:
+        # the limits have distinct binary exponents, so every band holds one source
+        n = 8
+        g = LengthGraph(n, [[a, a + 1] for a in range(n - 1)], [2.0 ** a for a in range(n - 1)],
+                        np.zeros((n, 2)))
+        i, j = np.arange(n - 1), np.arange(1, n)
+        v = GraphView(g.matrix)
+        v.rows([n - 1])
+        calls = recorded_rows(v)
+        assert np.array_equal(v.pairs(i, j), 2.0 ** i)
+        assert [c[0] for c in calls] == [[s] for s in i.tolist()]
+        # equal weights: one band, cut into chunks of two rows
+        g = LengthGraph(n, [[a, a + 1] for a in range(n - 1)], np.ones(n - 1), np.zeros((n, 2)))
+        v = GraphView(g.matrix)
+        v.rows([n - 1])
+        calls = recorded_rows(v)
+        with mock.patch.object(views, "_ROW_BLOCK_BYTES", 8 * n * 2):
+            assert np.array_equal(v.pairs(i, j), np.ones(n - 1))
+        assert [c[0] for c in calls] == [[0, 1], [2, 3], [4, 5], [6]]
+
+    @given(banded_graphs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_pairs_cache_only_what_a_per_source_search_would(self, g, data):
+        index = st.integers(0, g.n - 1)
+        pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=60))
+        i, j = (np.array(c, dtype=np.intp) for c in zip(*pairs))
+        full = GraphView(g.matrix).rows(np.arange(g.n))
+        v = GraphView(g.matrix)
+        calls = recorded_rows(v)
+        with mock.patch.object(views, "_ROW_BLOCK_BYTES", 8 * g.n * 3):
+            v.pairs(i, j)
+        held = {}  # batch array -> entries of it that are cached rows
+        for s, row in v._cache.items():
+            assert np.array_equal(row, full[s])
+            if row.base is not None:
+                held.setdefault(id(row.base), [row.base.size, 0])[1] += row.size
+        # a batch is kept alive only when all of it is cached rows
+        assert all(size == used for size, used in held.values())
+        for sources, limit in calls:
+            limits = np.broadcast_to(np.inf if limit is None else limit, len(sources))
+            for s, lim in zip(sources, limits):
+                assert (s in v._cache) == (full[s].max() <= lim)
+
+    @given(banded_graphs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_with_per_source_limits(self, g, data):
+        index = st.integers(0, g.n - 1)
+        sources = data.draw(st.lists(index, min_size=1, max_size=8))
+        full = GraphView(g.matrix).rows(np.arange(g.n))
+        top = float(full.max())
+        limits = data.draw(st.lists(st.floats(0.0, top * 1.2), min_size=len(sources),
+                                    max_size=len(sources)))
+        v = GraphView(g.matrix)
+        out = v.rows(sources, limit=limits)
+        reached = np.isfinite(out)
+        assert np.array_equal(out[reached], full[sources][reached])
+        assert np.all(full[sources][~reached] > max(limits))
+        own = {}
+        for s, lim in zip(sources, limits):
+            own[s] = max(lim, own.get(s, -np.inf))
+        assert set(v._cache) == {s for s, lim in own.items() if full[s].max() <= lim}
 
 
 def reference_chain_row(coords, depth, source):
@@ -238,3 +355,13 @@ class TestLengthGraphValidation:
         g = LengthGraph(2, [[0, 1]], [1.0], [[0, 0], [1, 0]])
         with pytest.raises(ConfigurationError, match="> 0"):
             g.reweighted(np.array([-1.0]))
+
+    @pytest.mark.parametrize("edges, message", [
+        ([[0, 1], [0, 1], [1, 2]], r"edge 1 \(0, 1\) repeats an earlier edge"),
+        ([[0, 1], [1, 2], [1, 0]], r"edge 2 \(1, 0\) repeats an earlier edge"),
+        ([[0, 1], [2, 2], [1, 2]], r"edge 1 \(2, 2\) is a self-loop"),
+        ([[1, 2], [1, 2], [0, 0], [0, 1]], r"edge 1 \(1, 2\) repeats an earlier edge"),
+    ])
+    def test_repeated_edges_and_self_loops_rejected(self, edges, message):
+        with pytest.raises(ConfigurationError, match=message):
+            LengthGraph(3, edges, np.ones(len(edges)), np.zeros((3, 2)))
