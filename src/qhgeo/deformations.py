@@ -27,6 +27,11 @@ from .sampling import pool_indices, tuple_sample_from_pool
 from .views import DenseChainView, GraphView
 
 
+def _qh_view(graph, lengths, dg, name: str) -> GraphView:
+    """Quasihyperbolic view of ``graph`` with edge ``lengths`` and boundary distance ``dg``."""
+    return GraphView(graph.reweighted(graph.trapezoid(lengths, 1.0 / dg)), name=name)
+
+
 def deformation_density(k: QuasihyperbolicMetric, i, w: int, eps: float) -> np.ndarray:
     """exp(-eps * k(x, w)) evaluated at vertex indices i."""
     row = k.rows([w])[0]
@@ -50,8 +55,7 @@ class UniformizedSpace:
 
         self.k_from_base = k.rows([self.w])[0]
         self.density = np.exp(-eps * self.k_from_base)
-        e = domain.graph.edges
-        self.edge_weights = k.edge_weights * 0.5 * (self.density[e[:, 0]] + self.density[e[:, 1]])
+        self.edge_weights = domain.graph.trapezoid(k.edge_weights, self.density)
         self.matrix = domain.graph.reweighted(self.edge_weights)
         self._view = GraphView(self.matrix, name=f"uniformized(eps={eps})")
         self._boundary_distance = None
@@ -93,12 +97,8 @@ class UniformizedSpace:
     def qh_view(self) -> GraphView:
         """Quasihyperbolic metric of the deformed space itself."""
         if self._qh_view is None:
-            dg = self.boundary_distance()
-            e = self.domain.graph.edges
-            w = self.edge_weights * 0.5 * (1.0 / dg[e[:, 0]] + 1.0 / dg[e[:, 1]])
-            self._qh_view = GraphView(
-                self.domain.graph.reweighted(w), name=f"qh-of-uniformized(eps={self.eps})"
-            )
+            self._qh_view = _qh_view(self.domain.graph, self.edge_weights, self.boundary_distance(),
+                                     f"qh-of-uniformized(eps={self.eps})")
         return self._qh_view
 
     def diameter_estimate(self, n_extremal: int = 32) -> float:
@@ -179,13 +179,10 @@ class SphericalizedSpace:
     def qh_view(self) -> GraphView:
         """Quasihyperbolic metric of the sphericalized space (full base graph)."""
         if self._qh_view is None:
-            dg = self.boundary_distance()
             e = self.domain.graph.edges
             s_edge = self.domain.graph.lengths / (self.depth[e[:, 0]] * self.depth[e[:, 1]])
-            w = s_edge * 0.5 * (1.0 / dg[e[:, 0]] + 1.0 / dg[e[:, 1]])
-            self._qh_view = GraphView(
-                self.domain.graph.reweighted(w), name="qh-of-sphericalized"
-            )
+            self._qh_view = _qh_view(self.domain.graph, s_edge, self.boundary_distance(),
+                                     "qh-of-sphericalized")
         return self._qh_view
 
 

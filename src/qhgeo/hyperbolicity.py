@@ -125,10 +125,8 @@ def estimate_rough_starlikeness(
         step = len(boundary) / max_rays
         boundary = boundary[(np.arange(max_rays) * step).astype(int)]
     targets = np.unique(domain.nearest_vertex(boundary))
-    ray_vertices: set[int] = set()
-    for t in targets:
-        ray_vertices.update(int(v) for v in k.geodesic(w, int(t)))
-    dist = k.view().min_distance_to(np.fromiter(ray_vertices, dtype=np.intp))
+    rays = k.geodesics(np.full(len(targets), w), targets)
+    dist = k.view().min_distance_to(np.unique(np.concatenate(rays)))
     return HyperbolicityReport(
         0.0,
         0,

@@ -435,20 +435,22 @@ def estimate_local_bilipschitz(
 
     C_x is the median of d'(f(y), f(z)) / d(y, z) over ball pairs (robust
     to snapping outliers); L1 is the worst max(ratio/C_x, C_x/ratio) over
-    centers with C_x > 0.
+    centers with C_x > 0.  A pair with d'(f(y), f(z)) = 0 (a snapped map
+    can send two ball vertices to one image vertex) is skipped and counted;
+    a ball with no pair left gets C_x = 0.
     """
     balls = _ball_sample(m, q, balls, n_balls, pts_per_ball, rng)
     src, img, _, _ = _ball_pair_matrices(m, balls)
     iu, ju = np.triu_indices(src.shape[1], k=1)
     valid = balls.mask[:, iu] & balls.mask[:, ju]
-    ratios = np.where(valid, img[:, iu, ju] / np.where(valid, src[:, iu, ju], 1.0), np.nan)
-    c_x = np.nanmedian(ratios, axis=1)
+    ok = valid & (img[:, iu, ju] > 0)
+    ratios = np.where(ok, img[:, iu, ju] / np.where(ok, src[:, iu, ju], 1.0), np.nan)
+    c_x = np.nanmedian(np.where(ok.any(axis=1)[:, None], ratios, 0.0), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         spread = np.maximum(ratios / c_x[:, None], c_x[:, None] / ratios)
-    spread = np.where(valid & (c_x > 0)[:, None], spread, 1.0)
-    return LocalBiLipschitzResult(
-        float(spread.max(initial=1.0)), balls.centers, c_x, balls.n_skipped
-    )
+    spread = np.where(ok & (c_x > 0)[:, None], spread, 1.0)
+    return LocalBiLipschitzResult(float(spread.max(initial=1.0)), balls.centers, c_x,
+                                  int((valid & ~ok).sum()) + balls.n_skipped)
 
 
 def estimate_local_quasisymmetry(
@@ -646,14 +648,10 @@ def estimate_quasimobius(
     quadruples = np.asarray(quadruples, dtype=np.intp)
     x, y, z, w = (quadruples[:, c] for c in range(4))
 
-    d_xy = m.source.ambient.pairs(x, y)
-    d_zw = m.source.ambient.pairs(z, w)
-    d_xz = m.source.ambient.pairs(x, z)
-    d_yw = m.source.ambient.pairs(y, w)
-    i_xy = m.image_distance(x, y)
-    i_zw = m.image_distance(z, w)
-    i_xz = m.image_distance(x, z)
-    i_yw = m.image_distance(y, w)
+    # one query per side over (x,y), (z,w), (x,z), (y,w), so each source is asked once
+    a, b = np.concatenate([x, z, x, y]), np.concatenate([y, w, z, w])
+    d_xy, d_zw, d_xz, d_yw = m.source.ambient.pairs(a, b).reshape(4, -1)
+    i_xy, i_zw, i_xz, i_yw = m.image_distance(a, b).reshape(4, -1)
 
     scale_src = max(d_xy.max(initial=0.0), d_xz.max(initial=0.0))
     scale_img = max(i_xy.max(initial=0.0), i_xz.max(initial=0.0))

@@ -84,6 +84,10 @@ class LengthGraph:
             raise ConfigurationError("replacement edge weights must be > 0")
         return _symmetric_csr(self.n, self.edges, new_lengths)
 
+    def trapezoid(self, lengths: np.ndarray, density: np.ndarray) -> np.ndarray:
+        """Edge weights ``lengths * (density[u] + density[v]) / 2`` (trapezoid rule)."""
+        return lengths * 0.5 * (density[self.edges[:, 0]] + density[self.edges[:, 1]])
+
 
 def _reject_non_simple(edges):
     """Raise for the first self-loop or repeated edge (in either orientation).

@@ -8,7 +8,6 @@ weights.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,13 +22,10 @@ class QuasihyperbolicMetric:
 
     def __init__(self, domain: DomainSample):
         self.domain = domain
-        dg = domain.boundary_distance
-        e = domain.graph.edges
-        self.edge_weights = domain.graph.lengths * 0.5 * (1.0 / dg[e[:, 0]] + 1.0 / dg[e[:, 1]])
-        self.matrix = domain.graph.reweighted(self.edge_weights)
+        graph = domain.graph
+        self.edge_weights = graph.trapezoid(graph.lengths, 1.0 / domain.boundary_distance)
+        self.matrix = graph.reweighted(self.edge_weights)
         self._view = GraphView(self.matrix, name="quasihyperbolic")
-        self._pred_cache: dict[int, np.ndarray] = {}
-        self._lock = threading.Lock()
 
     @property
     def n(self) -> int:
@@ -56,10 +52,6 @@ class QuasihyperbolicMetric:
         the arcs u -> v (the matrix is symmetric and holds each edge weight
         once per direction), and a segmented minimum over the rows picks u.
         """
-        with self._lock:
-            cached = self._pred_cache.get(source)
-        if cached is not None:
-            return cached
         dist = self.rows([source])[0]
         m = self.matrix
         dt = np.repeat(dist, np.diff(m.indptr))
@@ -72,27 +64,35 @@ class QuasihyperbolicMetric:
             candidates = np.where(on_path, m.indices, self.n)
             pred[has_arcs] = np.minimum.reduceat(candidates, m.indptr[:-1][has_arcs])
         pred[source] = source
-        with self._lock:
-            self._pred_cache.setdefault(source, pred)
         return pred
+
+    def geodesics(self, i, j) -> list[np.ndarray]:
+        """Vertex paths from i[a] to j[a] realizing the quasihyperbolic distance.
+
+        One predecessor pass (``_predecessors``) per distinct source of the
+        call with i != j, shared by that source's pairs; nothing is kept
+        between calls, so a caller asks for all its paths at once.
+        """
+        i = np.asarray(i, dtype=np.intp).tolist()
+        j = np.asarray(j, dtype=np.intp).tolist()
+        sources = dict.fromkeys(a for a, b in zip(i, j) if a != b)
+        preds = {s: self._predecessors(s) for s in sources}
+        paths = []
+        for a, b in zip(i, j):
+            path = [b]  # read backwards from b
+            while path[-1] != a:
+                u = int(preds[a][path[-1]])
+                if u == self.n:
+                    raise InternalError("geodesic walk found no predecessor; distances inconsistent")
+                if len(path) > self.n:
+                    raise InternalError("geodesic walk failed to terminate")
+                path.append(u)
+            paths.append(np.asarray(path[::-1], dtype=np.intp))
+        return paths
 
     def geodesic(self, i: int, j: int) -> np.ndarray:
         """Vertex path from i to j realizing the quasihyperbolic distance."""
-        i, j = int(i), int(j)
-        if i == j:
-            return np.array([i], dtype=np.intp)
-        pred = self._predecessors(i)
-        path = [j]
-        v = j
-        for _ in range(self.n + 1):
-            u = int(pred[v])
-            if u == self.n:
-                raise InternalError("geodesic walk found no predecessor; distances inconsistent")
-            path.append(u)
-            if u == i:
-                return np.asarray(path[::-1], dtype=np.intp)
-            v = u
-        raise InternalError("geodesic walk failed to terminate")
+        return self.geodesics([i], [j])[0]
 
 
 def build_quasihyperbolic(domain: DomainSample, band_h: float = 2.0):
@@ -215,7 +215,7 @@ def estimate_uniformity(
     d = domain.ambient_distance(i, j)
     length_ratios = np.empty(len(i))
     cigar_ratios = np.empty(len(i))
-    paths = [k.geodesic(int(a), int(b)) for a, b in zip(i, j)]
+    paths = k.geodesics(i, j)
     # one sparse lookup for every path step; path a's steps are steps[at[a]:at[a + 1]]
     at = np.cumsum([0] + [len(path) - 1 for path in paths])
     if paths:

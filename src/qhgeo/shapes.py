@@ -101,9 +101,9 @@ def _validate_params(kind, params):
 class ShapeGeometry:
     """Analytic geometry backing a ShapeSpec.
 
-    ``boundary_distance`` must be exact for interior points; ``contains``
-    is a strict interior test.  ``convex`` shapes skip segment clipping
-    when grid edges are generated.
+    ``boundary_distance`` (shapes with ``analytic_boundary`` only) must be
+    exact for interior points; ``contains`` is a strict interior test.
+    ``convex`` shapes skip segment clipping when grid edges are generated.
     """
 
     convex = False
@@ -371,12 +371,6 @@ class _CustomPolygon(ShapeGeometry):
 
     def contains(self, pts):
         return _polygon_contains(pts, self.vertices)
-
-    def boundary_distance(self, pts):
-        # exact segment distance; kept for clipping and diagnostics, the
-        # DomainSample built on a polygon uses boundary samples instead
-        d = _polygon_boundary_distance(pts, self.vertices)
-        return np.where(self.contains(pts), d, -d)
 
     def boundary_samples(self, spacing):
         return _polyline_points(self.vertices, spacing)

@@ -1,8 +1,8 @@
 """Uniform query surface over the metrics the toolkit constructs.
 
 A view answers vectorized distance queries on an immutable point set.
-Shortest-path views cache one distance row per source behind a lock, so
-concurrent readers over disjoint sources are safe.
+Only ``GraphView`` caches rows, behind a lock, so concurrent readers are
+safe; the other views compute what each call asks for and keep nothing.
 
 ``GraphView`` caches only complete rows: every row asked for without a
 limit, and a limited row that reached every vertex within its own source's
@@ -247,6 +247,8 @@ class DenseChainView(MetricView):
     inside its pad, and ``tiny`` (1e-308) covers underflow.  While no screen
     passes, the settle order is the sort by (dist, index), so consecutive
     settled vertices are screened in blocks of about ``_CHAIN_BLOCK`` entries.
+    No row is kept: ``rows`` computes one per source it is given, so a caller
+    batches its queries to ask for each source once.
     """
 
     name = "chain"
@@ -256,8 +258,6 @@ class DenseChainView(MetricView):
         self._depth = np.asarray(depth, float)
         if name:
             self.name = name
-        self._cache: dict[int, np.ndarray] = {}
-        self._lock = threading.Lock()
 
     @property
     def n(self):
@@ -298,15 +298,4 @@ class DenseChainView(MetricView):
         return dist[np.argsort(order)]
 
     def rows(self, sources):
-        sources = np.atleast_1d(np.asarray(sources, dtype=np.intp))
-        out = []
-        for s in sources:
-            s = int(s)
-            with self._lock:
-                row = self._cache.get(s)
-            if row is None:
-                row = self._single_source(s)
-                with self._lock:
-                    self._cache.setdefault(s, row)
-            out.append(row)
-        return np.vstack(out)
+        return np.vstack([self._single_source(int(s)) for s in np.atleast_1d(sources)])

@@ -22,9 +22,16 @@ from qhgeo import (
     estimate_semisolid,
     sphericalize,
 )
-from qhgeo.mapping_analysis import MappingPair, build_mapping, sample_balls, sample_qh_pairs
+from qhgeo.mapping_analysis import (
+    MappingPair,
+    build_mapping,
+    sample_balls,
+    sample_qh_pairs,
+    sample_quadruples,
+)
 from qhgeo.sampling import pair_sample
 from qhgeo.verifier.builtin_maps import builtin_mapping
+from qhgeo.views import DenseChainView
 
 
 def make_side(kind, params, h, band=2.0):
@@ -201,20 +208,63 @@ class TestEstimatorMechanics:
         assert report.n_skipped == 1 and report.n_quadruples == 1
 
 
+def reference_quasimobius(m, quadruples):
+    """The four-call form of ``estimate_quasimobius``: one query per distance pair."""
+    x, y, z, w = (quadruples[:, c] for c in range(4))
+    d_xy, d_zw = m.source.ambient.pairs(x, y), m.source.ambient.pairs(z, w)
+    d_xz, d_yw = m.source.ambient.pairs(x, z), m.source.ambient.pairs(y, w)
+    i_xy, i_zw = m.image_distance(x, y), m.image_distance(z, w)
+    i_xz, i_yw = m.image_distance(x, z), m.image_distance(y, w)
+    scale_src = max(d_xy.max(initial=0.0), d_xz.max(initial=0.0))
+    scale_img = max(i_xy.max(initial=0.0), i_xz.max(initial=0.0))
+    ok = (d_xy * d_zw > 1e-9 * scale_src**2) & (i_xy * i_zw > 1e-9 * scale_img**2)
+    cr = d_xz[ok] * d_yw[ok] / (d_xy[ok] * d_zw[ok])
+    cr_img = i_xz[ok] * i_yw[ok] / (i_xy[ok] * i_zw[ok])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(cr > 0, cr_img / np.where(cr > 0, cr, 1.0), np.inf)
+    return float(ratio.max(initial=0.0)), cr, cr_img, int(ok.sum()), int((~ok).sum())
+
+
+class TestQuasimobiusOneQuery:
+    def test_chain_rows_once_per_source_and_values_unchanged(self, grid_mappings, monkeypatch):
+        m = grid_mappings["sphericalized_identity"]
+        quad = sample_quadruples(m, 300, 6, pool_size=16)
+        chain = m.target.ambient
+        assert isinstance(chain, DenseChainView)
+        computed = []
+        single_source = chain._single_source
+
+        def counted(source):
+            computed.append(source)
+            return single_source(source)
+
+        monkeypatch.setattr(chain, "_single_source", counted)
+        got = estimate_quasimobius(m, quadruples=quad)
+        sources = m.forward_idx[np.concatenate([quad[:, 0], quad[:, 2], quad[:, 1]])]
+        assert sorted(computed) == sorted(set(sources.tolist()))
+        slope, cr, cr_img, n_quadruples, n_skipped = reference_quasimobius(m, quad)
+        assert got.slope == slope and np.array_equal(got.source_cross_ratios, cr)
+        assert np.array_equal(got.image_cross_ratios, cr_img)
+        assert (got.n_quadruples, got.n_skipped) == (n_quadruples, n_skipped)
+        assert n_quadruples > 0
+
+
 # Exact grid-ball ("vertex mode") outputs of the four ball estimators, recorded from
 # the per-ball reference implementation: (value, n_samples, n_skipped), and for local
 # biLipschitz (l1, centers, c_x, n_skipped).  A snapped map can send two vertices to
-# one image vertex, which gives zero scales c_x and an infinite l1.
+# one image vertex; local biLipschitz skips such pairs (n_skipped counts them), and a
+# ball left with none gets c_x = 0.
 GRID_BALL_PINS = {
     "snapped": {
         "boundary_lipschitz": (2.874226525764396, 105, 7),
         "relative": (2.2500000000000013, 34, 6),
         "local_quasisymmetry": (2.8284271247461903, 394, 0),
         "local_bilipschitz": (
-            np.inf, [160, 36, 121, 51, 113, 37, 24, 13, 169, 72],
-            [1.4142135623730947, 0.447213595499958, 0.7071067811865472, 0.6324555320336759,
-             1.0, 0.7071067811865476, 0.0, 0.0, 1.2747548783981961, 0.0],
-            2,
+            2.0, [160, 36, 121, 51, 113, 37, 24, 13, 169, 72],
+            [1.4142135623730947, 0.6035533905932738, 0.7071067811865474, 0.6324555320336759,
+             1.0, 0.7071067811865476, 0.5771601883432528, 0.7071067811865475,
+             1.2747548783981961, 0.0],
+            51,
         ),
     },
     "snapped_inverse": {
@@ -222,11 +272,11 @@ GRID_BALL_PINS = {
         "relative": (2.191796260511249, 34, 6),
         "local_quasisymmetry": (2.8284271247461907, 394, 0),
         "local_bilipschitz": (
-            np.inf, [160, 36, 121, 51, 113, 37, 24, 13, 169, 72],
-            [0.5000000000000002, 1.0000000000000002, 0.6035533905932735, 1.0,
-             0.7071067811865476, 1.0, 1.0, 1.5811388300841895, 0.44721359549995787,
+            2.23606797749979, [160, 36, 121, 51, 113, 37, 24, 13, 169, 72],
+            [0.7071067811865477, 1.0000000000000002, 0.7071067811865478, 1.0,
+             0.7887031434188869, 1.0, 1.0, 1.5811388300841895, 0.49999999999999994,
              1.0000000000000009],
-            2,
+            21,
         ),
     },
     "sphericalized_identity": {
@@ -269,8 +319,7 @@ class TestGridBallPins:
                                 ("local_quasisymmetry", estimate_local_quasisymmetry, 3)):
             r = est(m, 0.3, rng=seed, **kw)
             assert (r.value, r.n_samples, r.n_skipped) == pins[name], name
-        with np.errstate(divide="ignore"):
-            lb = estimate_local_bilipschitz(m, 0.3, rng=4, **kw)
+        lb = estimate_local_bilipschitz(m, 0.3, rng=4, **kw)
         assert (lb.l1, lb.centers.tolist(), lb.c_x.tolist(), lb.n_skipped) == \
             pins["local_bilipschitz"]
         # some sampled ball holds fewer than pts_per_ball other vertices

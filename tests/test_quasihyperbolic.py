@@ -145,6 +145,29 @@ class TestGeodesics:
         assert np.array_equal(path, k.geodesic(i, j))
 
 
+    def test_geodesics_one_predecessor_pass_per_source(self, disk_coarse, monkeypatch):
+        d, _ = disk_coarse
+        k = QuasihyperbolicMetric(d)
+        rng = np.random.default_rng(11)
+        i = np.repeat(rng.choice(d.n - 1, 4, replace=False), 5)
+        j = rng.integers(0, d.n, len(i))
+        j[3] = i[3]  # a one-vertex path
+        # a source asked only for itself needs no pass
+        i, j = np.append(i, d.n - 1), np.append(j, d.n - 1)
+        expected = [k.geodesic(a, b) for a, b in zip(i.tolist(), j.tolist())]
+        passes = []
+        predecessors = k._predecessors
+
+        def counted(source):
+            passes.append(source)
+            return predecessors(source)
+
+        monkeypatch.setattr(k, "_predecessors", counted)
+        paths = k.geodesics(i, j)
+        assert len(paths) == len(expected)
+        assert all(np.array_equal(p, q) for p, q in zip(paths, expected))
+        assert sorted(passes) == sorted(set(i[:-1].tolist())) and len(passes) == 4
+
     @given(length_graph_domains(), st.data())
     @settings(max_examples=80, deadline=None)
     def test_geodesic_weight_sum_equals_distance(self, d, data):

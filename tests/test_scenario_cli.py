@@ -262,9 +262,25 @@ class TestRunScenario:
         b2 = report_to_json_bytes(run_scenario(raw))
         assert b1 == b2
 
-    def test_parallel_equals_serial(self):
-        raw = tiny_scenario()
-        assert report_to_json_bytes(run_scenario(raw, jobs=3)) == report_to_json_bytes(
+    @pytest.mark.parametrize("raw, jobs", [
+        (tiny_scenario(), 3),
+        # the dense chain view and the geodesic walks, which keep no cache, on 2 threads
+        (tiny_scenario(
+            domains=[{"name": "disk", "shape": {"kind": "disk", "params": {"radius": 1.0},
+                                                "resolution": 0.12}}],
+            deformations=[{"name": "sp", "domain": "disk", "kind": "sphericalize",
+                           "base_point": [1.0, 0.0]}],
+            checks=[
+                {"check": "sphericalization_envelope", "deformation": "sp", "pairs": 200},
+                {"check": "sphericalization_distortion", "deformation": "sp",
+                 "quadruples": 200, "pool": 16, "pairs": 200},
+                {"check": "uniformity", "domain": "disk", "pairs": 100},
+                {"check": "rough_starlikeness", "domain": "disk"},
+            ],
+        ), 2),
+    ], ids=["qh", "sphericalize"])
+    def test_parallel_equals_serial(self, raw, jobs):
+        assert report_to_json_bytes(run_scenario(raw, jobs=jobs)) == report_to_json_bytes(
             run_scenario(raw, jobs=1)
         )
 
