@@ -8,9 +8,9 @@ Two transforms are provided:
   least 1/(eps*e).
 - ``sphericalize``: one-point-compactifying transform at a boundary point
   p.  The quasimetric d(x,y) / [(1+d(x,p))(1+d(y,p))] is metrized by the
-  chain construction, which stays within a factor 4 of the quasimetric.
-  Its rows come from ``DenseChainView``'s screened dense Dijkstra on at
-  most ``max_points`` sampled vertices, bitwise equal to the plain loop.
+  chain construction, which Ptolemy's inequality makes equal to it up to
+  rounding.  ``DenseChainView`` gives its rows on at most ``max_points``
+  sampled vertices, bitwise equal to the plain dense Dijkstra.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ class SphericalizedSpace:
         else:
             self.active = np.arange(domain.n, dtype=np.intp)
         act = self.active
-        self._view = DenseChainView(domain.coords[act], self.depth[act], name="sphericalized")
+        self._view = DenseChainView(domain.coords[act], name="sphericalized", base_point=p)
         self._boundary_distance = None
         self._qh_view = None
 

@@ -16,8 +16,8 @@ of 2 (one binary exponent) share one limited search per chunk of about
 ``directed=True`` on a symmetric matrix, which gives the same floats as an
 undirected run at about half the cost.
 
-``DenseChainView`` runs a dense Dijkstra with no n x n weight matrix, relaxing
-a vertex only where a padded squared-distance screen says it could change a bit.
+``DenseChainView`` starts a row as the quasimetric row, a metric by Ptolemy's inequality,
+and runs a plain dense Dijkstra on the ends of the angular-window pairs that pass a screen.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import InternalError
 
-# Relative padding of a landmark bound or a dense-chain screen, so that rounding never
-# cuts off a target (a target a search still misses gets a full row) or a relaxation.
+# Relative pad of a landmark bound (a target a search still misses gets a full row); the
+# dense-chain screen pads by 2x and its window by 4x, so rounding cuts off no relaxation.
 _BOUND_PAD = 1e-9
-_CHAIN_BLOCK = 1 << 14  # entries of one block of dense-chain screens
+_CHAIN_PAIRS = 64  # most window pairs per point before a chain row runs the plain loop
 _HOP_CHUNK = 1 << 11  # pair queries per sparse row intersection in GraphView._hop_bounds
 _ROW_BLOCK_BYTES = 1 << 20  # largest output of one banded search in GraphView.pairs
 
@@ -235,26 +235,42 @@ class GraphView(MetricView):
         return dijkstra(self.matrix, directed=True, indices=targets, min_only=True)
 
 
-class DenseChainView(MetricView):
-    """Chain metric of ``|x_u - x_v| / (D_u D_v)`` on points ``coords`` with ``depth`` D > 0.
+def _dense_chain(coords, depth, source) -> np.ndarray:
+    """The plain dense Dijkstra: each settled vertex, by (distance, index), relaxes all."""
+    x, y, n = coords[:, 0], coords[:, 1], len(depth)
+    dist, done = np.full(n, np.inf), np.zeros(n, dtype=bool)
+    dist[source] = 0.0
+    for _ in range(n):
+        u = int(np.argmin(np.where(done, np.inf, dist)))
+        done[u] = True
+        np.minimum(dist, dist[u] + np.hypot(x - x[u], y - y[u]) / (depth[u] * depth), out=dist)
+    return dist
 
-    Rows are bitwise those of the dense Dijkstra that relaxes every vertex
-    from every settled one.  The first row is the source's quasimetric row;
-    after it a settled u relaxes only the unsettled v with ``dx^2 + dy^2 <
-    ((dist[v] - du) D_u D_v (1 + 1e-9))^2 + tiny`` (``dx``, ``dy`` as ``hypot``
-    sees them).  A skipped relaxation is a no-op: ``fl(du + w) < dist[v]``
-    needs ``w < dist[v] - du``; the screen's rounding (about 1e-15) is far
-    inside its pad, and ``tiny`` (1e-308) covers underflow.  While no screen
-    passes, the settle order is the sort by (dist, index), so consecutive
-    settled vertices are screened in blocks of about ``_CHAIN_BLOCK`` entries.
-    No row is kept: ``rows`` computes one per source it is given, so a caller
-    batches its queries to ask for each source once.
+
+class DenseChainView(MetricView):
+    """Chain metric of ``q(u, v) = |x_u - x_v| / (D_u D_v)`` on points ``coords``.
+
+    D is ``depth``, or ``1 + |x - p|`` for a ``base_point`` p (bitwise ``SphericalizedSpace``'s).
+    Rows are bitwise ``_dense_chain``'s, run on all vertices for free depths.  With p,
+    ``q(s,u) + q(u,v) - q(s,v) = (T + P) / (D_s D_u D_v)`` with ``T = |s-u| + |u-v| - |s-v|
+    >= 0`` and ``P = |s-u||v-p| + |u-v||s-p| - |s-v||u-p| >= 0`` (Ptolemy; Buckley, Herron &
+    Xie, Indiana Univ. Math. J. 57, 2008): a row is its q row up to rounding.  A settled u
+    changes a bit of v only if ``dx^2 + dy^2 < ((q_v - q_u + slack) D_u D_v (1 + 2e-9))^2 +
+    tiny``; ``slack = (n + 16) eps max q`` is twice the drift of a relaxed entry (a rounded
+    sum of under n hops) below q, so near-ties and flipped settle orders pass.  As ``T >= 2
+    |s-u| sin^2(theta/2)``, v lies in u's window of angles around s ``sin^2(theta/2) < D_u
+    (4e-9 max|s-.| + 2 slack D_s max D) / (2 |s-u|)``: twice the bound, for rounding; all of
+    it for u on s.  ``_dense_chain`` runs on s and the ends of the passing window pairs; past
+    ``_CHAIN_PAIRS`` pairs a point (a line through s and p), on all vertices, with no pairs.
     """
 
     name = "chain"
 
-    def __init__(self, coords, depth, name: str | None = None):
-        self._coords = np.asarray(coords, float)
+    def __init__(self, coords, depth=None, name: str | None = None, base_point=None):
+        self._coords = c = np.asarray(coords, float)
+        self._base = p = base_point
+        if p is not None:
+            depth = 1.0 + np.hypot(c[:, 0] - p[0], c[:, 1] - p[1])
         self._depth = np.asarray(depth, float)
         if name:
             self.name = name
@@ -269,33 +285,38 @@ class DenseChainView(MetricView):
         i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
         return np.hypot(c[i, 0] - c[j, 0], c[i, 1] - c[j, 1]) / (depth[i] * depth[j])
 
+    def _candidates(self, source: int, row: np.ndarray):
+        """Window pairs (u, v) and their screen mask for ``source`` with q ``row``, or ``None``."""
+        c, depth, n = self._coords, self._depth, self.n
+        dx, dy = c[:, 0] - c[source, 0], c[:, 1] - c[source, 1]
+        a, theta = np.hypot(dx, dy), np.arctan2(dy, dx)
+        slack = (n + 16) * np.finfo(float).eps * row.max()
+        reach = 4 * _BOUND_PAD * a.max() + 2 * slack * depth[source] * depth.max()
+        sin2 = np.divide(depth * reach, 2 * a, out=np.ones(n), where=a > 0)
+        half = 2 * np.arcsin(np.sqrt(np.minimum(sin2, 1.0)))
+        order = np.argsort(theta, kind="stable")
+        ring = np.concatenate([theta[order] - 2 * np.pi, theta[order], theta[order] + 2 * np.pi])
+        lo = np.searchsorted(ring, theta - half)  # any n ring positions in a row hold every point
+        counts = np.minimum(np.searchsorted(ring, theta + half, "right") - lo, n)
+        if counts.sum() > _CHAIN_PAIRS * n:
+            return None
+        u = np.repeat(np.arange(n), counts)
+        v = order[(np.arange(len(u)) + np.repeat(lo + counts - np.cumsum(counts), counts)) % n]
+        keep = (u != v) & (u != source) & (v != source)
+        u, v = u[keep], v[keep]
+        lhs = np.square(c[u, 0] - c[v, 0]) + np.square(c[u, 1] - c[v, 1])
+        gap = np.maximum(row[v] - row[u] + slack, 0.0) * depth[u] * depth[v] * (1 + 2 * _BOUND_PAD)
+        return u, v, lhs < gap * gap + np.finfo(float).tiny
+
     def _single_source(self, source: int) -> np.ndarray:
-        x, y, depth, n = self._coords[:, 0], self._coords[:, 1], self._depth, self.n
-        row = self.quasimetric(source, np.arange(n))
-        # settle order while no relaxation lands: the source, then (distance, index)
-        order = np.lexsort((row, np.arange(n) != source))
-        xs, ys, ds, dist = x[order], y[order], depth[order], row[order]
-        a = 1  # positions before a are settled
-        while a < n:
-            k = min(n - a, max(1, _CHAIN_BLOCK // (n - a)))
-            r = slice(a, a + k)  # the next k settled vertices, screened against all unsettled
-            lhs = np.square(xs[a:] - xs[r, None]) + np.square(ys[a:] - ys[r, None])
-            gap = (dist[a:] - dist[r, None]) * ds[a:]
-            gap *= ds[r, None] * (1.0 + _BOUND_PAD)
-            hit = lhs < gap * gap + np.finfo(float).tiny  # no pass is lost to underflow
-            hit[:, :k] = np.triu(hit[:, :k], 1)  # u itself and the vertices settled before it
-            if not hit.any():
-                a += k
-                continue
-            j = int(np.argmax(hit.any(axis=1)))
-            u, v = a + j, a + np.flatnonzero(hit[j])
-            w = np.hypot(xs[v] - xs[u], ys[v] - ys[u]) / (ds[u] * ds[v])
-            dist[v] = np.minimum(dist[v], dist[u] + w)
-            rest = u + 1 + np.lexsort((order[u + 1:], dist[u + 1:]))
-            for arr in (order, xs, ys, ds, dist):
-                arr[u + 1:] = arr[rest]
-            a = u + 1
-        return dist[np.argsort(order)]
+        row = self.quasimetric(source, np.arange(self.n))
+        pairs = None if self._base is None else self._candidates(source, row)
+        if pairs is None:
+            return _dense_chain(self._coords, self._depth, source)
+        u, v, hit = pairs
+        sub = np.union1d([source], np.concatenate([u[hit], v[hit]]))
+        row[sub] = _dense_chain(self._coords[sub], self._depth[sub], np.searchsorted(sub, source))
+        return row
 
     def rows(self, sources):
         return np.vstack([self._single_source(int(s)) for s in np.atleast_1d(sources)])

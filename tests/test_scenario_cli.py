@@ -64,6 +64,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="unknown check id"):
             validate_scenario(raw)
 
+    @pytest.mark.parametrize("cid", [["metric_axioms"], None, 3])
+    def test_non_string_check_id(self, cid):
+        raw = tiny_scenario(checks=[{"check": cid}])
+        with pytest.raises(ConfigurationError, match="unknown check id"):
+            validate_scenario(raw)
+
     def test_shipped_scenarios_all_validate(self):
         files = sorted(SCENARIO_DIR.glob("*.json"))
         assert len(files) >= 10

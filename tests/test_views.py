@@ -262,21 +262,57 @@ def reference_chain_row(coords, depth, source):
     return dist
 
 
+def sphericalization_depth(coords, p):
+    return 1.0 + np.hypot(coords[:, 0] - p[0], coords[:, 1] - p[1])
+
+
+LATTICE = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda p: tuple(map(float, p)))
+
+
 @st.composite
 def chain_spaces(draw):
-    """(coords, depth): lattice points, so that exact distance ties and repeated
-    points occur, mixed with random ones; the depth is 1 + distance to the first
-    point (a sphericalization) or drawn freely, so that chains beat direct hops."""
+    """(coords, depth, base): lattice points, so that exact distance ties and repeated
+    points occur, mixed with random ones; the base point is the first point (a
+    sphericalization, depth 1 + distance to it) or None with depths drawn freely,
+    so that chains beat direct hops."""
     n = draw(st.integers(1, 30))
-    lattice = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda p: tuple(map(float, p)))
     free = st.tuples(st.floats(-5, 5), st.floats(-5, 5))
-    coords = np.array(draw(st.lists(st.one_of(lattice, free), min_size=n, max_size=n)))
+    coords = np.array(draw(st.lists(st.one_of(LATTICE, free), min_size=n, max_size=n)))
     if draw(st.booleans()):
-        depth = 1.0 + np.hypot(coords[:, 0] - coords[0, 0], coords[:, 1] - coords[0, 1])
-    else:
-        weight = st.sampled_from([0.5, 1.0, 2.0, 3.0, 7.5]) | st.floats(0.25, 8.0)
-        depth = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
-    return coords, depth
+        return coords, sphericalization_depth(coords, coords[0]), coords[0]
+    weight = st.sampled_from([0.5, 1.0, 2.0, 3.0, 7.5]) | st.floats(0.25, 8.0)
+    return coords, np.array(draw(st.lists(weight, min_size=n, max_size=n))), None
+
+
+@st.composite
+def lattice_chain_spaces(draw):
+    """(coords, p) on a small integer lattice, most points on one line through p,
+    so that exact collinear ties (T = P = 0, where a chain ties the q row to the
+    last bit) and repeated points occur."""
+    p = draw(LATTICE)
+    d = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    on_line = st.integers(-4, 4).map(lambda k: (p[0] + k * d[0], p[1] + k * d[1]))
+    return np.array(draw(st.lists(on_line | LATTICE, min_size=1, max_size=30))), p
+
+
+def screened_pairs(view, source, row):
+    """Every ordered pair (u, v), u != v and neither the source, that passes the
+    chain screen with the source's q ``row``, computed over all pairs, 256 u at a time."""
+    c, depth, n = view._coords, view._depth, view.n
+    slack = (n + 16) * np.finfo(float).eps * row.max()
+    out = set()
+    for a in range(0, n, 256):
+        u = np.arange(a, min(n, a + 256))[:, None]
+        lhs = np.square(c[u, 0] - c[None, :, 0]) + np.square(c[u, 1] - c[None, :, 1])
+        gap = np.maximum(row[None, :] - row[u] + slack, 0.0) * depth[u] * depth[None, :]
+        gap *= 1.0 + 2e-9
+        hit = lhs < gap * gap + np.finfo(float).tiny
+        hit[:, source] = False
+        hit[u[:, 0] == source] = False
+        hit[u[:, 0] - a, u[:, 0]] = False
+        iu, iv = np.nonzero(hit)
+        out.update(zip((iu + a).tolist(), iv.tolist()))
+    return out
 
 
 class TestDenseChainView:
@@ -331,19 +367,69 @@ class TestDenseChainView:
     def test_rows_equal_reference_on_punctured_sphericalization(self, punctured_sphericalized):
         _, _, s = punctured_sphericalized
         coords, depth = s.domain.coords[s.active], s.depth[s.active]
+        assert np.array_equal(s.metric_view()._depth, depth)
         for source in (0, 1, 517, s.n - 1):
             row = s.metric_view().rows([source])[0]
             assert np.array_equal(row, reference_chain_row(coords, depth, source))
 
-    @given(chain_spaces(), st.data(), st.sampled_from([1, 5, 1 << 14]))
+    @given(chain_spaces(), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_rows_equal_reference_on_random_points(self, space, data, block):
-        # small blocks make every block boundary and re-sort path run
-        coords, depth = space
+    def test_rows_equal_reference_on_random_points(self, space, data):
+        coords, depth, base = space
         source = data.draw(st.integers(0, len(depth) - 1))
-        with mock.patch.object(views, "_CHAIN_BLOCK", block):
+        if base is None:
             row = DenseChainView(coords, depth).rows([source])[0]
+        else:
+            row = DenseChainView(coords, base_point=base).rows([source])[0]
         assert np.array_equal(row, reference_chain_row(coords, depth, source))
+
+    @given(lattice_chain_spaces(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_reference_with_a_lattice_base_point(self, space, data):
+        coords, p = space
+        source = data.draw(st.integers(0, len(coords) - 1))
+        row = DenseChainView(coords, base_point=p).rows([source])[0]
+        depth = sphericalization_depth(coords, p)
+        assert np.array_equal(row, reference_chain_row(coords, depth, source))
+
+    def test_window_holds_every_screened_pair(self, punctured_sphericalized):
+        # the screen over all pairs against the window pairs; the fan (last) puts
+        # screened pairs (1, v) out to about 0.7 of the half-window of vertex 1
+        _, _, s = punctured_sphericalized
+        fan = np.linspace(-0.005, 0.005, 41)
+        coords = np.vstack([[0.0, 0.0], [0.01, 0.0], 10.0 * np.c_[np.cos(fan), np.sin(fan)]])
+        fan_view = DenseChainView(coords, base_point=(-1.0, 0.0))
+        for view, sources in ((s.metric_view(), (0, 1, 517, s.n - 1)), (fan_view, (0,))):
+            for source in sources:
+                row = view.quasimetric(source, np.arange(view.n))
+                u, v, hit = view._candidates(source, row)
+                screened = screened_pairs(view, source, row)
+                assert screened == set(zip(u[hit].tolist(), v[hit].tolist()))
+                assert screened <= set(zip(u.tolist(), v.tolist()))
+        assert len(screened) > 20
+
+    def test_screen_keeps_near_ties(self):
+        # u and v a few ulps apart on a line through s and p: q_v - q_u rounds to 0
+        # or below, yet a relaxed dist[u] may drift below q_v, so both orders pass
+        x = 3.0 + np.arange(6) * np.spacing(3.0)
+        coords = np.vstack([[1.0, 0.0], np.c_[x, np.zeros(6)]])
+        view = DenseChainView(coords, base_point=(0.0, 0.0))
+        row = view.quasimetric(0, np.arange(view.n))
+        assert np.any(np.diff(row[1:]) <= 0)
+        u, v, hit = view._candidates(0, row)
+        everyone = {(a, b) for a in range(1, 7) for b in range(1, 7) if a != b}
+        assert set(zip(u[hit].tolist(), v[hit].tolist())) == everyone
+
+    def test_collinear_points_run_the_plain_loop(self):
+        # points on one line through s and p share a window with every point on their
+        # side of s: the row builds no pairs and runs the plain loop on all 2,000 vertices
+        t = np.random.default_rng(11).uniform(-4.0, 6.0, 2000)
+        coords = np.c_[1.0 + 0.6 * t, -2.0 + 0.8 * t]
+        view = DenseChainView(coords, base_point=(1.0, -2.0))
+        row = view.quasimetric(7, np.arange(view.n))
+        assert view._candidates(7, row) is None
+        depth = sphericalization_depth(coords, (1.0, -2.0))
+        assert np.array_equal(view.rows([7])[0], reference_chain_row(coords, depth, 7))
 
 
 class TestLengthGraphValidation:
