@@ -40,6 +40,8 @@ STENCIL = np.array(
 )
 
 _INTERIOR_TOL_FACTOR = 1e-9
+# sample points of a stencil edge tested against a non-convex shape
+_EDGE_FRACTIONS = np.arange(1, 8)[:, None, None] / 8.0
 
 
 class LengthGraph:
@@ -237,10 +239,21 @@ def build_grid_domain(spec: ShapeSpec, boundary_band_h: float = 0.0) -> DomainSa
 
     Vertices are lattice points i*h, edge lengths are exact Euclidean
     displacements, and the boundary is sampled at arclength spacing <= h.
-    For non-convex shapes, stencil edges whose segment leaves the domain
-    are removed.  ``boundary_band_h`` optionally drops vertices closer
-    than that many cells to the boundary (the quasihyperbolic pipeline
-    applies 2 by default).
+    ``boundary_band_h`` optionally drops vertices closer than that many
+    cells to the boundary (the quasihyperbolic pipeline applies 2 by
+    default).
+
+    For non-convex shapes, stencil edges that leave the domain are removed:
+    an edge leaves it when one of its 7 interior samples (fractions 1/8,
+    ..., 7/8) is not inside.  Only edges with ``max(bdist[u], bdist[v]) <=
+    length + h`` are tested, all in one ``geom.contains`` call; the rest
+    are kept.  This is exact.  ``bdist`` is the true boundary distance for
+    analytic shapes and exceeds it by at most h/2 for custom polygons
+    (boundary samples <= h apart).  So an untested edge lies in an open
+    disk around one endpoint that holds no boundary, ``contains`` (even-odd
+    parity for polygons) is constant on that disk, both endpoints are
+    inside, and every sample is inside and more than h/2 from the boundary:
+    testing the edge would keep it too.
     """
     geom = geometry_for(spec)
     h = spec.resolution
@@ -276,40 +289,33 @@ def build_grid_domain(spec: ShapeSpec, boundary_band_h: float = 0.0) -> DomainSa
     index2d = index.reshape(nx, ny)
 
     edge_u, edge_v, edge_len = [], [], []
-    needs_clip = (not geom.convex) and getattr(geom, "_needs_clipping", True)
     for di, dj in STENCIL:
         a_sl = (slice(0, nx - di) if di >= 0 else slice(-di, nx),
                 slice(0, ny - dj) if dj >= 0 else slice(-dj, ny))
         b_sl = (slice(di, nx) if di >= 0 else slice(0, nx + di),
                 slice(dj, ny) if dj >= 0 else slice(0, ny + dj))
         mask = keep2d[a_sl] & keep2d[b_sl]
-        u = index2d[a_sl][mask]
-        v = index2d[b_sl][mask]
-        if len(u) == 0:
-            continue
-        if needs_clip:
-            pa = lattice[keep][u]
-            pb = lattice[keep][v]
-            ok = np.ones(len(u), dtype=bool)
-            for frac in (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875):
-                ok &= geom.contains(pa + frac * (pb - pa))
-            u, v = u[ok], v[ok]
-        edge_u.append(u)
-        edge_v.append(v)
-        edge_len.append(np.full(len(u), h * math.hypot(di, dj)))
+        edge_u.append(index2d[a_sl][mask])
+        edge_v.append(index2d[b_sl][mask])
+        edge_len.append(np.full(len(edge_u[-1]), h * math.hypot(di, dj)))
+    edges = np.column_stack([np.concatenate(edge_u), np.concatenate(edge_v)])
+    lengths = np.concatenate(edge_len)
 
-    if edge_u:
-        edges = np.column_stack([np.concatenate(edge_u), np.concatenate(edge_v)])
-        lengths = np.concatenate(edge_len)
-    else:
-        edges = np.empty((0, 2), dtype=np.intp)
-        lengths = np.empty(0)
+    coords, inner_bdist = lattice[keep], bdist[keep]
+    if not geom.convex and getattr(geom, "_needs_clipping", True):
+        u, v = edges[:, 0], edges[:, 1]
+        near = np.flatnonzero(np.maximum(inner_bdist[u], inner_bdist[v]) <= lengths + h)
+        pa, pb = coords[u[near]], coords[v[near]]
+        inside = geom.contains((pa + _EDGE_FRACTIONS * (pb - pa)).reshape(-1, 2))
+        ok = np.ones(len(edges), dtype=bool)
+        ok[near] = inside.reshape(len(_EDGE_FRACTIONS), -1).all(axis=0)
+        edges, lengths = edges[ok], lengths[ok]
 
-    graph = LengthGraph(int(keep.sum()), edges, lengths, lattice[keep])
+    graph = LengthGraph(int(keep.sum()), edges, lengths, coords)
     return DomainSample(
         graph,
         boundary,
-        bdist[keep],
+        inner_bdist,
         shape=spec,
         geometry=geom,
         quasiconvexity=1.0,

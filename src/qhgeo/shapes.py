@@ -46,7 +46,7 @@ class ShapeSpec:
             raise ConfigurationError(
                 f"unknown shape kind {self.kind!r}; expected one of {SHAPE_KINDS}"
             )
-        if not (self.resolution > 0):
+        if not (_finite(self.resolution, "resolution") > 0):
             raise ConfigurationError("resolution must be > 0")
         _validate_params(self.kind, self.params)
 
@@ -60,50 +60,84 @@ class ShapeSpec:
         for key in ("kind", "resolution"):
             if key not in obj:
                 raise ConfigurationError(f"shape spec missing field {key!r}")
-        return cls(obj["kind"], dict(obj.get("params", {})), float(obj["resolution"]))
+        params = obj.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigurationError("shape spec field 'params' must be a JSON object")
+        return cls(obj["kind"], dict(params), _finite(obj["resolution"], "resolution"))
 
     def __str__(self) -> str:
         return json.dumps(self.to_json())
 
 
+def _finite(value, label):
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(f"{label} must be a number") from None
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{label} must be a finite number")
+    return value
+
+
+def _param(params, name, default=None):
+    return _finite(params.get(name, default), f"shape parameter {name!r}")
+
+
 def _require_positive(params, names):
     for name in names:
-        value = params.get(name)
-        if value is None:
-            continue
-        if not (float(value) > 0):
+        if name in params and not (_param(params, name) > 0):
             raise ConfigurationError(f"shape parameter {name!r} must be > 0")
 
 
+def _require_pairs(params, name, what, shape_ok):
+    """Raise naming ``name`` unless ``params[name]`` is an array of finite numbers
+    whose shape passes ``shape_ok``."""
+    try:
+        arr = np.asarray(params.get(name), dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or not shape_ok(arr.shape) or not np.all(np.isfinite(arr)):
+        raise ConfigurationError(f"shape parameter {name!r} must be {what}")
+
+
 def _validate_params(kind, params):
+    """Every length parameter must be a finite number, ``center`` two finite
+    numbers and ``vertices`` at least 3 pairs of finite numbers."""
     if kind == "disk":
         _require_positive(params, ["radius"])
+        if "center" in params:
+            _require_pairs(params, "center", "two finite numbers", lambda s: s == (2,))
     elif kind == "annulus":
-        inner = float(params.get("inner_radius", 0.2))
-        outer = float(params.get("outer_radius", 1.0))
+        inner = _param(params, "inner_radius", 0.2)
+        outer = _param(params, "outer_radius", 1.0)
         if not (0 < inner < outer):
             raise ConfigurationError("annulus requires 0 < inner_radius < outer_radius")
     elif kind == "square":
         _require_positive(params, ["side"])
     elif kind == "L-shape":
-        width = float(params.get("arm_width", 1.0))
-        length = float(params.get("arm_length", 2.0))
+        width = _param(params, "arm_width", 1.0)
+        length = _param(params, "arm_length", 2.0)
         if not (0 < width < length):
             raise ConfigurationError("L-shape requires 0 < arm_width < arm_length")
     elif kind in ("half-plane-truncation", "punctured-plane-truncation"):
         _require_positive(params, ["radius"])
     elif kind == "custom-polygon":
-        vertices = params.get("vertices")
-        if vertices is None or len(vertices) < 3:
-            raise ConfigurationError("custom-polygon requires at least 3 vertices")
+        _require_pairs(params, "vertices", "at least 3 pairs of finite numbers",
+                       lambda s: len(s) == 2 and s[0] >= 3 and s[1] == 2)
 
 
 class ShapeGeometry:
     """Analytic geometry backing a ShapeSpec.
 
     ``boundary_distance`` (shapes with ``analytic_boundary`` only) must be
-    exact for interior points; ``contains`` is a strict interior test.
-    ``convex`` shapes skip segment clipping when grid edges are generated.
+    exact for interior points; ``contains`` is a strict interior test that
+    is constant on every disk holding no boundary point.  A non-convex
+    shape loses each grid edge that leaves it, i.e. has one of its 7
+    interior samples outside ``contains``; ``build_grid_domain`` tests only
+    edges with ``max(bdist[u], bdist[v]) <= length + h``, which is exact
+    because bdist is exact here and at most h/2 high for sampled
+    boundaries.  ``convex`` shapes, and shapes that set
+    ``_needs_clipping = False``, skip this clipping.
     """
 
     convex = False

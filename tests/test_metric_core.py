@@ -1,8 +1,14 @@
 import heapq
+import json
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from qhgeo import (
     ConfigurationError,
@@ -14,7 +20,11 @@ from qhgeo import (
     estimate_quasiconvexity,
     safe_ball_radius,
 )
+from qhgeo import shapes
+from qhgeo.metric_core import STENCIL
 from qhgeo.sampling import check_metric_axioms, pair_sample
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "qhgeo" / "verifier" / "scenarios"
 
 
 def brute_dijkstra(n, edges, lengths, source):
@@ -84,6 +94,118 @@ class TestBuildGridDomain:
 
         sample_min = cKDTree(d.boundary_coords).query(d.coords)[0]
         assert np.all(d.boundary_distance <= sample_min + 1e-12)
+
+
+def reference_grid(spec, boundary_band_h=0.0):
+    """Edges, lengths and boundary distances of the grid with the per-direction
+    clipping loop: every stencil edge of a non-convex shape is tested at its 7
+    interior samples, one ``contains`` call per sample and direction.  None for
+    an empty interior."""
+    geom = shapes.geometry_for(spec)
+    h = spec.resolution
+    xmin, ymin, xmax, ymax = geom.bounding_box()
+    tol = 1e-9 * max(xmax - xmin, ymax - ymin)
+    i0, i1 = int(math.floor(xmin / h)) - 1, int(math.ceil(xmax / h)) + 1
+    j0, j1 = int(math.floor(ymin / h)) - 1, int(math.ceil(ymax / h)) + 1
+    xs = np.arange(i0, i1 + 1, dtype=float) * h
+    ys = np.arange(j0, j1 + 1, dtype=float) * h
+    nx, ny = len(xs), len(ys)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    lattice = np.column_stack([gx.ravel(), gy.ravel()])
+    if geom.analytic_boundary:
+        bdist = geom.boundary_distance(lattice)
+    else:
+        bdist = cKDTree(geom.boundary_samples(h)).query(lattice)[0]
+        bdist = np.where(geom.contains(lattice), bdist, -bdist)
+    keep = bdist > max(tol, boundary_band_h * h)
+    if not np.any(keep):
+        return None
+    index = -np.ones(nx * ny, dtype=np.intp)
+    index[keep] = np.arange(int(keep.sum()))
+    keep2d, index2d = keep.reshape(nx, ny), index.reshape(nx, ny)
+    needs_clip = not geom.convex and getattr(geom, "_needs_clipping", True)
+    edge_u, edge_v, edge_len = [], [], []
+    for di, dj in STENCIL:
+        a_sl = (slice(0, nx - di) if di >= 0 else slice(-di, nx),
+                slice(0, ny - dj) if dj >= 0 else slice(-dj, ny))
+        b_sl = (slice(di, nx) if di >= 0 else slice(0, nx + di),
+                slice(dj, ny) if dj >= 0 else slice(0, ny + dj))
+        mask = keep2d[a_sl] & keep2d[b_sl]
+        u, v = index2d[a_sl][mask], index2d[b_sl][mask]
+        if needs_clip and len(u):
+            pa, pb = lattice[keep][u], lattice[keep][v]
+            ok = np.ones(len(u), dtype=bool)
+            for frac in (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875):
+                ok &= geom.contains(pa + frac * (pb - pa))
+            u, v = u[ok], v[ok]
+        edge_u.append(u)
+        edge_v.append(v)
+        edge_len.append(np.full(len(u), h * math.hypot(di, dj)))
+    edges = np.column_stack([np.concatenate(edge_u), np.concatenate(edge_v)])
+    return edges, np.concatenate(edge_len), bdist[keep]
+
+
+def assert_grid_matches_reference(spec, boundary_band_h=0.0):
+    reference = reference_grid(spec, boundary_band_h)
+    if reference is None:
+        with pytest.raises(ConfigurationError, match="empty interior"):
+            build_grid_domain(spec, boundary_band_h)
+        return
+    edges, lengths, bdist = reference
+    # random shapes may fall apart into several components; the edges are compared
+    # all the same, so the connectivity check is switched off for this build
+    with mock.patch.object(LengthGraph, "_check_connected", lambda self: None):
+        d = build_grid_domain(spec, boundary_band_h)
+    assert d.graph.edges.dtype == edges.dtype
+    assert d.graph.edges.tobytes() == edges.tobytes()
+    assert d.graph.lengths.tobytes() == lengths.tobytes()
+    assert d.boundary_distance.tobytes() == bdist.tobytes()
+
+
+@st.composite
+def random_polygons(draw):
+    """Possibly self-intersecting polygons with vertices on a coarse lattice (so
+    that horizontal edges and edges along grid lines occur) or free."""
+    coord = st.integers(-4, 4).map(float) if draw(st.booleans()) else st.floats(-4, 4)
+    vertices = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=12))
+    return [list(v) for v in vertices]
+
+
+class TestClippingMatchesPerDirectionLoop:
+    @given(random_polygons(), st.sampled_from([0.1, 0.15, 0.25, 0.4]),
+           st.sampled_from([0.0, 2.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_random_polygons(self, vertices, h, band):
+        assert_grid_matches_reference(ShapeSpec("custom-polygon", {"vertices": vertices}, h),
+                                      band)
+
+    @given(st.floats(0.1, 0.9), st.floats(1.2, 2.0), st.floats(0.02, 0.2))
+    @settings(max_examples=25, deadline=None)
+    def test_l_shapes(self, width, length, h):
+        assert_grid_matches_reference(
+            ShapeSpec("L-shape", {"arm_width": width, "arm_length": length}, h))
+
+    @given(st.floats(0.05, 0.6), st.floats(0.7, 1.5), st.floats(0.02, 0.2))
+    @settings(max_examples=25, deadline=None)
+    def test_annuli(self, inner, outer, h):
+        assert_grid_matches_reference(
+            ShapeSpec("annulus", {"inner_radius": inner, "outer_radius": outer}, h))
+
+    @pytest.mark.parametrize("scenario, name", [
+        ("disk_region_to_halfplane", "diskregion"),
+        ("halfplane_to_disk_region", "diskregion"),
+        ("power_sector", "quarter"),
+    ])
+    def test_shipped_polygon_domains_in_two_contains_calls(self, scenario, name):
+        raw = json.load(open(SCENARIO_DIR / f"{scenario}.json"))
+        spec = ShapeSpec.from_json(next(d for d in raw["domains"] if d["name"] == name)["shape"])
+        assert spec.kind == "custom-polygon"
+        with mock.patch.object(shapes, "_polygon_contains",
+                               wraps=shapes._polygon_contains) as counted:
+            build_grid_domain(spec)
+        # the lattice sign, then one batch of edge samples
+        assert counted.call_count <= 2
+        assert_grid_matches_reference(spec)
 
 
 class TestGraphDistance:

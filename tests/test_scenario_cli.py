@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,35 @@ class TestSampleSizeValidation:
     def test_cli_exits_two_naming_field(self, tmp_path, capsys, overrides, message):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(tiny_scenario(**overrides)))
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape, message", [
+        ({"kind": "custom-polygon", "params": {"vertices": [[0, 0], [1, 0], [1, 1, 5]]}},
+         "shape parameter 'vertices' must be at least 3 pairs of finite numbers"),
+        ({"kind": "custom-polygon", "params": {"vertices": [[0, 0], [1, 0], [math.nan, 1]]}},
+         "shape parameter 'vertices' must be at least 3 pairs of finite numbers"),
+        ({"kind": "custom-polygon", "params": {"vertices": [[0, 0], [1, 0]]}},
+         "shape parameter 'vertices' must be at least 3 pairs of finite numbers"),
+        ({"kind": "disk", "params": {"radius": math.inf}},
+         "shape parameter 'radius' must be a finite number"),
+        ({"kind": "disk", "params": {"radius": None}}, "shape parameter 'radius' must be a number"),
+        ({"kind": "disk", "params": {"center": [math.nan, 0.0]}},
+         "shape parameter 'center' must be two finite numbers"),
+        ({"kind": "disk", "params": {"center": [0.0, 0.0, 1.0]}},
+         "shape parameter 'center' must be two finite numbers"),
+        ({"kind": "annulus", "params": {"outer_radius": math.inf}},
+         "shape parameter 'outer_radius' must be a finite number"),
+        ({"kind": "L-shape", "params": {"arm_length": "long"}},
+         "shape parameter 'arm_length' must be a number"),
+        ({"kind": "disk", "resolution": math.inf}, "resolution must be a finite number"),
+        ({"kind": "disk", "resolution": "fine"}, "resolution must be a number"),
+        ({"kind": "disk", "params": [1.0]}, "shape spec field 'params' must be a JSON object"),
+    ])
+    def test_malformed_shape_number_exits_two(self, tmp_path, capsys, shape, message):
+        raw = tiny_scenario(domains=[{"name": "disk", "shape": {"resolution": 0.08, **shape}}])
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))  # writes NaN and Infinity, which json.load accepts
         assert main(["run", "--scenario", str(path)]) == 2
         assert message in capsys.readouterr().err
 
