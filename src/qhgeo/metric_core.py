@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.spatial import cKDTree
 
 from .errors import ConfigurationError
@@ -45,7 +45,13 @@ _EDGE_FRACTIONS = np.arange(1, 8)[:, None, None] / 8.0
 
 
 class LengthGraph:
-    """Undirected graph with positive edge lengths over an indexed vertex set."""
+    """Undirected graph with positive edge lengths over an indexed vertex set.
+
+    The symmetric CSR layout (each edge stored as arcs u -> v and v -> u, rows
+    sorted by column, as scipy's COO conversion sorts them) is computed once;
+    ``reweighted`` matrices share its ``indptr`` and ``indices`` and only
+    gather new ``data``.
+    """
 
     def __init__(self, n_vertices: int, edges: np.ndarray, lengths: np.ndarray, coords=None):
         edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
@@ -54,47 +60,75 @@ class LengthGraph:
             raise ConfigurationError("edges and lengths must have equal length")
         if len(lengths) and not np.all(lengths > 0):
             raise ConfigurationError("every edge length must be > 0")
-        self.n = int(n_vertices)
+        self.n = n = int(n_vertices)
+        if len(edges) and (edges.min() < 0 or edges.max() >= n):
+            raise ConfigurationError(f"edge endpoints must be vertex indices in [0, {n})")
         self.edges = edges
         self.lengths = lengths
         self.coords = None if coords is None else np.asarray(coords, float)
-        self._matrix = _symmetric_csr(self.n, edges, lengths)
-        if self._matrix.nnz != 2 * len(edges):  # the matrix merged a repeated edge or a self-loop
-            _reject_non_simple(edges)
+        self._indptr, self._indices, self._arc_edge = _csr_layout(n, edges)
+        self._matrix = self._csr(lengths)
         self._check_connected()
-        for arr in (self.edges, self.lengths):
+        for arr in (self.edges, self.lengths, self._indices, self._indptr, self._arc_edge):
             arr.setflags(write=False)
 
+    def _csr(self, weights) -> csr_matrix:
+        return csr_matrix((weights[self._arc_edge], self._indices, self._indptr),
+                          shape=(self.n, self.n))
+
     def _check_connected(self):
+        """One breadth-first search from vertex 0; components are counted only on failure."""
         if self.n <= 1:
             return
+        if len(breadth_first_order(self._matrix, 0, return_predecessors=False)) == self.n:
+            return
         n_comp, _ = connected_components(self._matrix, directed=False)
-        if n_comp != 1:
-            raise ConfigurationError(
-                f"graph has {n_comp} connected components; "
-                "refine the resolution or adjust the shape"
-            )
+        raise ConfigurationError(
+            f"graph has {n_comp} connected components; "
+            "refine the resolution or adjust the shape"
+        )
 
     @property
     def matrix(self) -> csr_matrix:
         return self._matrix
 
     def reweighted(self, new_lengths: np.ndarray) -> csr_matrix:
-        """Sparse matrix with the same edges and replacement weights."""
+        """Sparse matrix with the same edges and replacement weights (shared layout)."""
         new_lengths = np.asarray(new_lengths, float)
         if not np.all(new_lengths > 0):
             raise ConfigurationError("replacement edge weights must be > 0")
-        return _symmetric_csr(self.n, self.edges, new_lengths)
+        return self._csr(new_lengths)
 
     def trapezoid(self, lengths: np.ndarray, density: np.ndarray) -> np.ndarray:
         """Edge weights ``lengths * (density[u] + density[v]) / 2`` (trapezoid rule)."""
         return lengths * 0.5 * (density[self.edges[:, 0]] + density[self.edges[:, 1]])
 
 
+def _csr_layout(n, edges):
+    """``indptr``, ``indices`` and the edge of each arc of the symmetric CSR matrix of ``edges``.
+
+    The arcs u -> v and v -> u of every edge are sorted by (row, column), as
+    scipy's COO conversion sorts them, so ``csr_matrix((w[arc_edge], indices,
+    indptr))`` equals ``csr_matrix((w2, (rows, cols)))`` over both arcs bitwise.
+    """
+    u, v = edges[:, 0], edges[:, 1]
+    keys = np.concatenate([u * n + v, v * n + u])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    if np.any(keys[1:] == keys[:-1]):  # a repeated edge, or a self-loop (stored twice)
+        _reject_non_simple(edges)
+    arc_edge = np.tile(np.arange(len(edges), dtype=np.int32), 2)[order]
+    del order  # 8 bytes an arc, freed before the next arrays: this is a large build's peak
+    indices = np.remainder(keys, n, out=keys).astype(np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(u, minlength=n) + np.bincount(v, minlength=n), out=indptr[1:])
+    return indptr, indices, arc_edge
+
+
 def _reject_non_simple(edges):
     """Raise for the first self-loop or repeated edge (in either orientation).
 
-    The sparse matrix sums a repeated edge's weights and puts a self-loop on
+    The sparse matrix would sum a repeated edge's weights and put a self-loop on
     the diagonal, so its entries would no longer be the edge weights.
     """
     lo, hi = edges.min(axis=1), edges.max(axis=1)
@@ -105,15 +139,6 @@ def _reject_non_simple(edges):
     a, b = edges[k].tolist()
     what = "is a self-loop" if a == b else "repeats an earlier edge"
     raise ConfigurationError(f"edge {k} ({a}, {b}) {what}")
-
-
-def _symmetric_csr(n, edges, weights):
-    if len(edges) == 0:
-        return csr_matrix((n, n))
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    vals = np.concatenate([weights, weights])
-    return csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 class DomainSample:
@@ -241,7 +266,9 @@ def build_grid_domain(spec: ShapeSpec, boundary_band_h: float = 0.0) -> DomainSa
     displacements, and the boundary is sampled at arclength spacing <= h.
     ``boundary_band_h`` optionally drops vertices closer than that many
     cells to the boundary (the quasihyperbolic pipeline applies 2 by
-    default).
+    default): a vertex is kept when ``bdist >= boundary_band_h * h``, the
+    rule of ``DomainSample.with_boundary_band``, so the banded build equals
+    the unbanded one restricted to that band without building it.
 
     For non-convex shapes, stencil edges that leave the domain are removed:
     an edge leaves it when one of its 7 interior samples (fractions 1/8,
@@ -278,28 +305,15 @@ def build_grid_domain(spec: ShapeSpec, boundary_band_h: float = 0.0) -> DomainSa
         bdist = cKDTree(boundary).query(lattice)[0]
         bdist = np.where(geom.contains(lattice), bdist, -bdist)
 
-    keep = bdist > max(tol, boundary_band_h * h)
+    keep = (bdist > tol) & (bdist >= boundary_band_h * h)
     if not np.any(keep):
         raise ConfigurationError(
             f"empty interior for {spec.kind} at resolution {h}; refine the grid"
         )
     index = -np.ones(nx * ny, dtype=np.intp)
     index[keep] = np.arange(int(keep.sum()))
-    keep2d = keep.reshape(nx, ny)
-    index2d = index.reshape(nx, ny)
 
-    edge_u, edge_v, edge_len = [], [], []
-    for di, dj in STENCIL:
-        a_sl = (slice(0, nx - di) if di >= 0 else slice(-di, nx),
-                slice(0, ny - dj) if dj >= 0 else slice(-dj, ny))
-        b_sl = (slice(di, nx) if di >= 0 else slice(0, nx + di),
-                slice(dj, ny) if dj >= 0 else slice(0, ny + dj))
-        mask = keep2d[a_sl] & keep2d[b_sl]
-        edge_u.append(index2d[a_sl][mask])
-        edge_v.append(index2d[b_sl][mask])
-        edge_len.append(np.full(len(edge_u[-1]), h * math.hypot(di, dj)))
-    edges = np.column_stack([np.concatenate(edge_u), np.concatenate(edge_v)])
-    lengths = np.concatenate(edge_len)
+    edges, lengths = _stencil_edges(keep.reshape(nx, ny), index.reshape(nx, ny), h)
 
     coords, inner_bdist = lattice[keep], bdist[keep]
     if not geom.convex and getattr(geom, "_needs_clipping", True):
@@ -321,6 +335,27 @@ def build_grid_domain(spec: ShapeSpec, boundary_band_h: float = 0.0) -> DomainSa
         quasiconvexity=1.0,
         resolution=h,
     )
+
+
+def _stencil_edges(keep2d, index2d, h):
+    """Edges between kept lattice points along every STENCIL direction, and their lengths.
+
+    Direction by direction, in lattice order within each.  A function of its
+    own, so that the per-direction pieces are freed before the graph is built.
+    """
+    nx, ny = keep2d.shape
+    edge_u, edge_v, edge_len = [], [], []
+    for di, dj in STENCIL:
+        a_sl = (slice(0, nx - di) if di >= 0 else slice(-di, nx),
+                slice(0, ny - dj) if dj >= 0 else slice(-dj, ny))
+        b_sl = (slice(di, nx) if di >= 0 else slice(0, nx + di),
+                slice(dj, ny) if dj >= 0 else slice(0, ny + dj))
+        mask = keep2d[a_sl] & keep2d[b_sl]
+        edge_u.append(index2d[a_sl][mask])
+        edge_v.append(index2d[b_sl][mask])
+        edge_len.append(np.full(len(edge_u[-1]), h * math.hypot(di, dj)))
+    edges = np.column_stack([np.concatenate(edge_u), np.concatenate(edge_v)])
+    return edges, np.concatenate(edge_len)
 
 
 def domain_from_length_graph(

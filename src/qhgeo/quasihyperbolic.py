@@ -43,51 +43,52 @@ class QuasihyperbolicMetric:
     def distance(self, i: int, j: int) -> float:
         return float(self._view.pairs([i], [j])[0])
 
-    def _predecessors(self, source: int) -> np.ndarray:
-        """Lowest-index predecessor on some shortest path from ``source``.
+    def _predecessor(self, dist: np.ndarray, v: int) -> int:
+        """Lowest-index predecessor of ``v`` on some shortest path, given the source's row.
 
         Determinism contract: among all neighbors u realizing
         dist[u] + w(u,v) == dist[v] (within float tolerance), the lowest
-        vertex index wins.  One pass over the CSR: the entries of row v are
-        the arcs u -> v (the matrix is symmetric and holds each edge weight
-        once per direction), and a segmented minimum over the rows picks u.
+        vertex index wins; ``n`` if there is none.  The entries of CSR row v
+        are the arcs u -> v (the matrix is symmetric and holds each edge
+        weight once per direction).
         """
-        dist = self.rows([source])[0]
         m = self.matrix
-        dt = np.repeat(dist, np.diff(m.indptr))
-        dh = dist[m.indices]
-        tol = 1e-12 * (1.0 + dt)
-        on_path = (np.abs(dh + m.data - dt) <= tol) & (dh < dt)
-        pred = np.full(self.n, self.n, dtype=np.intp)
-        has_arcs = np.diff(m.indptr) > 0  # reduceat would misread an empty row
-        if has_arcs.any():
-            candidates = np.where(on_path, m.indices, self.n)
-            pred[has_arcs] = np.minimum.reduceat(candidates, m.indptr[:-1][has_arcs])
-        pred[source] = source
-        return pred
+        lo, hi = m.indptr[v], m.indptr[v + 1]
+        u, dv = m.indices[lo:hi], dist[v]
+        du = dist[u]
+        on_path = (np.abs(du + m.data[lo:hi] - dv) <= 1e-12 * (1.0 + dv)) & (du < dv)
+        return int(u[on_path].min()) if on_path.any() else self.n
 
     def geodesics(self, i, j) -> list[np.ndarray]:
         """Vertex paths from i[a] to j[a] realizing the quasihyperbolic distance.
 
-        One predecessor pass (``_predecessors``) per distinct source of the
-        call with i != j, shared by that source's pairs; nothing is kept
-        between calls, so a caller asks for all its paths at once.
+        One row per distinct source of the call with i != j; the walks back
+        from each target find the predecessors of the vertices they visit
+        only, each once per source.  Nothing is kept between calls, so a
+        caller asks for all its paths at once.
         """
         i = np.asarray(i, dtype=np.intp).tolist()
         j = np.asarray(j, dtype=np.intp).tolist()
-        sources = dict.fromkeys(a for a, b in zip(i, j) if a != b)
-        preds = {s: self._predecessors(s) for s in sources}
-        paths = []
-        for a, b in zip(i, j):
-            path = [b]  # read backwards from b
-            while path[-1] != a:
-                u = int(preds[a][path[-1]])
-                if u == self.n:
-                    raise InternalError("geodesic walk found no predecessor; distances inconsistent")
-                if len(path) > self.n:
-                    raise InternalError("geodesic walk failed to terminate")
-                path.append(u)
-            paths.append(np.asarray(path[::-1], dtype=np.intp))
+        by_source: dict[int, list[int]] = {}
+        for a, s in enumerate(i):
+            by_source.setdefault(s, []).append(a)
+        paths = [None] * len(i)
+        for s, queries in by_source.items():
+            dist = self.rows([s])[0] if any(j[a] != s for a in queries) else None
+            pred: dict[int, int] = {}
+            for a in queries:
+                path = [j[a]]  # read backwards from the target
+                while path[-1] != s:
+                    v = path[-1]
+                    if v not in pred:
+                        pred[v] = self._predecessor(dist, v)
+                    if pred[v] == self.n:
+                        raise InternalError(
+                            "geodesic walk found no predecessor; distances inconsistent")
+                    if len(path) > self.n:
+                        raise InternalError("geodesic walk failed to terminate")
+                    path.append(pred[v])
+                paths[a] = np.asarray(path[::-1], dtype=np.intp)
         return paths
 
     def geodesic(self, i: int, j: int) -> np.ndarray:

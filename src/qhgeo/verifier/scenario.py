@@ -101,6 +101,42 @@ def _check_base_point(value, path, kind):
         _check_range(c, path)
 
 
+def _check_object(value, path):
+    if not isinstance(value, dict):
+        _fail(path, "must be an object")
+
+
+def _check_array(value, path, width, kinds, what):
+    """A list of finite numbers of a dtype kind in ``kinds``, ``width`` to a row (0: flat)."""
+    arr = None
+    if isinstance(value, list):
+        try:
+            arr = np.asarray(value)
+        except ValueError:  # ragged rows
+            pass
+    if arr is None or arr.size and (arr.dtype.kind not in kinds
+                                    or arr.shape[1:] != ((width,) if width else ())
+                                    or not np.all(np.isfinite(arr))):
+        _fail(path, f"must be a list of {what}")
+    return arr
+
+
+def _check_graph(graph, path):
+    """An imported graph: finite vertices, edges between them, finite lengths and boundary."""
+    _check_object(graph, path)
+    for key in ("vertices", "edges"):
+        if key not in graph:
+            _fail(f"{path}.{key}", "missing")
+    pairs = "pairs of finite numbers"
+    n = len(_check_array(graph["vertices"], f"{path}.vertices", 2, "iuf", pairs))
+    edges = _check_array(graph["edges"], f"{path}.edges", 2, "iu", "pairs of vertex indices")
+    if edges.size and (edges.min() < 0 or edges.max() >= n):
+        _fail(f"{path}.edges", f"must be vertex indices in [0, {n})")
+    if graph.get("lengths") is not None:
+        _check_array(graph["lengths"], f"{path}.lengths", 0, "iuf", "finite numbers")
+    _check_array(graph.get("boundary", []), f"{path}.boundary", 2, "iuf", pairs)
+
+
 def _check_count(value, path):
     if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
         _fail(path, "must be a positive integer")
@@ -145,6 +181,7 @@ def validate_scenario(raw: dict) -> dict:
     names = set()
     for a, dom in enumerate(domains):
         path = f"domains[{a}]"
+        _check_object(dom, path)
         if "name" not in dom:
             _fail(path + ".name", "missing")
         if dom["name"] in names:
@@ -154,9 +191,12 @@ def validate_scenario(raw: dict) -> dict:
             _fail(path, "needs exactly one of 'shape' or 'graph'")
         if "shape" in dom:
             ShapeSpec.from_json(dom["shape"])
+        else:
+            _check_graph(dom["graph"], path + ".graph")
     def_names = set()
     for a, d in enumerate(raw.get("deformations", [])):
         path = f"deformations[{a}]"
+        _check_object(d, path)
         for key in ("name", "domain", "kind"):
             if key not in d:
                 _fail(f"{path}.{key}", "missing")
@@ -175,6 +215,7 @@ def validate_scenario(raw: dict) -> dict:
     map_names = set()
     for a, mp in enumerate(raw.get("mappings", [])):
         path = f"mappings[{a}]"
+        _check_object(mp, path)
         for key in ("name", "map", "source", "target"):
             if key not in mp:
                 _fail(f"{path}.{key}", "missing")
@@ -187,6 +228,7 @@ def validate_scenario(raw: dict) -> dict:
         _fail("checks", "must be a list")
     for a, chk in enumerate(checks):
         path = f"checks[{a}]"
+        _check_object(chk, path)
         cid = chk.get("check")
         if not isinstance(cid, str) or cid not in _CHECKS:
             _fail(f"{path}.check", f"unknown check id {cid!r}")
@@ -250,7 +292,7 @@ class ScenarioContext:
                 spec = ShapeSpec.from_json(dom["shape"])
                 if resolution_override is not None:
                     spec = ShapeSpec(spec.kind, spec.params, resolution_override)
-                domain = build_grid_domain(spec).with_boundary_band(self.band_h)
+                domain = build_grid_domain(spec, self.band_h)
             else:
                 g = dom["graph"]
                 domain = domain_from_length_graph(
@@ -403,7 +445,7 @@ def _chk_qh_calibration(ctx, params, rng):
             {**spec.params, "radius": 2.0 * float(spec.params.get("radius", 6.0))},
             spec.resolution,
         )
-        domain2 = build_grid_domain(big).with_boundary_band(ctx.band_h)
+        domain2 = build_grid_domain(big, ctx.band_h)
         qh2 = QuasihyperbolicMetric(domain2)
         for idx, (a, b) in enumerate(snapped):
             # query the first run's snapped lattice points so the drift

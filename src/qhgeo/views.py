@@ -6,7 +6,11 @@ safe; the other views compute what each call asks for and keep nothing.
 
 ``GraphView`` caches only complete rows: every row asked for without a
 limit, and a limited row that reached every vertex within its own source's
-limit.  A pair query reads the cached row of its source where there is one.
+limit.  It holds copies of them, at most ``_ROW_CACHE_BYTES`` (8 MiB) per
+view, and evicts the least recently used first; a row that is asked for
+again is searched again, with bitwise the same floats.  ``submatrix`` runs
+its sources about 1 MiB of rows at a time and keeps only the pool columns.
+A pair query reads the cached row of its source where there is one.
 Every other query is bounded by the least of the edge i-j, the lightest path
 i-m-j (sparse row intersections), and the landmark bound
 ``k(i, j) <= k(i, L) + k(L, j)`` over the cached rows L (ALT-style pruning,
@@ -23,6 +27,7 @@ and runs a plain dense Dijkstra on the ends of the angular-window pairs that pas
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
@@ -34,7 +39,8 @@ from .errors import InternalError
 _BOUND_PAD = 1e-9
 _CHAIN_PAIRS = 64  # most window pairs per point before a chain row runs the plain loop
 _HOP_CHUNK = 1 << 11  # pair queries per sparse row intersection in GraphView._hop_bounds
-_ROW_BLOCK_BYTES = 1 << 20  # largest output of one banded search in GraphView.pairs
+_ROW_BLOCK_BYTES = 1 << 20  # largest output of one search in GraphView.pairs and .submatrix
+_ROW_CACHE_BYTES = 8 << 20  # cached rows one GraphView holds; least recently used go first
 
 
 class MetricView:
@@ -100,12 +106,31 @@ class GraphView(MetricView):
         self.matrix = matrix.tocsr()
         if name:
             self.name = name
-        self._cache: dict[int, np.ndarray] = {}
+        self._cache: OrderedDict[int, np.ndarray] = OrderedDict()  # least recently used first
+        self._cached_bytes = 0
         self._lock = threading.Lock()
 
     @property
     def n(self):
         return self.matrix.shape[0]
+
+    def _cached(self, keys) -> dict:
+        """The cached rows of ``keys``, marked most recently used; hold the lock."""
+        found = {}
+        for s in keys:
+            if s in self._cache:
+                self._cache.move_to_end(s)
+                found[s] = self._cache[s]
+        return found
+
+    def _store(self, s: int, row: np.ndarray) -> None:
+        """Cache a copy of ``row`` and evict down to the budget; hold the lock."""
+        if s in self._cache:
+            return
+        self._cache[s] = row = row.copy()
+        self._cached_bytes += row.nbytes
+        while self._cached_bytes > _ROW_CACHE_BYTES:
+            self._cached_bytes -= self._cache.popitem(last=False)[1].nbytes
 
     def rows(self, sources, limit: float | np.ndarray | None = None):
         """Distance rows of ``sources``.
@@ -120,7 +145,7 @@ class GraphView(MetricView):
         """
         keys = np.atleast_1d(np.asarray(sources, dtype=np.intp)).tolist()
         with self._lock:
-            known = {s: self._cache[s] for s in keys if s in self._cache}
+            known = self._cached(keys)
         limits = np.broadcast_to(np.inf if limit is None else limit, len(keys)).tolist()
         own: dict[int, float] = {}  # missing source -> the largest limit asked for it
         for s, lim in zip(keys, limits):
@@ -131,12 +156,10 @@ class GraphView(MetricView):
             bounded = {} if limit is None else {"limit": max(own.values())}
             dist = np.atleast_2d(dijkstra(self.matrix, directed=True, indices=missing, **bounded))
             keep = np.isfinite(dist).all(axis=1) & (dist.max(axis=1) <= list(own.values()))
-            # a batch that is not kept whole is copied from, so that it can be freed
-            copy = not keep.all()
             with self._lock:
                 for s, row, ok in zip(missing, dist, keep):
                     if ok:
-                        row = self._cache.setdefault(s, row.copy() if copy else row)
+                        self._store(s, row)
                     known[s] = row
         out = np.vstack([known[s] for s in keys])
         if limit is None and not np.all(np.isfinite(out)):
@@ -191,9 +214,11 @@ class GraphView(MetricView):
         j = np.asarray(j, dtype=np.intp)
         out = np.empty(len(i), float)
         sources, inverse, counts = np.unique(i, return_inverse=True, return_counts=True)
+        keys = sources.tolist()
         with self._lock:
             landmarks = list(self._cache.values())
-            held = [self._cache.get(s) for s in sources.tolist()]
+            found = self._cached(keys)
+        held = [found.get(s) for s in keys]
         if not landmarks and len(sources):
             top = int(np.argmax(counts))
             held[top] = self.rows([sources[top]])[0]
@@ -227,6 +252,15 @@ class GraphView(MetricView):
                     if not np.all(np.isfinite(got)):
                         got = self.rows([sources[k]])[0][j[q]]
                     out[q] = got
+        return out
+
+    def submatrix(self, idx) -> np.ndarray:
+        """``rows(idx)[:, idx]``, from ``rows`` calls of about 1 MiB of rows each."""
+        idx = np.asarray(idx, dtype=np.intp)
+        out = np.empty((len(idx), len(idx)))
+        chunk = max(1, _ROW_BLOCK_BYTES // (8 * self.n))
+        for a in range(0, len(idx), chunk):
+            out[a:a + chunk] = self.rows(idx[a:a + chunk])[:, idx]
         return out
 
     def min_distance_to(self, targets) -> np.ndarray:

@@ -117,7 +117,7 @@ def reference_grid(spec, boundary_band_h=0.0):
     else:
         bdist = cKDTree(geom.boundary_samples(h)).query(lattice)[0]
         bdist = np.where(geom.contains(lattice), bdist, -bdist)
-    keep = bdist > max(tol, boundary_band_h * h)
+    keep = (bdist > tol) & (bdist >= boundary_band_h * h)
     if not np.any(keep):
         return None
     index = -np.ones(nx * ny, dtype=np.intp)
@@ -206,6 +206,44 @@ class TestClippingMatchesPerDirectionLoop:
         # the lattice sign, then one batch of edge samples
         assert counted.call_count <= 2
         assert_grid_matches_reference(spec)
+
+
+def shipped_shapes():
+    """Every distinct shape of the shipped scenarios, and one of each other kind."""
+    specs = {}
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        for dom in json.loads(path.read_text())["domains"]:
+            if "shape" in dom:
+                specs.setdefault(json.dumps(dom["shape"], sort_keys=True),
+                                 pytest.param(dom["shape"], id=f"{path.stem}-{dom['name']}"))
+    others = [{"kind": "square", "params": {"side": 1.0}, "resolution": 0.05},
+              {"kind": "annulus", "params": {"inner_radius": 0.3, "outer_radius": 1.0},
+               "resolution": 0.05},
+              {"kind": "L-shape", "params": {}, "resolution": 0.05}]
+    return list(specs.values()) + [pytest.param(o, id=o["kind"]) for o in others]
+
+
+class TestBandedBuild:
+    @pytest.mark.parametrize("band", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("shape", shipped_shapes())
+    def test_banded_build_equals_restricted_unbanded_build(self, shape, band):
+        spec = ShapeSpec.from_json(shape)
+        direct = build_grid_domain(spec, band)
+        restricted = build_grid_domain(spec).with_boundary_band(band)
+        assert direct.resolution == restricted.resolution
+        for a, b in [(direct.coords, restricted.coords),
+                     (direct.graph.edges, restricted.graph.edges),
+                     (direct.graph.lengths, restricted.graph.lengths),
+                     (direct.boundary_distance, restricted.boundary_distance),
+                     (direct.boundary_coords, restricted.boundary_coords)]:
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_half_plane_row_at_the_band_edge_is_kept(self):
+        # lattice rows sit at y = j h exactly, so the row y = 2h ties with the band 2h
+        h = 0.1
+        d = build_grid_domain(ShapeSpec("half-plane-truncation", {"radius": 6.0}, h), 2.0)
+        assert d.coords[:, 1].min() == 2.0 * h
+        assert d.boundary_distance.min() == 2.0 * h
 
 
 class TestGraphDistance:

@@ -68,6 +68,22 @@ def reference_predecessors(k, source):
     return pred
 
 
+def walk_predecessors(k, source):
+    """``_predecessor`` at every vertex, as a geodesic walk would ask for it."""
+    dist = k.rows([source])[0]
+    pred = np.array([k._predecessor(dist, v) for v in range(k.n)], dtype=np.intp)
+    pred[source] = source
+    return pred
+
+
+def reference_walk(pred, a, b):
+    """The vertex path from a to b read backwards over a predecessor array."""
+    path = [b]
+    while path[-1] != a:
+        path.append(int(pred[path[-1]]))
+    return np.asarray(path[::-1], dtype=np.intp)
+
+
 def radial_oracle(r):
     """1-D density integral along the disk radius (the radial geodesic)."""
     value, _ = quad(lambda t: 1.0 / (1.0 - t), 0.0, r)
@@ -145,28 +161,49 @@ class TestGeodesics:
         assert np.array_equal(path, k.geodesic(i, j))
 
 
-    def test_geodesics_one_predecessor_pass_per_source(self, disk_coarse, monkeypatch):
+    def test_geodesics_walk_reference_predecessors_one_row_per_source(self, disk_coarse,
+                                                                      monkeypatch):
         d, _ = disk_coarse
         k = QuasihyperbolicMetric(d)
         rng = np.random.default_rng(11)
         i = np.repeat(rng.choice(d.n - 1, 4, replace=False), 5)
         j = rng.integers(0, d.n, len(i))
         j[3] = i[3]  # a one-vertex path
-        # a source asked only for itself needs no pass
+        # a source asked only for itself needs no row
         i, j = np.append(i, d.n - 1), np.append(j, d.n - 1)
-        expected = [k.geodesic(a, b) for a, b in zip(i.tolist(), j.tolist())]
-        passes = []
-        predecessors = k._predecessors
+        expected = [reference_walk(reference_predecessors(k, a), a, b)
+                    for a, b in zip(i.tolist(), j.tolist())]
+        searched = []
+        rows = k.rows
 
-        def counted(source):
-            passes.append(source)
-            return predecessors(source)
+        def counted(sources):
+            searched.extend(np.atleast_1d(sources).tolist())
+            return rows(sources)
 
-        monkeypatch.setattr(k, "_predecessors", counted)
+        monkeypatch.setattr(k, "rows", counted)
         paths = k.geodesics(i, j)
         assert len(paths) == len(expected)
         assert all(np.array_equal(p, q) for p, q in zip(paths, expected))
-        assert sorted(passes) == sorted(set(i[:-1].tolist())) and len(passes) == 4
+        assert sorted(searched) == sorted(set(i[:-1].tolist())) and len(searched) == 4
+
+    @given(integer_weight_domains())
+    @settings(max_examples=60, deadline=None)
+    def test_geodesics_with_ties_walk_reference_predecessors(self, d):
+        k = QuasihyperbolicMetric(d)
+        i, j = (a.ravel() for a in np.meshgrid(np.arange(d.n), np.arange(d.n), indexing="ij"))
+        preds = [reference_predecessors(k, a) for a in range(d.n)]
+        for a, b, path in zip(i.tolist(), j.tolist(), k.geodesics(i, j)):
+            assert np.array_equal(path, reference_walk(preds[a], a, b))
+
+    def test_rounded_tie_within_relative_tolerance_takes_lowest_index(self):
+        # in floats 10000.1 + 10000.6 exceeds 10000.3 + 10000.4 by 3.6e-12, more than
+        # 1e-12 but within 1e-12 (1 + dist): a tie, so vertex 1 beats the shorter sum via 2
+        d = domain_from_length_graph(np.tile([1.0, 0.0], (4, 1)),
+                                     [[0, 1], [1, 3], [0, 2], [2, 3]], [[0.0, 0.0]],
+                                     [10000.1, 10000.6, 10000.3, 10000.4])
+        k = QuasihyperbolicMetric(d)
+        assert k.distance(0, 3) == 10000.3 + 10000.4 < 10000.1 + 10000.6
+        assert k.geodesic(0, 3).tolist() == [0, 1, 3]
 
     @given(length_graph_domains(), st.data())
     @settings(max_examples=80, deadline=None)
@@ -186,12 +223,12 @@ class TestGeodesics:
         k = QuasihyperbolicMetric(d)
         assert np.array_equal(k.edge_weights, np.round(k.edge_weights))
         for source in range(d.n):
-            assert np.array_equal(k._predecessors(source), reference_predecessors(k, source))
+            assert np.array_equal(walk_predecessors(k, source), reference_predecessors(k, source))
 
     def test_predecessors_on_grid_equal_edge_list_reference(self, disk_coarse):
         d, k = disk_coarse
         for source in (0, d.n // 2, d.n - 1):
-            assert np.array_equal(QuasihyperbolicMetric(d)._predecessors(source),
+            assert np.array_equal(walk_predecessors(QuasihyperbolicMetric(d), source),
                                   reference_predecessors(k, source))
 
     def test_repeated_edge_rejected_before_any_geodesic(self):

@@ -231,6 +231,38 @@ class TestSampleSizeValidation:
         assert message in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("entries, message", [
+        ({"domains": [3]}, "domains[0]: must be an object"),
+        ({"domains": [[1.0, 2.0]]}, "domains[0]: must be an object"),
+        ({"checks": ["metric_axioms"]}, "checks[0]: must be an object"),
+    ])
+    def test_non_object_entry_exits_two(self, tmp_path, capsys, entries, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(tiny_scenario(**entries)))
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("vertices", [[0.0, 0.0], [math.nan, 0.0], [2.0, 0.0]],
+         "graph.vertices: must be a list of pairs of finite numbers"),
+        ("vertices", [[0.0, 0.0], [1.0], [2.0, 0.0]],
+         "graph.vertices: must be a list of pairs of finite numbers"),
+        ("lengths", [1.0, math.inf], "graph.lengths: must be a list of finite numbers"),
+        ("boundary", [[-1.0, math.nan]], "graph.boundary: must be a list of pairs of finite numbers"),
+        ("edges", [[0, 1], [1, 3]], "graph.edges: must be vertex indices in [0, 3)"),
+        ("edges", [[0, 1], [1, 2.0]], "graph.edges: must be a list of pairs of vertex indices"),
+    ])
+    def test_imported_graph_numbers_exit_two(self, tmp_path, capsys, field, value, message):
+        graph = {"vertices": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], "edges": [[0, 1], [1, 2]],
+                 "lengths": [1.0, 1.0], "boundary": [[-1.0, 0.0]]}
+        raw = tiny_scenario(domains=[{"name": "path", "graph": {**graph, field: value}}],
+                            checks=[{"check": "metric_axioms", "space": "graph:path"}])
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))  # writes NaN and Infinity, which json.load accepts
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert "domains[0]." + message in capsys.readouterr().err
+
+
 # check id -> parameters that draw an empty sample (validation would reject most of
 # them; the checks are called directly so that the guard behind it is tested too)
 EMPTY_SAMPLE_CASES = {

@@ -1,9 +1,12 @@
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from qhgeo import ConfigurationError, LengthGraph, views
@@ -242,6 +245,93 @@ class TestShortPairQueries:
         assert set(v._cache) == {s for s, lim in own.items() if full[s].max() <= lim}
 
 
+class TestRowCacheBudget:
+    @given(connected_graphs(), st.data(), st.integers(0, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_cache_within_budget_and_evicted_rows_come_back(self, g, data, room):
+        full = GraphView(g.matrix).rows(np.arange(g.n))
+        budget = 8 * g.n * room + data.draw(st.integers(0, 8 * g.n - 1))
+        index = st.integers(0, g.n - 1)
+        v = GraphView(g.matrix)
+        with mock.patch.object(views, "_ROW_CACHE_BYTES", budget), \
+                mock.patch.object(views, "_ROW_BLOCK_BYTES", 8 * g.n * 2):
+            for _ in range(data.draw(st.integers(1, 8))):
+                kind = data.draw(st.sampled_from(["rows", "pairs", "submatrix"]))
+                if kind == "rows":
+                    s = data.draw(st.lists(index, min_size=1, max_size=5))
+                    assert np.array_equal(v.rows(s), full[s])
+                elif kind == "pairs":
+                    pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=20))
+                    i, j = (np.array(c, dtype=np.intp) for c in zip(*pairs))
+                    assert np.array_equal(v.pairs(i, j), full[i, j])
+                else:
+                    idx = np.array(data.draw(st.lists(index, min_size=1, max_size=9)))
+                    assert np.array_equal(v.submatrix(idx), full[np.ix_(idx, idx)])
+                assert sum(row.nbytes for row in v._cache.values()) == v._cached_bytes <= budget
+                assert len(v._cache) <= room
+                for s, row in v._cache.items():
+                    assert row.base is None and np.array_equal(row, full[s])
+
+    def test_least_recently_used_row_is_evicted(self):
+        n = 6
+        g = LengthGraph(n, [[a, a + 1] for a in range(n - 1)], np.ones(n - 1), np.zeros((n, 2)))
+        v = GraphView(g.matrix)
+        with mock.patch.object(views, "_ROW_CACHE_BYTES", 8 * n * 2):
+            first = v.rows([0, 1])
+            v.rows([0])  # 1 is now the least recently used
+            v.rows([2])
+            assert list(v._cache) == [0, 2]
+            assert np.array_equal(v.rows([1]), first[1:])
+            assert list(v._cache) == [2, 1]
+
+    def test_threads_sharing_a_view_keep_the_byte_count(self):
+        n = 40
+        rng = np.random.default_rng(3)
+        edges = [[a, a + 1] for a in range(n - 1)] + [[a, a + 7] for a in range(0, n - 7, 3)]
+        g = LengthGraph(n, edges, rng.uniform(0.5, 2.0, len(edges)), np.zeros((n, 2)))
+        full = GraphView(g.matrix).rows(np.arange(n))
+        v, budget, errors = GraphView(g.matrix), 8 * n * 5, []
+
+        def work(seed):
+            r = np.random.default_rng(seed)
+            try:
+                for _ in range(60):
+                    s = r.integers(0, n, 3)
+                    if not (np.array_equal(v.rows(s), full[s])
+                            and np.array_equal(v.pairs(s, s[::-1]), full[s, s[::-1]])
+                            and np.array_equal(v.submatrix(s), full[np.ix_(s, s)])):
+                        errors.append(seed)
+            except Exception as exc:  # reported below; a thread cannot fail the test itself
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(views, "_ROW_CACHE_BYTES", budget), \
+                    mock.patch.object(views, "_ROW_BLOCK_BYTES", 8 * n * 2):
+                threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert sum(row.nbytes for row in v._cache.values()) == v._cached_bytes <= budget
+
+    def test_submatrix_searches_in_chunks_and_keeps_pool_columns(self):
+        n = 8
+        g = LengthGraph(n, [[a, a + 1] for a in range(n - 1)], np.ones(n - 1), np.zeros((n, 2)))
+        v = GraphView(g.matrix)
+        calls = recorded_rows(v)
+        idx = np.array([6, 1, 3, 3, 0])
+        with mock.patch.object(views, "_ROW_BLOCK_BYTES", 8 * n * 2):
+            sub = v.submatrix(idx)
+        assert [c[0] for c in calls] == [[6, 1], [3, 3], [0]]
+        assert np.array_equal(sub, np.abs(idx[:, None] - idx[None, :]).astype(float))
+
+
 def reference_chain_row(coords, depth, source):
     """The plain dense Dijkstra: every settled vertex relaxes every vertex with
     its whole quasimetric row |x_u - x_v| / (D_u * D_v)."""
@@ -430,6 +520,55 @@ class TestDenseChainView:
         assert view._candidates(7, row) is None
         depth = sphericalization_depth(coords, (1.0, -2.0))
         assert np.array_equal(view.rows([7])[0], reference_chain_row(coords, depth, 7))
+
+
+@st.composite
+def simple_edge_lists(draw):
+    """(n, edges, lengths): a random simple graph, possibly disconnected, with its
+    edges in random order and orientation."""
+    n = draw(st.integers(1, 14))
+    index = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(index, index).filter(lambda e: e[0] != e[1]),
+                          max_size=3 * n, unique_by=lambda e: (min(e), max(e))))
+    lengths = draw(st.lists(st.floats(0.01, 10.0), min_size=len(edges), max_size=len(edges)))
+    return n, np.array(edges, dtype=np.intp).reshape(-1, 2), np.array(lengths)
+
+
+def coo_reference(n, edges, weights):
+    """The symmetric matrix through scipy's COO conversion."""
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    return csr_matrix((np.concatenate([weights, weights]), (rows, cols)), shape=(n, n))
+
+
+def assert_same_csr(a, b):
+    for key in ("indptr", "indices", "data"):
+        x, y = getattr(a, key), getattr(b, key)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestLengthGraphLayout:
+    @given(simple_edge_lists(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matrix_and_reweighted_equal_coo_reference(self, case, data):
+        n, edges, lengths = case
+        with mock.patch.object(LengthGraph, "_check_connected", lambda self: None):
+            g = LengthGraph(n, edges, lengths, np.zeros((n, 2)))
+        assert_same_csr(g.matrix, coo_reference(n, edges, lengths))
+        weights = np.array(data.draw(st.lists(st.floats(0.01, 10.0), min_size=len(edges),
+                                              max_size=len(edges))))
+        again = g.reweighted(weights)
+        assert_same_csr(again, coo_reference(n, edges, weights))
+        assert np.shares_memory(again.indptr, g.matrix.indptr)
+        assert np.shares_memory(again.indices, g.matrix.indices) or len(edges) == 0
+
+    def test_disconnected_graph_rejected_with_component_count(self):
+        with pytest.raises(ConfigurationError, match="graph has 3 connected components"):
+            LengthGraph(5, [[0, 1], [2, 3]], [1.0, 1.0], np.zeros((5, 2)))
+
+    def test_edge_endpoint_out_of_range_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"vertex indices in \[0, 3\)"):
+            LengthGraph(3, [[0, 1], [1, 3]], [1.0, 1.0], np.zeros((3, 2)))
 
 
 class TestLengthGraphValidation:
