@@ -24,7 +24,7 @@ from .errors import ConfigurationError
 from .metric_core import DomainSample
 from .quasihyperbolic import QuasihyperbolicMetric
 from .sampling import pool_indices, tuple_sample_from_pool
-from .views import DenseChainView, GraphView
+from .views import DenseChainView, GraphView, rows_per_block
 
 
 def _qh_view(graph, lengths, dg, name: str) -> GraphView:
@@ -161,18 +161,21 @@ class SphericalizedSpace:
         The deformed boundary is the image of the base boundary samples
         plus the point at infinity at distance 1/(1+d(x,p)); chains cannot
         improve the infinity term, and the quasimetric to the nearest
-        boundary image is within the universal chain factor.
+        boundary image is within the universal chain factor.  The
+        vertex-by-sample quasimetric is formed ``rows_per_block`` rows (about
+        1 MiB) at a time; each row's minimum is exact, so the result
+        does not depend on the block size.
         """
         if self._boundary_distance is None:
-            n = self.domain.n
             out = 1.0 / self.depth
             bc = self.domain.boundary_coords
-            for start in range(0, n, 2048):
-                stop = min(n, start + 2048)
-                pts = self.domain.coords[start:stop]
-                d = np.hypot(pts[:, None, 0] - bc[None, :, 0], pts[:, None, 1] - bc[None, :, 1])
-                s = d / (self.depth[start:stop, None] * self.boundary_depth[None, :])
-                out[start:stop] = np.minimum(out[start:stop], s.min(axis=1))
+            block = rows_per_block(len(bc))
+            for start in range(0, self.domain.n, block):
+                rows = slice(start, start + block)
+                pts = self.domain.coords[rows]
+                s = np.hypot(pts[:, None, 0] - bc[None, :, 0], pts[:, None, 1] - bc[None, :, 1])
+                s /= self.depth[rows, None] * self.boundary_depth[None, :]
+                np.minimum(out[rows], s.min(axis=1), out=out[rows])
             self._boundary_distance = out
         return self._boundary_distance
 

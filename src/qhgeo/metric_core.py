@@ -11,6 +11,7 @@ moves alone leave 2.75%).
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -50,7 +51,10 @@ class LengthGraph:
     The symmetric CSR layout (each edge stored as arcs u -> v and v -> u, rows
     sorted by column, as scipy's COO conversion sorts them) is computed once;
     ``reweighted`` matrices share its ``indptr`` and ``indices`` and only
-    gather new ``data``.
+    gather new ``data``.  A graph keeps its ``int32`` edges, its lengths, the
+    layout (``int32`` ``indptr``, ``indices`` and edge of each arc) and the
+    coordinates.  The length matrix is built on the first read of ``matrix``,
+    once, behind a lock; the connectivity check builds a transient one.
     """
 
     def __init__(self, n_vertices: int, edges: np.ndarray, lengths: np.ndarray, coords=None):
@@ -63,11 +67,12 @@ class LengthGraph:
         self.n = n = int(n_vertices)
         if len(edges) and (edges.min() < 0 or edges.max() >= n):
             raise ConfigurationError(f"edge endpoints must be vertex indices in [0, {n})")
-        self.edges = edges
+        self.edges = edges.astype(np.int32)
         self.lengths = lengths
         self.coords = None if coords is None else np.asarray(coords, float)
-        self._indptr, self._indices, self._arc_edge = _csr_layout(n, edges)
-        self._matrix = self._csr(lengths)
+        self._indptr, self._indices, self._arc_edge = _csr_layout(n, self.edges)
+        self._matrix = None
+        self._lock = threading.Lock()
         self._check_connected()
         for arr in (self.edges, self.lengths, self._indices, self._indptr, self._arc_edge):
             arr.setflags(write=False)
@@ -80,9 +85,10 @@ class LengthGraph:
         """One breadth-first search from vertex 0; components are counted only on failure."""
         if self.n <= 1:
             return
-        if len(breadth_first_order(self._matrix, 0, return_predecessors=False)) == self.n:
+        structure = self._csr(self.lengths)
+        if len(breadth_first_order(structure, 0, return_predecessors=False)) == self.n:
             return
-        n_comp, _ = connected_components(self._matrix, directed=False)
+        n_comp, _ = connected_components(structure, directed=False)
         raise ConfigurationError(
             f"graph has {n_comp} connected components; "
             "refine the resolution or adjust the shape"
@@ -90,6 +96,11 @@ class LengthGraph:
 
     @property
     def matrix(self) -> csr_matrix:
+        """The symmetric length matrix, built on first read."""
+        if self._matrix is None:
+            with self._lock:
+                if self._matrix is None:
+                    self._matrix = self._csr(self.lengths)
         return self._matrix
 
     def reweighted(self, new_lengths: np.ndarray) -> csr_matrix:
@@ -112,6 +123,7 @@ def _csr_layout(n, edges):
     indptr))`` equals ``csr_matrix((w2, (rows, cols)))`` over both arcs bitwise.
     """
     u, v = edges[:, 0], edges[:, 1]
+    n = np.int64(n)  # int64 keys: products of int32 endpoints would wrap past 46,340 vertices
     keys = np.concatenate([u * n + v, v * n + u])
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
@@ -132,7 +144,7 @@ def _reject_non_simple(edges):
     the diagonal, so its entries would no longer be the edge weights.
     """
     lo, hi = edges.min(axis=1), edges.max(axis=1)
-    _, first = np.unique(lo * (int(hi.max()) + 1) + hi, return_index=True)
+    _, first = np.unique(lo * (np.int64(hi.max()) + 1) + hi, return_index=True)
     repeated = np.ones(len(edges), dtype=bool)
     repeated[first] = False
     k = int(np.flatnonzero(repeated | (lo == hi))[0])
@@ -181,7 +193,8 @@ class DomainSample:
             resolution = float(np.median(graph.lengths)) if len(graph.lengths) else 1.0
         self.resolution = float(resolution)
         self._ambient = EuclideanView(self.coords)
-        self._graph_view = GraphView(graph.matrix, name="graph")
+        self._graph_view = None
+        self._lock = threading.Lock()
         self._kdtree = None
         self._boundary_tree = None
         for arr in (self.coords, self.boundary_coords, self.boundary_distance):
@@ -195,6 +208,11 @@ class DomainSample:
         return self._ambient
 
     def graph_view(self) -> GraphView:
+        """Shortest-path view of the length graph, built once on first use."""
+        if self._graph_view is None:
+            with self._lock:
+                if self._graph_view is None:
+                    self._graph_view = GraphView(self.graph.matrix, name="graph")
         return self._graph_view
 
     def ambient_distance(self, i, j) -> np.ndarray:

@@ -22,10 +22,14 @@ class QuasihyperbolicMetric:
 
     def __init__(self, domain: DomainSample):
         self.domain = domain
-        graph = domain.graph
-        self.edge_weights = graph.trapezoid(graph.lengths, 1.0 / domain.boundary_distance)
-        self.matrix = graph.reweighted(self.edge_weights)
+        self.matrix = domain.graph.reweighted(self.edge_weights)
         self._view = GraphView(self.matrix, name="quasihyperbolic")
+
+    @property
+    def edge_weights(self) -> np.ndarray:
+        """Per-edge weights ``length * (1/d_G(u) + 1/d_G(v)) / 2``, computed on each read."""
+        graph = self.domain.graph
+        return graph.trapezoid(graph.lengths, 1.0 / self.domain.boundary_distance)
 
     @property
     def n(self) -> int:

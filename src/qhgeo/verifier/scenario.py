@@ -106,6 +106,20 @@ def _check_object(value, path):
         _fail(path, "must be an object")
 
 
+def _check_list(value, path):
+    if not isinstance(value, list):
+        _fail(path, "must be a list")
+    return value
+
+
+def _check_name(value, path, known=None, what=""):
+    """A string; with ``known``, one of those names (a reference to a ``what``)."""
+    if not isinstance(value, str):
+        _fail(path, "must be a string")
+    if known is not None and value not in known:
+        _fail(path, f"unknown {what} {value!r}")
+
+
 def _check_array(value, path, width, kinds, what):
     """A list of finite numbers of a dtype kind in ``kinds``, ``width`` to a row (0: flat)."""
     arr = None
@@ -184,6 +198,7 @@ def validate_scenario(raw: dict) -> dict:
         _check_object(dom, path)
         if "name" not in dom:
             _fail(path + ".name", "missing")
+        _check_name(dom["name"], path + ".name")
         if dom["name"] in names:
             _fail(path + ".name", f"duplicate name {dom['name']!r}")
         names.add(dom["name"])
@@ -194,14 +209,14 @@ def validate_scenario(raw: dict) -> dict:
         else:
             _check_graph(dom["graph"], path + ".graph")
     def_names = set()
-    for a, d in enumerate(raw.get("deformations", [])):
+    for a, d in enumerate(_check_list(raw.get("deformations", []), "deformations")):
         path = f"deformations[{a}]"
         _check_object(d, path)
         for key in ("name", "domain", "kind"):
             if key not in d:
                 _fail(f"{path}.{key}", "missing")
-        if d["domain"] not in names:
-            _fail(f"{path}.domain", f"unknown domain {d['domain']!r}")
+        _check_name(d["name"], f"{path}.name")
+        _check_name(d["domain"], f"{path}.domain", names, "domain")
         if d["name"] in def_names or d["name"] in names:
             _fail(f"{path}.name", "duplicate name")
         def_names.add(d["name"])
@@ -213,20 +228,17 @@ def validate_scenario(raw: dict) -> dict:
             _fail(f"{path}.base_point", "missing")
         _check_base_point(d["base_point"], f"{path}.base_point", d["kind"])
     map_names = set()
-    for a, mp in enumerate(raw.get("mappings", [])):
+    for a, mp in enumerate(_check_list(raw.get("mappings", []), "mappings")):
         path = f"mappings[{a}]"
         _check_object(mp, path)
         for key in ("name", "map", "source", "target"):
             if key not in mp:
                 _fail(f"{path}.{key}", "missing")
+        _check_name(mp["name"], f"{path}.name")
         for key in ("source", "target"):
-            if mp[key] not in names:
-                _fail(f"{path}.{key}", f"unknown domain {mp[key]!r}")
+            _check_name(mp[key], f"{path}.{key}", names, "domain")
         map_names.add(mp["name"])
-    checks = raw.get("checks", [])
-    if not isinstance(checks, list):
-        _fail("checks", "must be a list")
-    for a, chk in enumerate(checks):
+    for a, chk in enumerate(_check_list(raw.get("checks", []), "checks")):
         path = f"checks[{a}]"
         _check_object(chk, path)
         cid = chk.get("check")
@@ -241,16 +253,13 @@ def validate_scenario(raw: dict) -> dict:
         arity = _POOL_ARITY.get(cid)
         if arity and chk.get("pool", arity) < arity:
             _fail(f"{path}.pool", f"must be >= {arity} to hold one {arity}-tuple")
-        for key in ("domain",):
-            if key in chk and chk[key] not in names:
-                _fail(f"{path}.{key}", f"unknown domain {chk[key]!r}")
-        for key in ("mapping",):
-            if key in chk and chk[key] not in map_names:
-                _fail(f"{path}.{key}", f"unknown mapping {chk[key]!r}")
-        for key in ("deformation", "deformation0", "deformation1"):
-            if key in chk and chk[key] not in def_names:
-                _fail(f"{path}.{key}", f"unknown deformation {chk[key]!r}")
+        refs = {"domain": names, "mapping": map_names, "deformation": def_names,
+                "deformation0": def_names, "deformation1": def_names, "space": None}
+        for key, known in refs.items():
+            if key in chk:
+                _check_name(chk[key], f"{path}.{key}", known, key.rstrip("01"))
     tol = raw.get("tolerances", {})
+    _check_object(tol, "tolerances")
     for key, bounds in _TOLERANCE_RANGES.items():
         if key in tol:
             _check_range(tol[key], f"tolerances.{key}", *bounds)

@@ -39,8 +39,13 @@ from .errors import InternalError
 _BOUND_PAD = 1e-9
 _CHAIN_PAIRS = 64  # most window pairs per point before a chain row runs the plain loop
 _HOP_CHUNK = 1 << 11  # pair queries per sparse row intersection in GraphView._hop_bounds
-_ROW_BLOCK_BYTES = 1 << 20  # largest output of one search in GraphView.pairs and .submatrix
+_ROW_BLOCK_BYTES = 1 << 20  # largest dense temporary: one search's output, one block of rows
 _ROW_CACHE_BYTES = 8 << 20  # cached rows one GraphView holds; least recently used go first
+
+
+def rows_per_block(width: int) -> int:
+    """Rows of ``width`` floats in one dense block of about ``_ROW_BLOCK_BYTES``; at least 1."""
+    return max(1, _ROW_BLOCK_BYTES // (8 * width))
 
 
 class MetricView:
@@ -84,13 +89,22 @@ class EuclideanView(MetricView):
         return len(self.coords)
 
     def rows(self, sources):
-        sources = np.asarray(sources, dtype=np.intp)
-        diff = self.coords[sources][:, None, :] - self.coords[None, :, :]
-        return np.hypot(diff[..., 0], diff[..., 1])
+        return _euclidean(self.coords[np.asarray(sources, dtype=np.intp)], self.coords)
 
     def pairs(self, i, j):
         d = self.coords[np.asarray(i, dtype=np.intp)] - self.coords[np.asarray(j, dtype=np.intp)]
         return np.hypot(d[:, 0], d[:, 1])
+
+    def submatrix(self, idx):
+        """``rows(idx)[:, idx]``, computed on the pool x pool block only."""
+        pool = self.coords[np.asarray(idx, dtype=np.intp)]
+        return _euclidean(pool, pool)
+
+
+def _euclidean(a, b) -> np.ndarray:
+    """Distances from every point of ``a`` to every point of ``b``."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.hypot(diff[..., 0], diff[..., 1])
 
 
 class GraphView(MetricView):
@@ -239,7 +253,7 @@ class GraphView(MetricView):
         limits = np.zeros(len(sources))
         np.maximum.at(limits, inverse[ask], bound)
         limits *= 1.0 + _BOUND_PAD
-        chunk = max(1, _ROW_BLOCK_BYTES // (8 * self.n))
+        chunk = rows_per_block(self.n)
         band = np.frexp(limits[todo])[1]
         for e in np.unique(band):
             members = todo[band == e]
@@ -258,7 +272,7 @@ class GraphView(MetricView):
         """``rows(idx)[:, idx]``, from ``rows`` calls of about 1 MiB of rows each."""
         idx = np.asarray(idx, dtype=np.intp)
         out = np.empty((len(idx), len(idx)))
-        chunk = max(1, _ROW_BLOCK_BYTES // (8 * self.n))
+        chunk = rows_per_block(self.n)
         for a in range(0, len(idx), chunk):
             out[a:a + chunk] = self.rows(idx[a:a + chunk])[:, idx]
         return out

@@ -1,4 +1,8 @@
+import json
 import math
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +22,11 @@ from qhgeo import (
     uniformize,
     verify_deformation_comparability,
 )
+from qhgeo import views
 from qhgeo.sampling import check_metric_axioms, pair_sample
+from qhgeo.verifier.scenario import ScenarioContext
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "qhgeo" / "verifier" / "scenarios"
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +169,53 @@ class TestSphericalization:
         # far from the base point the infinity term 1/(1+d(x,p)) dominates
         bd = s.boundary_distance()
         assert np.all(bd <= 1.0 / s.depth + 1e-12)
+
+
+def shipped_sphericalization():
+    """A fresh sphericalization of ``halfplane_to_disk_region`` (nothing computed yet)."""
+    raw = json.loads((SCENARIO_DIR / "halfplane_to_disk_region.json").read_text())
+    (space,) = ScenarioContext({**raw, "checks": []}).deformations.values()
+    return space
+
+
+def whole_array_boundary_distance(space):
+    """The vertex-to-boundary-image quasimetric formed in one array, and its row minima."""
+    c, bc = space.domain.coords, space.domain.boundary_coords
+    d = np.hypot(c[:, None, 0] - bc[None, :, 0], c[:, None, 1] - bc[None, :, 1])
+    s = d / (space.depth[:, None] * space.boundary_depth[None, :])
+    return np.minimum(1.0 / space.depth, s.min(axis=1))
+
+
+class TestBoundaryDistanceBlocks:
+    @pytest.mark.parametrize("budget", [1, None], ids=["one-row", "default"])
+    def test_bitwise_whole_array_reference(self, punctured_sphericalized, budget):
+        _, _, fixture = punctured_sphericalized
+        space = sphericalize(fixture.domain, fixture.p, max_points=10)
+        with mock.patch.object(views, "_ROW_BLOCK_BYTES", budget or views._ROW_BLOCK_BYTES):
+            got = space.boundary_distance()
+        assert got.tobytes() == whole_array_boundary_distance(space).tobytes()
+
+    def test_shipped_sphericalization_one_row_blocks(self):
+        space = shipped_sphericalization()
+        with mock.patch.object(views, "_ROW_BLOCK_BYTES", 1):
+            one_row = space.boundary_distance()
+        assert one_row.tobytes() == shipped_sphericalization().boundary_distance().tobytes()
+
+    def test_traced_peak_is_a_few_blocks_plus_output(self):
+        space = shipped_sphericalization()
+        n, m = space.domain.n, len(space.domain.boundary_coords)
+        # four blocks live at once (two coordinate differences, the last block and the
+        # next) and the output; one whole n x m array alone would be over the bound
+        bound = 5 * views._ROW_BLOCK_BYTES + 8 * n
+        assert 8 * n * m > bound
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            space.boundary_distance()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestBasepointChange:

@@ -98,6 +98,13 @@ class TestMetricBasics:
         expected = d.graph.lengths * 0.5 * (1.0 / dg[e[:, 0]] + 1.0 / dg[e[:, 1]])
         assert np.array_equal(k.edge_weights, expected)
 
+    def test_edge_weights_computed_on_demand_bitwise(self, disk_coarse):
+        d, k = disk_coarse
+        assert "edge_weights" not in vars(k)  # nothing per edge is kept
+        expected = d.graph.trapezoid(d.graph.lengths, 1.0 / d.boundary_distance)
+        assert k.edge_weights.tobytes() == expected.tobytes()
+        assert k.matrix.data.tobytes() == d.graph.reweighted(expected).data.tobytes()
+
     def test_zero_on_diagonal_and_symmetric(self, disk_coarse):
         _, k = disk_coarse
         assert k.distance(5, 5) == 0.0

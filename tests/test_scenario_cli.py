@@ -242,6 +242,23 @@ class TestSampleSizeValidation:
         assert main(["run", "--scenario", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"domains": [{"name": [1], "shape": {"kind": "disk", "resolution": 0.08}}]},
+         "domains[0].name: must be a string"),
+        ({"mappings": [{"name": "m", "map": "identity", "source": ["disk"], "target": "disk"}]},
+         "mappings[0].source: must be a string"),
+        ({"checks": [{"check": "uniformity", "domain": ["disk"]}]},
+         "checks[0].domain: must be a string"),
+        ({"tolerances": 3}, "tolerances: must be an object"),
+        ({"deformations": 5}, "deformations: must be a list"),
+    ], ids=["domain-name", "mapping-source", "check-domain", "tolerances", "deformations"])
+    def test_wrong_type_exits_two(self, tmp_path, capsys, overrides, message):
+        # each of these raised TypeError (exit 1) before it was validated
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(tiny_scenario(**overrides)))
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("field, value, message", [
         ("vertices", [[0.0, 0.0], [math.nan, 0.0], [2.0, 0.0]],
          "graph.vertices: must be a list of pairs of finite numbers"),
@@ -346,7 +363,13 @@ class TestRunScenario:
                 {"check": "rough_starlikeness", "domain": "disk"},
             ],
         ), 2),
-    ], ids=["qh", "sphericalize"])
+        # checks that build the domain's lazy length matrix and graph view on 2 threads
+        (tiny_scenario(checks=[
+            {"check": "metric_axioms", "space": "graph:disk", "triples": 300},
+            {"check": "delta_hyperbolicity", "space": "graph:disk", "quadruples": 300},
+            {"check": "gromov_basepoint_identity", "space": "graph:disk", "tuples": 100},
+        ]), 2),
+    ], ids=["qh", "sphericalize", "graph"])
     def test_parallel_equals_serial(self, raw, jobs):
         assert report_to_json_bytes(run_scenario(raw, jobs=jobs)) == report_to_json_bytes(
             run_scenario(raw, jobs=1)

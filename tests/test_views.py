@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from qhgeo import ConfigurationError, LengthGraph, views
+from qhgeo import ConfigurationError, LengthGraph, ShapeSpec, build_grid_domain, metric_core, views
 from qhgeo.views import DenseChainView, EuclideanView, GraphView
 
 
@@ -54,6 +55,15 @@ class TestEuclideanView:
         rows = v.rows([0])
         assert rows[0, 1] == 5.0
         assert v.pairs([0, 1], [1, 2])[0] == 5.0
+
+    def test_submatrix_is_the_pool_block_of_rows_bitwise(self):
+        rng = np.random.default_rng(3)
+        v = EuclideanView(rng.normal(size=(500, 2)) * 7.0)
+        idx = rng.choice(500, size=40)  # repeats included
+        with mock.patch.object(EuclideanView, "rows", side_effect=AssertionError("whole rows")):
+            sub = v.submatrix(idx)
+        assert sub.shape == (40, 40)
+        assert sub.tobytes() == v.rows(idx)[:, idx].tobytes()
 
 
 class TestGraphView:
@@ -562,6 +572,16 @@ class TestLengthGraphLayout:
         assert np.shares_memory(again.indptr, g.matrix.indptr)
         assert np.shares_memory(again.indices, g.matrix.indices) or len(edges) == 0
 
+    def test_layout_past_int32_keys(self):
+        # a cycle whose last edges have keys u * n + v above 2**31 (n > 46,340)
+        n = 50_000
+        edges = np.column_stack([np.arange(n), (np.arange(n) + 1) % n])
+        lengths = np.linspace(1.0, 2.0, n)
+        g = LengthGraph(n, edges, lengths, np.zeros((n, 2)))
+        assert_same_csr(g.matrix, coo_reference(n, edges, lengths))
+        with pytest.raises(ConfigurationError, match=rf"edge {n} \({n - 1}, {n - 2}\) repeats"):
+            LengthGraph(n, np.vstack([edges, [[n - 1, n - 2]]]), np.ones(n + 1), np.zeros((n, 2)))
+
     def test_disconnected_graph_rejected_with_component_count(self):
         with pytest.raises(ConfigurationError, match="graph has 3 connected components"):
             LengthGraph(5, [[0, 1], [2, 3]], [1.0, 1.0], np.zeros((5, 2)))
@@ -569,6 +589,69 @@ class TestLengthGraphLayout:
     def test_edge_endpoint_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError, match=r"vertex indices in \[0, 3\)"):
             LengthGraph(3, [[0, 1], [1, 3]], [1.0, 1.0], np.zeros((3, 2)))
+
+
+def complete_graph(n=4):
+    edges = np.array([(a, b) for a in range(n) for b in range(a + 1, n)])
+    return LengthGraph(n, edges, np.arange(1.0, len(edges) + 1), np.zeros((n, 2)))
+
+
+def in_threads(build, count=8):
+    """The results of ``build()`` started at once on ``count`` threads (more than cores)."""
+    barrier, got = threading.Barrier(count), []
+    threads = [threading.Thread(target=lambda: (barrier.wait(), got.append(build())))
+               for _ in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(got) == count
+    return got
+
+
+class TestLazyMembers:
+    """A graph keeps no array that no query reads; lazy members are built once."""
+
+    def test_fresh_graph_holds_no_length_matrix(self):
+        g = complete_graph()
+        assert g._matrix is None
+        assert g.edges.dtype == np.int32
+        # no float array with one entry per arc (2 per edge) outlives the constructor
+        nnz = 2 * len(g.edges)
+        assert all(a.size < nnz for a in vars(g).values()
+                   if isinstance(a, np.ndarray) and a.dtype.kind == "f")
+        m = g.matrix
+        assert g.matrix is m
+        assert_same_csr(m, coo_reference(g.n, g.edges, g.lengths))
+
+    def test_threads_build_the_matrix_once(self):
+        g, csr = complete_graph(), LengthGraph._csr
+
+        def slow_csr(self, weights):
+            time.sleep(0.05)  # every thread is past the first check by now
+            return csr(self, weights)
+
+        with mock.patch.object(LengthGraph, "_csr", slow_csr):
+            built = in_threads(lambda: g.matrix)
+        assert all(m is built[0] for m in built)
+
+    def test_threads_get_one_graph_view(self):
+        domain = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.2))
+        make = metric_core.GraphView
+
+        def slow_view(*args, **kwargs):
+            time.sleep(0.05)
+            return make(*args, **kwargs)
+
+        assert domain._graph_view is None
+        with mock.patch.object(metric_core, "GraphView", slow_view):
+            built = in_threads(domain.graph_view)
+        assert all(v is domain.graph_view() for v in built)
 
 
 class TestLengthGraphValidation:
