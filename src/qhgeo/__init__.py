@@ -21,7 +21,6 @@ from .metric_core import (
 from .quasihyperbolic import (
     QuasihyperbolicMetric,
     UniformityReport,
-    build_quasihyperbolic,
     estimate_uniformity,
     verify_qh_distance_bounds,
 )

@@ -12,7 +12,7 @@ from .errors import ConfigurationError
 from .metric_core import DomainSample
 from .quasihyperbolic import QuasihyperbolicMetric
 from .sampling import pool_indices, tuple_sample_from_pool
-from .views import MetricView
+from .views import MetricView, rows_per_block
 
 
 def gromov_products(dist: np.ndarray, x, y, w) -> np.ndarray:
@@ -26,15 +26,20 @@ def basepoint_identity_residuals(dist: np.ndarray, tuples: np.ndarray) -> np.nda
     For each row (x, y, z, u, o, w) of pool indices into ``dist``,
     (x|y)_o + (z|u)_o - (x|z)_o - (y|u)_o equals the same combination at
     base point w; the d(., base) terms cancel algebraically, so the
-    residual is pure float noise.
+    residual is pure float noise.  Tuples come in blocks of about
+    ``_ROW_BLOCK_BYTES``; each operation is elementwise, so bitwise unblocked.
     """
-    x, y, z, u, o, w = (tuples[:, c] for c in range(6))
+    out = np.empty(len(tuples))
+    step = rows_per_block(tuples.shape[1])
+    for a in range(0, len(tuples), step):
+        x, y, z, u, o, w = tuples[a:a + step].T
 
-    def combo(base):
-        gp = lambda a, b: 0.5 * (dist[a, base] + dist[b, base] - dist[a, b])
-        return gp(x, y) + gp(z, u) - gp(x, z) - gp(y, u)
+        def combo(base):
+            gp = lambda p, q: 0.5 * (dist[p, base] + dist[q, base] - dist[p, q])
+            return gp(x, y) + gp(z, u) - gp(x, z) - gp(y, u)
 
-    return np.abs(combo(o) - combo(w))
+        out[a:a + step] = np.abs(combo(o) - combo(w))
+    return out
 
 
 @dataclass(frozen=True)

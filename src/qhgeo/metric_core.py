@@ -20,7 +20,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.spatial import cKDTree
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InternalError
 from .shapes import ShapeGeometry, ShapeSpec, geometry_for
 from .views import EuclideanView, GraphView
 
@@ -51,14 +51,17 @@ class LengthGraph:
     The symmetric CSR layout (each edge stored as arcs u -> v and v -> u, rows
     sorted by column, as scipy's COO conversion sorts them) is computed once;
     ``reweighted`` matrices share its ``indptr`` and ``indices`` and only
-    gather new ``data``.  A graph keeps its ``int32`` edges, its lengths, the
-    layout (``int32`` ``indptr``, ``indices`` and edge of each arc) and the
-    coordinates.  The length matrix is built on the first read of ``matrix``,
-    once, behind a lock; the connectivity check builds a transient one.
+    gather new ``data``.  A graph keeps its ``int32`` edges (an ``int32`` array
+    as given), its lengths, the layout (``int32`` ``indptr``, ``indices`` and
+    edge of each arc) and the coordinates.  The length matrix is built on the
+    first read of ``matrix``, once, behind a lock, for ``graph:`` views only;
+    the connectivity check builds a transient one.
     """
 
     def __init__(self, n_vertices: int, edges: np.ndarray, lengths: np.ndarray, coords=None):
-        edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+        edges = np.asarray(edges).reshape(-1, 2)
+        if edges.dtype.kind not in "iu":
+            edges = edges.astype(np.intp)
         lengths = np.asarray(lengths, dtype=float).reshape(-1)
         if len(edges) != len(lengths):
             raise ConfigurationError("edges and lengths must have equal length")
@@ -67,7 +70,7 @@ class LengthGraph:
         self.n = n = int(n_vertices)
         if len(edges) and (edges.min() < 0 or edges.max() >= n):
             raise ConfigurationError(f"edge endpoints must be vertex indices in [0, {n})")
-        self.edges = edges.astype(np.int32)
+        self.edges = edges.astype(np.int32, copy=False).view()  # a view: the caller's flags stay
         self.lengths = lengths
         self.coords = None if coords is None else np.asarray(coords, float)
         self._indptr, self._indices, self._arc_edge = _csr_layout(n, self.edges)
@@ -103,6 +106,17 @@ class LengthGraph:
                     self._matrix = self._csr(self.lengths)
         return self._matrix
 
+    def arc_lengths(self, u, v) -> np.ndarray:
+        """Lengths of the edges u[a]-v[a] through the layout, bitwise ``matrix[u, v]``."""
+        u, v = np.asarray(u, dtype=np.intp), np.asarray(v, dtype=np.intp)
+        arcs = csr_matrix((self._arc_edge, self._indices, self._indptr), shape=(self.n, self.n))
+        edge = np.asarray(arcs[u, v]).ravel()
+        a, b = self.edges[edge, 0], self.edges[edge, 1]
+        # a step that is no edge reads edge 0 from the sparse lookup: raise, never read its length
+        if not np.all(((a == u) & (b == v)) | ((a == v) & (b == u))):
+            raise InternalError("a path step is not an edge of the graph")
+        return self.lengths[edge]
+
     def reweighted(self, new_lengths: np.ndarray) -> csr_matrix:
         """Sparse matrix with the same edges and replacement weights (shared layout)."""
         new_lengths = np.asarray(new_lengths, float)
@@ -121,17 +135,19 @@ def _csr_layout(n, edges):
     The arcs u -> v and v -> u of every edge are sorted by (row, column), as
     scipy's COO conversion sorts them, so ``csr_matrix((w[arc_edge], indices,
     indptr))`` equals ``csr_matrix((w2, (rows, cols)))`` over both arcs bitwise.
+    One stable ``argsort`` of ``int64`` keys orders the arcs; rows and columns
+    are then gathered as ``int32``, and a repeated edge or a self-loop shows
+    as two equal adjacent (row, column) pairs.
     """
     u, v = edges[:, 0], edges[:, 1]
-    n = np.int64(n)  # int64 keys: products of int32 endpoints would wrap past 46,340 vertices
-    keys = np.concatenate([u * n + v, v * n + u])
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    if np.any(keys[1:] == keys[:-1]):  # a repeated edge, or a self-loop (stored twice)
+    m, n = len(edges), np.int64(n)  # int64 keys: int32 products would wrap past 46,340 vertices
+    order = np.argsort(np.concatenate([u * n + v, v * n + u]), kind="stable")
+    rows, indices = np.concatenate([u, v])[order], np.concatenate([v, u])[order]
+    if np.any((rows[1:] == rows[:-1]) & (indices[1:] == indices[:-1])):
         _reject_non_simple(edges)
-    arc_edge = np.tile(np.arange(len(edges), dtype=np.int32), 2)[order]
-    del order  # 8 bytes an arc, freed before the next arrays: this is a large build's peak
-    indices = np.remainder(keys, n, out=keys).astype(np.int32)
+    del rows  # the peak is the sort's: 8-byte keys and order, and the stable sort's buffer
+    arc_edge = order.astype(np.int32)
+    arc_edge[arc_edge >= m] -= m  # arc m + e is the reverse arc of edge e
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(u, minlength=n) + np.bincount(v, minlength=n), out=indptr[1:])
     return indptr, indices, arc_edge
@@ -243,40 +259,6 @@ class DomainSample:
         hi = self.coords.max(axis=0)
         return float(np.hypot(*(hi - lo)))
 
-    def with_boundary_band(self, band_h: float) -> "DomainSample":
-        """Copy with vertices at boundary distance < band_h * resolution dropped.
-
-        The excluded band keeps the 1/boundary-distance density quadrature
-        bounded; boundary data is unchanged.
-        """
-        if band_h <= 0:
-            return self
-        keep = self.boundary_distance >= band_h * self.resolution
-        if not np.any(keep):
-            raise ConfigurationError("boundary band excludes every vertex; decrease band or refine")
-        if np.all(keep):
-            return self
-        return self._restricted(keep)
-
-    def _restricted(self, keep_mask) -> "DomainSample":
-        new_index = -np.ones(self.n, dtype=np.intp)
-        kept = np.flatnonzero(keep_mask)
-        new_index[kept] = np.arange(len(kept))
-        e = self.graph.edges
-        keep_edge = keep_mask[e[:, 0]] & keep_mask[e[:, 1]]
-        edges = new_index[e[keep_edge]]
-        graph = LengthGraph(len(kept), edges, self.graph.lengths[keep_edge], self.coords[kept])
-        return DomainSample(
-            graph,
-            self.boundary_coords,
-            self.boundary_distance[kept],
-            shape=self.shape,
-            geometry=self.geometry,
-            quasiconvexity=self.quasiconvexity,
-            resolution=self.resolution,
-        )
-
-
 def build_grid_domain(spec: ShapeSpec, boundary_band_h: float = 0.0) -> DomainSample:
     """Uniform grid restricted to the shape interior.
 
@@ -284,9 +266,9 @@ def build_grid_domain(spec: ShapeSpec, boundary_band_h: float = 0.0) -> DomainSa
     displacements, and the boundary is sampled at arclength spacing <= h.
     ``boundary_band_h`` optionally drops vertices closer than that many
     cells to the boundary (the quasihyperbolic pipeline applies 2 by
-    default): a vertex is kept when ``bdist >= boundary_band_h * h``, the
-    rule of ``DomainSample.with_boundary_band``, so the banded build equals
-    the unbanded one restricted to that band without building it.
+    default): a vertex is kept when ``bdist >= boundary_band_h * h``, so
+    the banded build equals the unbanded one restricted to that band
+    without building it.  Lattice indices and edges are ``int32``.
 
     For non-convex shapes, stencil edges that leave the domain are removed:
     an edge leaves it when one of its 7 interior samples (fractions 1/8,
@@ -328,8 +310,8 @@ def build_grid_domain(spec: ShapeSpec, boundary_band_h: float = 0.0) -> DomainSa
         raise ConfigurationError(
             f"empty interior for {spec.kind} at resolution {h}; refine the grid"
         )
-    index = -np.ones(nx * ny, dtype=np.intp)
-    index[keep] = np.arange(int(keep.sum()))
+    index = -np.ones(nx * ny, dtype=np.int32)
+    index[keep] = np.arange(int(keep.sum()), dtype=np.int32)
 
     edges, lengths = _stencil_edges(keep.reshape(nx, ny), index.reshape(nx, ny), h)
 

@@ -100,16 +100,6 @@ class QuasihyperbolicMetric:
         return self.geodesics([i], [j])[0]
 
 
-def build_quasihyperbolic(domain: DomainSample, band_h: float = 2.0):
-    """Domain restricted to the default boundary band, with its metric.
-
-    Vertices with d_G < band_h * h are excluded by default so the 1/d_G
-    quadrature stays bounded; pass band_h=0 to keep every interior vertex.
-    """
-    restricted = domain.with_boundary_band(band_h)
-    return restricted, QuasihyperbolicMetric(restricted)
-
-
 @dataclass(frozen=True)
 class BoundViolation:
     kind: str
@@ -209,23 +199,23 @@ def estimate_uniformity(
 
     Per pair, gamma is the discrete quasihyperbolic geodesic;
     lengthRatio = len(gamma)/d(x,y) and cigarRatio is the worst
-    min(len(gamma[x,z]), len(gamma[z,y])) / d_G(z) along the path.
+    min(len(gamma[x,z]), len(gamma[z,y])) / d_G(z) along the path; its steps
+    are read with ``LengthGraph.arc_lengths``, so no length matrix is built.
     """
     i = np.asarray(pairs[0], dtype=np.intp)
     j = np.asarray(pairs[1], dtype=np.intp)
     keep = i != j
     i, j = i[keep], j[keep]
-    matrix = domain.graph.matrix
     dg = domain.boundary_distance
     d = domain.ambient_distance(i, j)
     length_ratios = np.empty(len(i))
     cigar_ratios = np.empty(len(i))
     paths = k.geodesics(i, j)
-    # one sparse lookup for every path step; path a's steps are steps[at[a]:at[a + 1]]
+    # one lookup for every path step; path a's steps are steps[at[a]:at[a + 1]]
     at = np.cumsum([0] + [len(path) - 1 for path in paths])
     if paths:
-        steps = np.asarray(matrix[np.concatenate([path[:-1] for path in paths]),
-                                  np.concatenate([path[1:] for path in paths])]).ravel()
+        steps = domain.graph.arc_lengths(np.concatenate([path[:-1] for path in paths]),
+                                         np.concatenate([path[1:] for path in paths]))
     for a, path in enumerate(paths):
         if len(path) < 2:
             length_ratios[a] = 1.0

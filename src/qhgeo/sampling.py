@@ -50,10 +50,14 @@ def tuple_sample_from_pool(pool_size: int, n_tuples: int, arity: int, rng) -> np
     out = np.empty((n_tuples, arity), dtype=np.intp)
     for col in range(arity):
         out[:, col] = rng.integers(0, pool_size, size=n_tuples)
-    # re-draw rows with repeats; distinctness matters for cross-ratios
+    # re-draw rows with repeats (pairs of columns compared, no sorted copy); distinctness
+    # matters for cross-ratios
     def bad_rows(a):
-        sorted_rows = np.sort(a, axis=1)
-        return (np.diff(sorted_rows, axis=1) == 0).any(axis=1)
+        bad = np.zeros(len(a), dtype=bool)
+        for c in range(arity):
+            for d in range(c + 1, arity):
+                bad |= a[:, c] == a[:, d]
+        return bad
 
     mask = bad_rows(out)
     while np.any(mask):

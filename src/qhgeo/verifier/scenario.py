@@ -171,6 +171,9 @@ _CHECK_RANGES = {
                      "clearance_h", "image_clearance_h", "min_qh"), ()),
 }
 _TOLERANCE_RANGES = {"slack": (0.0, None, True), "band_h": (0.0,)}
+# what the name of each kind of space reference (kind:name) refers to
+_SPACE_KINDS = {"ambient": "domain", "graph": "domain", "qh": "domain",
+                "deformed": "deformation", "qh-of": "deformation"}
 # tuple arity drawn from a check's pool: the pool must hold one tuple of distinct points
 _POOL_ARITY = {
     "metric_axioms": 3,
@@ -254,10 +257,18 @@ def validate_scenario(raw: dict) -> dict:
         if arity and chk.get("pool", arity) < arity:
             _fail(f"{path}.pool", f"must be >= {arity} to hold one {arity}-tuple")
         refs = {"domain": names, "mapping": map_names, "deformation": def_names,
-                "deformation0": def_names, "deformation1": def_names, "space": None}
+                "deformation0": def_names, "deformation1": def_names}
         for key, known in refs.items():
             if key in chk:
                 _check_name(chk[key], f"{path}.{key}", known, key.rstrip("01"))
+        if "space" in chk:  # kind:name, a name of the sort that the kind reads
+            _check_name(chk["space"], f"{path}.space")
+            kind, _, name = chk["space"].partition(":")
+            if kind not in _SPACE_KINDS:
+                _fail(f"{path}.space", f"unknown space kind {kind!r}; use one of "
+                      + ", ".join(_SPACE_KINDS))
+            what = _SPACE_KINDS[kind]
+            _check_name(name, f"{path}.space", names if what == "domain" else def_names, what)
     tol = raw.get("tolerances", {})
     _check_object(tol, "tolerances")
     for key, bounds in _TOLERANCE_RANGES.items():

@@ -16,9 +16,9 @@ i-m-j (sparse row intersections), and the landmark bound
 ``k(i, j) <= k(i, L) + k(L, j)`` over the cached rows L (ALT-style pruning,
 Goldberg & Harrelson, SODA 2005).  Sources whose limits lie within a factor
 of 2 (one binary exponent) share one limited search per chunk of about
-1 MiB of rows; a chunk answers its pairs and is dropped.  Every search runs
-``directed=True`` on a symmetric matrix, which gives the same floats as an
-undirected run at about half the cost.
+1 MiB of rows; a chunk answers its pairs and is dropped; evicted rows are
+freed.  Every search runs ``directed=True`` on a symmetric matrix, which
+gives the same floats as an undirected run at about half the cost.
 
 ``DenseChainView`` starts a row as the quasimetric row, a metric by Ptolemy's inequality,
 and runs a plain dense Dijkstra on the ends of the angular-window pairs that pass a screen.
@@ -38,7 +38,6 @@ from .errors import InternalError
 # dense-chain screen pads by 2x and its window by 4x, so rounding cuts off no relaxation.
 _BOUND_PAD = 1e-9
 _CHAIN_PAIRS = 64  # most window pairs per point before a chain row runs the plain loop
-_HOP_CHUNK = 1 << 11  # pair queries per sparse row intersection in GraphView._hop_bounds
 _ROW_BLOCK_BYTES = 1 << 20  # largest dense temporary: one search's output, one block of rows
 _ROW_CACHE_BYTES = 8 << 20  # cached rows one GraphView holds; least recently used go first
 
@@ -155,7 +154,8 @@ class GraphView(MetricView):
         enters the cache only if it has no ``inf`` and its largest entry is
         within its own source's limit, as a search at that limit alone would
         cache it; a cached row is returned whole.  Without ``limit`` every row
-        must be finite (the graph is connected).
+        must be finite (the graph is connected).  A call that searched every row
+        returns the search output itself; the cache keeps copies.
         """
         keys = np.atleast_1d(np.asarray(sources, dtype=np.intp)).tolist()
         with self._lock:
@@ -175,7 +175,7 @@ class GraphView(MetricView):
                     if ok:
                         self._store(s, row)
                     known[s] = row
-        out = np.vstack([known[s] for s in keys])
+        out = dist if missing and len(missing) == len(keys) else np.vstack([known[s] for s in keys])
         if limit is None and not np.all(np.isfinite(out)):
             raise InternalError("unreachable vertex: graph violates the connectivity invariant")
         return out
@@ -186,13 +186,15 @@ class GraphView(MetricView):
         The lightest of the edge i-j and the paths i-m-j, found by intersecting
         the sparse rows of i and j (``inf`` where there is no such path), and
         0 where ``i == j``.  Each is a path weight, so never below the
-        Dijkstra distance.  Queries are taken ``_HOP_CHUNK`` at a time.
+        Dijkstra distance.  Queries come in chunks of about ``_ROW_BLOCK_BYTES`` of
+        temporaries: 2 (mean row length + 1) entries a query in five 8-byte arrays.
         """
         i = np.asarray(i, dtype=np.intp)
         j = np.asarray(j, dtype=np.intp)
         n, out = self.n, np.full(len(i), np.inf)
-        for a in range(0, len(i), _HOP_CHUNK):
-            qi, qj = i[a:a + _HOP_CHUNK], j[a:a + _HOP_CHUNK]
+        chunk = rows_per_block(10 * (self.matrix.nnz // max(n, 1) + 1))
+        for a in range(0, len(i), chunk):
+            qi, qj = i[a:a + chunk], j[a:a + chunk]
             q = np.arange(len(qi))
             rows_i, rows_j = self.matrix[qi], self.matrix[qj]
             # row q of each side, plus a 0-weight entry at its own vertex: a key
@@ -202,8 +204,10 @@ class GraphView(MetricView):
                 np.repeat(q, np.diff(rows_j.indptr)) * n + rows_j.indices, q * n + qj])
             weights = np.concatenate([rows_i.data, np.zeros(len(q)),
                                       rows_j.data, np.zeros(len(q))])
+            del rows_i, rows_j
             order = np.argsort(keys, kind="stable")
             keys, weights = keys[order], weights[order]
+            del order
             both = np.flatnonzero(keys[1:] == keys[:-1])
             np.minimum.at(out, a + keys[both] // n, weights[both] + weights[both + 1])
         return out
@@ -215,14 +219,16 @@ class GraphView(MetricView):
         query gets the least of three upper bounds: the edge i-j and the
         lightest path i-m-j (``_hop_bounds``), and the landmark bound
         ``k(i, L) + k(L, j)`` over the cached rows L.  The source's limit is
-        the largest bound of its queries, padded by 1e-9.  Sources whose
-        limits share a binary exponent (a band: limits within a factor of 2)
-        are searched together, ``max(1, 2**20 // (8 n))`` rows (about 1 MiB)
-        to a ``rows`` call at their largest limit; each chunk answers its
-        queries and is dropped, and ``rows`` caches a row only as a search at
-        its own limit would.  A source whose row still misses a target gets a
-        full row.  With no row cached yet, the most-queried source's full row
-        is computed first to serve as the landmark.
+        the largest bound of its queries, padded by 1e-9.  The call then drops
+        its references to cached rows, before any search, so a row that the
+        searches evict is freed.  Sources whose limits share a binary exponent
+        (a band: limits within a factor of 2) are searched together,
+        ``rows_per_block(n)`` rows (about ``_ROW_BLOCK_BYTES``) to a ``rows``
+        call at their largest limit; each chunk answers its queries and is
+        dropped, and ``rows`` caches a row only as a search at its own limit
+        would.  A source whose row still misses a target gets a full row.
+        With no row cached yet, the most-queried source's full row is
+        computed first to serve as the landmark.
         """
         i = np.asarray(i, dtype=np.intp)
         j = np.asarray(j, dtype=np.intp)
@@ -248,8 +254,9 @@ class GraphView(MetricView):
         ask = ~cached[inverse]
         qi, qj = i[ask], j[ask]
         bound = self._hop_bounds(qi, qj)
-        for row in landmarks:
-            np.minimum(bound, row[qi] + row[qj], out=bound)
+        for a in range(len(landmarks)):
+            np.minimum(bound, landmarks[a][qi] + landmarks[a][qj], out=bound)
+        del found, held, landmarks
         limits = np.zeros(len(sources))
         np.maximum.at(limits, inverse[ask], bound)
         limits *= 1.0 + _BOUND_PAD

@@ -5,13 +5,12 @@ from qhgeo import (
     QuasihyperbolicMetric,
     ShapeSpec,
     build_grid_domain,
-    build_quasihyperbolic,
     sphericalize,
 )
 
 
 def make_domain(kind, params, h, band=2.0):
-    return build_grid_domain(ShapeSpec(kind, params, h)).with_boundary_band(band)
+    return build_grid_domain(ShapeSpec(kind, params, h), band)
 
 
 @pytest.fixture(scope="session")
@@ -40,10 +39,9 @@ def lshape_coarse():
 
 @pytest.fixture(scope="session")
 def punctured_sphericalized():
-    d, k = build_quasihyperbolic(
-        build_grid_domain(ShapeSpec("punctured-plane-truncation", {"radius": 6.0}, 0.25))
-    )
-    return d, k, sphericalize(d, (0.0, 0.0), max_points=1200, rng=np.random.default_rng(0))
+    d = make_domain("punctured-plane-truncation", {"radius": 6.0}, 0.25)
+    space = sphericalize(d, (0.0, 0.0), max_points=1200, rng=np.random.default_rng(0))
+    return d, QuasihyperbolicMetric(d), space
 
 
 @pytest.fixture()

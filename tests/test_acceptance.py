@@ -50,7 +50,7 @@ def verdict(capsys, criterion, ok, detail=""):
 
 
 def build(kind, params, h, band=2.0):
-    domain = build_grid_domain(ShapeSpec(kind, params, h)).with_boundary_band(band)
+    domain = build_grid_domain(ShapeSpec(kind, params, h), band)
     return domain, QuasihyperbolicMetric(domain)
 
 

@@ -7,7 +7,7 @@ from qhgeo.verifier.builtin_maps import builtin_mapping
 
 
 def make_side(kind, params, h):
-    d = build_grid_domain(ShapeSpec(kind, params, h)).with_boundary_band(2.0)
+    d = build_grid_domain(ShapeSpec(kind, params, h), 2.0)
     return DomainSide(d, QuasihyperbolicMetric(d))
 
 

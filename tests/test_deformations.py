@@ -31,7 +31,7 @@ SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "qhgeo" / "verifier
 
 @pytest.fixture(scope="module")
 def disk_pack():
-    d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.05)).with_boundary_band(2.0)
+    d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.05), 2.0)
     from qhgeo import QuasihyperbolicMetric
 
     k = QuasihyperbolicMetric(d)

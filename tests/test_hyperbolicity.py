@@ -1,17 +1,21 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhgeo import (
+    QuasihyperbolicMetric,
     ShapeSpec,
     build_grid_domain,
-    build_quasihyperbolic,
     domain_from_length_graph,
     estimate_delta,
     estimate_rough_starlikeness,
 )
+from qhgeo import views
 from qhgeo.hyperbolicity import basepoint_identity_residuals, gromov_products
+from qhgeo.sampling import tuple_sample_from_pool
 from qhgeo.views import EuclideanView
 
 
@@ -71,6 +75,54 @@ class TestBasepointIdentity:
         assert res.max() <= 1e-12 * max(1.0, dist.max())
 
 
+def whole_array_residuals(dist, tuples):
+    """The residuals over every tuple at once."""
+    x, y, z, u, o, w = (tuples[:, c] for c in range(6))
+
+    def combo(base):
+        gp = lambda a, b: 0.5 * (dist[a, base] + dist[b, base] - dist[a, b])
+        return gp(x, y) + gp(z, u) - gp(x, z) - gp(y, u)
+
+    return np.abs(combo(o) - combo(w))
+
+
+def sorted_rule_sample(pool_size, n_tuples, arity, rng):
+    """The tuple sampler with rows tested for repeats on a sorted copy."""
+    out = np.empty((n_tuples, arity), dtype=np.intp)
+    for col in range(arity):
+        out[:, col] = rng.integers(0, pool_size, size=n_tuples)
+    mask = (np.diff(np.sort(out, axis=1), axis=1) == 0).any(axis=1)
+    while np.any(mask):
+        k = int(mask.sum())
+        redraw = np.empty((k, arity), dtype=np.intp)
+        for col in range(arity):
+            redraw[:, col] = rng.integers(0, pool_size, size=k)
+        out[mask] = redraw
+        mask = (np.diff(np.sort(out, axis=1), axis=1) == 0).any(axis=1)
+    return out
+
+
+class TestBlockedGromovSampling:
+    @pytest.mark.parametrize("budget", [1, 48 * 7, None], ids=["one-tuple", "seven", "default"])
+    def test_blocked_residuals_equal_whole_array(self, disk_coarse, budget):
+        _, k = disk_coarse
+        rng = np.random.default_rng(5)
+        pool = np.sort(rng.choice(k.n, 40, replace=False))
+        dist = k.view().submatrix(pool)
+        tuples = tuple_sample_from_pool(len(pool), 10_000, 6, rng)
+        with mock.patch.object(views, "_ROW_BLOCK_BYTES", budget or views._ROW_BLOCK_BYTES):
+            got = basepoint_identity_residuals(dist, tuples)
+        assert got.tobytes() == whole_array_residuals(dist, tuples).tobytes()
+
+    @pytest.mark.parametrize("arity", [3, 4, 6])
+    @pytest.mark.parametrize("seed", [0, 7, 987106])
+    def test_tuples_equal_the_sorted_rule(self, arity, seed):
+        for pool_size in (arity + 1, 64):  # many redraw rounds, and few
+            got = tuple_sample_from_pool(pool_size, 3000, arity, np.random.default_rng(seed))
+            ref = sorted_rule_sample(pool_size, 3000, arity, np.random.default_rng(seed))
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
 class TestDeltaEstimation:
     def test_star_tree_is_zero_hyperbolic(self):
         coords = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]
@@ -117,7 +169,8 @@ class TestDeltaEstimation:
         pts = np.asarray(pts)
         values = []
         for h in (0.05, 0.025):
-            d, k = build_quasihyperbolic(build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, h)))
+            d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, h), 2.0)
+            k = QuasihyperbolicMetric(d)
             pool = np.unique(d.nearest_vertex(pts))
             values.append(
                 estimate_delta(k.view(), n_quadruples=4000, rng=np.random.default_rng(7),
@@ -142,7 +195,5 @@ class TestRoughStarlikeness:
 
     def test_single_vertex_domain(self):
         d = build_grid_domain(ShapeSpec("square", {"side": 1.0}, 0.5))
-        from qhgeo import QuasihyperbolicMetric
-
         report = estimate_rough_starlikeness(d, QuasihyperbolicMetric(d))
         assert report.starlikeness_k == 0.0

@@ -35,7 +35,7 @@ from qhgeo.views import DenseChainView
 
 
 def make_side(kind, params, h, band=2.0):
-    d = build_grid_domain(ShapeSpec(kind, params, h)).with_boundary_band(band)
+    d = build_grid_domain(ShapeSpec(kind, params, h), band)
     return DomainSide(d, QuasihyperbolicMetric(d))
 
 
@@ -296,7 +296,7 @@ GRID_BALL_PINS = {
 
 @pytest.fixture(scope="module")
 def grid_mappings():
-    d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.1)).with_boundary_band(2.0)
+    d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.1), 2.0)
     k = QuasihyperbolicMetric(d)
     side = DomainSide(d, k)
     auto = builtin_mapping("disk_automorphism", {"a": [0.5, 0.0]}, side, side)

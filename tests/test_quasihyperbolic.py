@@ -11,7 +11,6 @@ from qhgeo import (
     QuasihyperbolicMetric,
     ShapeSpec,
     build_grid_domain,
-    build_quasihyperbolic,
     domain_from_length_graph,
     estimate_uniformity,
     verify_qh_distance_bounds,
@@ -50,6 +49,12 @@ def integer_weight_domains(draw):
     lengths = draw(st.lists(st.integers(1, 3), min_size=len(edges), max_size=len(edges)))
     coords = np.tile([1.0, 0.0], (n, 1))
     return domain_from_length_graph(coords, sorted(edges), [[0.0, 0.0]], np.asarray(lengths, float))
+
+
+def banded_qh(spec):
+    """The grid of ``spec`` without its 2h boundary band, and its quasihyperbolic metric."""
+    d = build_grid_domain(spec, 2.0)
+    return d, QuasihyperbolicMetric(d)
 
 
 def reference_predecessors(k, source):
@@ -119,9 +124,7 @@ class TestMetricBasics:
         assert k.distance(i, j) == pytest.approx(oracle, rel=0.02)
 
     def test_punctured_plane_radial_pair(self):
-        d, k = build_quasihyperbolic(
-            build_grid_domain(ShapeSpec("punctured-plane-truncation", {"radius": 6.0}, 0.12))
-        )
+        d, k = banded_qh(ShapeSpec("punctured-plane-truncation", {"radius": 6.0}, 0.12))
         i = int(d.nearest_vertex([(1.0, 0.0)])[0])
         j = int(d.nearest_vertex([(math.e, 0.0)])[0])
         r1 = np.hypot(*d.coords[i])
@@ -267,11 +270,7 @@ class TestDistanceBounds:
         assert report.passed
 
     def test_sweeps_clean_on_builtin_shapes(self, disk_coarse, lshape_coarse, rng):
-        annulus = build_quasihyperbolic(
-            build_grid_domain(
-                ShapeSpec("annulus", {"inner_radius": 0.3, "outer_radius": 1.0}, 0.04)
-            )
-        )
+        annulus = banded_qh(ShapeSpec("annulus", {"inner_radius": 0.3, "outer_radius": 1.0}, 0.04))
         for d, k in (disk_coarse, lshape_coarse, annulus):
             pairs = pair_sample(d.n, 3000, rng)
             report = verify_qh_distance_bounds(k, pairs, slack=1.05)
@@ -313,10 +312,26 @@ class TestUniformity:
             cigar = np.max(np.minimum(s, total - s) / d.boundary_distance[path])
             assert report.cigar_ratios[a] == cigar
 
+    def test_no_length_matrix_and_ratios_equal_the_matrix_reference(self, rng):
+        d, k = banded_qh(ShapeSpec("disk", {"radius": 1.0}, 0.05))
+        i, j = pair_sample(d.n, 60, rng, n_sources=10)
+        report = estimate_uniformity(d, k, (i, j))
+        assert d.graph._matrix is None
+        # the steps looked up in the length matrix, all paths at once
+        paths = k.geodesics(i, j)
+        steps = np.asarray(d.graph.matrix[np.concatenate([p[:-1] for p in paths]),
+                                          np.concatenate([p[1:] for p in paths])]).ravel()
+        at = np.cumsum([0] + [len(p) - 1 for p in paths])
+        for a, path in enumerate(paths):
+            s = np.concatenate([[0.0], np.cumsum(steps[at[a]:at[a + 1]])])
+            assert report.length_ratios[a] == s[-1] / d.ambient_distance([i[a]], [j[a]])[0]
+            assert report.cigar_ratios[a] == np.max(np.minimum(s, s[-1] - s)
+                                                    / d.boundary_distance[path])
+
     def test_refinement_stability_near_boundary_pair(self):
         values = []
         for h in (0.08, 0.04):
-            d, k = build_quasihyperbolic(build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, h)))
+            d, k = banded_qh(ShapeSpec("disk", {"radius": 1.0}, h))
             i = int(d.nearest_vertex([(-0.8, 0.0)])[0])
             j = int(d.nearest_vertex([(0.8, 0.0)])[0])
             values.append(estimate_uniformity(d, k, ([i], [j])).constant_a)
@@ -325,12 +340,8 @@ class TestUniformity:
 
 class TestStructuralProperties:
     def test_monotone_under_domain_growth(self, rng):
-        small, k_small = build_quasihyperbolic(
-            build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.05))
-        )
-        large, k_large = build_quasihyperbolic(
-            build_grid_domain(ShapeSpec("disk", {"radius": 1.3}, 0.05))
-        )
+        small, k_small = banded_qh(ShapeSpec("disk", {"radius": 1.0}, 0.05))
+        large, k_large = banded_qh(ShapeSpec("disk", {"radius": 1.3}, 0.05))
         # map shared lattice points through exact coordinate keys
         index_large = {tuple(c): a for a, c in enumerate(map(tuple, large.coords))}
         shared = [(a, index_large[tuple(c)]) for a, c in enumerate(map(tuple, small.coords))
@@ -345,15 +356,15 @@ class TestStructuralProperties:
         assert np.all(k1 <= k0 + 1e-12)
 
     def test_similarity_invariance_exact_scale(self, rng):
-        base, kb = build_quasihyperbolic(build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.1)))
-        scaled, ks = build_quasihyperbolic(build_grid_domain(ShapeSpec("disk", {"radius": 2.0}, 0.2)))
+        base, kb = banded_qh(ShapeSpec("disk", {"radius": 1.0}, 0.1))
+        scaled, ks = banded_qh(ShapeSpec("disk", {"radius": 2.0}, 0.2))
         i, j = pair_sample(base.n, 120, rng)
         assert np.max(np.abs(kb.pairs(i, j) - ks.pairs(i, j))) <= 1e-9
 
     def test_radial_error_decreases_under_refinement(self):
         errors = []
         for h in (0.04, 0.02):
-            d, k = build_quasihyperbolic(build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, h)))
+            d, k = banded_qh(ShapeSpec("disk", {"radius": 1.0}, h))
             i = int(d.nearest_vertex([(0.0, 0.0)])[0])
             j = int(d.nearest_vertex([(0.5, 0.0)])[0])
             errors.append(abs(k.distance(i, j) - math.log(2.0)))
@@ -361,6 +372,6 @@ class TestStructuralProperties:
 
     def test_band_restriction_drops_near_boundary_vertices(self):
         full = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.05))
-        banded = full.with_boundary_band(2.0)
+        banded = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.05), 2.0)
         assert banded.n < full.n
         assert banded.boundary_distance.min() >= 2.0 * 0.05

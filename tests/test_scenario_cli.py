@@ -186,6 +186,28 @@ class TestSampleSizeValidation:
         assert main(["run", "--scenario", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("space, message", [
+        ("bogus:disk", "unknown space kind 'bogus'"),
+        ("Qh:disk", "unknown space kind 'Qh'"),
+        ("disk", "unknown space kind 'disk'"),
+        ("", "unknown space kind ''"),
+        ("ambient:torus", "unknown domain 'torus'"),
+        ("graph:u", "unknown domain 'u'"),
+        ("qh:", "unknown domain ''"),
+        ("deformed:disk", "unknown deformation 'disk'"),
+        ("qh-of:torus", "unknown deformation 'torus'"),
+    ])
+    def test_bad_space_reference_exits_two(self, tmp_path, capsys, space, message):
+        # u is a deformation and disk a domain: each is readable by its own kinds only
+        raw = tiny_scenario(
+            deformations=[{"name": "u", "domain": "disk", "kind": "uniformize", "base_point": 0}],
+            checks=[{"check": "metric_axioms", "space": "qh:disk", "triples": 50},
+                    {"check": "metric_axioms", "space": space, "triples": 50}])
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert f"checks[1].space: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("shape, message", [
         ({"kind": "custom-polygon", "params": {"vertices": [[0, 0], [1, 0], [1, 1, 5]]}},
          "shape parameter 'vertices' must be at least 3 pairs of finite numbers"),

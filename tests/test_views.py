@@ -1,6 +1,8 @@
 import sys
 import threading
 import time
+import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from qhgeo import ConfigurationError, LengthGraph, ShapeSpec, build_grid_domain, metric_core, views
+from qhgeo import (ConfigurationError, InternalError, LengthGraph, QuasihyperbolicMetric, ShapeSpec,
+                   build_grid_domain, metric_core, views)
 from qhgeo.views import DenseChainView, EuclideanView, GraphView
 
 
@@ -73,7 +76,7 @@ class TestGraphView:
         first = v.rows([0])
         second = v.rows([0])
         assert first[0, 2] == 3.0
-        assert second is not first  # vstack copies, cache holds the row
+        assert second is not first  # the search output, then a copy of the cached row
         assert np.array_equal(first, second)
 
     def test_min_distance_to_target_set(self):
@@ -673,3 +676,93 @@ class TestLengthGraphValidation:
     def test_repeated_edges_and_self_loops_rejected(self, edges, message):
         with pytest.raises(ConfigurationError, match=message):
             LengthGraph(3, edges, np.ones(len(edges)), np.zeros((3, 2)))
+
+
+class TestWorkingSetBudgets:
+    """Temporaries and cache references stay within the views' byte constants."""
+
+    def test_rows_evicted_during_pairs_are_freed(self):
+        n = 30
+        g = LengthGraph(n, [[a, a + 1] for a in range(n - 1)], np.ones(n - 1), np.zeros((n, 2)))
+        full = GraphView(g.matrix).rows(np.arange(n))
+        v, refs, leaked = GraphView(g.matrix), [], []
+        store = GraphView._store
+
+        def watched(self, s, row):
+            store(self, s, row)
+            held = {id(r) for r in self._cache.values()}
+            refs.extend(weakref.ref(r) for r in self._cache.values())
+            # a row the cache no longer holds must not be alive anywhere else
+            leaked.extend(k for k, ref in enumerate(refs)
+                          if ref() is not None and id(ref()) not in held)
+
+        with mock.patch.object(views, "_ROW_CACHE_BYTES", 8 * n * 3), \
+                mock.patch.object(views, "_ROW_BLOCK_BYTES", 8 * n), \
+                mock.patch.object(GraphView, "_store", watched):
+            v.rows([0, 1, 2])
+            # the far half reaches every vertex within its limit, so its rows are cached
+            i = np.arange(3, n)
+            assert np.array_equal(v.pairs(i, np.zeros_like(i)), full[i, 0])
+        assert 0 not in v._cache and leaked == []
+
+    def test_hop_bounds_peak_within_two_blocks(self):
+        # the quasihyperbolic grid of the bounded_pair_distortion scenario
+        d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.02), 2.0)
+        v = QuasihyperbolicMetric(d).view()
+        rng = np.random.default_rng(11)
+        i, j = rng.integers(0, d.n, 5000), rng.integers(0, d.n, 5000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            got = v._hop_bounds(i, j)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * views._ROW_BLOCK_BYTES
+        with mock.patch.object(views, "_ROW_BLOCK_BYTES", 1 << 40):  # one chunk
+            assert got.tobytes() == v._hop_bounds(i, j).tobytes()
+
+    def test_rows_return_the_search_output(self):
+        g = complete_graph(6)
+        v, outputs = GraphView(g.matrix), []
+
+        def recorded(*args, **kwargs):
+            outputs.append(dijkstra(*args, **kwargs))
+            return outputs[-1]
+
+        with mock.patch.object(views, "dijkstra", recorded):
+            got = v.rows([4, 1, 3])
+            assert got is outputs[-1]
+            assert not any(np.shares_memory(got, row) for row in v._cache.values())
+            again = v.rows([4, 5])  # one cached row: a stacked copy
+        assert again is not outputs[-1] and np.array_equal(again[0], got[0])
+
+    def test_int32_edges_are_kept_without_an_int64_copy(self):
+        d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.05))
+        edges = np.ascontiguousarray(d.graph.edges[::-1])  # int32, reordered
+        lengths = d.graph.lengths[::-1].copy()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            g = LengthGraph(d.n, edges, lengths, d.coords)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(g.edges, edges) and edges.flags.writeable
+        # the sort's int64 keys and order (32 bytes an edge) and its stable buffer (8);
+        # an int64 copy of the edges (16) would exceed it
+        assert peak < 48 * len(edges)
+        assert_same_csr(g.matrix, coo_reference(d.n, edges.astype(np.intp), lengths))
+
+    def test_arc_lengths_are_the_length_matrix_entries(self):
+        g = complete_graph(5)
+        u, v = np.meshgrid(np.arange(5), np.arange(5), indexing="ij")
+        off = u != v
+        got = g.arc_lengths(u[off], v[off])
+        assert g._matrix is None
+        assert got.tobytes() == np.asarray(g.matrix[u[off], v[off]]).ravel().tobytes()
+        path = LengthGraph(3, [[0, 1], [1, 2]], [1.0, 2.0], np.zeros((3, 2)))
+        assert path.arc_lengths([2, 1, 0], [1, 0, 1]).tolist() == [2.0, 1.0, 1.0]
+        for u, v in [(0, 2), (2, 0), (1, 1)]:  # a missing entry must not read as edge 0
+            with pytest.raises(InternalError, match="not an edge"):
+                path.arc_lengths([0, u], [1, v])
