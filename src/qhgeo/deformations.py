@@ -29,7 +29,7 @@ from .views import DenseChainView, GraphView, rows_per_block
 
 def _qh_view(graph, lengths, dg, name: str) -> GraphView:
     """Quasihyperbolic view of ``graph`` with edge ``lengths`` and boundary distance ``dg``."""
-    return GraphView(graph.reweighted(graph.trapezoid(lengths, 1.0 / dg)), name=name)
+    return GraphView(graph.search_matrix(graph.trapezoid(lengths, 1.0 / dg)), name=name)
 
 
 def deformation_density(k: QuasihyperbolicMetric, i, w: int, eps: float) -> np.ndarray:
@@ -56,7 +56,7 @@ class UniformizedSpace:
         self.k_from_base = k.rows([self.w])[0]
         self.density = np.exp(-eps * self.k_from_base)
         self.edge_weights = domain.graph.trapezoid(k.edge_weights, self.density)
-        self.matrix = domain.graph.reweighted(self.edge_weights)
+        self.matrix = domain.graph.search_matrix(self.edge_weights)
         self._view = GraphView(self.matrix, name=f"uniformized(eps={eps})")
         self._boundary_distance = None
         self._qh_view = None
@@ -77,16 +77,15 @@ class UniformizedSpace:
     def boundary_distance(self) -> np.ndarray:
         """Deformed distance from every vertex to the boundary.
 
-        A path to the boundary runs through the graph and then escapes
-        along an inward ray from some vertex v; the escape tail integrates
-        the density along the ray, contributing density(v)/eps.  Realized
-        as one shortest-path run from a virtual sink wired to every vertex
-        with the tail weight.
+        A path to the boundary runs through the graph and then escapes along an inward ray from
+        some vertex v; the density integrates to density(v)/eps along the ray.  Realized as one
+        shortest-path run on every arc from a virtual sink wired to every vertex with that
+        weight: its distances reach 1/eps, past the bound of ``search_matrix``.
         """
         if self._boundary_distance is None:
             n = self.n
             tail = self.density / self.eps
-            base = self.matrix.tocoo()
+            base = self.domain.graph.reweighted(self.edge_weights).tocoo()
             rows = np.concatenate([base.row, np.arange(n), np.full(n, n)])
             cols = np.concatenate([base.col, np.full(n, n), np.arange(n)])
             vals = np.concatenate([base.data, tail, tail])

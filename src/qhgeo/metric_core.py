@@ -22,7 +22,7 @@ from scipy.spatial import cKDTree
 
 from .errors import ConfigurationError, InternalError
 from .shapes import ShapeGeometry, ShapeSpec, geometry_for
-from .views import EuclideanView, GraphView
+from .views import EuclideanView, GraphView, rows_per_block
 
 # canonical half of the stencil; the reverse directions are implied by
 # undirectedness.  All displacements have coprime components, so open
@@ -40,6 +40,25 @@ STENCIL = np.array(
     dtype=int,
 )
 
+
+def _two_step_reads(detour=1.1):
+    """Per STENCIL direction d, the paths u -> u + s -> u + d of two stencil steps at most
+    ``detour`` times as long as d, as two reads (k, offset from u): a step s from p is the edge of
+    direction ``STENCIL[k]`` from p if that is s, else from p + s.  1/d_G is convex along lines in
+    a convex domain, so the trapezoid rule overrates long steps against straight detours: on every
+    shipped domain these 48 paths mask what all 360 do."""
+    half = {tuple(s): k for k, s in enumerate(STENCIL.tolist())}
+
+    def read(s, at):
+        return (half[s], at) if s in half else (half[-s[0], -s[1]], (at[0] + s[0], at[1] + s[1]))
+
+    steps = [*half, *((-a, -b) for a, b in half)]
+    return [[(read(s, (0, 0)), read(t, s)) for s in steps for t in [(d[0] - s[0], d[1] - s[1])]
+             if t in steps and math.hypot(*s) + math.hypot(*t) <= detour * math.hypot(*d)]
+            for d in half]
+
+
+_TWO_STEP = _two_step_reads()
 _INTERIOR_TOL_FACTOR = 1e-9
 # sample points of a stencil edge tested against a non-convex shape
 _EDGE_FRACTIONS = np.arange(1, 8)[:, None, None] / 8.0
@@ -56,9 +75,13 @@ class LengthGraph:
     edge of each arc) and the coordinates.  The length matrix is built on the
     first read of ``matrix``, once, behind a lock, for ``graph:`` views only;
     the connectivity check builds a transient one.
+
+    A grid's ``lattice``: its ``int32`` vertex-index grid (-1 off it, vertices in lattice order)
+    and ``starts``; ``edges[starts[k]:starts[k + 1]]`` are the edges (p, p + STENCIL[k]) by p.
     """
 
-    def __init__(self, n_vertices: int, edges: np.ndarray, lengths: np.ndarray, coords=None):
+    def __init__(self, n_vertices: int, edges: np.ndarray, lengths: np.ndarray, coords=None,
+                 lattice=None):
         edges = np.asarray(edges).reshape(-1, 2)
         if edges.dtype.kind not in "iu":
             edges = edges.astype(np.intp)
@@ -75,6 +98,7 @@ class LengthGraph:
         self.coords = None if coords is None else np.asarray(coords, float)
         self._indptr, self._indices, self._arc_edge = _csr_layout(n, self.edges)
         self._matrix = None
+        self._lattice = lattice
         self._lock = threading.Lock()
         self._check_connected()
         for arr in (self.edges, self.lengths, self._indices, self._indptr, self._arc_edge):
@@ -124,6 +148,29 @@ class LengthGraph:
             raise ConfigurationError("replacement edge weights must be > 0")
         return self._csr(new_lengths)
 
+    def search_matrix(self, weights: np.ndarray) -> csr_matrix:
+        """``reweighted(weights)`` with ``inf`` on both arcs of every edge u-v that a path
+        u-m-v of ``_TWO_STEP`` beats by more than ``tau = 4e-12 (1 + X)``, ``X = (n - 1) max w``.
+
+        Rows and geodesics stay bitwise: every distance D a search reaches is at most X, so
+        ``fl(fl(D_u + a) + b) <= (D_u + a + b)(1 + 2^-53)^2 < fl(D_u + w)`` for a + b + tau < w.
+        A search finds the least left-to-right float sum over paths, and float addition is
+        monotone, so ``D_v <= fl(fl(D_u + a) + b)``: the arc never sets a distance.  And ``D_u +
+        w - D_v > tau - 4e-16 (X + w) > 1e-12 (1 + D_v)``, so ``QuasihyperbolicMetric.
+        _predecessor`` never takes it.  The layout is shared (symmetric, sorted, the memory of
+        ``reweighted``); an imported graph has no lattice and gets ``reweighted(weights)``.
+        """
+        weights = np.asarray(weights, float)
+        if self._lattice is None or not len(weights):
+            return self.reweighted(weights)
+        tau = 4e-12 * (1.0 + (self.n - 1) * weights.max())
+        # before the matrix, so that the prune's temporaries are freed when it is allocated
+        dominated = _dominated_edges(*self._lattice, self.edges[:, 0], weights, tau)
+        matrix, chunk = self.reweighted(weights), rows_per_block(1)  # 1 byte of mask an arc
+        for a in range(0, len(matrix.data), chunk):
+            matrix.data[a:a + chunk][dominated[self._arc_edge[a:a + chunk]]] = np.inf
+        return matrix
+
     def trapezoid(self, lengths: np.ndarray, density: np.ndarray) -> np.ndarray:
         """Edge weights ``lengths * (density[u] + density[v]) / 2`` (trapezoid rule)."""
         return lengths * 0.5 * (density[self.edges[:, 0]] + density[self.edges[:, 1]])
@@ -151,6 +198,42 @@ def _csr_layout(n, edges):
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(u, minlength=n) + np.bincount(v, minlength=n), out=indptr[1:])
     return indptr, indices, arc_edge
+
+
+def _dominated_edges(index2d, starts, lower, weights, tau) -> np.ndarray:
+    """Edges heavier than a path of ``_TWO_STEP`` plus ``tau``; ``lower`` is each one's lower end.
+    Band by band of lattice rows, ``grid[k]`` holds the weight of the edge of direction k from each
+    point of the band and its halo of ``h`` rows and columns (``inf`` where there is none),
+    flattened with pad columns, so that a shifted read is one contiguous slice."""
+    nx, ny = index2d.shape
+    h, width, n_dir = 4, ny + 8, len(STENCIL)  # h: the longest stencil step along an axis
+    first = np.concatenate([[0], np.cumsum(np.count_nonzero(index2d >= 0, axis=1))])
+    # the edges of direction k from lattice rows r0..r1 - 1 are cut[k, r0] .. cut[k, r1] - 1
+    cut = np.array([starts[k] + np.searchsorted(lower[starts[k]:starts[k + 1]], first)
+                    for k in range(n_dir)])
+    dominated = np.zeros(len(weights), dtype=bool)
+    band = max(1, rows_per_block(n_dir * width) - 2 * h)
+    grid = np.empty((n_dir, (band + 2 * h) * width))
+    low, path = np.empty(band * width), np.empty(band * width)
+    for r0 in range(0, nx, band):
+        r1, a, b = min(r0 + band, nx), max(r0 - h, 0), min(r0 + band + h, nx)
+        size = (r1 - r0 - 1) * width + ny  # from the band's first point to its last
+        # grid position of the vertices first[a] .. first[b] - 1, and of each edge's lower end
+        vi, vj = np.divmod(np.flatnonzero(index2d[a:b].ravel() >= 0).astype(np.int32), ny)
+        at_v = (vi + (a - r0 + h)) * width + vj + h
+        grid.fill(np.inf)
+        for k in range(n_dir):
+            e = slice(cut[k, a], cut[k, b])
+            grid[k, at_v[lower[e] - first[a]]] = weights[e]
+        for k, paths in enumerate(_TWO_STEP):
+            low[:size] = np.inf
+            for (k1, (p1, q1)), (k2, (p2, q2)) in paths:
+                o1, o2 = (h + p1) * width + h + q1, (h + p2) * width + h + q2
+                np.add(grid[k1, o1:o1 + size], grid[k2, o2:o2 + size], out=path[:size])
+                np.minimum(low[:size], path[:size], out=low[:size])
+            e = slice(cut[k, r0], cut[k, r1])
+            dominated[e] = weights[e] > low[at_v[lower[e] - first[a]] - h * width - h] + tau
+    return dominated
 
 
 def _reject_non_simple(edges):
@@ -310,10 +393,10 @@ def build_grid_domain(spec: ShapeSpec, boundary_band_h: float = 0.0) -> DomainSa
         raise ConfigurationError(
             f"empty interior for {spec.kind} at resolution {h}; refine the grid"
         )
-    index = -np.ones(nx * ny, dtype=np.int32)
-    index[keep] = np.arange(int(keep.sum()), dtype=np.int32)
+    index = -np.ones((nx, ny), dtype=np.int32)
+    index[keep.reshape(nx, ny)] = np.arange(int(keep.sum()), dtype=np.int32)
 
-    edges, lengths = _stencil_edges(keep.reshape(nx, ny), index.reshape(nx, ny), h)
+    edges, lengths, starts = _stencil_edges(keep.reshape(nx, ny), index, h)
 
     coords, inner_bdist = lattice[keep], bdist[keep]
     if not geom.convex and getattr(geom, "_needs_clipping", True):
@@ -324,8 +407,9 @@ def build_grid_domain(spec: ShapeSpec, boundary_band_h: float = 0.0) -> DomainSa
         ok = np.ones(len(edges), dtype=bool)
         ok[near] = inside.reshape(len(_EDGE_FRACTIONS), -1).all(axis=0)
         edges, lengths = edges[ok], lengths[ok]
+        starts -= np.searchsorted(np.flatnonzero(~ok), starts)  # clipped edges before each
 
-    graph = LengthGraph(int(keep.sum()), edges, lengths, coords)
+    graph = LengthGraph(int(keep.sum()), edges, lengths, coords, lattice=(index, starts))
     return DomainSample(
         graph,
         boundary,
@@ -338,7 +422,7 @@ def build_grid_domain(spec: ShapeSpec, boundary_band_h: float = 0.0) -> DomainSa
 
 
 def _stencil_edges(keep2d, index2d, h):
-    """Edges between kept lattice points along every STENCIL direction, and their lengths.
+    """Edges between kept lattice points along every STENCIL direction, their lengths and starts.
 
     Direction by direction, in lattice order within each.  A function of its
     own, so that the per-direction pieces are freed before the graph is built.
@@ -355,7 +439,7 @@ def _stencil_edges(keep2d, index2d, h):
         edge_v.append(index2d[b_sl][mask])
         edge_len.append(np.full(len(edge_u[-1]), h * math.hypot(di, dj)))
     edges = np.column_stack([np.concatenate(edge_u), np.concatenate(edge_v)])
-    return edges, np.concatenate(edge_len)
+    return edges, np.concatenate(edge_len), np.cumsum([0] + [len(e) for e in edge_u])
 
 
 def domain_from_length_graph(

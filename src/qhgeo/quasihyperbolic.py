@@ -1,9 +1,9 @@
 """Quasihyperbolic metric on a domain sample.
 
-The metric integrates the density 1/d_G along curves; on the graph each
-edge carries weight edgeLength * (1/d_G(u) + 1/d_G(v)) / 2 (trapezoid
-rule on the endpoints) and distances are shortest paths under those
-weights.
+The metric integrates the density 1/d_G along curves; on the graph each edge carries weight
+edgeLength * (1/d_G(u) + 1/d_G(v)) / 2 (trapezoid rule on the endpoints) and distances are
+shortest paths under those weights.  Searches run on ``LengthGraph.search_matrix``, where an
+arc that a two-edge detour beats weighs ``inf``: rows and geodesics stay bitwise.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ class QuasihyperbolicMetric:
 
     def __init__(self, domain: DomainSample):
         self.domain = domain
-        self.matrix = domain.graph.reweighted(self.edge_weights)
+        self.matrix = domain.graph.search_matrix(self.edge_weights)
         self._view = GraphView(self.matrix, name="quasihyperbolic")
 
     @property

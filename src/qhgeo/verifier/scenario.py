@@ -174,14 +174,6 @@ _TOLERANCE_RANGES = {"slack": (0.0, None, True), "band_h": (0.0,)}
 # what the name of each kind of space reference (kind:name) refers to
 _SPACE_KINDS = {"ambient": "domain", "graph": "domain", "qh": "domain",
                 "deformed": "deformation", "qh-of": "deformation"}
-# tuple arity drawn from a check's pool: the pool must hold one tuple of distinct points
-_POOL_ARITY = {
-    "metric_axioms": 3,
-    "gromov_basepoint_identity": 6,
-    "delta_hyperbolicity": 4,
-    "quasimobius_slope": 4,
-    "sphericalization_distortion": 4,
-}
 
 
 def validate_scenario(raw: dict) -> dict:
@@ -247,13 +239,16 @@ def validate_scenario(raw: dict) -> dict:
         cid = chk.get("check")
         if not isinstance(cid, str) or cid not in _CHECKS:
             _fail(f"{path}.check", f"unknown check id {cid!r}")
+        for key in _CHECKS[cid][1].split():
+            if key not in chk:
+                _fail(f"{path}.{key}", "missing")
         for key, bounds in _CHECK_RANGES.items():
             if key in chk:
                 _check_range(chk[key], f"{path}.{key}", *bounds)
         for key in _SAMPLE_SIZES:
             if key in chk:
                 _check_count(chk[key], f"{path}.{key}")
-        arity = _POOL_ARITY.get(cid)
+        arity = _CHECKS[cid][2]
         if arity and chk.get("pool", arity) < arity:
             _fail(f"{path}.pool", f"must be >= {arity} to hold one {arity}-tuple")
         refs = {"domain": names, "mapping": map_names, "deformation": def_names,
@@ -957,25 +952,26 @@ def _chk_global_qs(ctx, params, rng):
     )
 
 
+# check id -> its function, the references it needs, and the tuple arity its pool must hold
 _CHECKS = {
-    "metric_axioms": _chk_metric_axioms,
-    "qh_calibration": _chk_qh_calibration,
-    "distance_vs_qh_bounds": _chk_distance_vs_qh_bounds,
-    "ball_containment": _chk_ball_containment,
-    "gromov_basepoint_identity": _chk_basepoint_identity,
-    "delta_hyperbolicity": _chk_delta,
-    "uniformity": _chk_uniformity,
-    "rough_starlikeness": _chk_starlikeness,
-    "deformed_diameter": _chk_deformed_diameter,
-    "deformation_comparability": _chk_comparability,
-    "basepoint_change": _chk_basepoint_change,
-    "sphericalization_envelope": _chk_spher_envelope,
-    "sphericalization_distortion": _chk_spher_distortion,
-    "distortion_chain_linear": _chk_chain_linear,
-    "distortion_chain_local": _chk_chain_local,
-    "qi_step_bound": _chk_qi_step,
-    "quasimobius_slope": _chk_quasimobius,
-    "global_qs_hypotheses": _chk_global_qs,
+    "metric_axioms": (_chk_metric_axioms, "space", 3),
+    "qh_calibration": (_chk_qh_calibration, "domain", 0),
+    "distance_vs_qh_bounds": (_chk_distance_vs_qh_bounds, "domain", 0),
+    "ball_containment": (_chk_ball_containment, "domain", 0),
+    "gromov_basepoint_identity": (_chk_basepoint_identity, "space", 6),
+    "delta_hyperbolicity": (_chk_delta, "space", 4),
+    "uniformity": (_chk_uniformity, "domain", 0),
+    "rough_starlikeness": (_chk_starlikeness, "domain", 0),
+    "deformed_diameter": (_chk_deformed_diameter, "deformation", 0),
+    "deformation_comparability": (_chk_comparability, "deformation", 0),
+    "basepoint_change": (_chk_basepoint_change, "deformation0 deformation1", 0),
+    "sphericalization_envelope": (_chk_spher_envelope, "deformation", 0),
+    "sphericalization_distortion": (_chk_spher_distortion, "deformation", 4),
+    "distortion_chain_linear": (_chk_chain_linear, "mapping", 0),
+    "distortion_chain_local": (_chk_chain_local, "mapping", 0),
+    "qi_step_bound": (_chk_qi_step, "mapping", 0),
+    "quasimobius_slope": (_chk_quasimobius, "mapping", 4),
+    "global_qs_hypotheses": (_chk_global_qs, "mapping", 0),
 }
 
 
@@ -1005,7 +1001,7 @@ def run_scenario(
         rng = np.random.default_rng(streams[idx])
         params = {k: v for k, v in chk.items() if k != "check"}
         try:
-            return _CHECKS[chk["check"]](ctx, params, rng)
+            return _CHECKS[chk["check"]][0](ctx, params, rng)
         except ConfigurationError as exc:
             return _result(chk["check"], params, False, {}, notes=[f"infeasible: {exc}"])
 

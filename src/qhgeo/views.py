@@ -18,7 +18,8 @@ Goldberg & Harrelson, SODA 2005).  Sources whose limits lie within a factor
 of 2 (one binary exponent) share one limited search per chunk of about
 1 MiB of rows; a chunk answers its pairs and is dropped; evicted rows are
 freed.  Every search runs ``directed=True`` on a symmetric matrix, which
-gives the same floats as an undirected run at about half the cost.
+gives the same floats as an undirected run at about half the cost.  Arcs of
+``LengthGraph.search_matrix`` that no shortest path uses weigh ``inf``.
 
 ``DenseChainView`` starts a row as the quasimetric row, a metric by Ptolemy's inequality,
 and runs a plain dense Dijkstra on the ends of the angular-window pairs that pass a screen.

@@ -162,6 +162,14 @@ def assert_grid_matches_reference(spec, boundary_band_h=0.0):
     assert np.array_equal(d.graph.edges, edges)
     assert d.graph.lengths.tobytes() == lengths.tobytes()
     assert d.boundary_distance.tobytes() == bdist.tobytes()
+    # the lattice that search_matrix reads: vertices in lattice order, and each
+    # direction's edges in one block, by increasing lower end
+    index2d, starts = d.graph._lattice
+    i, j = np.nonzero(index2d >= 0)
+    assert np.array_equal(index2d[i, j], np.arange(d.n)) and starts[-1] == len(edges)
+    for k, (di, dj) in enumerate(STENCIL):
+        u, v = d.graph.edges[starts[k]:starts[k + 1]].T
+        assert np.all(i[v] - i[u] == di) and np.all(j[v] - j[u] == dj) and np.all(np.diff(u) > 0)
 
 
 @st.composite

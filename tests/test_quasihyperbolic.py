@@ -16,6 +16,7 @@ from qhgeo import (
     verify_qh_distance_bounds,
 )
 from qhgeo.sampling import check_metric_axioms, pair_sample
+from qhgeo.views import GraphView
 
 
 @st.composite
@@ -108,7 +109,11 @@ class TestMetricBasics:
         assert "edge_weights" not in vars(k)  # nothing per edge is kept
         expected = d.graph.trapezoid(d.graph.lengths, 1.0 / d.boundary_distance)
         assert k.edge_weights.tobytes() == expected.tobytes()
-        assert k.matrix.data.tobytes() == d.graph.reweighted(expected).data.tobytes()
+        masked = d.graph.search_matrix(expected)
+        for key in ("indptr", "indices", "data"):
+            assert getattr(k.matrix, key).tobytes() == getattr(masked, key).tobytes()
+        every = np.arange(d.n)
+        assert k.rows(every).tobytes() == GraphView(d.graph.reweighted(expected)).rows(every).tobytes()
 
     def test_zero_on_diagonal_and_symmetric(self, disk_coarse):
         _, k = disk_coarse

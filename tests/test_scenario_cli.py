@@ -36,6 +36,12 @@ def tiny_scenario(**overrides):
     return raw
 
 
+# the references each check id reads, and a valid value of each in a tiny scenario
+REFERENCES = {cid: refs.split() for cid, (_, refs, _) in scenario._CHECKS.items()}
+REFERENCE_VALUES = {"space": "qh:disk", "domain": "disk", "mapping": "auto",
+                    "deformation": "u", "deformation0": "u", "deformation1": "u"}
+
+
 class TestValidation:
     def test_missing_seed(self):
         raw = tiny_scenario()
@@ -76,6 +82,20 @@ class TestValidation:
         assert len(files) >= 10
         for path in files:
             validate_scenario(json.load(open(path)))
+
+    @pytest.mark.parametrize("check, key", [(c, k) for c, keys in sorted(REFERENCES.items())
+                                            for k in keys])
+    def test_missing_reference_names_field(self, check, key):
+        chk = {"check": check, **{k: REFERENCE_VALUES[k] for k in REFERENCES[check]}}
+        raw = tiny_scenario(deformations=[{"name": "u", "domain": "disk", "kind": "uniformize",
+                                           "base_point": 0}],
+                            mappings=[{"name": "auto", "map": "disk_automorphism",
+                                       "source": "disk", "target": "disk"}],
+                            checks=[chk])
+        validate_scenario(raw)
+        del chk[key]
+        with pytest.raises(ConfigurationError, match=rf"^checks\[0\]\.{key}: missing$"):
+            validate_scenario(raw)
 
 
 class TestSampleSizeValidation:
@@ -178,7 +198,10 @@ class TestSampleSizeValidation:
           "deformations[0].base_point: must be a vertex index >= 0 or two numbers"),
          ({"deformations": [{"name": "u", "domain": "disk", "kind": "uniformize",
                              "base_point": 10**6}], "checks": []},
-          "base vertex 1000000 is not one of the")],
+          "base vertex 1000000 is not one of the"),
+         # each of these exited 1: an infeasible check, and a KeyError traceback
+         ({"checks": [{"check": "metric_axioms", "triples": 50}]}, "checks[0].space: missing"),
+         ({"checks": [{"check": "uniformity"}]}, "checks[0].domain: missing")],
     )
     def test_cli_exits_two_naming_field(self, tmp_path, capsys, overrides, message):
         path = tmp_path / "scenario.json"
@@ -333,7 +356,7 @@ class TestEmptySamples:
     def test_empty_sample_is_infeasible(self, empty_sample_ctx, check):
         rng = np.random.default_rng(1)
         with pytest.raises(ConfigurationError, match="empty sample"):
-            scenario._CHECKS[check](empty_sample_ctx, EMPTY_SAMPLE_CASES[check], rng)
+            scenario._CHECKS[check][0](empty_sample_ctx, EMPTY_SAMPLE_CASES[check], rng)
 
     @pytest.mark.parametrize("check, n_vertices", [("metric_axioms", 2),
                                                    ("delta_hyperbolicity", 3)])
