@@ -203,24 +203,26 @@ def _csr_layout(n, edges):
 def _dominated_edges(index2d, starts, lower, weights, tau) -> np.ndarray:
     """Edges heavier than a path of ``_TWO_STEP`` plus ``tau``; ``lower`` is each one's lower end.
     Band by band of lattice rows, ``grid[k]`` holds the weight of the edge of direction k from each
-    point of the band and its halo of ``h`` rows and columns (``inf`` where there is none),
-    flattened with pad columns, so that a shifted read is one contiguous slice."""
+    point of the band and its halo (``inf`` where there is none): ``h`` columns either side, ``h``
+    rows after and the ``back`` rows before that reads look at (none for ``_TWO_STEP``'s paths).
+    It is flattened with pad columns, so that a shifted read is one contiguous slice."""
     nx, ny = index2d.shape
     h, width, n_dir = 4, ny + 8, len(STENCIL)  # h: the longest stencil step along an axis
+    back = -min(at[0] for paths in _TWO_STEP for path in paths for _, at in path)
     first = np.concatenate([[0], np.cumsum(np.count_nonzero(index2d >= 0, axis=1))])
     # the edges of direction k from lattice rows r0..r1 - 1 are cut[k, r0] .. cut[k, r1] - 1
     cut = np.array([starts[k] + np.searchsorted(lower[starts[k]:starts[k + 1]], first)
                     for k in range(n_dir)])
     dominated = np.zeros(len(weights), dtype=bool)
-    band = max(1, rows_per_block(n_dir * width) - 2 * h)
-    grid = np.empty((n_dir, (band + 2 * h) * width))
+    band = max(1, rows_per_block(n_dir * width) - back - h)
+    grid = np.empty((n_dir, (band + back + h) * width))
     low, path = np.empty(band * width), np.empty(band * width)
     for r0 in range(0, nx, band):
-        r1, a, b = min(r0 + band, nx), max(r0 - h, 0), min(r0 + band + h, nx)
+        r1, a, b = min(r0 + band, nx), max(r0 - back, 0), min(r0 + band + h, nx)
         size = (r1 - r0 - 1) * width + ny  # from the band's first point to its last
         # grid position of the vertices first[a] .. first[b] - 1, and of each edge's lower end
         vi, vj = np.divmod(np.flatnonzero(index2d[a:b].ravel() >= 0).astype(np.int32), ny)
-        at_v = (vi + (a - r0 + h)) * width + vj + h
+        at_v = (vi + (a - r0 + back)) * width + vj + h
         grid.fill(np.inf)
         for k in range(n_dir):
             e = slice(cut[k, a], cut[k, b])
@@ -228,11 +230,11 @@ def _dominated_edges(index2d, starts, lower, weights, tau) -> np.ndarray:
         for k, paths in enumerate(_TWO_STEP):
             low[:size] = np.inf
             for (k1, (p1, q1)), (k2, (p2, q2)) in paths:
-                o1, o2 = (h + p1) * width + h + q1, (h + p2) * width + h + q2
+                o1, o2 = (back + p1) * width + h + q1, (back + p2) * width + h + q2
                 np.add(grid[k1, o1:o1 + size], grid[k2, o2:o2 + size], out=path[:size])
                 np.minimum(low[:size], path[:size], out=low[:size])
             e = slice(cut[k, r0], cut[k, r1])
-            dominated[e] = weights[e] > low[at_v[lower[e] - first[a]] - h * width - h] + tau
+            dominated[e] = weights[e] > low[at_v[lower[e] - first[a]] - back * width - h] + tau
     return dominated
 
 

@@ -7,7 +7,11 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..mapping_analysis import MappingPair, SpaceSide, build_mapping
 
-MAP_IDS = ("identity", "similarity", "disk_automorphism", "power", "mobius")
+# each map id's parameters: a float one is a number, a complex one a number or [re, im]
+MAP_PARAMS = {"identity": {}, "similarity": {"scale": float, "offset": complex},
+              "disk_automorphism": {"a": complex}, "power": {"alpha": float},
+              "mobius": dict.fromkeys("abcd", complex)}
+MAP_IDS = tuple(MAP_PARAMS)
 
 
 def _to_complex(pts: np.ndarray) -> np.ndarray:

@@ -57,11 +57,13 @@ from ..quasihyperbolic import QuasihyperbolicMetric, estimate_uniformity, verify
 from ..sampling import check_metric_axioms, pair_sample, pool_indices, tuple_sample_from_pool
 from ..shapes import ShapeSpec
 from ..views import EuclideanView
-from .builtin_maps import builtin_mapping
+from .builtin_maps import MAP_PARAMS, builtin_mapping
 from .constants import predicted_constants
 
 SCHEMA_VERSION = 1
-DEFAULTS = {"pairs": 10_000, "balls": 1_000, "quadruples": 1_000, "slack": 1.05, "band_h": 2.0}
+# the tolerances a scenario may set, with their defaults
+DEFAULTS = {"pairs": 10_000, "balls": 1_000, "quadruples": 1_000, "slack": 1.05, "band_h": 2.0,
+            "chain_points": 3500}
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -90,13 +92,9 @@ def _check_range(value, path, low=None, high=None, open_low=False, open_high=Fal
     return value
 
 
-def _check_base_point(value, path, kind):
-    """uniformize: a vertex index >= 0 or two numbers; sphericalize: two numbers."""
-    if kind == "uniformize" and type(value) is int and value >= 0:
-        return
+def _check_point(value, path, what="two numbers"):
     if not (isinstance(value, list) and len(value) == 2):
-        index = "a vertex index >= 0 or " if kind == "uniformize" else ""
-        _fail(path, f"must be {index}two numbers")
+        _fail(path, f"must be {what}")
     for c in value:
         _check_range(c, path)
 
@@ -104,6 +102,19 @@ def _check_base_point(value, path, kind):
 def _check_object(value, path):
     if not isinstance(value, dict):
         _fail(path, "must be an object")
+
+
+def _check_keys(obj, path, required, optional):
+    """An object with every key of ``required`` and no key outside ``required`` and ``optional``."""
+    _check_object(obj, path)
+    prefix = f"{path}." if path else ""
+    for key in required:
+        if key not in obj:
+            _fail(prefix + key, "missing")
+    for key in obj:
+        if key not in required and key not in optional:
+            _fail(prefix + str(key), "unknown key; expected one of "
+                  + ", ".join([*required, *optional]))
 
 
 def _check_list(value, path):
@@ -137,10 +148,7 @@ def _check_array(value, path, width, kinds, what):
 
 def _check_graph(graph, path):
     """An imported graph: finite vertices, edges between them, finite lengths and boundary."""
-    _check_object(graph, path)
-    for key in ("vertices", "edges"):
-        if key not in graph:
-            _fail(f"{path}.{key}", "missing")
+    _check_keys(graph, path, *_KEYS["graph"])
     pairs = "pairs of finite numbers"
     n = len(_check_array(graph["vertices"], f"{path}.vertices", 2, "iuf", pairs))
     edges = _check_array(graph["edges"], f"{path}.edges", 2, "iu", "pairs of vertex indices")
@@ -156,21 +164,60 @@ def _check_count(value, path):
         _fail(path, "must be a positive integer")
 
 
-# sample sizes a check may set, and those the tolerances section may set
-_SAMPLE_SIZES = (
-    "pairs", "triples", "quadruples", "tuples", "centers", "sources", "pool", "balls",
-    "pts_per_ball", "uniformity_pairs", "max_rays",
-)
-_TOLERANCE_SIZES = ("pairs", "balls", "quadruples", "chain_points")
-# numbers a check may set, and those the tolerances section may set, with the
-# (low, high, open_low, open_high) arguments of _check_range; () = any number
-_CHECK_RANGES = {
-    **dict.fromkeys(("lam", "t0", "q"), (0.0, 1.0, True, True)),
-    **dict.fromkeys(("slack", "separation_frac"), (0.0, None, True)),
+def _check_flag(value, path):
+    if not isinstance(value, bool):
+        _fail(path, "must be true or false")
+
+
+def _check_segments(value, path):
+    for a, seg in enumerate(_check_list(value, path)):
+        _check_keys(seg, f"{path}[{a}]", *_KEYS["segment"])
+        for key in _KEYS["segment"][0]:
+            _check_point(seg[key], f"{path}[{a}].{key}")
+
+
+def _check_map_params(params, path, kinds):
+    """A builtin map's parameters: ``float`` ones a number, ``complex`` ones also [re, im]."""
+    _check_keys(params, path, (), kinds)
+    for key, value in params.items():
+        if kinds[key] is complex and isinstance(value, list):
+            _check_point(value, f"{path}.{key}", "a number or [re, im]")
+        else:
+            _check_range(value, f"{path}.{key}")
+
+
+def _number(*bounds):
+    """The kind of a number: the (low, high, open_low, open_high) arguments of _check_range."""
+    return (lambda value, path: _check_range(value, path, *bounds)), float
+
+
+# the kind of each value that a check or the tolerances may set: how it is validated,
+# and how a check receives it (None: as given)
+_KINDS = {
+    **dict.fromkeys(("pairs", "triples", "quadruples", "tuples", "centers", "sources", "pool",
+                     "balls", "pts_per_ball", "uniformity_pairs", "max_rays", "chain_points"),
+                    (_check_count, int)),
+    **dict.fromkeys(("lam", "t0", "q"), _number(0.0, 1.0, True, True)),
+    **dict.fromkeys(("slack", "separation_frac"), _number(0.0, None, True)),
+    "band_h": _number(0.0),
     **dict.fromkeys(("max_a", "max_delta", "max_k", "max_slope", "tol", "stability_drift",
-                     "clearance_h", "image_clearance_h", "min_qh"), ()),
+                     "clearance_h", "image_clearance_h", "min_qh"), _number()),
+    **dict.fromkeys(("expect_violation", "truncation_sensitivity", "exhaustive"),
+                    (_check_flag, bool)),
+    "base_point": (_check_point, None),
+    "segments": (_check_segments, None),
 }
-_TOLERANCE_RANGES = {"slack": (0.0, None, True), "band_h": (0.0,)}
+# each scenario object's required keys and the others it may have; a check's are in _CHECKS
+_KEYS = {
+    "scenario": ((), ("schema", "seed", "domains", "deformations", "mappings", "checks",
+                      "tolerances")),
+    "domain": (("name",), ("shape", "graph")),
+    "graph": (("vertices", "edges"), ("lengths", "boundary")),
+    "deformation": (("name", "domain", "kind", "base_point"), ("epsilon",)),
+    "mapping": (("name", "map", "source", "target"), ("params",)),
+    "segment": (("x", "y"), ()),
+    "tolerances": ((), tuple(DEFAULTS)),
+}
 # what the name of each kind of space reference (kind:name) refers to
 _SPACE_KINDS = {"ambient": "domain", "graph": "domain", "qh": "domain",
                 "deformed": "deformation", "qh-of": "deformation"}
@@ -180,6 +227,7 @@ def validate_scenario(raw: dict) -> dict:
     """Structural validation; raises ConfigurationError naming the field."""
     if not isinstance(raw, dict):
         raise ConfigurationError("scenario must be a JSON object")
+    _check_keys(raw, "", *_KEYS["scenario"])
     if raw.get("schema") != SCHEMA_VERSION:
         _fail("schema", f"must be {SCHEMA_VERSION}")
     if "seed" not in raw or not isinstance(raw["seed"], int):
@@ -190,9 +238,7 @@ def validate_scenario(raw: dict) -> dict:
     names = set()
     for a, dom in enumerate(domains):
         path = f"domains[{a}]"
-        _check_object(dom, path)
-        if "name" not in dom:
-            _fail(path + ".name", "missing")
+        _check_keys(dom, path, *_KEYS["domain"])
         _check_name(dom["name"], path + ".name")
         if dom["name"] in names:
             _fail(path + ".name", f"duplicate name {dom['name']!r}")
@@ -206,10 +252,7 @@ def validate_scenario(raw: dict) -> dict:
     def_names = set()
     for a, d in enumerate(_check_list(raw.get("deformations", []), "deformations")):
         path = f"deformations[{a}]"
-        _check_object(d, path)
-        for key in ("name", "domain", "kind"):
-            if key not in d:
-                _fail(f"{path}.{key}", "missing")
+        _check_keys(d, path, *_KEYS["deformation"])
         _check_name(d["name"], f"{path}.name")
         _check_name(d["domain"], f"{path}.domain", names, "domain")
         if d["name"] in def_names or d["name"] in names:
@@ -219,40 +262,37 @@ def validate_scenario(raw: dict) -> dict:
             _fail(f"{path}.kind", "must be 'uniformize' or 'sphericalize'")
         if d["kind"] == "uniformize" and "epsilon" in d:
             _check_range(d["epsilon"], f"{path}.epsilon", 0.0, 1.0, True, True)
-        if "base_point" not in d:
-            _fail(f"{path}.base_point", "missing")
-        _check_base_point(d["base_point"], f"{path}.base_point", d["kind"])
+        base, uniform = d["base_point"], d["kind"] == "uniformize"
+        if not (uniform and type(base) is int and base >= 0):
+            what = "a vertex index >= 0 or two numbers" if uniform else "two numbers"
+            _check_point(base, f"{path}.base_point", what)
     map_names = set()
     for a, mp in enumerate(_check_list(raw.get("mappings", []), "mappings")):
         path = f"mappings[{a}]"
-        _check_object(mp, path)
-        for key in ("name", "map", "source", "target"):
-            if key not in mp:
-                _fail(f"{path}.{key}", "missing")
+        _check_keys(mp, path, *_KEYS["mapping"])
         _check_name(mp["name"], f"{path}.name")
+        if mp["name"] in map_names:
+            _fail(f"{path}.name", f"duplicate name {mp['name']!r}")
+        map_names.add(mp["name"])
+        _check_name(mp["map"], f"{path}.map", MAP_PARAMS, "builtin map id")
         for key in ("source", "target"):
             _check_name(mp[key], f"{path}.{key}", names, "domain")
-        map_names.add(mp["name"])
+        _check_map_params(mp.get("params", {}), f"{path}.params", MAP_PARAMS[mp["map"]])
+    refs = {"domain": names, "mapping": map_names, "deformation": def_names,
+            "deformation0": def_names, "deformation1": def_names}
     for a, chk in enumerate(_check_list(raw.get("checks", []), "checks")):
         path = f"checks[{a}]"
         _check_object(chk, path)
         cid = chk.get("check")
         if not isinstance(cid, str) or cid not in _CHECKS:
             _fail(f"{path}.check", f"unknown check id {cid!r}")
-        for key in _CHECKS[cid][1].split():
-            if key not in chk:
-                _fail(f"{path}.{key}", "missing")
-        for key, bounds in _CHECK_RANGES.items():
-            if key in chk:
-                _check_range(chk[key], f"{path}.{key}", *bounds)
-        for key in _SAMPLE_SIZES:
-            if key in chk:
-                _check_count(chk[key], f"{path}.{key}")
-        arity = _CHECKS[cid][2]
+        _, needs, arity, optional = _CHECKS[cid]
+        _check_keys(chk, path, ("check", *needs.split()), optional)
+        for key in chk:
+            if key in optional:
+                _KINDS[key][0](chk[key], f"{path}.{key}")
         if arity and chk.get("pool", arity) < arity:
             _fail(f"{path}.pool", f"must be >= {arity} to hold one {arity}-tuple")
-        refs = {"domain": names, "mapping": map_names, "deformation": def_names,
-                "deformation0": def_names, "deformation1": def_names}
         for key, known in refs.items():
             if key in chk:
                 _check_name(chk[key], f"{path}.{key}", known, key.rstrip("01"))
@@ -265,13 +305,9 @@ def validate_scenario(raw: dict) -> dict:
             what = _SPACE_KINDS[kind]
             _check_name(name, f"{path}.space", names if what == "domain" else def_names, what)
     tol = raw.get("tolerances", {})
-    _check_object(tol, "tolerances")
-    for key, bounds in _TOLERANCE_RANGES.items():
-        if key in tol:
-            _check_range(tol[key], f"tolerances.{key}", *bounds)
-    for key in _TOLERANCE_SIZES:
-        if key in tol:
-            _check_count(tol[key], f"tolerances.{key}")
+    _check_keys(tol, "tolerances", *_KEYS["tolerances"])
+    for key, value in tol.items():
+        _KINDS[key][0](value, f"tolerances.{key}")
     return raw
 
 
@@ -328,7 +364,7 @@ class ScenarioContext:
                 space = sphericalize(
                     domain,
                     d["base_point"],
-                    max_points=int(tol.get("chain_points", 3500)),
+                    max_points=int(tol["chain_points"]),
                     rng=build_rng,
                 )
             self.deformations[d["name"]] = space
@@ -360,7 +396,8 @@ class ScenarioContext:
 # checks
 
 
-def _result(cid, params, passed, measured, predicted=None, violations=None, skipped=0, notes=None):
+def _result(passed, measured, predicted=None, violations=None, skipped=0, notes=None):
+    """A check's verdict; ``run_scenario`` puts its id and parameters in front."""
     measured = {k: _jsonable(v) for k, v in (measured or {}).items()}
     predicted = {k: _jsonable(v) for k, v in (predicted or {}).items()}
     violations = violations or []
@@ -369,8 +406,6 @@ def _result(cid, params, passed, measured, predicted=None, violations=None, skip
         # the witness is the measured-vs-predicted record itself
         violations = [{"measured": measured, "predicted": predicted}]
     return {
-        "check": cid,
-        "params": params,
         "passed": bool(passed),
         "measured": measured,
         "predicted": predicted,
@@ -396,14 +431,11 @@ def _jsonable(v):
     return v
 
 
-def _chk_metric_axioms(ctx, params, rng):
-    view = ctx.space_view(params.get("space", ""))
-    n_triples = int(params.get("triples", ctx.defaults["pairs"]))
-    report = check_metric_axioms(view, n_triples, rng, pool_size=int(params.get("pool", 96)))
+def _chk_metric_axioms(ctx, p, rng):
+    report = check_metric_axioms(ctx.space_view(p["space"]), p["triples"], rng,
+                                 pool_size=p["pool"])
     _require_samples(report.n_triples, "triples")
     return _result(
-        "metric_axioms",
-        params,
         report.passed,
         {
             "max_symmetry_defect": report.max_symmetry_defect,
@@ -429,15 +461,14 @@ def _segment_oracle(domain, a, b):
     return value
 
 
-def _chk_qh_calibration(ctx, params, rng):
-    name = params["domain"]
+def _chk_qh_calibration(ctx, p, rng):
+    name = p["domain"]
     domain, qh = ctx.domains[name]
-    tol = float(params.get("tol", 0.02))
     measured = {}
     violations = []
     passed = True
     snapped = []
-    for idx, seg in enumerate(params.get("segments", [])):
+    for idx, seg in enumerate(p["segments"]):
         i = int(domain.nearest_vertex([seg["x"]])[0])
         j = int(domain.nearest_vertex([seg["y"]])[0])
         snapped.append((domain.coords[i], domain.coords[j]))
@@ -447,11 +478,11 @@ def _chk_qh_calibration(ctx, params, rng):
         measured[f"segment{idx}_k"] = k_val
         measured[f"segment{idx}_oracle"] = oracle
         measured[f"segment{idx}_rel_error"] = rel
-        if rel > tol:
+        if rel > p["tol"]:
             passed = False
             violations.append({"segment": idx, "k": k_val, "oracle": oracle, "rel_error": rel})
     notes = []
-    if params.get("truncation_sensitivity"):
+    if p["truncation_sensitivity"]:
         if not is_unbounded_truncation(ctx.sides[name]):
             raise ConfigurationError("truncation_sensitivity applies only to truncated shapes")
         spec = domain.shape
@@ -474,18 +505,15 @@ def _chk_qh_calibration(ctx, params, rng):
                 passed = False
                 violations.append({"segment": idx, "truncation_drift": drift})
         notes.append("truncation sensitivity: re-run at 2R, drift must stay below 1%")
-    return _result("qh_calibration", params, passed, measured, {"tol": tol}, violations, notes=notes)
+    return _result(passed, measured, {"tol": p["tol"]}, violations, notes=notes)
 
 
-def _chk_distance_vs_qh_bounds(ctx, params, rng):
-    domain, qh = ctx.domains[params["domain"]]
-    n_pairs = int(params.get("pairs", ctx.defaults["pairs"]))
-    pairs = pair_sample(domain.n, n_pairs, rng)
-    report = verify_qh_distance_bounds(qh, pairs, slack=float(params.get("slack", ctx.slack)))
+def _chk_distance_vs_qh_bounds(ctx, p, rng):
+    domain, qh = ctx.domains[p["domain"]]
+    pairs = pair_sample(domain.n, p["pairs"], rng)
+    report = verify_qh_distance_bounds(qh, pairs, slack=p["slack"])
     _require_samples(report.n_pairs, "pairs")
     return _result(
-        "distance_vs_qh_bounds",
-        params,
         report.passed,
         {
             "max_growth_ratio": report.max_growth_ratio,
@@ -499,142 +527,105 @@ def _chk_distance_vs_qh_bounds(ctx, params, rng):
     )
 
 
-def _chk_ball_containment(ctx, params, rng):
-    domain, _ = ctx.domains[params["domain"]]
-    n_centers = int(params.get("centers", 100))
-    slack = float(params.get("slack", 1.0))
-    expect_violation = bool(params.get("expect_violation", False))
-    centers = rng.permutation(domain.n)[:n_centers]
+def _chk_ball_containment(ctx, p, rng):
+    domain, _ = ctx.domains[p["domain"]]
+    centers = rng.permutation(domain.n)[:p["centers"]]
     _require_samples(len(centers), "centers")
     violations = []
     for c in centers:
-        r = safe_ball_radius(domain, int(c)) / slack
+        r = safe_ball_radius(domain, int(c)) / p["slack"]
         rep = check_ball_containment(domain, int(c), r)
         if not rep.contained:
             violations.append({"center": list(rep.center), "radius": rep.radius, "witness": list(rep.witness)})
     found = len(violations) > 0
-    passed = found if expect_violation else not found
     return _result(
-        "ball_containment",
-        params,
-        passed,
+        found if p["expect_violation"] else not found,
         {"n_centers": len(centers), "n_violations": len(violations)},
-        {"radius_rule": f"2*d_G(x)/(2+c)/{slack}"},
+        {"radius_rule": f"2*d_G(x)/(2+c)/{p['slack']}"},
         violations[:16],
     )
 
 
-def _chk_basepoint_identity(ctx, params, rng):
-    view = ctx.space_view(params.get("space", ""))
-    n_tuples = int(params.get("tuples", 100_000))
-    pool = pool_indices(view.n, int(params.get("pool", 64)), rng)
+def _chk_basepoint_identity(ctx, p, rng):
+    view = ctx.space_view(p["space"])
+    pool = pool_indices(view.n, p["pool"], rng)
     dist = view.submatrix(pool)
-    tuples = tuple_sample_from_pool(len(pool), n_tuples, 6, rng)
+    tuples = tuple_sample_from_pool(len(pool), p["tuples"], 6, rng)
     _require_samples(len(tuples), "tuples")
     residuals = basepoint_identity_residuals(dist, tuples)
     scale = max(1.0, float(dist.max(initial=0.0)))
     tol = 1e-12 * scale
     worst = float(residuals.max(initial=0.0))
-    return _result(
-        "gromov_basepoint_identity",
-        params,
-        worst <= tol,
-        {"max_residual": worst, "n_tuples": len(tuples)},
-        {"tolerance": tol},
-    )
+    return _result(worst <= tol, {"max_residual": worst, "n_tuples": len(tuples)},
+                   {"tolerance": tol})
 
 
-def _chk_delta(ctx, params, rng):
-    view = ctx.space_view(params.get("space", ""))
-    report = estimate_delta(
-        view,
-        n_quadruples=int(params.get("quadruples", ctx.defaults["pairs"])),
-        rng=rng,
-        pool_size=int(params.get("pool", 64)),
-        exhaustive=bool(params.get("exhaustive", False)),
-        seed_label=ctx.seed,
-    )
+def _chk_delta(ctx, p, rng):
+    report = estimate_delta(ctx.space_view(p["space"]), n_quadruples=p["quadruples"], rng=rng,
+                            pool_size=p["pool"], exhaustive=p["exhaustive"], seed_label=ctx.seed)
     _require_samples(report.quadruples_tested, "quadruples")
-    max_delta = params.get("max_delta")
-    passed = True if max_delta is None else report.delta <= float(max_delta)
+    max_delta = p["max_delta"]
     return _result(
-        "delta_hyperbolicity",
-        params,
-        passed,
+        True if max_delta is None else report.delta <= max_delta,
         {"delta": report.delta, "quadruples_tested": report.quadruples_tested,
          "pool_size": report.pool_size},
-        {} if max_delta is None else {"max_delta": float(max_delta)},
+        {} if max_delta is None else {"max_delta": max_delta},
     )
 
 
-def _uniformity_a(domain, qh, params, rng):
+def _uniformity_a(domain, qh, p, rng):
     """Uniformity constant A of the domain on a small pair sample."""
-    upairs = pair_sample(domain.n, int(params.get("uniformity_pairs", 160)), rng,
-                         n_sources=int(params.get("sources", 20)))
+    upairs = pair_sample(domain.n, p["uniformity_pairs"], rng, n_sources=p["sources"])
     return estimate_uniformity(domain, qh, upairs).constant_a
 
 
-def _chk_uniformity(ctx, params, rng):
-    domain, qh = ctx.domains[params["domain"]]
-    n_pairs = int(params.get("pairs", 200))
-    pairs = pair_sample(domain.n, n_pairs, rng, n_sources=int(params.get("sources", 24)))
+def _chk_uniformity(ctx, p, rng):
+    domain, qh = ctx.domains[p["domain"]]
+    pairs = pair_sample(domain.n, p["pairs"], rng, n_sources=p["sources"])
     report = estimate_uniformity(domain, qh, pairs)
     _require_samples(report.n_pairs, "pairs")
-    max_a = params.get("max_a")
-    passed = True if max_a is None else report.constant_a <= float(max_a)
+    max_a = p["max_a"]
     return _result(
-        "uniformity",
-        params,
-        passed,
+        True if max_a is None else report.constant_a <= max_a,
         {"constant_a": report.constant_a, "n_pairs": report.n_pairs,
          "worst_pair": list(report.worst_pair)},
-        {} if max_a is None else {"max_a": float(max_a)},
+        {} if max_a is None else {"max_a": max_a},
     )
 
 
-def _chk_starlikeness(ctx, params, rng):
-    domain, qh = ctx.domains[params["domain"]]
-    base = params.get("base_point")
+def _chk_starlikeness(ctx, p, rng):
+    domain, qh = ctx.domains[p["domain"]]
+    base = p["base_point"]
     w = None if base is None else int(domain.nearest_vertex([base])[0])
-    report = estimate_rough_starlikeness(domain, qh, w, max_rays=int(params.get("max_rays", 256)))
-    max_k = params.get("max_k")
-    passed = True if max_k is None else report.starlikeness_k <= float(max_k)
+    report = estimate_rough_starlikeness(domain, qh, w, max_rays=p["max_rays"])
+    max_k = p["max_k"]
     return _result(
-        "rough_starlikeness",
-        params,
-        passed,
+        True if max_k is None else report.starlikeness_k <= max_k,
         {"starlikeness_k": report.starlikeness_k, "base_point": list(report.base_point)},
-        {} if max_k is None else {"max_k": float(max_k)},
+        {} if max_k is None else {"max_k": max_k},
     )
 
 
-def _chk_deformed_diameter(ctx, params, rng):
-    space = ctx.deformations[params["deformation"]]
+def _chk_deformed_diameter(ctx, p, rng):
+    space = ctx.deformations[p["deformation"]]
     if space.kind != "uniformize":
         raise ConfigurationError("deformed_diameter applies to uniformize deformations")
-    slack = float(params.get("slack", ctx.slack))
+    slack = p["slack"]
     diam = space.diameter_estimate()
     base_bd = float(space.boundary_distance()[space.w])
     bound_diam = 2.0 / space.eps
     bound_bd = 1.0 / (space.eps * np.e)
-    passed = diam <= bound_diam * slack and base_bd >= bound_bd / slack
     return _result(
-        "deformed_diameter",
-        params,
-        passed,
+        diam <= bound_diam * slack and base_bd >= bound_bd / slack,
         {"diameter": diam, "base_boundary_distance": base_bd, "epsilon": space.eps},
         {"max_diameter": bound_diam * slack, "min_base_boundary_distance": bound_bd / slack},
     )
 
 
-def _chk_comparability(ctx, params, rng):
-    space = ctx.deformations[params["deformation"]]
-    n_pairs = int(params.get("pairs", ctx.defaults["quadruples"]))
-    pairs = pair_sample(space.n, n_pairs, rng)
-    report = verify_deformation_comparability(space, pairs)
+def _chk_comparability(ctx, p, rng):
+    space = ctx.deformations[p["deformation"]]
+    report = verify_deformation_comparability(space, pair_sample(space.n, p["pairs"], rng))
     return _result(
-        "deformation_comparability",
-        params,
         report.finite,
         {"constant": report.constant, "max_ratio": report.max_ratio,
          "min_ratio": report.min_ratio, "n_pairs": report.n_pairs},
@@ -642,32 +633,25 @@ def _chk_comparability(ctx, params, rng):
     )
 
 
-def _chk_basepoint_change(ctx, params, rng):
-    s0 = ctx.deformations[params["deformation0"]]
-    s1 = ctx.deformations[params["deformation1"]]
-    report = basepoint_change_distortion(
-        s0, s1, n_quadruples=int(params.get("quadruples", ctx.defaults["quadruples"])), rng=rng
-    )
+def _chk_basepoint_change(ctx, p, rng):
+    s0 = ctx.deformations[p["deformation0"]]
+    s1 = ctx.deformations[p["deformation1"]]
+    report = basepoint_change_distortion(s0, s1, n_quadruples=p["quadruples"], rng=rng)
     return _result(
-        "basepoint_change",
-        params,
         np.isfinite(report.slope) and report.slope > 0,
         {"slope": report.slope, "n_quadruples": report.n_quadruples},
         skipped=report.n_skipped,
     )
 
 
-def _chk_spher_envelope(ctx, params, rng):
-    space = ctx.deformations[params["deformation"]]
+def _chk_spher_envelope(ctx, p, rng):
+    space = ctx.deformations[p["deformation"]]
     if space.kind != "sphericalize":
         raise ConfigurationError("sphericalization_envelope needs a sphericalize deformation")
-    n_pairs = int(params.get("pairs", ctx.defaults["quadruples"]))
-    pairs = pair_sample(space.n, n_pairs, rng, n_sources=int(params.get("sources", 48)))
+    pairs = pair_sample(space.n, p["pairs"], rng, n_sources=p["sources"])
     report = sphericalization_envelope(space, pairs)
     _require_samples(report.n_pairs, "pairs")
     return _result(
-        "sphericalization_envelope",
-        params,
         report.passed,
         {"min_chain_over_quasi": report.min_chain_over_quasi,
          "max_chain_over_quasi": report.max_chain_over_quasi, "n_pairs": report.n_pairs},
@@ -675,36 +659,31 @@ def _chk_spher_envelope(ctx, params, rng):
     )
 
 
-def _chk_spher_distortion(ctx, params, rng):
-    space = ctx.deformations[params["deformation"]]
+def _chk_spher_distortion(ctx, p, rng):
+    space = ctx.deformations[p["deformation"]]
     if space.kind != "sphericalize":
         raise ConfigurationError("sphericalization_distortion needs a sphericalize deformation")
-    slack = float(params.get("slack", ctx.slack))
-    base = ctx.bases[params["deformation"]]
+    slack = p["slack"]
+    base = ctx.bases[p["deformation"]]
 
     src_side = DomainSide(base.domain, base.metric, subset=space.active)
     tgt_side = DeformedSide(space)
     identity = build_mapping(src_side, tgt_side, None, None, name="sphericalization-identity")
 
-    quad_n = int(params.get("quadruples", ctx.defaults["quadruples"]))
-    qm = estimate_quasimobius(identity, n_quadruples=quad_n, rng=rng,
-                              pool_size=int(params.get("pool", 64)))
+    qm = estimate_quasimobius(identity, n_quadruples=p["quadruples"], rng=rng,
+                              pool_size=p["pool"])
 
-    a_meas = _uniformity_a(base.domain, base.metric, params, rng)
+    a_meas = _uniformity_a(base.domain, base.metric, p, rng)
 
-    n_pairs = int(params.get("pairs", ctx.defaults["quadruples"]))
-    pairs = pair_sample(identity.source.n, n_pairs, rng, n_sources=int(params.get("sources", 20)))
+    pairs = pair_sample(identity.source.n, p["pairs"], rng, n_sources=p["sources"])
     m_hat = estimate_qh_bilipschitz(identity, pairs)
     _require_samples(qm.n_quadruples, "quadruples")
     _require_samples(m_hat.n_samples, "pairs")
 
     qm_bound = 16.0 * slack
     m_bound = 80.0 * a_meas * slack
-    passed = qm.slope <= qm_bound and m_hat.value <= m_bound
     return _result(
-        "sphericalization_distortion",
-        params,
-        passed,
+        qm.slope <= qm_bound and m_hat.value <= m_bound,
         {"quasimobius_slope": qm.slope, "qh_bilipschitz": m_hat.value,
          "uniformity_a": a_meas, "n_quadruples": qm.n_quadruples},
         {"max_quasimobius_slope": qm_bound, "max_qh_bilipschitz": m_bound},
@@ -712,27 +691,24 @@ def _chk_spher_distortion(ctx, params, rng):
     )
 
 
-def _chain_common(ctx, params, rng):
-    m = ctx.mappings[params["mapping"]]
-    n_balls = int(params.get("balls", ctx.defaults["balls"]))
-    pts = int(params.get("pts_per_ball", 8))
-    n_pairs = int(params.get("pairs", min(ctx.defaults["pairs"], 4000)))
+def _chain_common(ctx, p):
+    m = ctx.mappings[p["mapping"]]
     c = m.source.domain.quasiconvexity if isinstance(m.source, DomainSide) else 1.0
-    return m, n_balls, pts, n_pairs, c, float(params.get("slack", ctx.slack))
+    return m, p["balls"], p["pts_per_ball"], c, p["slack"]
 
 
-def _chk_chain_linear(ctx, params, rng):
-    m, n_balls, pts, n_pairs, c, slack = _chain_common(ctx, params, rng)
-    lam = float(params.get("lam", 0.2))
+def _chk_chain_linear(ctx, p, rng):
+    m, n_balls, pts, c, slack = _chain_common(ctx, p)
+    lam = p["lam"]
     balls = sample_balls(m.source, lam, n_balls, pts, rng)
     l_meas = estimate_boundary_lipschitz(m, lam, balls=balls).value
     c1_meas = estimate_relative(m, lam, balls=balls).value
 
     qh_pairs = sample_qh_pairs(
-        m, n_pairs, rng,
-        clearance_h=float(params.get("clearance_h", 4.0)),
-        image_clearance_h=float(params.get("image_clearance_h", 12.0)),
-        min_qh=float(params.get("min_qh", 2.0)),
+        m, p["pairs"] or min(ctx.defaults["pairs"], 4000), rng,
+        clearance_h=p["clearance_h"],
+        image_clearance_h=p["image_clearance_h"],
+        min_qh=p["min_qh"],
     )
     semisolid = estimate_semisolid(m, qh_pairs)
     if semisolid.n_samples == 0:
@@ -751,8 +727,6 @@ def _chk_chain_linear(ctx, params, rng):
         "lipschitz_le_predicted": l3_meas <= led_31["l"] * slack,
     }
     return _result(
-        "distortion_chain_linear",
-        params,
         all(checks.values()),
         {
             "boundary_lipschitz": l_meas,
@@ -771,13 +745,12 @@ def _chk_chain_linear(ctx, params, rng):
     )
 
 
-def _chk_chain_local(ctx, params, rng):
-    m, n_balls, pts, n_pairs, c, slack = _chain_common(ctx, params, rng)
-    t0 = float(params.get("t0", 0.2))
-    c1_bi = estimate_relative(m, t0, n_balls=n_balls, pts_per_ball=pts, rng=rng,
+def _chk_chain_local(ctx, p, rng):
+    m, n_balls, pts, c, slack = _chain_common(ctx, p)
+    c1_bi = estimate_relative(m, p["t0"], n_balls=n_balls, pts_per_ball=pts, rng=rng,
                               bilateral=True).value
     c1_bi = max(c1_bi, 1.0)
-    led_34 = predicted_constants("relative_to_local_bilipschitz", {"c1": c1_bi, "t0": t0})
+    led_34 = predicted_constants("relative_to_local_bilipschitz", {"c1": c1_bi, "t0": p["t0"]})
     theta1 = led_34["theta1"]
 
     balls = sample_balls(m.source, theta1, n_balls, pts, rng)
@@ -797,8 +770,6 @@ def _chk_chain_local(ctx, params, rng):
         "lipschitz_le_predicted": l6_meas <= led_36["l"] * slack,
     }
     return _result(
-        "distortion_chain_local",
-        params,
         all(checks.values()),
         {
             "relative_slope_bilateral": c1_bi,
@@ -822,19 +793,19 @@ def _chk_chain_local(ctx, params, rng):
     )
 
 
-def _chk_qi_step(ctx, params, rng):
-    m, n_balls, pts, n_pairs, _, slack = _chain_common(ctx, params, rng)
-    q = float(params.get("q", 0.5))
+def _chk_qi_step(ctx, p, rng):
+    m, n_balls, pts, _, slack = _chain_common(ctx, p)
+    q = p["q"]
     eta_slope = max(estimate_local_quasisymmetry(m, q, n_balls=n_balls, pts_per_ball=pts,
                                                  rng=rng, bilateral=True).value, 1.0)
 
-    a_meas = max(_uniformity_a(side.domain, side.metric, params, rng)
+    a_meas = max(_uniformity_a(side.domain, side.metric, p, rng)
                  for side in (m.source, m.target))
 
     i, j = sample_qh_pairs(
-        m, n_pairs, rng,
-        clearance_h=float(params.get("clearance_h", 4.0)),
-        image_clearance_h=float(params.get("image_clearance_h", 8.0)),
+        m, p["pairs"] or min(ctx.defaults["pairs"], 4000), rng,
+        clearance_h=p["clearance_h"],
+        image_clearance_h=p["image_clearance_h"],
         min_qh=0.0,
     )
     # inject adjacent pairs so the small-scale gate is populated
@@ -849,8 +820,6 @@ def _chk_qi_step(ctx, params, rng):
         slack=slack,
     )
     return _result(
-        "qi_step_bound",
-        params,
         len(report.step_violations) == 0,
         {
             "additive_c": report.additive_c,
@@ -868,47 +837,44 @@ def _chk_qi_step(ctx, params, rng):
     )
 
 
-def _chk_quasimobius(ctx, params, rng):
-    m = ctx.mappings[params["mapping"]]
-    n_quad = int(params.get("quadruples", ctx.defaults["quadruples"]))
+def _chk_quasimobius(ctx, p, rng):
+    m = ctx.mappings[p["mapping"]]
+    n_quad = p["quadruples"]
     sep = 0.0
-    if "separation_frac" in params:
+    if p["separation_frac"] is not None:
         # stability studies run on a separated net: the bare linear
         # envelope diverges along degenerating quadruples for maps with
         # nonlinear distortion control
         diam = float(np.hypot(*(m.source.coords.max(axis=0) - m.source.coords.min(axis=0))))
-        sep = diam / float(params["separation_frac"])
-    pool = int(params.get("pool", 64))
-    if "stability_drift" in params:
+        sep = diam / p["separation_frac"]
+    if p["stability_drift"] is not None:
         # prefix study: the small sample is the head of the large one, so
         # the drift isolates genuine tail growth of the envelope
-        quad = sample_quadruples(m, 10 * n_quad, rng, pool_size=pool, min_separation=sep)
+        quad = sample_quadruples(m, 10 * n_quad, rng, pool_size=p["pool"], min_separation=sep)
         report = estimate_quasimobius(m, quadruples=quad[:n_quad])
         bigger = estimate_quasimobius(m, quadruples=quad)
     else:
         report = estimate_quasimobius(m, n_quadruples=n_quad, rng=rng,
-                                      pool_size=pool, min_separation=sep)
+                                      pool_size=p["pool"], min_separation=sep)
         bigger = None
     _require_samples(report.n_quadruples, "quadruples")
     measured = {"slope": report.slope, "n_quadruples": report.n_quadruples}
     predicted = {}
     passed = np.isfinite(report.slope)
-    if "max_slope" in params:
-        predicted["max_slope"] = float(params["max_slope"])
+    if p["max_slope"] is not None:
+        predicted["max_slope"] = p["max_slope"]
         passed = passed and report.slope <= predicted["max_slope"]
     if bigger is not None:
         drift = abs(bigger.slope - report.slope) / report.slope
         measured["slope_at_10x"] = bigger.slope
         measured["stability_drift"] = drift
-        predicted["max_stability_drift"] = float(params["stability_drift"])
+        predicted["max_stability_drift"] = p["stability_drift"]
         passed = passed and drift <= predicted["max_stability_drift"]
-    return _result("quasimobius_slope", params, passed, measured, predicted,
-                   skipped=report.n_skipped)
+    return _result(passed, measured, predicted, skipped=report.n_skipped)
 
 
-def _chk_global_qs(ctx, params, rng):
-    m = ctx.mappings[params["mapping"]]
-    slack = float(params.get("slack", ctx.slack))
+def _chk_global_qs(ctx, p, rng):
+    m = ctx.mappings[p["mapping"]]
     measured = {}
     notes = []
     if not (is_unbounded_truncation(m.source) or is_unbounded_truncation(m.target)):
@@ -926,8 +892,8 @@ def _chk_global_qs(ctx, params, rng):
             if is_unbounded_truncation(side):
                 gaps = np.hypot(side.domain.boundary_coords[:, 0],
                                 side.domain.boundary_coords[:, 1])
-                p = side.domain.boundary_coords[int(np.argmin(gaps))]
-                space = sphericalize(side.domain, p, max_points=1500, rng=rng)
+                p0 = side.domain.boundary_coords[int(np.argmin(gaps))]
+                space = sphericalize(side.domain, p0, max_points=1500, rng=rng)
                 pool = rng.permutation(space.n)[:48]
                 diam = float(space.metric_view().submatrix(pool).max())
                 depth = float(space.boundary_distance().max())
@@ -939,40 +905,66 @@ def _chk_global_qs(ctx, params, rng):
             c0 = max(c0, diam / depth)
         measured["c0"] = c0
         notes.append("unbounded side detected: hypotheses checked on the sphericalization")
-    a_meas = _uniformity_a(m.source.domain, m.source.metric, params, rng)
+    a_meas = _uniformity_a(m.source.domain, m.source.metric, p, rng)
     measured["uniformity_a"] = a_meas
-    bound = 4.0 * a_meas * slack
-    return _result(
-        "global_qs_hypotheses",
-        params,
-        c0 <= bound,
-        measured,
-        {"max_c0": bound},
-        notes=notes,
-    )
+    bound = 4.0 * a_meas * p["slack"]
+    return _result(c0 <= bound, measured, {"max_c0": bound}, notes=notes)
 
 
-# check id -> its function, the references it needs, and the tuple arity its pool must hold
+# the optional keys of every chain check, with their defaults
+_CHAIN = {"balls": "balls", "pts_per_ball": 8, "slack": "slack"}
+# check id -> its function, the references it needs, the tuple arity its pool must hold,
+# and its optional keys with their defaults: a string names a tolerance, None is no default
+# (the bound is off; the chain checks' pairs default to min(tolerances.pairs, 4000))
 _CHECKS = {
-    "metric_axioms": (_chk_metric_axioms, "space", 3),
-    "qh_calibration": (_chk_qh_calibration, "domain", 0),
-    "distance_vs_qh_bounds": (_chk_distance_vs_qh_bounds, "domain", 0),
-    "ball_containment": (_chk_ball_containment, "domain", 0),
-    "gromov_basepoint_identity": (_chk_basepoint_identity, "space", 6),
-    "delta_hyperbolicity": (_chk_delta, "space", 4),
-    "uniformity": (_chk_uniformity, "domain", 0),
-    "rough_starlikeness": (_chk_starlikeness, "domain", 0),
-    "deformed_diameter": (_chk_deformed_diameter, "deformation", 0),
-    "deformation_comparability": (_chk_comparability, "deformation", 0),
-    "basepoint_change": (_chk_basepoint_change, "deformation0 deformation1", 0),
-    "sphericalization_envelope": (_chk_spher_envelope, "deformation", 0),
-    "sphericalization_distortion": (_chk_spher_distortion, "deformation", 4),
-    "distortion_chain_linear": (_chk_chain_linear, "mapping", 0),
-    "distortion_chain_local": (_chk_chain_local, "mapping", 0),
-    "qi_step_bound": (_chk_qi_step, "mapping", 0),
-    "quasimobius_slope": (_chk_quasimobius, "mapping", 4),
-    "global_qs_hypotheses": (_chk_global_qs, "mapping", 0),
+    "metric_axioms": (_chk_metric_axioms, "space", 3, {"triples": "pairs", "pool": 96}),
+    "qh_calibration": (_chk_qh_calibration, "domain", 0,
+                       {"segments": (), "tol": 0.02, "truncation_sensitivity": False}),
+    "distance_vs_qh_bounds": (_chk_distance_vs_qh_bounds, "domain", 0,
+                              {"pairs": "pairs", "slack": "slack"}),
+    "ball_containment": (_chk_ball_containment, "domain", 0,
+                         {"centers": 100, "slack": 1.0, "expect_violation": False}),
+    "gromov_basepoint_identity": (_chk_basepoint_identity, "space", 6,
+                                  {"tuples": 100_000, "pool": 64}),
+    "delta_hyperbolicity": (_chk_delta, "space", 4, {"quadruples": "pairs", "pool": 64,
+                                                     "exhaustive": False, "max_delta": None}),
+    "uniformity": (_chk_uniformity, "domain", 0, {"pairs": 200, "sources": 24, "max_a": None}),
+    "rough_starlikeness": (_chk_starlikeness, "domain", 0,
+                           {"base_point": None, "max_rays": 256, "max_k": None}),
+    "deformed_diameter": (_chk_deformed_diameter, "deformation", 0, {"slack": "slack"}),
+    "deformation_comparability": (_chk_comparability, "deformation", 0,
+                                  {"pairs": "quadruples"}),
+    "basepoint_change": (_chk_basepoint_change, "deformation0 deformation1", 0,
+                         {"quadruples": "quadruples"}),
+    "sphericalization_envelope": (_chk_spher_envelope, "deformation", 0,
+                                  {"pairs": "quadruples", "sources": 48}),
+    "sphericalization_distortion": (_chk_spher_distortion, "deformation", 4, {
+        "quadruples": "quadruples", "pool": 64, "pairs": "quadruples", "sources": 20,
+        "uniformity_pairs": 160, "slack": "slack"}),
+    "distortion_chain_linear": (_chk_chain_linear, "mapping", 0, {
+        **_CHAIN, "pairs": None, "lam": 0.2, "clearance_h": 4.0, "image_clearance_h": 12.0,
+        "min_qh": 2.0}),
+    "distortion_chain_local": (_chk_chain_local, "mapping", 0, {**_CHAIN, "t0": 0.2}),
+    "qi_step_bound": (_chk_qi_step, "mapping", 0, {
+        **_CHAIN, "pairs": None, "q": 0.5, "clearance_h": 4.0, "image_clearance_h": 8.0,
+        "uniformity_pairs": 160, "sources": 20}),
+    "quasimobius_slope": (_chk_quasimobius, "mapping", 4, {
+        "quadruples": "quadruples", "pool": 64, "separation_frac": None,
+        "stability_drift": None, "max_slope": None}),
+    "global_qs_hypotheses": (_chk_global_qs, "mapping", 0,
+                             {"uniformity_pairs": 160, "sources": 20, "slack": "slack"}),
 }
+
+
+def _resolve(ctx, cid, params):
+    """A check's parameters as its function reads them: each optional key given or defaulted,
+    and coerced as its kind says."""
+    resolved = dict(params)
+    for key, default in _CHECKS[cid][3].items():
+        value = params.get(key, ctx.defaults[default] if isinstance(default, str) else default)
+        coerce = _KINDS[key][1]
+        resolved[key] = value if value is None or coerce is None else coerce(value)
+    return resolved
 
 
 # ---------------------------------------------------------------------------
@@ -999,11 +991,12 @@ def run_scenario(
     def run_one(idx_chk):
         idx, chk = idx_chk
         rng = np.random.default_rng(streams[idx])
-        params = {k: v for k, v in chk.items() if k != "check"}
+        cid, params = chk["check"], {k: v for k, v in chk.items() if k != "check"}
         try:
-            return _CHECKS[chk["check"]][0](ctx, params, rng)
+            result = _CHECKS[cid][0](ctx, _resolve(ctx, cid, params), rng)
         except ConfigurationError as exc:
-            return _result(chk["check"], params, False, {}, notes=[f"infeasible: {exc}"])
+            result = _result(False, {}, notes=[f"infeasible: {exc}"])
+        return {"check": cid, "params": params, **result}
 
     if jobs > 1 and len(checks) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

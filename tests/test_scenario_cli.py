@@ -37,9 +37,29 @@ def tiny_scenario(**overrides):
 
 
 # the references each check id reads, and a valid value of each in a tiny scenario
-REFERENCES = {cid: refs.split() for cid, (_, refs, _) in scenario._CHECKS.items()}
+REFERENCES = {cid: refs.split() for cid, (_, refs, _, _) in scenario._CHECKS.items()}
 REFERENCE_VALUES = {"space": "qh:disk", "domain": "disk", "mapping": "auto",
                     "deformation": "u", "deformation0": "u", "deformation1": "u"}
+# the optional keys of each check id, and the first check id that reads each key
+OPTIONAL = {cid: list(entry[3]) for cid, entry in scenario._CHECKS.items()}
+READER = {key: cid for cid, keys in reversed(OPTIONAL.items()) for key in keys}
+
+
+def one_check_scenario(check, **keys):
+    """A tiny scenario whose one check is ``check``, with its references and ``keys``."""
+    return tiny_scenario(deformations=[{"name": "u", "domain": "disk", "kind": "uniformize",
+                                        "base_point": 0}],
+                         mappings=[{"name": "auto", "map": "disk_automorphism",
+                                    "source": "disk", "target": "disk"}],
+                         checks=[{"check": check, **keys,
+                                  **{k: REFERENCE_VALUES[k] for k in REFERENCES[check]}}])
+
+
+def exit_code_and_error(tmp_path, capsys, raw):
+    """``qhgeo run`` on ``raw``: its exit code and what it wrote to stderr."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))  # writes NaN and Infinity, which json.load accepts
+    return main(["run", "--scenario", str(path)]), capsys.readouterr().err
 
 
 class TestValidation:
@@ -86,14 +106,9 @@ class TestValidation:
     @pytest.mark.parametrize("check, key", [(c, k) for c, keys in sorted(REFERENCES.items())
                                             for k in keys])
     def test_missing_reference_names_field(self, check, key):
-        chk = {"check": check, **{k: REFERENCE_VALUES[k] for k in REFERENCES[check]}}
-        raw = tiny_scenario(deformations=[{"name": "u", "domain": "disk", "kind": "uniformize",
-                                           "base_point": 0}],
-                            mappings=[{"name": "auto", "map": "disk_automorphism",
-                                       "source": "disk", "target": "disk"}],
-                            checks=[chk])
+        raw = one_check_scenario(check)
         validate_scenario(raw)
-        del chk[key]
+        del raw["checks"][0][key]
         with pytest.raises(ConfigurationError, match=rf"^checks\[0\]\.{key}: missing$"):
             validate_scenario(raw)
 
@@ -106,7 +121,7 @@ class TestSampleSizeValidation:
          ("quadruples", -1), ("uniformity_pairs", 0), ("max_rays", 0), ("max_rays", 2.5)],
     )
     def test_non_positive_or_non_integer_size_names_field(self, key, value):
-        raw = tiny_scenario(checks=[{"check": "metric_axioms", "space": "qh:disk", key: value}])
+        raw = one_check_scenario(READER[key], **{key: value})
         with pytest.raises(ConfigurationError, match=rf"checks\[0\]\.{key}: must be a positive"):
             validate_scenario(raw)
 
@@ -128,7 +143,7 @@ class TestSampleSizeValidation:
          ("min_qh", "x", "must be a number")],
     )
     def test_bad_check_number_names_field(self, key, value, message):
-        raw = tiny_scenario(checks=[{"check": "metric_axioms", "space": "qh:disk", key: value}])
+        raw = one_check_scenario(READER[key], **{key: value})
         with pytest.raises(ConfigurationError, match=rf"checks\[0\]\.{key}: {message}"):
             validate_scenario(raw)
 
@@ -325,6 +340,145 @@ class TestSampleSizeValidation:
         assert "domains[0]." + message in capsys.readouterr().err
 
 
+# a value of the wrong kind for each way a check receives a key (None: as given)
+WRONG_KIND = {int: 2.5, float: "x", bool: "false", None: "x"}
+
+
+class TestParameterTable:
+    @pytest.mark.parametrize("check, key", [(c, k) for c, keys in sorted(OPTIONAL.items())
+                                            for k in keys])
+    def test_wrong_kind_exits_two_naming_field(self, tmp_path, capsys, check, key):
+        validate_scenario(one_check_scenario(check))
+        raw = one_check_scenario(check, **{key: WRONG_KIND[scenario._KINDS[key][1]]})
+        code, err = exit_code_and_error(tmp_path, capsys, raw)
+        assert code == 2 and f"checks[0].{key}: must be" in err
+
+    @pytest.mark.parametrize("check", sorted(OPTIONAL))
+    def test_unknown_key_exits_two_naming_field(self, tmp_path, capsys, check):
+        # a misspelt key used to run the check on its default silently
+        code, err = exit_code_and_error(tmp_path, capsys, one_check_scenario(check, centres=5))
+        assert code == 2 and "checks[0].centres: unknown key" in err
+
+    @pytest.mark.parametrize("check, key", [(c, k) for c, keys in sorted(OPTIONAL.items())
+                                            for k in keys])
+    def test_default_is_a_tolerance_or_of_its_kind(self, check, key):
+        default = scenario._CHECKS[check][3][key]
+        if isinstance(default, str):
+            assert default in scenario.DEFAULTS
+        elif default is not None and scenario._KINDS[key][1] is not None:
+            scenario._KINDS[key][0](default, key)
+            assert scenario._KINDS[key][1](default) == default
+
+    def test_resolved_parameters_are_coerced_defaults(self):
+        ctx = ScenarioContext(tiny_scenario(checks=[], tolerances={"pairs": 300, "slack": 2}))
+        p = scenario._resolve(ctx, "distortion_chain_linear",
+                              {"mapping": "m", "lam": 1, "balls": 7, "clearance_h": 3})
+        assert p == {"mapping": "m", "lam": 1.0, "balls": 7, "clearance_h": 3.0,
+                     "pts_per_ball": 8, "slack": 2.0, "pairs": None,
+                     "image_clearance_h": 12.0, "min_qh": 2.0}
+        assert type(p["lam"]) is float and type(p["slack"]) is float
+        assert scenario._resolve(ctx, "metric_axioms", {"space": "qh:disk"})["triples"] == 300
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"comment": "x"}, "comment: unknown key"),
+        ({"tolerances": {"pair": 5}}, "tolerances.pair: unknown key"),
+        ({"tolerances": {"chain_points": 0}}, "tolerances.chain_points: must be a positive"),
+        ({"domains": [{"name": "disk", "shape": {"kind": "disk", "resolution": 0.1},
+                       "resolution": 0.1}]}, "domains[0].resolution: unknown key"),
+        ({"domains": [{"name": "p", "graph": {"vertices": [[0, 0]], "edges": [],
+                                              "boundary": [[1, 0]], "weights": []}}]},
+         "domains[0].graph.weights: unknown key"),
+        ({"deformations": [{"name": "u", "domain": "disk", "kind": "uniformize",
+                            "base_point": 0, "eps": 0.2}]}, "deformations[0].eps: unknown key"),
+        ({"mappings": [{"name": "m", "map": "identity", "source": "disk", "target": "disk",
+                        "param": {}}]}, "mappings[0].param: unknown key"),
+    ], ids=["top", "tolerances", "chain-points", "domain", "graph", "deformation", "mapping"])
+    def test_unknown_key_of_every_object_exits_two(self, tmp_path, capsys, overrides, message):
+        code, err = exit_code_and_error(tmp_path, capsys, tiny_scenario(**overrides))
+        assert code == 2 and message in err
+
+    @pytest.mark.parametrize("check, keys, message", [
+        # each of these exited 1 with a KeyError, TypeError or ValueError traceback
+        ("qh_calibration", {"segments": [{"x": [0.0, 0.0]}]}, "checks[0].segments[0].y: missing"),
+        ("qh_calibration", {"segments": "abc"}, "checks[0].segments: must be a list"),
+        ("qh_calibration", {"segments": [{"x": [0, "a"], "y": [0.5, 0.0]}]},
+         "checks[0].segments[0].x: must be a number"),
+        ("qh_calibration", {"segments": [{"x": [0.0, 0.0], "y": [0.5, 0.0], "z": 1}]},
+         "checks[0].segments[0].z: unknown key"),
+        ("rough_starlikeness", {"base_point": "x"}, "checks[0].base_point: must be two numbers"),
+        ("rough_starlikeness", {"base_point": [0.0, math.nan]},
+         "checks[0].base_point: must be a finite number"),
+        # a string flag was truthy: "false" turned the check into an expected violation
+        ("ball_containment", {"expect_violation": "false"},
+         "checks[0].expect_violation: must be true or false"),
+        ("qh_calibration", {"truncation_sensitivity": 1},
+         "checks[0].truncation_sensitivity: must be true or false"),
+        ("delta_hyperbolicity", {"exhaustive": None},
+         "checks[0].exhaustive: must be true or false"),
+    ])
+    def test_unvalidated_check_values_exit_two(self, tmp_path, capsys, check, keys, message):
+        code, err = exit_code_and_error(tmp_path, capsys, one_check_scenario(check, **keys))
+        assert code == 2 and message in err
+
+    def test_good_segments_and_base_point_accepted(self):
+        validate_scenario(one_check_scenario("qh_calibration", segments=[
+            {"x": [0.0, 0.0], "y": [0.5, 0]}], truncation_sensitivity=False))
+        validate_scenario(one_check_scenario("rough_starlikeness", base_point=[0, 0.25]))
+
+
+class TestMappingValidation:
+    def mapping_scenario(self, *mappings):
+        return tiny_scenario(
+            domains=[{"name": "disk", "shape": {"kind": "disk", "params": {"radius": 1.0},
+                                                "resolution": 0.1}}],
+            mappings=[{"source": "disk", "target": "disk", **m} for m in mappings],
+            checks=[{"check": "quasimobius_slope", "mapping": "m", "quadruples": 50}])
+
+    def test_duplicate_name_exits_two(self, tmp_path, capsys):
+        # the second mapping used to replace the first silently, and the run exited 0
+        raw = self.mapping_scenario({"name": "m", "map": "identity"},
+                                    {"name": "m", "map": "disk_automorphism",
+                                     "params": {"a": [0.5, 0.0]}})
+        code, err = exit_code_and_error(tmp_path, capsys, raw)
+        assert code == 2 and "mappings[1].name: duplicate name 'm'" in err
+
+    @pytest.mark.parametrize("mapping, message", [
+        ({"map": "warp"}, "mappings[0].map: unknown builtin map id 'warp'"),
+        ({"map": ["identity"]}, "mappings[0].map: must be a string"),
+        # exited 1 with an AttributeError and a ValueError traceback
+        ({"map": "disk_automorphism", "params": [1]}, "mappings[0].params: must be an object"),
+        ({"map": "disk_automorphism", "params": {"a": "x"}},
+         "mappings[0].params.a: must be a number"),
+        ({"map": "disk_automorphism", "params": {"b": 0.5}},
+         "mappings[0].params.b: unknown key; expected one of a"),
+        ({"map": "disk_automorphism", "params": {"a": [0.5]}},
+         "mappings[0].params.a: must be a number or [re, im]"),
+        ({"map": "mobius", "params": {"c": [0.5, math.inf]}},
+         "mappings[0].params.c: must be a finite number"),
+        ({"map": "power", "params": {"alpha": [2.0, 0.0]}},
+         "mappings[0].params.alpha: must be a number"),
+        ({"map": "similarity", "params": {"scale": math.nan}},
+         "mappings[0].params.scale: must be a finite number"),
+        ({"map": "identity", "params": {"scale": 2.0}}, "mappings[0].params.scale: unknown key"),
+    ])
+    def test_bad_map_or_params_exit_two_before_building(self, tmp_path, capsys, mapping,
+                                                        message):
+        raw = self.mapping_scenario({"name": "m", **mapping})
+        with pytest.raises(ConfigurationError) as exc:
+            validate_scenario(raw)  # validation builds no domain
+        assert message in str(exc.value)
+        code, err = exit_code_and_error(tmp_path, capsys, raw)
+        assert code == 2 and message in err
+
+    @pytest.mark.parametrize("map_id, params", [
+        ("identity", {}), ("similarity", {"scale": 2, "offset": [0.5, -1.0]}),
+        ("similarity", {"offset": 0.5}), ("disk_automorphism", {"a": 0.25}),
+        ("power", {"alpha": 1.5}), ("mobius", {"a": [1, 0], "b": 0, "c": [0, 0], "d": 1}),
+    ])
+    def test_good_params_accepted(self, map_id, params):
+        validate_scenario(self.mapping_scenario({"name": "m", "map": map_id, "params": params}))
+
+
 # check id -> parameters that draw an empty sample (validation would reject most of
 # them; the checks are called directly so that the guard behind it is tested too)
 EMPTY_SAMPLE_CASES = {
@@ -356,7 +510,8 @@ class TestEmptySamples:
     def test_empty_sample_is_infeasible(self, empty_sample_ctx, check):
         rng = np.random.default_rng(1)
         with pytest.raises(ConfigurationError, match="empty sample"):
-            scenario._CHECKS[check][0](empty_sample_ctx, EMPTY_SAMPLE_CASES[check], rng)
+            params = scenario._resolve(empty_sample_ctx, check, EMPTY_SAMPLE_CASES[check])
+            scenario._CHECKS[check][0](empty_sample_ctx, params, rng)
 
     @pytest.mark.parametrize("check, n_vertices", [("metric_axioms", 2),
                                                    ("delta_hyperbolicity", 3)])

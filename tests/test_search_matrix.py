@@ -161,6 +161,13 @@ class TestBoundaryCases:
             expected = d.graph.search_matrix(w)
         assert_same_csr(d.graph.search_matrix(w), expected)
 
+    def test_two_step_reads_stay_within_the_forward_halo(self):
+        # _dominated_edges fills h = 4 rows after a band and h columns either side of it, and
+        # no row before it for these paths
+        reads = [at for paths in metric_core._TWO_STEP for path in paths for _, at in path]
+        assert all(0 <= row <= 4 and -4 <= col <= 4 for row, col in reads)
+        assert min(row for row, _ in reads) == 0
+
     def test_bands_do_not_change_the_mask(self, disk_mid):
         d, k = disk_mid
         with mock.patch.object(views, "_ROW_BLOCK_BYTES", 1):  # one lattice row a band
