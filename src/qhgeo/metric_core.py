@@ -156,9 +156,9 @@ class LengthGraph:
         ``fl(fl(D_u + a) + b) <= (D_u + a + b)(1 + 2^-53)^2 < fl(D_u + w)`` for a + b + tau < w.
         A search finds the least left-to-right float sum over paths, and float addition is
         monotone, so ``D_v <= fl(fl(D_u + a) + b)``: the arc never sets a distance.  And ``D_u +
-        w - D_v > tau - 4e-16 (X + w) > 1e-12 (1 + D_v)``, so ``QuasihyperbolicMetric.
-        _predecessor`` never takes it.  The layout is shared (symmetric, sorted, the memory of
-        ``reweighted``); an imported graph has no lattice and gets ``reweighted(weights)``.
+        w - D_v > tau - 4e-16 (X + w) > 1e-12 (1 + D_v)``, so ``QuasihyperbolicMetric.geodesics``
+        never walks it.  The layout is shared (symmetric, sorted, the memory of ``reweighted``);
+        an imported graph has no lattice and gets ``reweighted(weights)``.
         """
         weights = np.asarray(weights, float)
         if self._lattice is None or not len(weights):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InternalError
 from .metric_core import DomainSample
-from .views import GraphView
+from .views import GraphView, rows_per_block
 
 
 class QuasihyperbolicMetric:
@@ -47,53 +47,49 @@ class QuasihyperbolicMetric:
     def distance(self, i: int, j: int) -> float:
         return float(self._view.pairs([i], [j])[0])
 
-    def _predecessor(self, dist: np.ndarray, v: int) -> int:
-        """Lowest-index predecessor of ``v`` on some shortest path, given the source's row.
-
-        Determinism contract: among all neighbors u realizing
-        dist[u] + w(u,v) == dist[v] (within float tolerance), the lowest
-        vertex index wins; ``n`` if there is none.  The entries of CSR row v
-        are the arcs u -> v (the matrix is symmetric and holds each edge
-        weight once per direction).
-        """
-        m = self.matrix
-        lo, hi = m.indptr[v], m.indptr[v + 1]
-        u, dv = m.indices[lo:hi], dist[v]
-        du = dist[u]
-        on_path = (np.abs(du + m.data[lo:hi] - dv) <= 1e-12 * (1.0 + dv)) & (du < dv)
-        return int(u[on_path].min()) if on_path.any() else self.n
-
     def geodesics(self, i, j) -> list[np.ndarray]:
         """Vertex paths from i[a] to j[a] realizing the quasihyperbolic distance.
 
-        One row per distinct source of the call with i != j; the walks back
-        from each target find the predecessors of the vertices they visit
-        only, each once per source.  Nothing is kept between calls, so a
-        caller asks for all its paths at once.
+        The distinct sources with i != j get their rows from ``rows``,
+        ``rows_per_block(n)`` to a call, and the walks of those sources run back
+        from their targets in lockstep.  A step gathers the CSR arcs u -> v of
+        each walker's vertex v (the matrix is symmetric and holds each edge weight
+        once per direction) and moves to the lowest u with ``|du + w - dv| <=
+        1e-12 (1 + dv)`` and ``du < dv``, so a walk strictly nears its source.
+        Nothing is kept between calls, so a caller asks for all its paths at once.
         """
-        i = np.asarray(i, dtype=np.intp).tolist()
-        j = np.asarray(j, dtype=np.intp).tolist()
-        by_source: dict[int, list[int]] = {}
-        for a, s in enumerate(i):
-            by_source.setdefault(s, []).append(a)
-        paths = [None] * len(i)
-        for s, queries in by_source.items():
-            dist = self.rows([s])[0] if any(j[a] != s for a in queries) else None
-            pred: dict[int, int] = {}
-            for a in queries:
-                path = [j[a]]  # read backwards from the target
-                while path[-1] != s:
-                    v = path[-1]
-                    if v not in pred:
-                        pred[v] = self._predecessor(dist, v)
-                    if pred[v] == self.n:
-                        raise InternalError(
-                            "geodesic walk found no predecessor; distances inconsistent")
-                    if len(path) > self.n:
-                        raise InternalError("geodesic walk failed to terminate")
-                    path.append(pred[v])
-                paths[a] = np.asarray(path[::-1], dtype=np.intp)
-        return paths
+        i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+        m, n = self.matrix, self.n
+        walk = np.flatnonzero(i != j)
+        sources, chunk = np.unique(i[walk]), rows_per_block(n)
+        steps = [(np.arange(len(i)), j)]  # (walkers, their vertices) of every step, from j
+        for a in range(0, len(sources), chunk):
+            block = sources[a:a + chunk]
+            dist = self.rows(block)
+            w = walk[np.isin(i[walk], block)]
+            r, v = np.searchsorted(block, i[w]), j[w]
+            for _ in range(n):
+                if not len(w):
+                    break
+                lo, count = m.indptr[v], m.indptr[v + 1] - m.indptr[v]
+                start = np.cumsum(count) - count  # walker b's arcs are arcs[start[b]:][:count[b]]
+                arcs = np.arange(count.sum()) + np.repeat(lo - start, count)
+                u, dv = m.indices[arcs], np.repeat(dist[r, v], count)
+                du = dist[np.repeat(r, count), u]
+                on_path = (np.abs(du + m.data[arcs] - dv) <= 1e-12 * (1.0 + dv)) & (du < dv)
+                v = np.minimum.reduceat(np.where(on_path, u, n), start)
+                if np.any(v == n):
+                    raise InternalError(
+                        "geodesic walk found no predecessor; distances inconsistent")
+                steps.append((w, v))
+                go = v != i[w]
+                w, r, v = w[go], r[go], v[go]
+            if len(w):
+                raise InternalError("geodesic walk failed to terminate")
+        # each walker's steps, last first: the path from its source to its target
+        who, at = (np.concatenate(column)[::-1] for column in zip(*steps))
+        ends = np.cumsum(np.bincount(who, minlength=len(i)))
+        return np.split(at[np.argsort(who, kind="stable")], ends[:-1]) if len(i) else []
 
     def geodesic(self, i: int, j: int) -> np.ndarray:
         """Vertex path from i to j realizing the quasihyperbolic distance."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -18,15 +19,12 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-SHAPE_KINDS = (
-    "disk",
-    "annulus",
-    "square",
-    "L-shape",
-    "half-plane-truncation",
-    "punctured-plane-truncation",
-    "custom-polygon",
-)
+# the parameters that each shape kind reads
+SHAPE_PARAMS = {"disk": ("radius", "center"), "annulus": ("inner_radius", "outer_radius"),
+                "square": ("side",), "L-shape": ("arm_width", "arm_length"),
+                "half-plane-truncation": ("radius",), "punctured-plane-truncation": ("radius",),
+                "custom-polygon": ("vertices",)}
+SHAPE_KINDS = tuple(SHAPE_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -54,25 +52,38 @@ class ShapeSpec:
         return {"kind": self.kind, "params": dict(self.params), "resolution": self.resolution}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ShapeSpec":
+    def from_json(cls, obj: dict, path: str = "shape") -> "ShapeSpec":
+        """The spec that ``obj`` describes; a fault raises naming ``path`` or the key at fault."""
         if not isinstance(obj, dict):
-            raise ConfigurationError("shape spec must be a JSON object")
+            raise ConfigurationError(f"{path}: shape spec must be a JSON object")
         for key in ("kind", "resolution"):
             if key not in obj:
-                raise ConfigurationError(f"shape spec missing field {key!r}")
+                raise ConfigurationError(f"{path}: shape spec missing field {key!r}")
         params = obj.get("params", {})
         if not isinstance(params, dict):
-            raise ConfigurationError("shape spec field 'params' must be a JSON object")
-        return cls(obj["kind"], dict(params), _finite(obj["resolution"], "resolution"))
+            raise ConfigurationError(f"{path}: shape spec field 'params' must be a JSON object")
+        try:
+            spec = cls(obj["kind"], dict(params), _finite(obj["resolution"], "resolution"))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
+        for key, at, known in [*((k, path, ("kind", "params", "resolution")) for k in obj),
+                               *((k, f"{path}.params", SHAPE_PARAMS[spec.kind]) for k in params)]:
+            if key not in known:
+                raise ConfigurationError(f"{at}.{key}: unknown key; expected one of "
+                                         + ", ".join(known))
+        return spec
 
     def __str__(self) -> str:
         return json.dumps(self.to_json())
 
 
 def _finite(value, label):
+    """``value`` as a finite float; a string or a boolean is no number (numpy scalars are)."""
     try:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError
         value = float(value)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, OverflowError):
         raise ConfigurationError(f"{label} must be a number") from None
     if not math.isfinite(value):
         raise ConfigurationError(f"{label} must be a finite number")

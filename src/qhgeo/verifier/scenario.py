@@ -55,7 +55,7 @@ from ..metric_core import (
 )
 from ..quasihyperbolic import QuasihyperbolicMetric, estimate_uniformity, verify_qh_distance_bounds
 from ..sampling import check_metric_axioms, pair_sample, pool_indices, tuple_sample_from_pool
-from ..shapes import ShapeSpec
+from ..shapes import ShapeSpec, _finite
 from ..views import EuclideanView
 from .builtin_maps import MAP_PARAMS, builtin_mapping
 from .constants import predicted_constants
@@ -79,12 +79,7 @@ def _fail(path: str, message: str):
 
 
 def _check_range(value, path, low=None, high=None, open_low=False, open_high=False):
-    try:
-        value = float(value)
-    except (TypeError, ValueError, OverflowError):
-        _fail(path, "must be a number")
-    if not np.isfinite(value):
-        _fail(path, "must be a finite number")   # an infinite slack or bound passes any check
+    value = _finite(value, f"{path}:")  # an infinite slack or bound would pass any check
     if low is not None and (value <= low if open_low else value < low):
         _fail(path, f"must be {'>' if open_low else '>='} {low}")
     if high is not None and (value >= high if open_high else value > high):
@@ -230,7 +225,7 @@ def validate_scenario(raw: dict) -> dict:
     _check_keys(raw, "", *_KEYS["scenario"])
     if raw.get("schema") != SCHEMA_VERSION:
         _fail("schema", f"must be {SCHEMA_VERSION}")
-    if "seed" not in raw or not isinstance(raw["seed"], int):
+    if isinstance(raw.get("seed"), bool) or not isinstance(raw.get("seed"), int):
         _fail("seed", "must be present and an integer (determinism contract)")
     domains = raw.get("domains", [])
     if not isinstance(domains, list) or not domains:
@@ -246,7 +241,7 @@ def validate_scenario(raw: dict) -> dict:
         if ("shape" in dom) == ("graph" in dom):
             _fail(path, "needs exactly one of 'shape' or 'graph'")
         if "shape" in dom:
-            ShapeSpec.from_json(dom["shape"])
+            ShapeSpec.from_json(dom["shape"], f"{path}.shape")
         else:
             _check_graph(dom["graph"], path + ".graph")
     def_names = set()
@@ -260,7 +255,9 @@ def validate_scenario(raw: dict) -> dict:
         def_names.add(d["name"])
         if d["kind"] not in ("uniformize", "sphericalize"):
             _fail(f"{path}.kind", "must be 'uniformize' or 'sphericalize'")
-        if d["kind"] == "uniformize" and "epsilon" in d:
+        if "epsilon" in d and d["kind"] != "uniformize":
+            _fail(f"{path}.epsilon", "applies only to a 'uniformize' deformation")
+        if "epsilon" in d:
             _check_range(d["epsilon"], f"{path}.epsilon", 0.0, 1.0, True, True)
         base, uniform = d["base_point"], d["kind"] == "uniformize"
         if not (uniform and type(base) is int and base >= 0):

@@ -14,11 +14,11 @@ A pair query reads the cached row of its source where there is one.
 Every other query is bounded by the least of the edge i-j, the lightest path
 i-m-j (sparse row intersections), and the landmark bound
 ``k(i, j) <= k(i, L) + k(L, j)`` over the cached rows L (ALT-style pruning,
-Goldberg & Harrelson, SODA 2005).  Sources whose limits lie within a factor
-of 2 (one binary exponent) share one limited search per chunk of about
-1 MiB of rows; a chunk answers its pairs and is dropped; evicted rows are
-freed.  Every search runs ``directed=True`` on a symmetric matrix, which
-gives the same floats as an undirected run at about half the cost.  Arcs of
+Goldberg & Harrelson, SODA 2005).  Sources are taken in the order of their
+limits, about 1 MiB of rows to one search at the chunk's largest limit; a
+chunk answers its pairs and is dropped; evicted rows are freed.  Every
+search runs ``directed=True`` on a symmetric matrix, which gives the same
+floats as an undirected run at about half the cost.  Arcs of
 ``LengthGraph.search_matrix`` that no shortest path uses weigh ``inf``.
 
 ``DenseChainView`` starts a row as the quasimetric row, a metric by Ptolemy's inequality,
@@ -222,11 +222,10 @@ class GraphView(MetricView):
         ``k(i, L) + k(L, j)`` over the cached rows L.  The source's limit is
         the largest bound of its queries, padded by 1e-9.  The call then drops
         its references to cached rows, before any search, so a row that the
-        searches evict is freed.  Sources whose limits share a binary exponent
-        (a band: limits within a factor of 2) are searched together,
+        searches evict is freed.  The sources are sorted by limit and searched
         ``rows_per_block(n)`` rows (about ``_ROW_BLOCK_BYTES``) to a ``rows``
-        call at their largest limit; each chunk answers its queries and is
-        dropped, and ``rows`` caches a row only as a search at its own limit
+        call at the chunk's largest limit; each chunk answers its queries and
+        is dropped, and ``rows`` caches a row only as a search at its own limit
         would.  A source whose row still misses a target gets a full row.
         With no row cached yet, the most-queried source's full row is
         computed first to serve as the landmark.
@@ -251,7 +250,6 @@ class GraphView(MetricView):
         for k in np.flatnonzero(cached):
             q = by_source[start[k]:start[k + 1]]
             out[q] = held[k][j[q]]
-        todo = np.flatnonzero(~cached)
         ask = ~cached[inverse]
         qi, qj = i[ask], j[ask]
         bound = self._hop_bounds(qi, qj)
@@ -262,18 +260,16 @@ class GraphView(MetricView):
         np.maximum.at(limits, inverse[ask], bound)
         limits *= 1.0 + _BOUND_PAD
         chunk = rows_per_block(self.n)
-        band = np.frexp(limits[todo])[1]
-        for e in np.unique(band):
-            members = todo[band == e]
-            for a in range(0, len(members), chunk):
-                ks = members[a:a + chunk]
-                block = self.rows(sources[ks], limit=limits[ks])
-                for r, k in enumerate(ks.tolist()):
-                    q = by_source[start[k]:start[k + 1]]
-                    got = block[r, j[q]]
-                    if not np.all(np.isfinite(got)):
-                        got = self.rows([sources[k]])[0][j[q]]
-                    out[q] = got
+        todo = np.flatnonzero(~cached)[np.argsort(limits[~cached], kind="stable")]
+        for a in range(0, len(todo), chunk):
+            ks = todo[a:a + chunk]
+            block = self.rows(sources[ks], limit=limits[ks])
+            for r, k in enumerate(ks.tolist()):
+                q = by_source[start[k]:start[k + 1]]
+                got = block[r, j[q]]
+                if not np.all(np.isfinite(got)):
+                    got = self.rows([sources[k]])[0][j[q]]
+                out[q] = got
         return out
 
     def submatrix(self, idx) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qhgeo import (
     domain_from_length_graph,
     estimate_uniformity,
     verify_qh_distance_bounds,
+    views,
 )
 from qhgeo.sampling import check_metric_axioms, pair_sample
 from qhgeo.views import GraphView
@@ -74,12 +76,11 @@ def reference_predecessors(k, source):
     return pred
 
 
-def walk_predecessors(k, source):
-    """``_predecessor`` at every vertex, as a geodesic walk would ask for it."""
-    dist = k.rows([source])[0]
-    pred = np.array([k._predecessor(dist, v) for v in range(k.n)], dtype=np.intp)
-    pred[source] = source
-    return pred
+def assert_walks_from(k, source, pred):
+    """The geodesics from ``source`` to every vertex are the walks over ``pred``."""
+    every = np.arange(k.n)
+    for b, path in zip(every.tolist(), k.geodesics(np.full(k.n, source), every)):
+        assert np.array_equal(path, reference_walk(pred, source, b))
 
 
 def reference_walk(pred, a, b):
@@ -238,13 +239,48 @@ class TestGeodesics:
         k = QuasihyperbolicMetric(d)
         assert np.array_equal(k.edge_weights, np.round(k.edge_weights))
         for source in range(d.n):
-            assert np.array_equal(walk_predecessors(k, source), reference_predecessors(k, source))
+            assert_walks_from(k, source, reference_predecessors(k, source))
 
     def test_predecessors_on_grid_equal_edge_list_reference(self, disk_coarse):
         d, k = disk_coarse
         for source in (0, d.n // 2, d.n - 1):
-            assert np.array_equal(walk_predecessors(QuasihyperbolicMetric(d), source),
-                                  reference_predecessors(k, source))
+            assert_walks_from(QuasihyperbolicMetric(d), source, reference_predecessors(k, source))
+
+    @given(length_graph_domains(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_sources_across_row_blocks_walk_reference_predecessors(self, d, data):
+        # a block of one to three rows: one call's sources span several rows calls
+        k = QuasihyperbolicMetric(d)
+        index = st.integers(0, d.n - 1)
+        pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=30))
+        i, j = (np.array(c, dtype=np.intp) for c in zip(*pairs))
+        preds = {a: reference_predecessors(k, a) for a in set(i.tolist())}
+        with mock.patch.object(views, "_ROW_BLOCK_BYTES", 8 * d.n * data.draw(st.integers(1, 3))):
+            paths = k.geodesics(i, j)
+        assert len(paths) == len(i)
+        for a, b, path in zip(i.tolist(), j.tolist(), paths):
+            assert np.array_equal(path, reference_walk(preds[a], a, b))
+
+    @pytest.mark.parametrize("per_block", [1, 3, 64])
+    def test_one_rows_call_per_block_of_sources(self, disk_coarse, monkeypatch, per_block):
+        d, _ = disk_coarse
+        k = QuasihyperbolicMetric(d)
+        rng = np.random.default_rng(5)
+        i = np.repeat(rng.choice(d.n, 10, replace=False), 3)
+        j = rng.integers(0, d.n, len(i))
+        calls, rows = [], k.rows
+
+        def counted(sources):
+            calls.append(np.atleast_1d(sources).tolist())
+            return rows(sources)
+
+        monkeypatch.setattr(k, "rows", counted)
+        monkeypatch.setattr(views, "_ROW_BLOCK_BYTES", 8 * d.n * per_block)
+        k.geodesics(i, j)
+        distinct = set(i[i != j].tolist())
+        assert len(calls) <= math.ceil(len(distinct) / views.rows_per_block(d.n))
+        assert all(len(c) <= per_block for c in calls)
+        assert sorted(sum(calls, [])) == sorted(distinct)
 
     def test_repeated_edge_rejected_before_any_geodesic(self):
         # the sparse matrix used to sum the two copies of edge 0-1 into weight 2,

@@ -134,7 +134,11 @@ class TestSampleSizeValidation:
     @pytest.mark.parametrize(
         "key, value, message",
         [("slack", "x", "must be a number"), ("slack", 0, "must be > 0"),
-         ("slack", "inf", "must be a finite number"), ("max_a", "nan", "must be a finite number"),
+         ("slack", math.inf, "must be a finite number"),
+         ("max_a", math.nan, "must be a finite number"),
+         # a string that parses as a number, and a boolean, are no numbers
+         ("slack", "inf", "must be a number"), ("tol", "0.5", "must be a number"),
+         ("max_a", True, "must be a number"), ("max_delta", np.True_, "must be a number"),
          ("separation_frac", 0.0, "must be > 0"),
          ("max_a", "abc", "must be a number"), ("max_delta", None, "must be a number"),
          ("max_k", [1], "must be a number"), ("max_slope", "big", "must be a number"),
@@ -168,6 +172,13 @@ class TestSampleSizeValidation:
         with pytest.raises(ConfigurationError,
                            match=rf"deformations\[0\]\.base_point: {message}"):
             validate_scenario(raw)
+
+    def test_numpy_scalars_are_numbers(self):
+        # scenarios built in Python may hold numpy scalars where JSON holds numbers
+        raw = one_check_scenario("uniformity", max_a=np.int64(3))
+        raw["domains"][0]["shape"] = {"kind": "disk", "params": {"radius": np.float32(1.0)},
+                                      "resolution": np.float64(0.08)}
+        validate_scenario(raw)
 
     @pytest.mark.parametrize("kind, base_point", [("uniformize", 0), ("uniformize", [0, 0.5]),
                                                   ("sphericalize", [1, 0.0])])
@@ -204,7 +215,19 @@ class TestSampleSizeValidation:
          ({"checks": [{"check": "rough_starlikeness", "domain": "disk", "max_rays": 0}]},
           "checks[0].max_rays: must be a positive integer"),
          ({"tolerances": {"band_h": "abc"}}, "tolerances.band_h: must be a number"),
-         ({"tolerances": {"slack": "inf"}}, "tolerances.slack: must be a finite number"),
+         ({"tolerances": {"slack": math.inf}}, "tolerances.slack: must be a finite number"),
+         ({"tolerances": {"slack": "1.05"}}, "tolerances.slack: must be a number"),
+         ({"checks": [{"check": "qh_calibration", "domain": "disk", "tol": "0.5"}]},
+          "checks[0].tol: must be a number"),
+         ({"checks": [{"check": "uniformity", "domain": "disk", "max_a": True}]},
+          "checks[0].max_a: must be a number"),
+         ({"seed": True}, "seed: must be present and an integer"),
+         ({"deformations": [{"name": "s", "domain": "disk", "kind": "sphericalize",
+                             "base_point": [0.0, 0.0], "epsilon": 7}]},
+          "deformations[0].epsilon: applies only to a 'uniformize' deformation"),
+         ({"deformations": [{"name": "u", "domain": "disk", "kind": "uniformize",
+                             "base_point": 0, "epsilon": 1.5}]},
+          "deformations[0].epsilon: must be < 1.0"),
          ({"deformations": [{"name": "f", "domain": "disk", "kind": "fold",
                              "base_point": [0.0, 0.0]}]},
           "deformations[0].kind: must be 'uniformize' or 'sphericalize'"),
@@ -267,6 +290,19 @@ class TestSampleSizeValidation:
         ({"kind": "disk", "resolution": math.inf}, "resolution must be a finite number"),
         ({"kind": "disk", "resolution": "fine"}, "resolution must be a number"),
         ({"kind": "disk", "params": [1.0]}, "shape spec field 'params' must be a JSON object"),
+        ({"kind": "disk", "params": {"radius": "0.5"}},
+         "domains[0].shape: shape parameter 'radius' must be a number"),
+        ({"kind": "square", "params": {"side": True}},
+         "domains[0].shape: shape parameter 'side' must be a number"),
+        ({"kind": "disk", "resolution": False}, "domains[0].shape: resolution must be a number"),
+        # a misspelt key built the default unit disk
+        ({"kind": "disk", "params": {"raduis": 0.5}},
+         "domains[0].shape.params.raduis: unknown key; expected one of radius, center"),
+        ({"kind": "annulus", "params": {"radius": 0.5}},
+         "domains[0].shape.params.radius: unknown key; expected one of inner_radius, "
+         "outer_radius"),
+        ({"kind": "disk", "resolutoin": 0.05},
+         "domains[0].shape.resolutoin: unknown key; expected one of kind, params, resolution"),
     ])
     def test_malformed_shape_number_exits_two(self, tmp_path, capsys, shape, message):
         raw = tiny_scenario(domains=[{"name": "disk", "shape": {"resolution": 0.08, **shape}}])

@@ -110,7 +110,7 @@ class TestQueriesBitwise:
         weight = full.data[at]
         # a two-edge path is lighter by more than tau (the edge itself is its own bound)
         assert np.all(GraphView(full)._hop_bounds(u, v) < weight - tau(w, d.n))
-        # _predecessor's on-path test for u as v's predecessor fails at the arc's true weight
+        # the geodesic walk's on-path test for u as v's predecessor fails at the arc's true weight
         src = data.draw(st.lists(st.integers(0, d.n - 1), min_size=1, max_size=4))
         for dist in dijkstra(full, directed=True, indices=src):
             du, dv = dist[u], dist[v]

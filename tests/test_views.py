@@ -143,7 +143,7 @@ class TestGraphViewProperties:
 
 def banded_graphs():
     """Random connected graphs whose weights span 13 binary exponents, so that
-    the limits of pair queries fall into several bands."""
+    the limits of pair queries differ by orders of magnitude."""
     return connected_graphs(max_n=16, weights=st.builds(np.ldexp, st.floats(1.0, 2.0),
                                                         st.integers(-6, 6)))
 
@@ -194,26 +194,21 @@ class TestShortPairQueries:
         with mock.patch.object(views, "_ROW_BLOCK_BYTES", cap):
             assert np.array_equal(v.pairs(i, j), expected)
 
-    def test_sources_are_searched_per_band_and_chunk(self):
-        # a path with weights 1, 2, 4, ..., each source asks for its right neighbour:
-        # the limits have distinct binary exponents, so every band holds one source
+    def test_sources_are_searched_in_limit_order_and_chunks(self):
+        # a path whose source a asks for its right neighbour, at distance weights[a]: the
+        # uncached sources are searched in the order of their padded limits, two to a call
         n = 8
-        g = LengthGraph(n, [[a, a + 1] for a in range(n - 1)], [2.0 ** a for a in range(n - 1)],
-                        np.zeros((n, 2)))
+        weights = np.array([4.0, 1.0, 64.0, 2.0, 16.0, 0.5, 8.0])
+        g = LengthGraph(n, [[a, a + 1] for a in range(n - 1)], weights, np.zeros((n, 2)))
         i, j = np.arange(n - 1), np.arange(1, n)
         v = GraphView(g.matrix)
         v.rows([n - 1])
         calls = recorded_rows(v)
-        assert np.array_equal(v.pairs(i, j), 2.0 ** i)
-        assert [c[0] for c in calls] == [[s] for s in i.tolist()]
-        # equal weights: one band, cut into chunks of two rows
-        g = LengthGraph(n, [[a, a + 1] for a in range(n - 1)], np.ones(n - 1), np.zeros((n, 2)))
-        v = GraphView(g.matrix)
-        v.rows([n - 1])
-        calls = recorded_rows(v)
         with mock.patch.object(views, "_ROW_BLOCK_BYTES", 8 * n * 2):
-            assert np.array_equal(v.pairs(i, j), np.ones(n - 1))
-        assert [c[0] for c in calls] == [[0, 1], [2, 3], [4, 5], [6]]
+            assert np.array_equal(v.pairs(i, j), weights)
+        assert [c[0] for c in calls] == [[5, 1], [3, 0], [6, 4], [2]]
+        for sources, limit in calls:
+            assert limit.tolist() == (weights[sources] * (1.0 + views._BOUND_PAD)).tolist()
 
     @given(banded_graphs(), st.data())
     @settings(max_examples=100, deadline=None)
