@@ -28,8 +28,8 @@ from .views import DenseChainView, GraphView, rows_per_block
 
 
 def _qh_view(graph, lengths, dg, name: str) -> GraphView:
-    """Quasihyperbolic view of ``graph`` with edge ``lengths`` and boundary distance ``dg``."""
-    return GraphView(graph.search_matrix(graph.trapezoid(lengths, 1.0 / dg)), name=name)
+    """Quasihyperbolic view of ``graph`` over arc ``lengths`` (overwritten) and boundary ``dg``."""
+    return GraphView(graph.search_matrix(graph.trapezoid(1.0 / dg, lengths)), name=name)
 
 
 def deformation_density(k: QuasihyperbolicMetric, i, w: int, eps: float) -> np.ndarray:
@@ -55,11 +55,15 @@ class UniformizedSpace:
 
         self.k_from_base = k.rows([self.w])[0]
         self.density = np.exp(-eps * self.k_from_base)
-        self.edge_weights = domain.graph.trapezoid(k.edge_weights, self.density)
-        self.matrix = domain.graph.search_matrix(self.edge_weights)
+        self.matrix = domain.graph.search_matrix(self.arc_weights)
         self._view = GraphView(self.matrix, name=f"uniformized(eps={eps})")
         self._boundary_distance = None
         self._qh_view = None
+
+    @property
+    def arc_weights(self) -> np.ndarray:
+        """Per-arc weights ``k * (density(u) + density(v)) / 2``, computed on each read."""
+        return self.domain.graph.trapezoid(self.density, self.k.arc_weights)
 
     @property
     def n(self) -> int:
@@ -85,7 +89,7 @@ class UniformizedSpace:
         if self._boundary_distance is None:
             n = self.n
             tail = self.density / self.eps
-            base = self.domain.graph.reweighted(self.edge_weights).tocoo()
+            base = self.domain.graph.reweighted(self.arc_weights).tocoo()
             rows = np.concatenate([base.row, np.arange(n), np.full(n, n)])
             cols = np.concatenate([base.col, np.full(n, n), np.arange(n)])
             vals = np.concatenate([base.data, tail, tail])
@@ -96,7 +100,8 @@ class UniformizedSpace:
     def qh_view(self) -> GraphView:
         """Quasihyperbolic metric of the deformed space itself."""
         if self._qh_view is None:
-            self._qh_view = _qh_view(self.domain.graph, self.edge_weights, self.boundary_distance(),
+            dg = self.boundary_distance()
+            self._qh_view = _qh_view(self.domain.graph, self.arc_weights, dg,
                                      f"qh-of-uniformized(eps={self.eps})")
         return self._qh_view
 
@@ -181,10 +186,9 @@ class SphericalizedSpace:
     def qh_view(self) -> GraphView:
         """Quasihyperbolic metric of the sphericalized space (full base graph)."""
         if self._qh_view is None:
-            e = self.domain.graph.edges
-            s_edge = self.domain.graph.lengths / (self.depth[e[:, 0]] * self.depth[e[:, 1]])
-            self._qh_view = _qh_view(self.domain.graph, s_edge, self.boundary_distance(),
-                                     "qh-of-sphericalized")
+            dg = self.boundary_distance()
+            s_arc = self.domain.graph.arc_map(lambda w, du, dv: w / (du * dv), self.depth)
+            self._qh_view = _qh_view(self.domain.graph, s_arc, dg, "qh-of-sphericalized")
         return self._qh_view
 
 

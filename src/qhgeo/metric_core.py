@@ -39,6 +39,8 @@ STENCIL = np.array(
     ),
     dtype=int,
 )
+# grid arc codes index the steps, sorted by (dx, dy): STEPS[24 + k] = STENCIL[k] = -STEPS[23 - k]
+STEPS = np.concatenate([-STENCIL[::-1], STENCIL])
 
 
 def _two_step_reads(detour=1.1):
@@ -67,52 +69,66 @@ _EDGE_FRACTIONS = np.arange(1, 8)[:, None, None] / 8.0
 class LengthGraph:
     """Undirected graph with positive edge lengths over an indexed vertex set.
 
-    The symmetric CSR layout (each edge stored as arcs u -> v and v -> u, rows
-    sorted by column, as scipy's COO conversion sorts them) is computed once;
-    ``reweighted`` matrices share its ``indptr`` and ``indices`` and only
-    gather new ``data``.  A graph keeps its ``int32`` edges (an ``int32`` array
-    as given), its lengths, the layout (``int32`` ``indptr``, ``indices`` and
-    edge of each arc) and the coordinates.  The length matrix is built on the
-    first read of ``matrix``, once, behind a lock, for ``graph:`` views only;
-    the connectivity check builds a transient one.
-
-    A grid's ``lattice``: its ``int32`` vertex-index grid (-1 off it, vertices in lattice order)
-    and ``starts``; ``edges[starts[k]:starts[k + 1]]`` are the edges (p, p + STENCIL[k]) by p.
+    It keeps an ``int32`` symmetric CSR layout (arcs u -> v and v -> u, columns sorted as scipy
+    sorts them) and a code an arc into a ``table``: ``table[code]`` is each arc's length.  An
+    imported graph's code is the arc's edge and it keeps its ``int32`` edges as given; a grid's
+    ``layout`` is its lattice mask, ``indptr``, ``indices`` and ``int8`` codes into ``STEPS``, its
+    table the 48 step lengths, and ``edges`` and ``lengths`` are derived on each read.  Weights
+    are one float an arc.  The length matrix is built on the first read of ``matrix``, once.
     """
 
-    def __init__(self, n_vertices: int, edges: np.ndarray, lengths: np.ndarray, coords=None,
-                 lattice=None):
-        edges = np.asarray(edges).reshape(-1, 2)
-        if edges.dtype.kind not in "iu":
-            edges = edges.astype(np.intp)
-        lengths = np.asarray(lengths, dtype=float).reshape(-1)
-        if len(edges) != len(lengths):
-            raise ConfigurationError("edges and lengths must have equal length")
-        if len(lengths) and not np.all(lengths > 0):
-            raise ConfigurationError("every edge length must be > 0")
+    def __init__(self, n_vertices: int, edges, lengths: np.ndarray, coords=None, layout=None):
         self.n = n = int(n_vertices)
-        if len(edges) and (edges.min() < 0 or edges.max() >= n):
-            raise ConfigurationError(f"edge endpoints must be vertex indices in [0, {n})")
-        self.edges = edges.astype(np.int32, copy=False).view()  # a view: the caller's flags stay
-        self.lengths = lengths
+        lengths = np.asarray(lengths, dtype=float).reshape(-1)
+        if layout is None:
+            edges = np.asarray(edges).reshape(-1, 2)
+            if edges.dtype.kind not in "iu":
+                edges = edges.astype(np.intp)
+            if len(edges) != len(lengths):
+                raise ConfigurationError("edges and lengths must have equal length")
+            if len(lengths) and not np.all(lengths > 0):
+                raise ConfigurationError("every edge length must be > 0")
+            if len(edges) and (edges.min() < 0 or edges.max() >= n):
+                raise ConfigurationError(f"edge endpoints must be vertex indices in [0, {n})")
+            self._edges = edges.astype(np.int32, copy=False).view()  # the caller's flags stay
+            self._edges.setflags(write=False)
+            layout = (None, *_csr_layout(n, self._edges))
+        (self._lattice, self._indptr, self._indices, self._code), self._table = layout, lengths
         self.coords = None if coords is None else np.asarray(coords, float)
-        self._indptr, self._indices, self._arc_edge = _csr_layout(n, self.edges)
         self._matrix = None
-        self._lattice = lattice
         self._lock = threading.Lock()
         self._check_connected()
-        for arr in (self.edges, self.lengths, self._indices, self._indptr, self._arc_edge):
+        for arr in (self._indptr, self._indices, self._code, lengths):
             arr.setflags(write=False)
 
+    @property
+    def edges(self) -> np.ndarray:
+        """``int32`` (u, v) pairs; a grid's are (p, p + STENCIL[k]) by k, then by p."""
+        if self._lattice is None:
+            return self._edges
+        edges, at = np.empty((np.count_nonzero(self._code >= len(STENCIL)), 2), np.int32), 0
+        for c in range(len(STENCIL), len(STEPS)):  # a direction at a time: small temporaries
+            arcs = np.flatnonzero(self._code == c)
+            edges[at:at + len(arcs), 0] = np.searchsorted(self._indptr, arcs, "right") - 1
+            edges[at:at + len(arcs), 1] = self._indices[arcs]
+            at += len(arcs)
+        return edges
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """The length of each edge of ``edges``."""
+        if self._lattice is None:
+            return self._table
+        return self._table[np.sort(self._code[self._code >= len(STENCIL)])]
+
     def _csr(self, weights) -> csr_matrix:
-        return csr_matrix((weights[self._arc_edge], self._indices, self._indptr),
-                          shape=(self.n, self.n))
+        return csr_matrix((weights, self._indices, self._indptr), shape=(self.n, self.n))
 
     def _check_connected(self):
         """One breadth-first search from vertex 0; components are counted only on failure."""
         if self.n <= 1:
             return
-        structure = self._csr(self.lengths)
+        structure = self._csr(self._table[self._code])
         if len(breadth_first_order(structure, 0, return_predecessors=False)) == self.n:
             return
         n_comp, _ = connected_components(structure, directed=False)
@@ -127,29 +143,43 @@ class LengthGraph:
         if self._matrix is None:
             with self._lock:
                 if self._matrix is None:
-                    self._matrix = self._csr(self.lengths)
+                    self._matrix = self._csr(self._table[self._code])
         return self._matrix
 
     def arc_lengths(self, u, v) -> np.ndarray:
-        """Lengths of the edges u[a]-v[a] through the layout, bitwise ``matrix[u, v]``."""
+        """Lengths of the edges u[a]-v[a], bitwise ``matrix[u, v]``, from each step's code."""
         u, v = np.asarray(u, dtype=np.intp), np.asarray(v, dtype=np.intp)
-        arcs = csr_matrix((self._arc_edge, self._indices, self._indptr), shape=(self.n, self.n))
-        edge = np.asarray(arcs[u, v]).ravel()
-        a, b = self.edges[edge, 0], self.edges[edge, 1]
-        # a step that is no edge reads edge 0 from the sparse lookup: raise, never read its length
-        if not np.all(((a == u) & (b == v)) | ((a == v) & (b == u))):
+        code = np.asarray(self._csr(self._code + 1)[u, v]).ravel()  # 0: no arc
+        if not np.all(code):
             raise InternalError("a path step is not an edge of the graph")
-        return self.lengths[edge]
+        return self._table[code - 1]
 
-    def reweighted(self, new_lengths: np.ndarray) -> csr_matrix:
-        """Sparse matrix with the same edges and replacement weights (shared layout)."""
-        new_lengths = np.asarray(new_lengths, float)
-        if not np.all(new_lengths > 0):
+    def arc_map(self, fn, values, weights=None) -> np.ndarray:
+        """``fn(w, values[u], values[v])`` on every arc u -> v, ``w`` its length (into a new
+        array) or its entry of ``weights`` (overwritten), a block of rows at a time."""
+        out = np.empty(len(self._indices)) if weights is None else weights
+        indptr, chunk = self._indptr, rows_per_block(2 * len(STEPS))  # at most 48 arcs a row
+        for r0 in range(0, self.n, chunk):
+            arcs = slice(indptr[r0], indptr[min(r0 + chunk, self.n)])
+            # take: half the time of an indexed gather, and its intp copy of a block's indices
+            w = self._table.take(self._code[arcs]) if weights is None else weights[arcs]
+            at_u = np.repeat(values[r0:r0 + chunk], np.diff(indptr[r0:r0 + chunk + 1]))
+            out[arcs] = fn(w, at_u, values.take(self._indices[arcs]))
+        return out
+
+    def trapezoid(self, density: np.ndarray, weights=None) -> np.ndarray:
+        """Trapezoid-rule arc weights ``w * (density[u] + density[v]) / 2``, ``w`` as in arc_map."""
+        return self.arc_map(lambda w, du, dv: w * 0.5 * (du + dv), density, weights)
+
+    def reweighted(self, weights: np.ndarray) -> csr_matrix:
+        """Sparse matrix on the shared layout whose data is ``weights``, one per arc (no copy)."""
+        weights = np.asarray(weights, float)
+        if not np.all(weights > 0):
             raise ConfigurationError("replacement edge weights must be > 0")
-        return self._csr(new_lengths)
+        return self._csr(weights)
 
     def search_matrix(self, weights: np.ndarray) -> csr_matrix:
-        """``reweighted(weights)`` with ``inf`` on both arcs of every edge u-v that a path
+        """``reweighted(weights)`` with ``inf`` written on both arcs of every edge u-v that a path
         u-m-v of ``_TWO_STEP`` beats by more than ``tau = 4e-12 (1 + X)``, ``X = (n - 1) max w``.
 
         Rows and geodesics stay bitwise: every distance D a search reaches is at most X, so
@@ -157,23 +187,12 @@ class LengthGraph:
         A search finds the least left-to-right float sum over paths, and float addition is
         monotone, so ``D_v <= fl(fl(D_u + a) + b)``: the arc never sets a distance.  And ``D_u +
         w - D_v > tau - 4e-16 (X + w) > 1e-12 (1 + D_v)``, so ``QuasihyperbolicMetric.geodesics``
-        never walks it.  The layout is shared (symmetric, sorted, the memory of ``reweighted``);
-        an imported graph has no lattice and gets ``reweighted(weights)``.
-        """
-        weights = np.asarray(weights, float)
-        if self._lattice is None or not len(weights):
-            return self.reweighted(weights)
-        tau = 4e-12 * (1.0 + (self.n - 1) * weights.max())
-        # before the matrix, so that the prune's temporaries are freed when it is allocated
-        dominated = _dominated_edges(*self._lattice, self.edges[:, 0], weights, tau)
-        matrix, chunk = self.reweighted(weights), rows_per_block(1)  # 1 byte of mask an arc
-        for a in range(0, len(matrix.data), chunk):
-            matrix.data[a:a + chunk][dominated[self._arc_edge[a:a + chunk]]] = np.inf
+        never walks it.  ``weights`` becomes the matrix's data: pass an array of your own.  An
+        imported graph has no lattice and gets ``reweighted(weights)``."""
+        matrix = self.reweighted(weights)
+        if self._lattice is not None and len(matrix.data):
+            _mask_dominated(self._lattice, self._indptr, self._indices, self._code, matrix.data)
         return matrix
-
-    def trapezoid(self, lengths: np.ndarray, density: np.ndarray) -> np.ndarray:
-        """Edge weights ``lengths * (density[u] + density[v]) / 2`` (trapezoid rule)."""
-        return lengths * 0.5 * (density[self.edges[:, 0]] + density[self.edges[:, 1]])
 
 
 def _csr_layout(n, edges):
@@ -200,42 +219,73 @@ def _csr_layout(n, edges):
     return indptr, indices, arc_edge
 
 
-def _dominated_edges(index2d, starts, lower, weights, tau) -> np.ndarray:
-    """Edges heavier than a path of ``_TWO_STEP`` plus ``tau``; ``lower`` is each one's lower end.
-    Band by band of lattice rows, ``grid[k]`` holds the weight of the edge of direction k from each
-    point of the band and its halo (``inf`` where there is none): ``h`` columns either side, ``h``
-    rows after and the ``back`` rows before that reads look at (none for ``_TWO_STEP``'s paths).
-    It is flattened with pad columns, so that a shifted read is one contiguous slice."""
-    nx, ny = index2d.shape
+def _lattice_layout(keep2d, clip=None):
+    """``indptr``, ``indices`` and step codes of the grid over the kept points of ``keep2d``.
+    Column c of an n x 48 table holds each vertex p's neighbour p + STEPS[c] (-1: none), sorted
+    as vertices are in lattice order; ``clip(p, q, c)`` marks upper arcs p -> q whose edges go."""
+    nx, ny = keep2d.shape
+    h, n, half = 4, int(np.count_nonzero(keep2d)), len(STENCIL)  # h: the longest axis step
+    index = np.full((nx + 2 * h, ny + 2 * h), -1, dtype=np.int32)
+    index[h:-h, h:-h][keep2d] = np.arange(n, dtype=np.int32)
+    table = np.empty((n, len(STEPS)), dtype=np.int32)
+    for c, (dx, dy) in enumerate(STEPS.tolist()):
+        table[:, c] = index[h + dx:h + dx + nx, h + dy:h + dy + ny][keep2d]
+    if clip is not None:
+        p, c = np.nonzero(table[:, half:] >= 0)  # the upper arcs p -> q
+        q, c = table[p, c + half], c + half
+        cut = clip(p, q, c)
+        table[p[cut], c[cut]] = table[q[cut], len(STEPS) - 1 - c[cut]] = -1
+    present = table >= 0
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(present, axis=1))]).astype(np.int32)
+    code = np.broadcast_to(np.arange(len(STEPS), dtype=np.int8), table.shape)[present]
+    return indptr, table[present], code
+
+
+def _mask_dominated(keep2d, indptr, indices, code, data):
+    """Write ``inf`` on both arcs of every edge heavier than a path of ``_TWO_STEP`` plus ``tau``.
+    Band by band of lattice rows, ``grid[k]`` holds the weight of the edge (p, p + STENCIL[k]) from
+    its upper arc at each point p of the band and its halo (``inf`` where there is none): ``h``
+    columns either side, ``h`` rows after and the ``back`` rows before that reads look at (none for
+    ``_TWO_STEP``), flattened with pad columns, so that a shifted read is one contiguous slice.
+    ``dominated[k, p]`` marks the edge; a lower arc's edge lies in its band or an earlier one."""
+    (nx, ny), n = keep2d.shape, len(indptr) - 1
     h, width, n_dir = 4, ny + 8, len(STENCIL)  # h: the longest stencil step along an axis
     back = -min(at[0] for paths in _TWO_STEP for path in paths for _, at in path)
-    first = np.concatenate([[0], np.cumsum(np.count_nonzero(index2d >= 0, axis=1))])
-    # the edges of direction k from lattice rows r0..r1 - 1 are cut[k, r0] .. cut[k, r1] - 1
-    cut = np.array([starts[k] + np.searchsorted(lower[starts[k]:starts[k + 1]], first)
-                    for k in range(n_dir)])
-    dominated = np.zeros(len(weights), dtype=bool)
-    band = max(1, rows_per_block(n_dir * width) - back - h)
+    first = np.concatenate([[0], np.cumsum(np.count_nonzero(keep2d, axis=1))])
+    tau, dominated = 4e-12 * (1.0 + (n - 1) * data.max()), np.zeros((n_dir, n), dtype=bool)
+    # the grids take half a block, the band's arcs (up to 48 a point) about as much again
+    band = max(1, rows_per_block(2 * n_dir * width) - back - h)
     grid = np.empty((n_dir, (band + back + h) * width))
     low, path = np.empty(band * width), np.empty(band * width)
     for r0 in range(0, nx, band):
         r1, a, b = min(r0 + band, nx), max(r0 - back, 0), min(r0 + band + h, nx)
         size = (r1 - r0 - 1) * width + ny  # from the band's first point to its last
-        # grid position of the vertices first[a] .. first[b] - 1, and of each edge's lower end
-        vi, vj = np.divmod(np.flatnonzero(index2d[a:b].ravel() >= 0).astype(np.int32), ny)
+        # grid position of the vertices first[a] .. first[b] - 1, their arcs and each one's row
+        vi, vj = np.divmod(np.flatnonzero(keep2d[a:b].ravel()).astype(np.int32), ny)
         at_v = (vi + (a - r0 + back)) * width + vj + h
+        arcs = slice(indptr[first[a]], indptr[first[b]])
+        row = np.repeat(np.arange(first[a], first[b], dtype=np.int32),
+                        np.diff(indptr[first[a]:first[b] + 1]))
+        c, w = code[arcs], data[arcs]
+        up = c >= n_dir
         grid.fill(np.inf)
-        for k in range(n_dir):
-            e = slice(cut[k, a], cut[k, b])
-            grid[k, at_v[lower[e] - first[a]]] = weights[e]
+        grid[c[up] - n_dir, at_v[row[up] - first[a]]] = w[up]
+        at = at_v[first[r0] - first[a]:first[r1] - first[a]]
         for k, paths in enumerate(_TWO_STEP):
             low[:size] = np.inf
             for (k1, (p1, q1)), (k2, (p2, q2)) in paths:
                 o1, o2 = (back + p1) * width + h + q1, (back + p2) * width + h + q2
                 np.add(grid[k1, o1:o1 + size], grid[k2, o2:o2 + size], out=path[:size])
                 np.minimum(low[:size], path[:size], out=low[:size])
-            e = slice(cut[k, r0], cut[k, r1])
-            dominated[e] = weights[e] > low[at_v[lower[e] - first[a]] - back * width - h] + tau
-    return dominated
+            dominated[k, first[r0]:first[r1]] = grid[k, at] > low[at - back * width - h] + tau
+        # mask the band's arcs: edge (k, p) is (code - n_dir, row) on an upper arc, else
+        # (n_dir - 1 - code, column)
+        mine = slice(indptr[first[r0]] - arcs.start, indptr[first[r1]] - arcs.start)
+        k = c[mine] - n_dir
+        k ^= k >> 7  # n_dir - 1 - c on the lower arcs
+        edge = k.astype(np.int32) * n
+        edge += np.where(up[mine], row[mine], indices[arcs][mine])
+        np.putmask(w[mine], dominated.ravel()[edge], np.inf)
 
 
 def _reject_non_simple(edges):
@@ -344,6 +394,7 @@ class DomainSample:
         hi = self.coords.max(axis=0)
         return float(np.hypot(*(hi - lo)))
 
+
 def build_grid_domain(spec: ShapeSpec, boundary_band_h: float = 0.0) -> DomainSample:
     """Uniform grid restricted to the shape interior.
 
@@ -353,7 +404,8 @@ def build_grid_domain(spec: ShapeSpec, boundary_band_h: float = 0.0) -> DomainSa
     cells to the boundary (the quasihyperbolic pipeline applies 2 by
     default): a vertex is kept when ``bdist >= boundary_band_h * h``, so
     the banded build equals the unbanded one restricted to that band
-    without building it.  Lattice indices and edges are ``int32``.
+    without building it.  The layout comes straight from the lattice
+    (``_lattice_layout``): ``int32`` and one ``int8`` step code an arc.
 
     For non-convex shapes, stencil edges that leave the domain are removed:
     an edge leaves it when one of its 7 interior samples (fractions 1/8,
@@ -395,53 +447,21 @@ def build_grid_domain(spec: ShapeSpec, boundary_band_h: float = 0.0) -> DomainSa
         raise ConfigurationError(
             f"empty interior for {spec.kind} at resolution {h}; refine the grid"
         )
-    index = -np.ones((nx, ny), dtype=np.int32)
-    index[keep.reshape(nx, ny)] = np.arange(int(keep.sum()), dtype=np.int32)
-
-    edges, lengths, starts = _stencil_edges(keep.reshape(nx, ny), index, h)
-
     coords, inner_bdist = lattice[keep], bdist[keep]
+    lengths = np.array([h * math.hypot(dx, dy) for dx, dy in STEPS.tolist()])
+    clip = None
     if not geom.convex and getattr(geom, "_needs_clipping", True):
-        u, v = edges[:, 0], edges[:, 1]
-        near = np.flatnonzero(np.maximum(inner_bdist[u], inner_bdist[v]) <= lengths + h)
-        pa, pb = coords[u[near]], coords[v[near]]
-        inside = geom.contains((pa + _EDGE_FRACTIONS * (pb - pa)).reshape(-1, 2))
-        ok = np.ones(len(edges), dtype=bool)
-        ok[near] = inside.reshape(len(_EDGE_FRACTIONS), -1).all(axis=0)
-        edges, lengths = edges[ok], lengths[ok]
-        starts -= np.searchsorted(np.flatnonzero(~ok), starts)  # clipped edges before each
+        def clip(p, q, c):
+            near = np.flatnonzero(np.maximum(inner_bdist[p], inner_bdist[q]) <= lengths[c] + h)
+            pa, pb = coords[p[near]], coords[q[near]]
+            inside = geom.contains((pa + _EDGE_FRACTIONS * (pb - pa)).reshape(-1, 2))
+            return near[~inside.reshape(len(_EDGE_FRACTIONS), -1).all(axis=0)]
 
-    graph = LengthGraph(int(keep.sum()), edges, lengths, coords, lattice=(index, starts))
-    return DomainSample(
-        graph,
-        boundary,
-        inner_bdist,
-        shape=spec,
-        geometry=geom,
-        quasiconvexity=1.0,
-        resolution=h,
-    )
-
-
-def _stencil_edges(keep2d, index2d, h):
-    """Edges between kept lattice points along every STENCIL direction, their lengths and starts.
-
-    Direction by direction, in lattice order within each.  A function of its
-    own, so that the per-direction pieces are freed before the graph is built.
-    """
-    nx, ny = keep2d.shape
-    edge_u, edge_v, edge_len = [], [], []
-    for di, dj in STENCIL:
-        a_sl = (slice(0, nx - di) if di >= 0 else slice(-di, nx),
-                slice(0, ny - dj) if dj >= 0 else slice(-dj, ny))
-        b_sl = (slice(di, nx) if di >= 0 else slice(0, nx + di),
-                slice(dj, ny) if dj >= 0 else slice(0, ny + dj))
-        mask = keep2d[a_sl] & keep2d[b_sl]
-        edge_u.append(index2d[a_sl][mask])
-        edge_v.append(index2d[b_sl][mask])
-        edge_len.append(np.full(len(edge_u[-1]), h * math.hypot(di, dj)))
-    edges = np.column_stack([np.concatenate(edge_u), np.concatenate(edge_v)])
-    return edges, np.concatenate(edge_len), np.cumsum([0] + [len(e) for e in edge_u])
+    keep2d = keep.reshape(nx, ny)
+    layout = (keep2d, *_lattice_layout(keep2d, clip))
+    graph = LengthGraph(len(coords), None, lengths, coords, layout)
+    return DomainSample(graph, boundary, inner_bdist, shape=spec, geometry=geom,
+                        quasiconvexity=1.0, resolution=h)
 
 
 def domain_from_length_graph(

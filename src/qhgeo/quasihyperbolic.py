@@ -22,14 +22,13 @@ class QuasihyperbolicMetric:
 
     def __init__(self, domain: DomainSample):
         self.domain = domain
-        self.matrix = domain.graph.search_matrix(self.edge_weights)
+        self.matrix = domain.graph.search_matrix(self.arc_weights)
         self._view = GraphView(self.matrix, name="quasihyperbolic")
 
     @property
-    def edge_weights(self) -> np.ndarray:
-        """Per-edge weights ``length * (1/d_G(u) + 1/d_G(v)) / 2``, computed on each read."""
-        graph = self.domain.graph
-        return graph.trapezoid(graph.lengths, 1.0 / self.domain.boundary_distance)
+    def arc_weights(self) -> np.ndarray:
+        """Per-arc weights ``length * (1/d_G(u) + 1/d_G(v)) / 2``, computed on each read."""
+        return self.domain.graph.trapezoid(1.0 / self.domain.boundary_distance)
 
     @property
     def n(self) -> int:

@@ -64,13 +64,13 @@ class ShapeSpec:
             raise ConfigurationError(f"{path}: shape spec field 'params' must be a JSON object")
         try:
             spec = cls(obj["kind"], dict(params), _finite(obj["resolution"], "resolution"))
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{path}: {exc}") from None
-        for key, at, known in [*((k, path, ("kind", "params", "resolution")) for k in obj),
-                               *((k, f"{path}.params", SHAPE_PARAMS[spec.kind]) for k in params)]:
-            if key not in known:
-                raise ConfigurationError(f"{at}.{key}: unknown key; expected one of "
-                                         + ", ".join(known))
+        except ConfigurationError as exc:  # an unknown parameter names itself: params.<key>
+            sep = "." if str(exc).startswith("params.") else ": "
+            raise ConfigurationError(f"{path}{sep}{exc}") from None
+        for key in obj:
+            if key not in ("kind", "params", "resolution"):
+                raise ConfigurationError(f"{path}.{key}: unknown key; expected one of kind, "
+                                         "params, resolution")
         return spec
 
     def __str__(self) -> str:
@@ -112,8 +112,12 @@ def _require_pairs(params, name, what, shape_ok):
 
 
 def _validate_params(kind, params):
-    """Every length parameter must be a finite number, ``center`` two finite
-    numbers and ``vertices`` at least 3 pairs of finite numbers."""
+    """Every parameter must be one that ``kind`` reads, every length a finite number,
+    ``center`` two finite numbers and ``vertices`` at least 3 pairs of finite numbers."""
+    for key in params:
+        if key not in SHAPE_PARAMS[kind]:
+            raise ConfigurationError(f"params.{key}: unknown key; expected one of "
+                                     + ", ".join(SHAPE_PARAMS[kind]))
     if kind == "disk":
         _require_positive(params, ["radius"])
         if "center" in params:

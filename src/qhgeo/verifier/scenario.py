@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -155,7 +156,7 @@ def _check_graph(graph, path):
 
 
 def _check_count(value, path):
-    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value <= 0:
         _fail(path, "must be a positive integer")
 
 
@@ -225,7 +226,7 @@ def validate_scenario(raw: dict) -> dict:
     _check_keys(raw, "", *_KEYS["scenario"])
     if raw.get("schema") != SCHEMA_VERSION:
         _fail("schema", f"must be {SCHEMA_VERSION}")
-    if isinstance(raw.get("seed"), bool) or not isinstance(raw.get("seed"), int):
+    if isinstance(raw.get("seed"), bool) or not isinstance(raw.get("seed"), numbers.Integral):
         _fail("seed", "must be present and an integer (determinism contract)")
     domains = raw.get("domains", [])
     if not isinstance(domains, list) or not domains:
@@ -811,6 +812,7 @@ def _chk_qi_step(ctx, p, rng):
         pick = rng.integers(0, len(edges), size=min(1000, len(edges)))
         i = np.concatenate([i, edges[pick, 0]])
         j = np.concatenate([j, edges[pick, 1]])
+    del edges  # a grid's are derived on read
     report = estimate_quasi_isometry(
         m, (i, j),
         step_inputs={"uniformity_a": a_meas, "q": q, "eta_slope": eta_slope},
@@ -1015,7 +1017,8 @@ def run_scenario(
 
 
 def report_to_json_bytes(report: dict) -> bytes:
-    return json.dumps(report, indent=2, sort_keys=False).encode("utf-8")
+    # a scenario built in Python may hold numpy scalars: they are written as their values
+    return json.dumps(report, indent=2, sort_keys=False, default=np.generic.item).encode("utf-8")
 
 
 def report_to_csv(report: dict) -> str:

@@ -1,6 +1,7 @@
 import heapq
 import json
 import math
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -22,7 +23,7 @@ from qhgeo import (
     safe_ball_radius,
 )
 from qhgeo import shapes
-from qhgeo.metric_core import STENCIL
+from qhgeo.metric_core import STENCIL, STEPS
 from qhgeo.sampling import check_metric_axioms, pair_sample
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "qhgeo" / "verifier" / "scenarios"
@@ -162,14 +163,15 @@ def assert_grid_matches_reference(spec, boundary_band_h=0.0):
     assert np.array_equal(d.graph.edges, edges)
     assert d.graph.lengths.tobytes() == lengths.tobytes()
     assert d.boundary_distance.tobytes() == bdist.tobytes()
-    # the lattice that search_matrix reads: vertices in lattice order, and each
-    # direction's edges in one block, by increasing lower end
-    index2d, starts = d.graph._lattice
-    i, j = np.nonzero(index2d >= 0)
-    assert np.array_equal(index2d[i, j], np.arange(d.n)) and starts[-1] == len(edges)
-    for k, (di, dj) in enumerate(STENCIL):
-        u, v = d.graph.edges[starts[k]:starts[k + 1]].T
-        assert np.all(i[v] - i[u] == di) and np.all(j[v] - j[u] == dj) and np.all(np.diff(u) > 0)
+    # the layout that search_matrix reads: vertices in lattice order, and every arc's code
+    # its step on the lattice
+    i, j = np.nonzero(d.graph._lattice)
+    assert len(i) == d.n
+    rows = np.repeat(np.arange(d.n), np.diff(d.graph._indptr))
+    step = STEPS[d.graph._code]
+    cols = d.graph._indices
+    assert np.array_equal(i[cols] - i[rows], step[:, 0])
+    assert np.array_equal(j[cols] - j[rows], step[:, 1])
 
 
 @st.composite
@@ -396,6 +398,16 @@ class TestShapeSpecJson:
             ShapeSpec("annulus", {"inner_radius": 2.0, "outer_radius": 1.0}, 0.1)
         with pytest.raises(ConfigurationError, match="resolution"):
             ShapeSpec("disk", {}, -0.1)
+
+    @pytest.mark.parametrize("kind, params, message", [
+        # a misspelt key built the default unit disk
+        ("disk", {"raduis": 0.5}, "params.raduis: unknown key; expected one of radius, center"),
+        ("annulus", {"radius": 0.5}, "params.radius: unknown key; expected one of inner_radius"),
+        ("square", {"side": 1.0, "center": [0, 0]}, "params.center: unknown key"),
+    ])
+    def test_unknown_parameter_rejected_when_built_in_python(self, kind, params, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            build_grid_domain(ShapeSpec(kind, params, 0.1), 2.0)
 
 
 class TestLengthGraphImport:

@@ -64,10 +64,8 @@ def reference_predecessors(k, source):
     """The edge-list predecessor pass: every edge in both directions, lowest head
     index per tail on the shortest-path subgraph."""
     dist = k.rows([source])[0]
-    e, w = k.domain.graph.edges, k.edge_weights
-    heads = np.concatenate([e[:, 0], e[:, 1]])
-    tails = np.concatenate([e[:, 1], e[:, 0]])
-    weights = np.concatenate([w, w])
+    arcs = k.domain.graph.reweighted(k.arc_weights).tocoo()
+    heads, tails, weights = arcs.row, arcs.col, arcs.data
     tol = 1e-12 * (1.0 + dist[tails])
     on_path = (np.abs(dist[heads] + weights - dist[tails]) <= tol) & (dist[heads] < dist[tails])
     pred = np.full(k.n, k.n, dtype=np.intp)
@@ -98,19 +96,25 @@ def radial_oracle(r):
 
 
 class TestMetricBasics:
-    def test_edge_weights_are_endpoint_trapezoid(self, disk_coarse):
+    def test_arc_weights_are_endpoint_trapezoid(self, disk_coarse):
         d, k = disk_coarse
+        lengths = d.graph.matrix.tocoo()
+        u, v, dg = lengths.row, lengths.col, d.boundary_distance
+        expected = lengths.data * 0.5 * (1.0 / dg[u] + 1.0 / dg[v])
+        assert k.arc_weights.tobytes() == expected.tobytes()
+        # both arcs of an edge carry its weight, the trapezoid of the edge as listed
         e = d.graph.edges
-        dg = d.boundary_distance
-        expected = d.graph.lengths * 0.5 * (1.0 / dg[e[:, 0]] + 1.0 / dg[e[:, 1]])
-        assert np.array_equal(k.edge_weights, expected)
+        edge_weights = d.graph.lengths * 0.5 * (1.0 / dg[e[:, 0]] + 1.0 / dg[e[:, 1]])
+        full = d.graph.reweighted(k.arc_weights)
+        for a, b in [(0, 1), (1, 0)]:
+            assert np.asarray(full[e[:, a], e[:, b]]).ravel().tobytes() == edge_weights.tobytes()
 
-    def test_edge_weights_computed_on_demand_bitwise(self, disk_coarse):
+    def test_arc_weights_computed_on_demand_bitwise(self, disk_coarse):
         d, k = disk_coarse
-        assert "edge_weights" not in vars(k)  # nothing per edge is kept
-        expected = d.graph.trapezoid(d.graph.lengths, 1.0 / d.boundary_distance)
-        assert k.edge_weights.tobytes() == expected.tobytes()
-        masked = d.graph.search_matrix(expected)
+        assert "arc_weights" not in vars(k)  # nothing per arc is kept but the matrix
+        expected = d.graph.trapezoid(1.0 / d.boundary_distance)
+        assert k.arc_weights.tobytes() == expected.tobytes()
+        masked = d.graph.search_matrix(expected.copy())
         for key in ("indptr", "indices", "data"):
             assert getattr(k.matrix, key).tobytes() == getattr(masked, key).tobytes()
         every = np.arange(d.n)
@@ -237,7 +241,7 @@ class TestGeodesics:
     @settings(max_examples=80, deadline=None)
     def test_predecessors_equal_edge_list_reference(self, d):
         k = QuasihyperbolicMetric(d)
-        assert np.array_equal(k.edge_weights, np.round(k.edge_weights))
+        assert np.array_equal(k.arc_weights, np.round(k.arc_weights))
         for source in range(d.n):
             assert_walks_from(k, source, reference_predecessors(k, source))
 

@@ -380,6 +380,28 @@ class TestSampleSizeValidation:
 WRONG_KIND = {int: 2.5, float: "x", bool: "false", None: "x"}
 
 
+class TestNumpyIntegers:
+    """A scenario built in Python may hold numpy integers where counts and the seed go."""
+
+    def test_counts_and_seed_accept_numpy_integers(self):
+        checks = [{"check": "metric_axioms", "space": "qh:disk", "triples": 200}]
+        plain = tiny_scenario(seed=7, checks=checks)
+        numpy_ints = tiny_scenario(seed=np.int64(7),
+                                   checks=[{**checks[0], "triples": np.int32(200)}])
+        validate_scenario(numpy_ints)
+        # the same report bytes: the numpy scalars are written as their values
+        assert (report_to_json_bytes(run_scenario(numpy_ints))
+                == report_to_json_bytes(run_scenario(plain)))
+
+    @pytest.mark.parametrize("value", [True, np.bool_(True), 7.0, np.float64(7.0), "7"])
+    def test_booleans_floats_and_strings_are_no_integers(self, value):
+        with pytest.raises(ConfigurationError, match="seed: must be present and an integer"):
+            validate_scenario(tiny_scenario(seed=value))
+        chk = {"check": "metric_axioms", "space": "qh:disk", "triples": value}
+        with pytest.raises(ConfigurationError, match=r"checks\[0\]\.triples: must be a positive"):
+            validate_scenario(tiny_scenario(checks=[chk]))
+
+
 class TestParameterTable:
     @pytest.mark.parametrize("check, key", [(c, k) for c, keys in sorted(OPTIONAL.items())
                                             for k in keys])

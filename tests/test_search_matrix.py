@@ -70,7 +70,7 @@ def weighted_grids(draw):
     density = rng.uniform(low, 1.0, d.n)
     if draw(st.booleans()):
         density /= d.boundary_distance
-    return d, d.graph.trapezoid(d.graph.lengths, density)
+    return d, d.graph.trapezoid(density)
 
 
 def masked_arcs(matrix):
@@ -85,7 +85,7 @@ class TestQueriesBitwise:
     @settings(max_examples=30, deadline=None)
     def test_rows_limited_rows_and_target_sets_equal_reweighted(self, case, data):
         d, w = case
-        masked, full = d.graph.search_matrix(w), d.graph.reweighted(w)
+        masked, full = d.graph.search_matrix(w.copy()), d.graph.reweighted(w)
         index = st.integers(0, d.n - 1)
         src = data.draw(st.lists(index, min_size=1, max_size=6))
         rows = dijkstra(full, directed=True, indices=src)
@@ -105,7 +105,7 @@ class TestQueriesBitwise:
     @settings(max_examples=30, deadline=None)
     def test_masked_arcs_are_beaten_and_never_on_a_path(self, case, data):
         d, w = case
-        masked, full = d.graph.search_matrix(w), d.graph.reweighted(w)
+        masked, full = d.graph.search_matrix(w.copy()), d.graph.reweighted(w)
         v, u, at = masked_arcs(masked)
         weight = full.data[at]
         # a two-edge path is lighter by more than tau (the edge itself is its own bound)
@@ -127,19 +127,20 @@ class TestBoundaryCases:
     def test_length_weights_mask_no_arc(self, spec):
         # coprime stencil steps: every two-step path is longer than the edge it spans
         g = build_grid_domain(spec, 2.0).graph
-        assert_same_csr(g.search_matrix(g.lengths), g.reweighted(g.lengths))
+        assert_same_csr(g.search_matrix(g.matrix.data.copy()), g.matrix)
 
     def test_imported_graph_gets_reweighted_bitwise(self):
         d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.1), 2.0)
         imported = domain_from_length_graph(d.coords, d.graph.edges, d.boundary_coords)
-        w = imported.graph.trapezoid(imported.graph.lengths, 1.0 / imported.boundary_distance)
+        w = imported.graph.trapezoid(1.0 / imported.boundary_distance)
         assert imported.graph._lattice is None
-        assert_same_csr(imported.graph.search_matrix(w), imported.graph.reweighted(w))
-        assert np.isinf(d.graph.search_matrix(w).data).any()  # the same weights on the grid
+        assert_same_csr(imported.graph.search_matrix(w.copy()), imported.graph.reweighted(w))
+        # the same weights on the grid, whose layout is the same
+        assert np.isinf(d.graph.search_matrix(w.copy()).data).any()
 
     def test_matrix_is_symmetric_and_sorted_on_the_shared_layout(self, disk_mid):
         d, k = disk_mid
-        m, full = k.matrix, d.graph.reweighted(k.edge_weights)
+        m, full = k.matrix, d.graph.reweighted(k.arc_weights)
         assert np.shares_memory(m.indices, full.indices) and np.shares_memory(m.indptr, full.indptr)
         assert m.has_sorted_indices
         assert np.array_equal(np.isinf(m.data), np.isinf(m.T.tocsr().data))
@@ -154,15 +155,15 @@ class TestBoundaryCases:
         {"kind": "custom-polygon", "params": {"vertices": SLIT_SQUARE}, "resolution": 0.05}])
     def test_short_detours_mask_what_every_two_step_path_masks(self, shape):
         d = build_grid_domain(ShapeSpec.from_json(shape), 2.0)
-        w = d.graph.trapezoid(d.graph.lengths, 1.0 / d.boundary_distance)
+        w = d.graph.trapezoid(1.0 / d.boundary_distance)
         every = metric_core._two_step_reads(detour=10.0)
         assert sum(map(len, every)) == 360 and sum(map(len, metric_core._TWO_STEP)) == 48
         with mock.patch.object(metric_core, "_TWO_STEP", every):
-            expected = d.graph.search_matrix(w)
+            expected = d.graph.search_matrix(w.copy())
         assert_same_csr(d.graph.search_matrix(w), expected)
 
     def test_two_step_reads_stay_within_the_forward_halo(self):
-        # _dominated_edges fills h = 4 rows after a band and h columns either side of it, and
+        # _mask_dominated fills h = 4 rows after a band and h columns either side of it, and
         # no row before it for these paths
         reads = [at for paths in metric_core._TWO_STEP for path in paths for _, at in path]
         assert all(0 <= row <= 4 and -4 <= col <= 4 for row, col in reads)
@@ -171,11 +172,11 @@ class TestBoundaryCases:
     def test_bands_do_not_change_the_mask(self, disk_mid):
         d, k = disk_mid
         with mock.patch.object(views, "_ROW_BLOCK_BYTES", 1):  # one lattice row a band
-            assert_same_csr(d.graph.search_matrix(k.edge_weights), k.matrix)
+            assert_same_csr(d.graph.search_matrix(k.arc_weights), k.matrix)
 
-    def test_temporaries_within_the_mask_and_two_blocks(self, disk_mid):
+    def test_temporaries_within_the_mask_and_three_blocks(self, disk_mid):
         d, k = disk_mid
-        w = k.edge_weights
+        w = k.arc_weights
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -183,5 +184,7 @@ class TestBoundaryCases:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        # the matrix's data, one byte an edge of mask, and the banded weight grids
-        assert peak < m.data.nbytes + len(w) + 2 * views._ROW_BLOCK_BYTES
+        # the weights become the data, uncopied; one byte of mask a direction and vertex, and a
+        # band's weight grids and the gathers over its arcs
+        assert np.shares_memory(m.data, w)
+        assert peak < len(metric_core.STENCIL) * d.n + 3 * views._ROW_BLOCK_BYTES
