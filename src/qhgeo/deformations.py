@@ -18,18 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import ConfigurationError
 from .metric_core import DomainSample
 from .quasihyperbolic import QuasihyperbolicMetric
 from .sampling import pool_indices, tuple_sample_from_pool
-from .views import DenseChainView, GraphView, rows_per_block
+from .views import DenseChainView, GraphView, built_once, rows_per_block
 
 
 def _qh_view(graph, lengths, dg, name: str) -> GraphView:
     """Quasihyperbolic view of ``graph`` over arc ``lengths`` (overwritten) and boundary ``dg``."""
-    return GraphView(graph.search_matrix(graph.trapezoid(1.0 / dg, lengths)), name=name)
+    matrix, order = graph.search_matrix(graph.trapezoid(1.0 / dg, lengths))
+    return GraphView(matrix, name, order)
 
 
 def deformation_density(k: QuasihyperbolicMetric, i, w: int, eps: float) -> np.ndarray:
@@ -55,8 +55,8 @@ class UniformizedSpace:
 
         self.k_from_base = k.rows([self.w])[0]
         self.density = np.exp(-eps * self.k_from_base)
-        self.matrix = domain.graph.search_matrix(self.arc_weights)
-        self._view = GraphView(self.matrix, name=f"uniformized(eps={eps})")
+        self.matrix, order = domain.graph.search_matrix(self.arc_weights)
+        self._view = GraphView(self.matrix, f"uniformized(eps={eps})", order)
         self._boundary_distance = None
         self._qh_view = None
 
@@ -86,24 +86,16 @@ class UniformizedSpace:
         shortest-path run on every arc from a virtual sink wired to every vertex with that
         weight: its distances reach 1/eps, past the bound of ``search_matrix``.
         """
-        if self._boundary_distance is None:
-            n = self.n
-            tail = self.density / self.eps
-            base = self.domain.graph.reweighted(self.arc_weights).tocoo()
-            rows = np.concatenate([base.row, np.arange(n), np.full(n, n)])
-            cols = np.concatenate([base.col, np.full(n, n), np.arange(n)])
-            vals = np.concatenate([base.data, tail, tail])
-            aug = csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1))
-            self._boundary_distance = GraphView(aug).rows([n])[0, :n]
-        return self._boundary_distance
+        def build():
+            sink = self.domain.graph.sink_matrix(self.arc_weights, self.density / self.eps)
+            return GraphView(sink).rows([self.n])[0, :self.n]
+        return built_once(self, "_boundary_distance", build)
 
     def qh_view(self) -> GraphView:
         """Quasihyperbolic metric of the deformed space itself."""
-        if self._qh_view is None:
-            dg = self.boundary_distance()
-            self._qh_view = _qh_view(self.domain.graph, self.arc_weights, dg,
-                                     f"qh-of-uniformized(eps={self.eps})")
-        return self._qh_view
+        return built_once(self, "_qh_view", lambda: _qh_view(
+            self.domain.graph, self.arc_weights, self.boundary_distance(),
+            f"qh-of-uniformized(eps={self.eps})"))
 
     def diameter_estimate(self, n_extremal: int = 32) -> float:
         """Lower bound for the deformed diameter: eccentricity of the base
@@ -170,7 +162,7 @@ class SphericalizedSpace:
         1 MiB) at a time; each row's minimum is exact, so the result
         does not depend on the block size.
         """
-        if self._boundary_distance is None:
+        def build():
             out = 1.0 / self.depth
             bc = self.domain.boundary_coords
             block = rows_per_block(len(bc))
@@ -180,16 +172,16 @@ class SphericalizedSpace:
                 s = np.hypot(pts[:, None, 0] - bc[None, :, 0], pts[:, None, 1] - bc[None, :, 1])
                 s /= self.depth[rows, None] * self.boundary_depth[None, :]
                 np.minimum(out[rows], s.min(axis=1), out=out[rows])
-            self._boundary_distance = out
-        return self._boundary_distance
+            return out
+        return built_once(self, "_boundary_distance", build)
 
     def qh_view(self) -> GraphView:
         """Quasihyperbolic metric of the sphericalized space (full base graph)."""
-        if self._qh_view is None:
+        def build():
             dg = self.boundary_distance()
             s_arc = self.domain.graph.arc_map(lambda w, du, dv: w / (du * dv), self.depth)
-            self._qh_view = _qh_view(self.domain.graph, s_arc, dg, "qh-of-sphericalized")
-        return self._qh_view
+            return _qh_view(self.domain.graph, s_arc, dg, "qh-of-sphericalized")
+        return built_once(self, "_qh_view", build)
 
 
 def uniformize(domain: DomainSample, k: QuasihyperbolicMetric, w, eps: float) -> UniformizedSpace:

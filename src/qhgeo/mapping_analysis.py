@@ -26,7 +26,7 @@ from .errors import ConfigurationError
 from .metric_core import DomainSample
 from .quasihyperbolic import QuasihyperbolicMetric
 from .sampling import pool_indices, tuple_sample_from_pool
-from .views import EuclideanView, MetricView
+from .views import EuclideanView, MetricView, built_once
 
 
 class _ReindexedView(MetricView):
@@ -74,9 +74,8 @@ class SpaceSide:
         return len(self.coords)
 
     def nearest_vertex(self, points):
-        if self._tree is None:
-            self._tree = cKDTree(self.coords)
-        return self._tree.query(np.atleast_2d(points))[1]
+        tree = built_once(self, "_tree", lambda: cKDTree(self.coords))
+        return tree.query(np.atleast_2d(points))[1]
 
     def boundary_distance_at(self, points):
         raise ConfigurationError("this space supports only vertex-sampled queries")

@@ -11,7 +11,6 @@ moves alone leave 2.75%).
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from scipy.spatial import cKDTree
 
 from .errors import ConfigurationError, InternalError
 from .shapes import ShapeGeometry, ShapeSpec, geometry_for
-from .views import EuclideanView, GraphView, rows_per_block
+from .views import EuclideanView, GraphView, built_once, rows_per_block
 
 # canonical half of the stencil; the reverse directions are implied by
 # undirectedness.  All displacements have coprime components, so open
@@ -61,6 +60,7 @@ def _two_step_reads(detour=1.1):
 
 
 _TWO_STEP = _two_step_reads()
+_BAND = 4  # lattice columns to a band of the search numbering (``_band_order``)
 _INTERIOR_TOL_FACTOR = 1e-9
 # sample points of a stencil edge tested against a non-convex shape
 _EDGE_FRACTIONS = np.arange(1, 8)[:, None, None] / 8.0
@@ -95,8 +95,8 @@ class LengthGraph:
             layout = (None, *_csr_layout(n, self._edges))
         (self._lattice, self._indptr, self._indices, self._code), self._table = layout, lengths
         self.coords = None if coords is None else np.asarray(coords, float)
+        self._order = None if self._lattice is None else _band_order(self._lattice)
         self._matrix = None
-        self._lock = threading.Lock()
         self._check_connected()
         for arr in (self._indptr, self._indices, self._code, lengths):
             arr.setflags(write=False)
@@ -140,11 +140,7 @@ class LengthGraph:
     @property
     def matrix(self) -> csr_matrix:
         """The symmetric length matrix, built on first read."""
-        if self._matrix is None:
-            with self._lock:
-                if self._matrix is None:
-                    self._matrix = self._csr(self._table[self._code])
-        return self._matrix
+        return built_once(self, "_matrix", lambda: self._csr(self._table[self._code]))
 
     def arc_lengths(self, u, v) -> np.ndarray:
         """Lengths of the edges u[a]-v[a], bitwise ``matrix[u, v]``, from each step's code."""
@@ -178,21 +174,71 @@ class LengthGraph:
             raise ConfigurationError("replacement edge weights must be > 0")
         return self._csr(weights)
 
-    def search_matrix(self, weights: np.ndarray) -> csr_matrix:
-        """``reweighted(weights)`` with ``inf`` written on both arcs of every edge u-v that a path
-        u-m-v of ``_TWO_STEP`` beats by more than ``tau = 4e-12 (1 + X)``, ``X = (n - 1) max w``.
+    def sink_matrix(self, weights: np.ndarray, tail: np.ndarray) -> csr_matrix:
+        """``reweighted(weights)`` with one more vertex n, joined both ways to each vertex v by
+        an arc of weight ``tail[v]``, straight from the layout: row v holds its arcs, then v -> n
+        (column n sorts last), and row n every vertex, as scipy's COO conversion sorts them."""
+        n, m = self.n, len(self._indices)
+        indptr = np.append(self._indptr + np.arange(n + 1, dtype=np.int32), np.int32(m + 2 * n))
+        sink = indptr[1:-1] - 1  # the last arc of row v
+        arcs = np.ones(m + n, dtype=bool)
+        arcs[sink] = False
+        indices, data = np.empty(m + 2 * n, dtype=np.int32), np.empty(m + 2 * n)
+        indices[:m + n][arcs], data[:m + n][arcs] = self._indices, weights
+        indices[sink], data[sink] = n, tail
+        indices[m + n:], data[m + n:] = np.arange(n), tail
+        return csr_matrix((data, indices, indptr), shape=(n + 1, n + 1))
 
-        Rows and geodesics stay bitwise: every distance D a search reaches is at most X, so
-        ``fl(fl(D_u + a) + b) <= (D_u + a + b)(1 + 2^-53)^2 < fl(D_u + w)`` for a + b + tau < w.
-        A search finds the least left-to-right float sum over paths, and float addition is
-        monotone, so ``D_v <= fl(fl(D_u + a) + b)``: the arc never sets a distance.  And ``D_u +
-        w - D_v > tau - 4e-16 (X + w) > 1e-12 (1 + D_v)``, so ``QuasihyperbolicMetric.geodesics``
-        never walks it.  ``weights`` becomes the matrix's data: pass an array of your own.  An
-        imported graph has no lattice and gets ``reweighted(weights)``."""
+    def search_matrix(self, weights: np.ndarray) -> tuple[csr_matrix, np.ndarray | None]:
+        """The compact graph of ``weights`` (one per arc, overwritten) and ``order``, the vertex of
+        each of its rows and columns: ``reweighted(weights)`` without both arcs of every edge u-v
+        that a path u-m-v of ``_TWO_STEP`` beats by more than ``tau = 4e-12 (1 + X)``, ``X = (n -
+        1) max w``, in 4-point lattice bands (``_band_order``).  Rows and geodesics stay bitwise:
+        every distance D a search reaches is at most X, so ``fl(fl(D_u + a) + b) <= (D_u + a + b)(1
+        + 2^-53)^2 < fl(D_u + w)`` for a + b + tau < w.  A search finds the least left-to-right
+        float sum over paths, and float addition is monotone, so ``D_v <= fl(fl(D_u + a) + b)``:
+        the arc sets no distance, absent or not.  And ``D_u + w - D_v > tau - 4e-16 (X + w) >
+        1e-12 (1 + D_v)``, so ``QuasihyperbolicMetric.geodesics`` would never walk it.  Where
+        ``fl(D + w) > D`` for every arc and ``D <= X`` (min w > 2^-52 X; at h = 0.01 about 1e-2
+        against 1e-11), the float fixpoint ``D_v = min_u fl(D_u + w_uv)``, ``D_s = 0``, is unique
+        and Dijkstra reaches it in any numbering; other weights keep the lattice order.  An
+        imported graph has no lattice and gets ``reweighted(weights)`` and ``None``."""
         matrix = self.reweighted(weights)
-        if self._lattice is not None and len(matrix.data):
-            _mask_dominated(self._lattice, self._indptr, self._indices, self._code, matrix.data)
-        return matrix
+        if self._lattice is None or not matrix.nnz:
+            return matrix, None
+        data, top = matrix.data, (self.n - 1) * matrix.data.max()
+        _mask_dominated(self._lattice, self._indptr, self._indices, self._code, data,
+                        4e-12 * (1.0 + top))
+        order = self._order if data.min() > 2.0**-52 * top else np.arange(self.n, dtype=np.int32)
+        return _compact(self._indptr, self._indices, data, order), order
+
+
+def _band_order(keep2d):
+    """``int32`` vertex at each position: bands of ``_BAND`` lattice columns (``keep2d``'s second
+    axis), each by rows, so a vertex's 48 stencil neighbours sit a few positions away."""
+    ix, iy = np.nonzero(keep2d)
+    return np.lexsort((iy, ix, iy // _BAND)).astype(np.int32)
+
+
+def _compact(indptr, indices, data, order):
+    """CSR of the finite arcs of ``data`` on the layout ``indptr``, ``indices``, row and column p
+    standing for vertex ``order[p]``, moved a few hundred layout rows at a time in layout order."""
+    n, position = len(order), np.argsort(order).astype(np.int32)
+    count, starts = np.zeros(n, dtype=np.int32), indptr[:-1]
+    some = starts < indptr[1:]  # reduceat reads one arc for a row with none
+    count[some] = np.add.reduceat(data < np.inf, starts[some], dtype=np.int32)
+    out_ptr = np.concatenate([[0], np.cumsum(count[order])]).astype(np.int32)
+    out_data, out_indices = np.empty(out_ptr[-1]), np.empty(out_ptr[-1], dtype=np.int32)
+    chunk = rows_per_block(8 * len(STEPS))  # up to 48 arcs a row, in 8-byte temporaries
+    for v0 in range(0, n, chunk):
+        arcs, size = slice(indptr[v0], indptr[min(v0 + chunk, n)]), count[v0:v0 + chunk]
+        keep = data[arcs] < np.inf
+        # the kept arcs of row v go to out_ptr[position[v]] onwards, in layout order
+        to = np.repeat(out_ptr.take(position[v0:v0 + chunk]) - (np.cumsum(size) - size), size)
+        to += np.arange(len(to))
+        out_data[to] = data[arcs][keep]
+        out_indices[to] = position.take(indices[arcs][keep])
+    return csr_matrix((out_data, out_indices, out_ptr), shape=(n, n))
 
 
 def _csr_layout(n, edges):
@@ -241,7 +287,7 @@ def _lattice_layout(keep2d, clip=None):
     return indptr, table[present], code
 
 
-def _mask_dominated(keep2d, indptr, indices, code, data):
+def _mask_dominated(keep2d, indptr, indices, code, data, tau):
     """Write ``inf`` on both arcs of every edge heavier than a path of ``_TWO_STEP`` plus ``tau``.
     Band by band of lattice rows, ``grid[k]`` holds the weight of the edge (p, p + STENCIL[k]) from
     its upper arc at each point p of the band and its halo (``inf`` where there is none): ``h``
@@ -252,9 +298,10 @@ def _mask_dominated(keep2d, indptr, indices, code, data):
     h, width, n_dir = 4, ny + 8, len(STENCIL)  # h: the longest stencil step along an axis
     back = -min(at[0] for paths in _TWO_STEP for path in paths for _, at in path)
     first = np.concatenate([[0], np.cumsum(np.count_nonzero(keep2d, axis=1))])
-    tau, dominated = 4e-12 * (1.0 + (n - 1) * data.max()), np.zeros((n_dir, n), dtype=bool)
-    # the grids take half a block, the band's arcs (up to 48 a point) about as much again
-    band = max(1, rows_per_block(2 * n_dir * width) - back - h)
+    dominated = np.zeros((n_dir, n), dtype=bool)
+    # the grids take a block, the band's arcs (up to 48 a point) about as much again; the halo
+    # rows are filled again for the next band, so a smaller band costs time
+    band = max(1, rows_per_block(n_dir * width) - back - h)
     grid = np.empty((n_dir, (band + back + h) * width))
     low, path = np.empty(band * width), np.empty(band * width)
     for r0 in range(0, nx, band):
@@ -345,7 +392,6 @@ class DomainSample:
         self.resolution = float(resolution)
         self._ambient = EuclideanView(self.coords)
         self._graph_view = None
-        self._lock = threading.Lock()
         self._kdtree = None
         self._boundary_tree = None
         for arr in (self.coords, self.boundary_coords, self.boundary_distance):
@@ -360,29 +406,22 @@ class DomainSample:
 
     def graph_view(self) -> GraphView:
         """Shortest-path view of the length graph, built once on first use."""
-        if self._graph_view is None:
-            with self._lock:
-                if self._graph_view is None:
-                    self._graph_view = GraphView(self.graph.matrix, name="graph")
-        return self._graph_view
+        return built_once(self, "_graph_view", lambda: GraphView(self.graph.matrix, name="graph"))
 
     def ambient_distance(self, i, j) -> np.ndarray:
         return self._ambient.pairs(np.atleast_1d(i), np.atleast_1d(j))
 
     def nearest_vertex(self, points) -> np.ndarray:
-        if self._kdtree is None:
-            self._kdtree = cKDTree(self.coords)
         pts = np.atleast_2d(np.asarray(points, float))
-        return self._kdtree.query(pts)[1]
+        return built_once(self, "_kdtree", lambda: cKDTree(self.coords)).query(pts)[1]
 
     def boundary_distance_at(self, points) -> np.ndarray:
         """Boundary distance at arbitrary points (not only vertices)."""
         pts = np.atleast_2d(np.asarray(points, float))
         if self.geometry is not None and self.geometry.analytic_boundary:
             return self.geometry.boundary_distance(pts)
-        if self._boundary_tree is None:
-            self._boundary_tree = cKDTree(self.boundary_coords)
-        return self._boundary_tree.query(pts)[0]
+        tree = built_once(self, "_boundary_tree", lambda: cKDTree(self.boundary_coords))
+        return tree.query(pts)[0]
 
     def contains(self, points) -> np.ndarray:
         if self.geometry is None:

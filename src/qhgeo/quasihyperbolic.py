@@ -2,8 +2,9 @@
 
 The metric integrates the density 1/d_G along curves; on the graph each edge carries weight
 edgeLength * (1/d_G(u) + 1/d_G(v)) / 2 (trapezoid rule on the endpoints) and distances are
-shortest paths under those weights.  Searches run on ``LengthGraph.search_matrix``, where an
-arc that a two-edge detour beats weighs ``inf``: rows and geodesics stay bitwise.
+shortest paths under those weights.  Searches run on ``LengthGraph.search_matrix``, a compact
+graph without the arcs that a two-edge detour beats, numbered in 4-point lattice bands: rows and
+geodesics stay bitwise.  A metric holds that graph and its numbering, nothing else per arc.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ class QuasihyperbolicMetric:
 
     def __init__(self, domain: DomainSample):
         self.domain = domain
-        self.matrix = domain.graph.search_matrix(self.arc_weights)
-        self._view = GraphView(self.matrix, name="quasihyperbolic")
+        self.matrix, order = domain.graph.search_matrix(self.arc_weights)
+        self._view = GraphView(self.matrix, "quasihyperbolic", order)
 
     @property
     def arc_weights(self) -> np.ndarray:
@@ -52,13 +53,14 @@ class QuasihyperbolicMetric:
         The distinct sources with i != j get their rows from ``rows``,
         ``rows_per_block(n)`` to a call, and the walks of those sources run back
         from their targets in lockstep.  A step gathers the CSR arcs u -> v of
-        each walker's vertex v (the matrix is symmetric and holds each edge weight
-        once per direction) and moves to the lowest u with ``|du + w - dv| <=
-        1e-12 (1 + dv)`` and ``du < dv``, so a walk strictly nears its source.
+        each walker's vertex v from v's row (the matrix is symmetric and holds each
+        edge weight once per direction), reads each u as a vertex and moves to the
+        lowest u with ``|du + w - dv| <= 1e-12 (1 + dv)`` and ``du < dv``, so a walk
+        strictly nears its source; an arc the search graph dropped never passes.
         Nothing is kept between calls, so a caller asks for all its paths at once.
         """
         i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
-        m, n = self.matrix, self.n
+        m, n, view = self.matrix, self.n, self._view
         walk = np.flatnonzero(i != j)
         sources, chunk = np.unique(i[walk]), rows_per_block(n)
         steps = [(np.arange(len(i)), j)]  # (walkers, their vertices) of every step, from j
@@ -70,10 +72,12 @@ class QuasihyperbolicMetric:
             for _ in range(n):
                 if not len(w):
                     break
-                lo, count = m.indptr[v], m.indptr[v + 1] - m.indptr[v]
+                at = view.positions(v)
+                lo, count = m.indptr[at], m.indptr[at + 1] - m.indptr[at]
                 start = np.cumsum(count) - count  # walker b's arcs are arcs[start[b]:][:count[b]]
                 arcs = np.arange(count.sum()) + np.repeat(lo - start, count)
-                u, dv = m.indices[arcs], np.repeat(dist[r, v], count)
+                u = m.indices[arcs] if view.order is None else view.order[m.indices[arcs]]
+                dv = np.repeat(dist[r, v], count)
                 du = dist[np.repeat(r, count), u]
                 on_path = (np.abs(du + m.data[arcs] - dv) <= 1e-12 * (1.0 + dv)) & (du < dv)
                 v = np.minimum.reduceat(np.where(on_path, u, n), start)

@@ -18,8 +18,10 @@ Goldberg & Harrelson, SODA 2005).  Sources are taken in the order of their
 limits, about 1 MiB of rows to one search at the chunk's largest limit; a
 chunk answers its pairs and is dropped; evicted rows are freed.  Every
 search runs ``directed=True`` on a symmetric matrix, which gives the same
-floats as an undirected run at about half the cost.  Arcs of
-``LengthGraph.search_matrix`` that no shortest path uses weigh ``inf``.
+floats as an undirected run at about half the cost.  A grid's search graph
+(``LengthGraph.search_matrix``) holds only arcs a shortest path can use, row
+and column p standing for vertex ``order[p]``; ``GraphView`` searches from
+positions, and its rows come out, and enter the cache, by vertex.
 
 ``DenseChainView`` starts a row as the quasimetric row, a metric by Ptolemy's inequality,
 and runs a plain dense Dijkstra on the ends of the angular-window pairs that pass a screen.
@@ -41,11 +43,22 @@ _BOUND_PAD = 1e-9
 _CHAIN_PAIRS = 64  # most window pairs per point before a chain row runs the plain loop
 _ROW_BLOCK_BYTES = 1 << 20  # largest dense temporary: one search's output, one block of rows
 _ROW_CACHE_BYTES = 8 << 20  # cached rows one GraphView holds; least recently used go first
+_BUILD_LOCK = threading.RLock()  # first builds of lazy members; one build may read another
 
 
 def rows_per_block(width: int) -> int:
     """Rows of ``width`` floats in one dense block of about ``_ROW_BLOCK_BYTES``; at least 1."""
     return max(1, _ROW_BLOCK_BYTES // (8 * width))
+
+
+def built_once(owner, name: str, build):
+    """``owner.<name>``, set to ``build()`` on first read under ``_BUILD_LOCK`` (checked again
+    there), so threads that read it first together build it once."""
+    if getattr(owner, name) is None:
+        with _BUILD_LOCK:
+            if getattr(owner, name) is None:
+                setattr(owner, name, build())
+    return getattr(owner, name)
 
 
 class MetricView:
@@ -111,15 +124,19 @@ class GraphView(MetricView):
     """Shortest-path metric on a symmetric sparse weighted graph.
 
     The matrix must be symmetric (every edge stored in both directions):
-    searches run ``directed=True`` on it.
+    searches run ``directed=True`` on it.  Row and column p of ``matrix``
+    stand for vertex ``order[p]`` (``None``: vertex p).  Every query takes
+    and returns vertices; only the searches see positions.
     """
 
     name = "graph"
 
-    def __init__(self, matrix, name: str | None = None):
+    def __init__(self, matrix, name: str | None = None, order=None):
         self.matrix = matrix.tocsr()
         if name:
             self.name = name
+        self.order = order
+        self._position = None if order is None else np.argsort(order).astype(np.int32)
         self._cache: OrderedDict[int, np.ndarray] = OrderedDict()  # least recently used first
         self._cached_bytes = 0
         self._lock = threading.Lock()
@@ -127,6 +144,15 @@ class GraphView(MetricView):
     @property
     def n(self):
         return self.matrix.shape[0]
+
+    def positions(self, vertices):
+        """The rows of ``matrix`` that stand for ``vertices``."""
+        return vertices if self.order is None else self._position[vertices]
+
+    def _search(self, sources, **options) -> np.ndarray:
+        """scipy's Dijkstra from the rows of vertices ``sources``, one column a vertex."""
+        dist = dijkstra(self.matrix, directed=True, indices=self.positions(sources), **options)
+        return dist if self.order is None else dist.take(self._position, axis=-1)
 
     def _cached(self, keys) -> dict:
         """The cached rows of ``keys``, marked most recently used; hold the lock."""
@@ -169,7 +195,7 @@ class GraphView(MetricView):
         missing = list(own)
         if missing:
             bounded = {} if limit is None else {"limit": max(own.values())}
-            dist = np.atleast_2d(dijkstra(self.matrix, directed=True, indices=missing, **bounded))
+            dist = np.atleast_2d(self._search(missing, **bounded))
             keep = np.isfinite(dist).all(axis=1) & (dist.max(axis=1) <= list(own.values()))
             with self._lock:
                 for s, row, ok in zip(missing, dist, keep):
@@ -190,8 +216,8 @@ class GraphView(MetricView):
         Dijkstra distance.  Queries come in chunks of about ``_ROW_BLOCK_BYTES`` of
         temporaries: 2 (mean row length + 1) entries a query in five 8-byte arrays.
         """
-        i = np.asarray(i, dtype=np.intp)
-        j = np.asarray(j, dtype=np.intp)
+        i = self.positions(np.asarray(i, dtype=np.intp))
+        j = self.positions(np.asarray(j, dtype=np.intp))
         n, out = self.n, np.full(len(i), np.inf)
         chunk = rows_per_block(10 * (self.matrix.nnz // max(n, 1) + 1))
         for a in range(0, len(i), chunk):
@@ -283,8 +309,7 @@ class GraphView(MetricView):
 
     def min_distance_to(self, targets) -> np.ndarray:
         """Distance from every vertex to the target set (one multi-source run)."""
-        targets = np.asarray(targets, dtype=np.intp)
-        return dijkstra(self.matrix, directed=True, indices=targets, min_only=True)
+        return self._search(np.asarray(targets, dtype=np.intp), min_only=True)
 
 
 def _dense_chain(coords, depth, source) -> np.ndarray:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 from scipy.spatial.distance import pdist
 
 from qhgeo import (
@@ -76,7 +77,8 @@ class TestUniformizedSpace:
         i = int(d.nearest_vertex([(-0.4, 0.3)])[0])
         j = int(d.nearest_vertex([(0.5, -0.1)])[0])
         path = k.geodesic(i, j)
-        weights = np.asarray(u.matrix[path[:-1], path[1:]]).ravel()
+        # the weights by vertex, from every arc (the search matrix is numbered in bands)
+        weights = np.asarray(d.graph.reweighted(u.arc_weights)[path[:-1], path[1:]]).ravel()
         assert u.pairs([i], [j])[0] <= weights.sum() + 1e-12
 
     def test_metric_axioms_deformed_and_its_qh(self, disk_pack, rng):
@@ -216,6 +218,59 @@ class TestBoundaryDistanceBlocks:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+
+def coo_sink_reference(space):
+    """The sink-augmented matrix of ``space.boundary_distance`` as built through COO before."""
+    n, tail = space.n, space.density / space.eps
+    base = space.domain.graph.reweighted(space.arc_weights).tocoo()
+    rows = np.concatenate([base.row, np.arange(n), np.full(n, n)])
+    cols = np.concatenate([base.col, np.full(n, n), np.arange(n)])
+    vals = np.concatenate([base.data, tail, tail])
+    return csr_matrix((vals, (rows, cols)), shape=(n + 1, n + 1))
+
+
+def assert_sink_equals_coo_reference(space):
+    ref = coo_sink_reference(space)
+    got = space.domain.graph.sink_matrix(space.arc_weights, space.density / space.eps)
+    for key in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, key), getattr(ref, key))
+    expected = views.GraphView(ref).rows([space.n])[0, :space.n]
+    assert space.boundary_distance().tobytes() == expected.tobytes()
+
+
+class TestSinkMatrix:
+    def test_shipped_uniformizations_equal_the_coo_reference(self):
+        raw = json.loads((SCENARIO_DIR / "uniformized_disk.json").read_text())
+        spaces = ScenarioContext({**raw, "checks": []}).deformations.values()
+        assert len(spaces) == 4 and all(s.kind == "uniformize" for s in spaces)
+        for space in spaces:
+            assert_sink_equals_coo_reference(space)
+
+    @given(st.sampled_from([("disk", {"radius": 1.0}), ("square", {"side": 1.0}),
+                            ("L-shape", {"arm_width": 1.0, "arm_length": 2.0})]),
+           st.floats(0.08, 0.2), st.floats(0.05, 0.95), st.integers(0, 10**6))
+    @settings(max_examples=15, deadline=None)
+    def test_random_grids_equal_the_coo_reference(self, shape, h, eps, at):
+        from qhgeo import QuasihyperbolicMetric
+
+        d = build_grid_domain(ShapeSpec(*shape, h), 2.0)
+        assert_sink_equals_coo_reference(uniformize(d, QuasihyperbolicMetric(d), at % d.n, eps))
+
+    def test_traced_peak_within_three_arc_arrays(self):
+        from qhgeo import QuasihyperbolicMetric
+
+        d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.02), 2.0)
+        space = uniformize(d, QuasihyperbolicMetric(d), (0.0, 0.0), 0.2)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            space.boundary_distance()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the arc weights, the matrix's data and indices and a byte an arc to place them
+        assert peak < 3 * 8 * len(d.graph._indices)
 
 
 class TestBasepointChange:

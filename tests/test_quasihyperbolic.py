@@ -114,9 +114,10 @@ class TestMetricBasics:
         assert "arc_weights" not in vars(k)  # nothing per arc is kept but the matrix
         expected = d.graph.trapezoid(1.0 / d.boundary_distance)
         assert k.arc_weights.tobytes() == expected.tobytes()
-        masked = d.graph.search_matrix(expected.copy())
+        compact, order = d.graph.search_matrix(expected.copy())
         for key in ("indptr", "indices", "data"):
-            assert getattr(k.matrix, key).tobytes() == getattr(masked, key).tobytes()
+            assert getattr(k.matrix, key).tobytes() == getattr(compact, key).tobytes()
+        assert k.view().order is order
         every = np.arange(d.n)
         assert k.rows(every).tobytes() == GraphView(d.graph.reweighted(expected)).rows(every).tobytes()
 
@@ -176,7 +177,8 @@ class TestGeodesics:
         i = int(d.nearest_vertex([(-0.3, 0.4)])[0])
         j = int(d.nearest_vertex([(0.6, -0.2)])[0])
         path = k.geodesic(i, j)
-        seg = np.asarray(k.matrix[path[:-1], path[1:]]).ravel()
+        # the weights by vertex, from every arc (the search matrix is numbered in bands)
+        seg = np.asarray(d.graph.reweighted(k.arc_weights)[path[:-1], path[1:]]).ravel()
         assert seg.sum() == pytest.approx(k.distance(i, j), abs=1e-10)
         assert np.array_equal(path, k.geodesic(i, j))
 
@@ -233,7 +235,8 @@ class TestGeodesics:
         j = data.draw(st.integers(0, d.n - 1))
         path = k.geodesic(i, j)
         assert path[0] == i and path[-1] == j
-        total = float(np.asarray(k.matrix[path[:-1], path[1:]]).sum()) if len(path) > 1 else 0.0
+        weights = d.graph.reweighted(k.arc_weights)
+        total = float(np.asarray(weights[path[:-1], path[1:]]).sum()) if len(path) > 1 else 0.0
         assert abs(total - k.distance(i, j)) <= 1e-12 * k.distance(i, j)
 
 

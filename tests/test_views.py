@@ -1,3 +1,4 @@
+import contextlib
 import sys
 import threading
 import time
@@ -650,6 +651,53 @@ class TestLazyMembers:
         with mock.patch.object(metric_core, "GraphView", slow_view):
             built = in_threads(domain.graph_view)
         assert all(v is domain.graph_view() for v in built)
+
+    @pytest.mark.parametrize("member", ["nearest_vertex", "boundary_tree", "side_tree",
+                                        "uniformized", "sphericalized"])
+    def test_threads_build_each_lazy_member_once(self, member):
+        from qhgeo import deformations, mapping_analysis, sphericalize, uniformize
+
+        # a polygon: no analytic boundary distance, so boundary_distance_at needs its tree
+        square = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
+        d = build_grid_domain(ShapeSpec("custom-polygon", {"vertices": square}, 0.2), 2.0)
+        built = []
+
+        def counted(module, name):
+            """``module.name``, patched to count and slow down each call."""
+            make = getattr(module, name)
+
+            def slow(*args, **kwargs):
+                built.append(name)
+                time.sleep(0.02)  # every thread is past the first check by now
+                return make(*args, **kwargs)
+
+            return mock.patch.object(module, name, slow)
+
+        side = mapping_analysis.SpaceSide(d.coords, d.ambient_view(), d.boundary_distance)
+        k = QuasihyperbolicMetric(d)
+        space = (uniformize(d, k, 0, 0.3) if member == "uniformized"
+                 else sphericalize(d, d.boundary_coords[0], max_points=50, rng=0))
+        read, patched, expected = {
+            "nearest_vertex": (lambda: tuple(d.nearest_vertex([(0.1, 0.2)])),
+                               [(metric_core, "cKDTree")], ["cKDTree"]),
+            "boundary_tree": (lambda: tuple(d.boundary_distance_at([(0.1, 0.2)])),
+                              [(metric_core, "cKDTree")], ["cKDTree"]),
+            "side_tree": (lambda: tuple(side.nearest_vertex([(0.1, 0.2)])),
+                          [(mapping_analysis, "cKDTree")], ["cKDTree"]),
+            # both members from both entry points: qh_view reads boundary_distance
+            "uniformized": (lambda: (id(space.qh_view()), id(space.boundary_distance())),
+                            [(deformations, "_qh_view"), (LengthGraph, "sink_matrix")],
+                            ["_qh_view", "sink_matrix"]),
+            "sphericalized": (lambda: (id(space.qh_view()), id(space.boundary_distance())),
+                              [(deformations, "_qh_view"), (deformations, "rows_per_block")],
+                              ["_qh_view", "rows_per_block"]),
+        }[member]
+        with contextlib.ExitStack() as stack:
+            for module, name in patched:
+                stack.enter_context(counted(module, name))
+            got = in_threads(read)
+        assert len(set(got)) == 1
+        assert sorted(built) == sorted(expected)
 
 
 class TestLengthGraphValidation:
