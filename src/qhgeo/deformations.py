@@ -28,8 +28,7 @@ from .views import DenseChainView, GraphView, built_once, rows_per_block
 
 def _qh_view(graph, lengths, dg, name: str) -> GraphView:
     """Quasihyperbolic view of ``graph`` over arc ``lengths`` (overwritten) and boundary ``dg``."""
-    matrix, order = graph.search_matrix(graph.trapezoid(1.0 / dg, lengths))
-    return GraphView(matrix, name, order)
+    return GraphView(*graph.search_matrix(graph.trapezoid(1.0 / dg, lengths)), name=name)
 
 
 def deformation_density(k: QuasihyperbolicMetric, i, w: int, eps: float) -> np.ndarray:
@@ -55,8 +54,8 @@ class UniformizedSpace:
 
         self.k_from_base = k.rows([self.w])[0]
         self.density = np.exp(-eps * self.k_from_base)
-        self.matrix, order = domain.graph.search_matrix(self.arc_weights)
-        self._view = GraphView(self.matrix, f"uniformized(eps={eps})", order)
+        self._view = GraphView(*domain.graph.search_matrix(self.arc_weights),
+                               name=f"uniformized(eps={eps})")
         self._boundary_distance = None
         self._qh_view = None
 
@@ -177,11 +176,10 @@ class SphericalizedSpace:
 
     def qh_view(self) -> GraphView:
         """Quasihyperbolic metric of the sphericalized space (full base graph)."""
-        def build():
-            dg = self.boundary_distance()
-            s_arc = self.domain.graph.arc_map(lambda w, du, dv: w / (du * dv), self.depth)
-            return _qh_view(self.domain.graph, s_arc, dg, "qh-of-sphericalized")
-        return built_once(self, "_qh_view", build)
+        graph = self.domain.graph
+        return built_once(self, "_qh_view", lambda: _qh_view(
+            graph, graph.arc_map(lambda w, du, dv: w / (du * dv), self.depth),
+            self.boundary_distance(), "qh-of-sphericalized"))
 
 
 def uniformize(domain: DomainSample, k: QuasihyperbolicMetric, w, eps: float) -> UniformizedSpace:

@@ -95,7 +95,7 @@ class LengthGraph:
             layout = (None, *_csr_layout(n, self._edges))
         (self._lattice, self._indptr, self._indices, self._code), self._table = layout, lengths
         self.coords = None if coords is None else np.asarray(coords, float)
-        self._order = None if self._lattice is None else _band_order(self._lattice)
+        self._bands = None  # the search numbering of a grid (``_band_order``), on first use
         self._matrix = None
         self._check_connected()
         for arr in (self._indptr, self._indices, self._code, lengths):
@@ -179,29 +179,26 @@ class LengthGraph:
         an arc of weight ``tail[v]``, straight from the layout: row v holds its arcs, then v -> n
         (column n sorts last), and row n every vertex, as scipy's COO conversion sorts them."""
         n, m = self.n, len(self._indices)
+        at = np.append(self._indptr[1:], np.full(n, m))  # v -> n ends row v; row n comes last
         indptr = np.append(self._indptr + np.arange(n + 1, dtype=np.int32), np.int32(m + 2 * n))
-        sink = indptr[1:-1] - 1  # the last arc of row v
-        arcs = np.ones(m + n, dtype=bool)
-        arcs[sink] = False
-        indices, data = np.empty(m + 2 * n, dtype=np.int32), np.empty(m + 2 * n)
-        indices[:m + n][arcs], data[:m + n][arcs] = self._indices, weights
-        indices[sink], data[sink] = n, tail
-        indices[m + n:], data[m + n:] = np.arange(n), tail
+        indices = np.insert(self._indices, at, np.append(np.full(n, n), np.arange(n)))
+        data = np.insert(weights, at, np.append(tail, tail))
         return csr_matrix((data, indices, indptr), shape=(n + 1, n + 1))
 
-    def search_matrix(self, weights: np.ndarray) -> tuple[csr_matrix, np.ndarray | None]:
-        """The compact graph of ``weights`` (one per arc, overwritten) and ``order``, the vertex of
-        each of its rows and columns: ``reweighted(weights)`` without both arcs of every edge u-v
-        that a path u-m-v of ``_TWO_STEP`` beats by more than ``tau = 4e-12 (1 + X)``, ``X = (n -
-        1) max w``, in 4-point lattice bands (``_band_order``).  Rows and geodesics stay bitwise:
-        every distance D a search reaches is at most X, so ``fl(fl(D_u + a) + b) <= (D_u + a + b)(1
-        + 2^-53)^2 < fl(D_u + w)`` for a + b + tau < w.  A search finds the least left-to-right
-        float sum over paths, and float addition is monotone, so ``D_v <= fl(fl(D_u + a) + b)``:
-        the arc sets no distance, absent or not.  And ``D_u + w - D_v > tau - 4e-16 (X + w) >
-        1e-12 (1 + D_v)``, so ``QuasihyperbolicMetric.geodesics`` would never walk it.  Where
-        ``fl(D + w) > D`` for every arc and ``D <= X`` (min w > 2^-52 X; at h = 0.01 about 1e-2
-        against 1e-11), the float fixpoint ``D_v = min_u fl(D_u + w_uv)``, ``D_s = 0``, is unique
-        and Dijkstra reaches it in any numbering; other weights keep the lattice order.  An
+    def search_matrix(self, weights: np.ndarray) -> tuple[csr_matrix, tuple | None]:
+        """The compact graph of ``weights`` (one per arc, overwritten) and its ``GraphView`` bands
+        ``(order, position)``, the vertex of each row and column and the row of each vertex: it is
+        ``reweighted(weights)`` without both arcs of every edge u-v that a path u-m-v of
+        ``_TWO_STEP`` beats by more than ``tau = 4e-12 (1 + X)``, ``X = (n - 1) max w``, numbered
+        in 4-point lattice bands (``_band_order``, built once a grid).  Rows and geodesics stay
+        bitwise: every distance D a search reaches is at most X, so ``fl(fl(D_u + a) + b) <= (D_u
+        + a + b)(1 + 2^-53)^2 < fl(D_u + w)`` for a + b + tau < w.  A search finds the least
+        left-to-right float sum over paths, and float addition is monotone, so ``D_v <= fl(fl(D_u
+        + a) + b)``: the arc sets no distance, absent or not.  And ``D_u + w - D_v > tau - 4e-16 (X
+        + w) > 1e-12 (1 + D_v)``, so ``QuasihyperbolicMetric.geodesics`` would never walk it.
+        Where ``fl(D + w) > D`` for every arc and ``D <= X`` (min w > 2^-52 X; at h = 0.01 about
+        1e-2 against 1e-11), the float fixpoint ``D_v = min_u fl(D_u + w_uv)``, ``D_s = 0``, is
+        unique and Dijkstra reaches it in any numbering; other weights keep the lattice order.  An
         imported graph has no lattice and gets ``reweighted(weights)`` and ``None``."""
         matrix = self.reweighted(weights)
         if self._lattice is None or not matrix.nnz:
@@ -209,21 +206,24 @@ class LengthGraph:
         data, top = matrix.data, (self.n - 1) * matrix.data.max()
         _mask_dominated(self._lattice, self._indptr, self._indices, self._code, data,
                         4e-12 * (1.0 + top))
-        order = self._order if data.min() > 2.0**-52 * top else np.arange(self.n, dtype=np.int32)
-        return _compact(self._indptr, self._indices, data, order), order
+        tiny = data.min() <= 2.0**-52 * top  # fl(D + w) = D may happen: keep the lattice order
+        bands = (np.arange(self.n, dtype=np.int32),) * 2 if tiny else built_once(
+            self, "_bands", lambda: _band_order(self._lattice))
+        return _compact(self._indptr, self._indices, data, *bands), bands
 
 
 def _band_order(keep2d):
-    """``int32`` vertex at each position: bands of ``_BAND`` lattice columns (``keep2d``'s second
-    axis), each by rows, so a vertex's 48 stencil neighbours sit a few positions away."""
+    """``int32`` (order, position), the vertex at each position and its inverse: bands of ``_BAND``
+    lattice columns (``keep2d``'s second axis) by rows, so stencil neighbours sit a few apart."""
     ix, iy = np.nonzero(keep2d)
-    return np.lexsort((iy, ix, iy // _BAND)).astype(np.int32)
+    order = np.lexsort((iy, ix, iy // _BAND)).astype(np.int32)
+    return order, np.argsort(order).astype(np.int32)
 
 
-def _compact(indptr, indices, data, order):
+def _compact(indptr, indices, data, order, position):
     """CSR of the finite arcs of ``data`` on the layout ``indptr``, ``indices``, row and column p
     standing for vertex ``order[p]``, moved a few hundred layout rows at a time in layout order."""
-    n, position = len(order), np.argsort(order).astype(np.int32)
+    n = len(order)
     count, starts = np.zeros(n, dtype=np.int32), indptr[:-1]
     some = starts < indptr[1:]  # reduceat reads one arc for a row with none
     count[some] = np.add.reduceat(data < np.inf, starts[some], dtype=np.int32)

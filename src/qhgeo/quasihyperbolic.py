@@ -23,8 +23,8 @@ class QuasihyperbolicMetric:
 
     def __init__(self, domain: DomainSample):
         self.domain = domain
-        self.matrix, order = domain.graph.search_matrix(self.arc_weights)
-        self._view = GraphView(self.matrix, "quasihyperbolic", order)
+        self._view = GraphView(*domain.graph.search_matrix(self.arc_weights),
+                               name="quasihyperbolic")
 
     @property
     def arc_weights(self) -> np.ndarray:
@@ -52,15 +52,15 @@ class QuasihyperbolicMetric:
 
         The distinct sources with i != j get their rows from ``rows``,
         ``rows_per_block(n)`` to a call, and the walks of those sources run back
-        from their targets in lockstep.  A step gathers the CSR arcs u -> v of
-        each walker's vertex v from v's row (the matrix is symmetric and holds each
-        edge weight once per direction), reads each u as a vertex and moves to the
+        from their targets in lockstep.  A step gathers the arcs u -> v of each
+        walker's vertex v from ``GraphView.arcs`` (the graph is symmetric and holds
+        each edge weight once per direction), every u a vertex, and moves to the
         lowest u with ``|du + w - dv| <= 1e-12 (1 + dv)`` and ``du < dv``, so a walk
         strictly nears its source; an arc the search graph dropped never passes.
         Nothing is kept between calls, so a caller asks for all its paths at once.
         """
         i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
-        m, n, view = self.matrix, self.n, self._view
+        n = self.n
         walk = np.flatnonzero(i != j)
         sources, chunk = np.unique(i[walk]), rows_per_block(n)
         steps = [(np.arange(len(i)), j)]  # (walkers, their vertices) of every step, from j
@@ -72,14 +72,10 @@ class QuasihyperbolicMetric:
             for _ in range(n):
                 if not len(w):
                     break
-                at = view.positions(v)
-                lo, count = m.indptr[at], m.indptr[at + 1] - m.indptr[at]
-                start = np.cumsum(count) - count  # walker b's arcs are arcs[start[b]:][:count[b]]
-                arcs = np.arange(count.sum()) + np.repeat(lo - start, count)
-                u = m.indices[arcs] if view.order is None else view.order[m.indices[arcs]]
-                dv = np.repeat(dist[r, v], count)
-                du = dist[np.repeat(r, count), u]
-                on_path = (np.abs(du + m.data[arcs] - dv) <= 1e-12 * (1.0 + dv)) & (du < dv)
+                count, u, weight = self._view.arcs(v)
+                start = np.cumsum(count) - count  # walker b's arcs are u[start[b]:][:count[b]]
+                du, dv = dist[np.repeat(r, count), u], np.repeat(dist[r, v], count)
+                on_path = (np.abs(du + weight - dv) <= 1e-12 * (1.0 + dv)) & (du < dv)
                 v = np.minimum.reduceat(np.where(on_path, u, n), start)
                 if np.any(v == n):
                     raise InternalError(

@@ -19,9 +19,8 @@ limits, about 1 MiB of rows to one search at the chunk's largest limit; a
 chunk answers its pairs and is dropped; evicted rows are freed.  Every
 search runs ``directed=True`` on a symmetric matrix, which gives the same
 floats as an undirected run at about half the cost.  A grid's search graph
-(``LengthGraph.search_matrix``) holds only arcs a shortest path can use, row
-and column p standing for vertex ``order[p]``; ``GraphView`` searches from
-positions, and its rows come out, and enter the cache, by vertex.
+(``LengthGraph.search_matrix``) holds only arcs a shortest path can use, in
+its own numbering; a view searches from rows and caches and returns by vertex.
 
 ``DenseChainView`` starts a row as the quasimetric row, a metric by Ptolemy's inequality,
 and runs a plain dense Dijkstra on the ends of the angular-window pairs that pass a screen.
@@ -124,19 +123,18 @@ class GraphView(MetricView):
     """Shortest-path metric on a symmetric sparse weighted graph.
 
     The matrix must be symmetric (every edge stored in both directions):
-    searches run ``directed=True`` on it.  Row and column p of ``matrix``
-    stand for vertex ``order[p]`` (``None``: vertex p).  Every query takes
-    and returns vertices; only the searches see positions.
+    searches run ``directed=True`` on it.  ``bands`` is ``(order, position)``, as
+    ``LengthGraph.search_matrix`` gives them: row p of ``matrix`` is vertex ``order[p]``,
+    and vertex v is row ``position[v]`` (``None``: row v).  Queries take and return vertices.
     """
 
     name = "graph"
 
-    def __init__(self, matrix, name: str | None = None, order=None):
+    def __init__(self, matrix, bands=None, name: str | None = None):
         self.matrix = matrix.tocsr()
         if name:
             self.name = name
-        self.order = order
-        self._position = None if order is None else np.argsort(order).astype(np.int32)
+        self.order, self._position = (None, None) if bands is None else bands
         self._cache: OrderedDict[int, np.ndarray] = OrderedDict()  # least recently used first
         self._cached_bytes = 0
         self._lock = threading.Lock()
@@ -145,13 +143,22 @@ class GraphView(MetricView):
     def n(self):
         return self.matrix.shape[0]
 
-    def positions(self, vertices):
+    def _positions(self, vertices):
         """The rows of ``matrix`` that stand for ``vertices``."""
         return vertices if self.order is None else self._position[vertices]
 
+    def arcs(self, vertices):
+        """The arcs out of each of ``vertices``, vertex by vertex: how many it has, then every
+        arc's head (a vertex) and weight."""
+        m, at = self.matrix, self._positions(vertices)
+        lo, count = m.indptr[at], m.indptr[at + 1] - m.indptr[at]
+        arcs = np.arange(count.sum()) + np.repeat(lo - (np.cumsum(count) - count), count)
+        heads = m.indices[arcs]
+        return count, heads if self.order is None else self.order[heads], m.data[arcs]
+
     def _search(self, sources, **options) -> np.ndarray:
         """scipy's Dijkstra from the rows of vertices ``sources``, one column a vertex."""
-        dist = dijkstra(self.matrix, directed=True, indices=self.positions(sources), **options)
+        dist = dijkstra(self.matrix, directed=True, indices=self._positions(sources), **options)
         return dist if self.order is None else dist.take(self._position, axis=-1)
 
     def _cached(self, keys) -> dict:
@@ -216,8 +223,8 @@ class GraphView(MetricView):
         Dijkstra distance.  Queries come in chunks of about ``_ROW_BLOCK_BYTES`` of
         temporaries: 2 (mean row length + 1) entries a query in five 8-byte arrays.
         """
-        i = self.positions(np.asarray(i, dtype=np.intp))
-        j = self.positions(np.asarray(j, dtype=np.intp))
+        i = self._positions(np.asarray(i, dtype=np.intp))
+        j = self._positions(np.asarray(j, dtype=np.intp))
         n, out = self.n, np.full(len(i), np.inf)
         chunk = rows_per_block(10 * (self.matrix.nnz // max(n, 1) + 1))
         for a in range(0, len(i), chunk):

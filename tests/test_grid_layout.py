@@ -113,7 +113,7 @@ class TestLatticeLayout:
         assert same(g.matrix.data, arc_lengths)
         # the search matrix holds the finite arcs, numbered by the grid's band order
         k = QuasihyperbolicMetric(d)
-        m, order, kept = k.matrix, k.view().order, np.isfinite(data)
+        m, order, kept = k.view().matrix, k.view().order, np.isfinite(data)
         p = np.repeat(np.arange(d.n), np.diff(m.indptr))
         at = np.lexsort((order[m.indices], order[p]))
         assert np.array_equal(order[p][at], rows[kept])
@@ -124,9 +124,8 @@ class TestLatticeLayout:
         d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.01), 2.0)
         g = d.graph
         held = [a for a in vars(g).values() if isinstance(a, np.ndarray) and a is not g.coords]
-        # int32 indptr and indices and an int8 code an arc; nothing per edge (21.7 MiB before);
-        # and the int32 band order of the search matrices, one entry a vertex
-        assert sum(a.nbytes for a in held) <= 7 * 2**20 + 4 * d.n
+        # int32 indptr and indices and an int8 code an arc; nothing per edge (21.7 MiB before)
+        assert sum(a.nbytes for a in held) <= 7 * 2**20
         assert d.n == 30_149 and len(g._indices) == 1_416_832 and g._code.dtype == np.int8
         assert sorted(a.dtype.itemsize for a in held if a.size >= len(g._indices) // 2) == [1, 4]
 

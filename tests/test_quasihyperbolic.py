@@ -114,9 +114,9 @@ class TestMetricBasics:
         assert "arc_weights" not in vars(k)  # nothing per arc is kept but the matrix
         expected = d.graph.trapezoid(1.0 / d.boundary_distance)
         assert k.arc_weights.tobytes() == expected.tobytes()
-        compact, order = d.graph.search_matrix(expected.copy())
+        compact, (order, _) = d.graph.search_matrix(expected.copy())
         for key in ("indptr", "indices", "data"):
-            assert getattr(k.matrix, key).tobytes() == getattr(compact, key).tobytes()
+            assert getattr(k.view().matrix, key).tobytes() == getattr(compact, key).tobytes()
         assert k.view().order is order
         every = np.arange(d.n)
         assert k.rows(every).tobytes() == GraphView(d.graph.reweighted(expected)).rows(every).tobytes()

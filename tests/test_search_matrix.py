@@ -85,8 +85,8 @@ def assert_same_arcs(a, b):
 class Weighted(QuasihyperbolicMetric):
     """Geodesics and rows of ``QuasihyperbolicMetric`` over a given matrix and numbering."""
 
-    def __init__(self, domain, matrix, order=None):
-        self.domain, self.matrix, self._view = domain, matrix, GraphView(matrix, None, order)
+    def __init__(self, domain, matrix, bands=None):
+        self.domain, self._view = domain, GraphView(matrix, bands)
 
 
 @st.composite
@@ -109,33 +109,36 @@ def weighted_grids(draw):
 
 
 def assert_queries_equal(d, w, data):
-    """Every query on the compact graph of ``w`` equals it on the masked reference, bitwise, and
-    rows equal those of every arc."""
-    compact, order = d.graph.search_matrix(w.copy())
-    ref = masked(d.graph, w)
+    """Every query on the compact graph of ``w`` equals it on the masked reference, bitwise;
+    rows, limited rows and target sets also equal those of every arc."""
+    compact, bands = d.graph.search_matrix(w.copy())
+    ref, every = masked(d.graph, w), d.graph.reweighted(w)  # fresh views: nothing cached
     index = st.integers(0, d.n - 1)
     src = data.draw(st.lists(index, min_size=1, max_size=6))
-    rows = GraphView(compact, None, order).rows(src)
+    rows = GraphView(compact, bands).rows(src)
     assert rows.tobytes() == GraphView(ref).rows(src).tobytes()
-    assert rows.tobytes() == dijkstra(d.graph.reweighted(w), directed=True, indices=src).tobytes()
+    assert rows.tobytes() == dijkstra(every, directed=True, indices=src).tobytes()
     limit = data.draw(st.floats(0.0, 1.0)) * rows.max()
-    assert (GraphView(compact, None, order).rows(src, limit=limit).tobytes()
-            == GraphView(ref).rows(src, limit=limit).tobytes())
+    got = GraphView(compact, bands).rows(src, limit=limit).tobytes()
+    assert got == GraphView(ref).rows(src, limit=limit).tobytes()
+    assert got == GraphView(every).rows(src, limit=limit).tobytes()
     limits = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(src),
                                          max_size=len(src)))) * rows.max()
-    assert (GraphView(compact, None, order).rows(src, limit=limits).tobytes()
-            == GraphView(ref).rows(src, limit=limits).tobytes())
+    got = GraphView(compact, bands).rows(src, limit=limits).tobytes()
+    assert got == GraphView(ref).rows(src, limit=limits).tobytes()
+    assert got == GraphView(every).rows(src, limit=limits).tobytes()
     i = np.array(data.draw(st.lists(index, min_size=1, max_size=8)))
     j = np.array(data.draw(st.lists(index, min_size=len(i), max_size=len(i))))
-    assert (GraphView(compact, None, order).pairs(i, j).tobytes()
+    assert (GraphView(compact, bands).pairs(i, j).tobytes()
             == GraphView(ref).pairs(i, j).tobytes())
     idx = np.array(data.draw(st.lists(index, min_size=1, max_size=5)))
-    assert (GraphView(compact, None, order).submatrix(idx).tobytes()
+    assert (GraphView(compact, bands).submatrix(idx).tobytes()
             == GraphView(ref).submatrix(idx).tobytes())
     targets = data.draw(st.lists(index, min_size=1, max_size=4))
-    assert (GraphView(compact, None, order).min_distance_to(targets).tobytes()
-            == GraphView(ref).min_distance_to(targets).tobytes())
-    got = Weighted(d, compact, order).geodesics(i, j)
+    got = GraphView(compact, bands).min_distance_to(targets).tobytes()
+    assert got == GraphView(ref).min_distance_to(targets).tobytes()
+    assert got == GraphView(every).min_distance_to(targets).tobytes()
+    got = Weighted(d, compact, bands).geodesics(i, j)
     expected = Weighted(d, d.graph.reweighted(w)).geodesics(i, j)
     assert len(got) == len(expected) and all(map(np.array_equal, got, expected))
 
@@ -156,8 +159,10 @@ class TestQueriesBitwise:
     @settings(max_examples=40, deadline=None)
     def test_arcs_are_the_finite_arcs_of_the_masked_matrix(self, case):
         d, w = case
-        compact, order = d.graph.search_matrix(w.copy())
-        assert order.dtype == np.int32 and np.array_equal(np.sort(order), np.arange(d.n))
+        compact, (order, position) = d.graph.search_matrix(w.copy())
+        assert order.dtype == position.dtype == np.int32
+        assert np.array_equal(np.sort(order), np.arange(d.n))
+        assert np.array_equal(position[order], np.arange(d.n))
         arcs = vertex_arcs(compact, order)
         assert_same_arcs(arcs, vertex_arcs(masked(d.graph, w), finite_only=True))
         # symmetric: each arc's reverse holds the same weight
@@ -191,26 +196,26 @@ class TestBoundaryCases:
     def test_length_weights_drop_no_arc(self, spec):
         # coprime stencil steps: every two-step path is longer than the edge it spans
         g = build_grid_domain(spec, 2.0).graph
-        assert_same_arcs(vertex_arcs(*g.search_matrix(g.matrix.data.copy())),
-                         vertex_arcs(g.matrix))
+        compact, (order, _) = g.search_matrix(g.matrix.data.copy())
+        assert_same_arcs(vertex_arcs(compact, order), vertex_arcs(g.matrix))
 
     def test_imported_graph_gets_reweighted_bitwise(self):
         d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.1), 2.0)
         imported = domain_from_length_graph(d.coords, d.graph.edges, d.boundary_coords)
         w = imported.graph.trapezoid(1.0 / imported.boundary_distance)
         assert imported.graph._lattice is None
-        matrix, order = imported.graph.search_matrix(w.copy())
-        assert order is None
+        matrix, bands = imported.graph.search_matrix(w.copy())
+        assert bands is None
         assert_same_csr(matrix, imported.graph.reweighted(w))
         # the same weights on the grid, whose layout is the same
         assert d.graph.search_matrix(w.copy())[0].nnz < len(w)
 
     def test_band_order_and_arc_count_on_the_shared_layout(self, disk_mid):
         d, k = disk_mid
-        m, order = k.matrix, k.view().order
+        m, order = k.view().matrix, k.view().order
         ix, iy = np.nonzero(d.graph._lattice)
         assert np.array_equal(order, np.lexsort((iy, ix, iy // 4)))
-        assert order is d.graph._order  # one numbering a grid
+        assert order is d.graph._bands[0]  # one numbering a grid
         # 31.3% of the arcs of the qh-pairs grid are gone, and directed=True stays valid
         assert len(d.graph._indices) - m.nnz == 103_728
         src = [0, d.n // 2]
@@ -224,12 +229,12 @@ class TestBoundaryCases:
         density[: d.n // 3] = 1e-30
         w = d.graph.trapezoid(density)
         assert w.min() <= 2.0**-52 * (d.n - 1) * w.max()
-        compact, order = d.graph.search_matrix(w.copy())
-        assert np.array_equal(order, np.arange(d.n))
-        assert_same_arcs(vertex_arcs(compact, order),
+        compact, bands = d.graph.search_matrix(w.copy())
+        assert all(np.array_equal(a, np.arange(d.n)) for a in bands)
+        assert_same_arcs(vertex_arcs(compact, bands[0]),
                          vertex_arcs(masked(d.graph, w), finite_only=True))
         src = [0, d.n // 2, d.n - 1]
-        assert (GraphView(compact, None, order).rows(src).tobytes()
+        assert (GraphView(compact, bands).rows(src).tobytes()
                 == GraphView(masked(d.graph, w)).rows(src).tobytes())
 
     @pytest.mark.parametrize("shape", shipped_shapes() + [
@@ -253,7 +258,7 @@ class TestBoundaryCases:
     def test_bands_and_blocks_do_not_change_the_graph(self, disk_mid):
         d, k = disk_mid
         with mock.patch.object(views, "_ROW_BLOCK_BYTES", 1):  # one lattice row a band
-            assert_same_csr(d.graph.search_matrix(k.arc_weights)[0], k.matrix)
+            assert_same_csr(d.graph.search_matrix(k.arc_weights)[0], k.view().matrix)
 
     def test_temporaries_within_the_weights_and_three_blocks(self, disk_mid):
         d, k = disk_mid
@@ -273,8 +278,8 @@ class TestBoundaryCases:
     def test_finest_shipped_grid_search_arrays_under_14_5_mib(self):
         d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.01), 2.0)
         k = QuasihyperbolicMetric(d)
-        m, order = k.matrix, k.view().order
-        held = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes + order.nbytes
+        m, (order, position) = k.view().matrix, d.graph._bands
+        held = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes + order.nbytes + position.nbytes
         # 1,416,832 arcs on the layout, whose masked data alone took 10.81 MiB
         assert m.nnz == 1_193_312 and m.indices.dtype == order.dtype == np.int32
         assert held <= 14.5 * 2**20

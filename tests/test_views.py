@@ -653,7 +653,7 @@ class TestLazyMembers:
         assert all(v is domain.graph_view() for v in built)
 
     @pytest.mark.parametrize("member", ["nearest_vertex", "boundary_tree", "side_tree",
-                                        "uniformized", "sphericalized"])
+                                        "uniformized", "sphericalized", "bands"])
     def test_threads_build_each_lazy_member_once(self, member):
         from qhgeo import deformations, mapping_analysis, sphericalize, uniformize
 
@@ -677,6 +677,8 @@ class TestLazyMembers:
         k = QuasihyperbolicMetric(d)
         space = (uniformize(d, k, 0, 0.3) if member == "uniformized"
                  else sphericalize(d, d.boundary_coords[0], max_points=50, rng=0))
+        if member == "bands":
+            d.graph._bands = None  # the grid's first search, from every thread at once
         read, patched, expected = {
             "nearest_vertex": (lambda: tuple(d.nearest_vertex([(0.1, 0.2)])),
                                [(metric_core, "cKDTree")], ["cKDTree"]),
@@ -691,6 +693,8 @@ class TestLazyMembers:
             "sphericalized": (lambda: (id(space.qh_view()), id(space.boundary_distance())),
                               [(deformations, "_qh_view"), (deformations, "rows_per_block")],
                               ["_qh_view", "rows_per_block"]),
+            "bands": (lambda: id(QuasihyperbolicMetric(d).view().order),
+                      [(metric_core, "_band_order")], ["_band_order"]),
         }[member]
         with contextlib.ExitStack() as stack:
             for module, name in patched:
