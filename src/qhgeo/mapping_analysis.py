@@ -57,25 +57,32 @@ def _restricted(view: MetricView, index) -> MetricView:
 class SpaceSide:
     """One side of a mapping: point set, ambient metric, boundary data.
 
-    Subclasses set ``domain``, the grid domain sample the points come from.
+    Subclasses set ``domain``, the grid domain sample the points come from,
+    and pass it as ``whole`` when the points are all its vertices: its k-d tree is shared.
     """
 
     supports_continuum = False
 
-    def __init__(self, coords, ambient, boundary_distance, qh=None):
+    def __init__(self, coords, ambient, boundary_distance, qh=None, whole=None):
         self.coords = np.asarray(coords, float)
         self.ambient = ambient
         self.boundary_distance = np.asarray(boundary_distance, float)
         self.qh = qh
+        self._whole = whole
         self._tree = None
 
     @property
     def n(self):
         return len(self.coords)
 
+    def tree(self) -> cKDTree:
+        """The k-d tree of the points, built once; the whole domain's own if they are its."""
+        if self._whole is not None:
+            return self._whole.vertex_tree()
+        return built_once(self, "_tree", lambda: cKDTree(self.coords))
+
     def nearest_vertex(self, points):
-        tree = built_once(self, "_tree", lambda: cKDTree(self.coords))
-        return tree.query(np.atleast_2d(points))[1]
+        return self.tree().query(np.atleast_2d(points))[1]
 
     def boundary_distance_at(self, points):
         raise ConfigurationError("this space supports only vertex-sampled queries")
@@ -100,7 +107,8 @@ class DomainSide(SpaceSide):
         index = slice(None) if subset is None else np.asarray(subset, dtype=np.intp)
         qh_view = None if qh is None else _restricted(qh.view(), index)
         coords = domain.coords[index]
-        super().__init__(coords, EuclideanView(coords), domain.boundary_distance[index], qh_view)
+        super().__init__(coords, EuclideanView(coords), domain.boundary_distance[index], qh_view,
+                         whole=domain if subset is None else None)
 
     def boundary_distance_at(self, points):
         return self.domain.boundary_distance_at(points)
@@ -115,7 +123,8 @@ class DeformedSide(SpaceSide):
         # a sphericalization's metric lives on its active vertices only
         index = space.active if space.kind == "sphericalize" else slice(None)
         super().__init__(space.domain.coords[index], space.metric_view(),
-                         space.boundary_distance()[index], _restricted(space.qh_view(), index))
+                         space.boundary_distance()[index], _restricted(space.qh_view(), index),
+                         whole=None if space.kind == "sphericalize" else space.domain)
         self.space = space
         self.domain = space.domain
 
@@ -278,7 +287,7 @@ def _grid_balls(side: SpaceSide, q: float, n_balls: int, pts_per_ball: int, rng)
     radius factor or a finer grid.
     """
     rng = np.random.default_rng(rng)
-    tree = cKDTree(side.coords)
+    tree = side.tree()
     drawn = rng.permutation(side.n)[: min(n_balls, side.n)]
     balls = []
     for c in drawn:

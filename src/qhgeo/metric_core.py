@@ -355,9 +355,9 @@ class DomainSample:
     """Immutable discretized incomplete metric space.
 
     Interior vertices carry a length-graph structure; the ambient metric is
-    Euclidean on coordinates, and ``boundary_distance[i]`` is the distance
-    from vertex i to the metric boundary (analytic when the shape provides
-    it, otherwise the minimum over boundary samples).
+    Euclidean on coordinates, and ``boundary_distance[i]`` is the distance from
+    vertex i to the metric boundary (analytic when the shape provides it, otherwise
+    the minimum over boundary samples: ``boundary_tree`` is their k-d tree, if built).
     """
 
     def __init__(
@@ -369,6 +369,7 @@ class DomainSample:
         geometry: ShapeGeometry | None = None,
         quasiconvexity: float = 1.0,
         resolution: float | None = None,
+        boundary_tree: cKDTree | None = None,
     ):
         if graph.coords is None:
             raise ConfigurationError("domain vertices need ambient coordinates")
@@ -393,7 +394,7 @@ class DomainSample:
         self._ambient = EuclideanView(self.coords)
         self._graph_view = None
         self._kdtree = None
-        self._boundary_tree = None
+        self._boundary_tree = boundary_tree
         for arr in (self.coords, self.boundary_coords, self.boundary_distance):
             arr.setflags(write=False)
 
@@ -411,9 +412,12 @@ class DomainSample:
     def ambient_distance(self, i, j) -> np.ndarray:
         return self._ambient.pairs(np.atleast_1d(i), np.atleast_1d(j))
 
+    def vertex_tree(self) -> cKDTree:
+        """The k-d tree of the vertices, built once on first use."""
+        return built_once(self, "_kdtree", lambda: cKDTree(self.coords))
+
     def nearest_vertex(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, float))
-        return built_once(self, "_kdtree", lambda: cKDTree(self.coords)).query(pts)[1]
+        return self.vertex_tree().query(np.atleast_2d(np.asarray(points, float)))[1]
 
     def boundary_distance_at(self, points) -> np.ndarray:
         """Boundary distance at arbitrary points (not only vertices)."""
@@ -474,11 +478,12 @@ def build_grid_domain(spec: ShapeSpec, boundary_band_h: float = 0.0) -> DomainSa
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     lattice = np.column_stack([gx.ravel(), gy.ravel()])
 
-    boundary = geom.boundary_samples(h)
+    boundary, tree = geom.boundary_samples(h), None
     if geom.analytic_boundary:
         bdist = geom.boundary_distance(lattice)
     else:
-        bdist = cKDTree(boundary).query(lattice)[0]
+        tree = cKDTree(boundary)
+        bdist = tree.query(lattice)[0]
         bdist = np.where(geom.contains(lattice), bdist, -bdist)
 
     keep = (bdist > tol) & (bdist >= boundary_band_h * h)
@@ -500,7 +505,7 @@ def build_grid_domain(spec: ShapeSpec, boundary_band_h: float = 0.0) -> DomainSa
     layout = (keep2d, *_lattice_layout(keep2d, clip))
     graph = LengthGraph(len(coords), None, lengths, coords, layout)
     return DomainSample(graph, boundary, inner_bdist, shape=spec, geometry=geom,
-                        quasiconvexity=1.0, resolution=h)
+                        quasiconvexity=1.0, resolution=h, boundary_tree=tree)
 
 
 def domain_from_length_graph(
@@ -520,8 +525,9 @@ def domain_from_length_graph(
     boundary_coords = np.asarray(boundary_coords, float).reshape(-1, 2)
     if len(boundary_coords) == 0:
         raise ConfigurationError("imported domain needs at least one boundary sample")
-    bdist = cKDTree(boundary_coords).query(coords)[0]
-    return DomainSample(graph, boundary_coords, bdist, quasiconvexity=quasiconvexity)
+    tree = cKDTree(boundary_coords)
+    return DomainSample(graph, boundary_coords, tree.query(coords)[0],
+                        quasiconvexity=quasiconvexity, boundary_tree=tree)
 
 
 def estimate_quasiconvexity(domain: DomainSample, pairs=None, n_pairs: int = 512, rng=None):

@@ -1,26 +1,26 @@
 """Uniform query surface over the metrics the toolkit constructs.
 
 A view answers vectorized distance queries on an immutable point set.
-Only ``GraphView`` caches rows, behind a lock, so concurrent readers are
-safe; the other views compute what each call asks for and keep nothing.
+Only ``GraphView`` keeps anything: landmark rows for its pair queries,
+behind a lock, so concurrent readers are safe; the other views compute what
+each call asks for and keep nothing.
 
-``GraphView`` caches only complete rows: every row asked for without a
-limit, and a limited row that reached every vertex within its own source's
-limit.  It holds copies of them, at most ``_ROW_CACHE_BYTES`` (8 MiB) per
-view, and evicts the least recently used first; a row that is asked for
-again is searched again, with bitwise the same floats.  ``submatrix`` runs
-its sources about 1 MiB of rows at a time and keeps only the pool columns.
-A pair query reads the cached row of its source where there is one.
-Every other query is bounded by the least of the edge i-j, the lightest path
-i-m-j (sparse row intersections), and the landmark bound
-``k(i, j) <= k(i, L) + k(L, j)`` over the cached rows L (ALT-style pruning,
-Goldberg & Harrelson, SODA 2005).  Sources are taken in the order of their
-limits, about 1 MiB of rows to one search at the chunk's largest limit; a
-chunk answers its pairs and is dropped; evicted rows are freed.  Every
+``GraphView.rows`` always searches and returns the search output.  Every
+full row (no limit) it computes is also kept as a landmark: a float16 copy
+rounded up, so each entry is the least float16 at or above the distance
+(``inf`` past 65504), at most ``_LANDMARK_BYTES`` (2 MiB) per view, the
+oldest dropped first.  Limited rows are never kept.  ``submatrix`` runs its
+sources about 1 MiB of rows at a time and keeps only the pool columns.  A
+pair query is bounded by the least of the edge i-j, the lightest path i-m-j
+(sparse row intersections), and the landmark bound ``k(i, j) <= k(i, L) +
+k(L, j)`` over the landmarks L (ALT-style pruning, Goldberg & Harrelson,
+SODA 2005); rounding up keeps every landmark bound an upper bound.  Sources
+are taken in the order of their limits, about 1 MiB of rows to one search at
+the chunk's largest limit; a chunk answers its pairs and is dropped.  Every
 search runs ``directed=True`` on a symmetric matrix, which gives the same
 floats as an undirected run at about half the cost.  A grid's search graph
 (``LengthGraph.search_matrix``) holds only arcs a shortest path can use, in
-its own numbering; a view searches from rows and caches and returns by vertex.
+its own numbering; a view searches from rows and keeps and returns by vertex.
 
 ``DenseChainView`` starts a row as the quasimetric row, a metric by Ptolemy's inequality,
 and runs a plain dense Dijkstra on the ends of the angular-window pairs that pass a screen.
@@ -41,13 +41,24 @@ from .errors import InternalError
 _BOUND_PAD = 1e-9
 _CHAIN_PAIRS = 64  # most window pairs per point before a chain row runs the plain loop
 _ROW_BLOCK_BYTES = 1 << 20  # largest dense temporary: one search's output, one block of rows
-_ROW_CACHE_BYTES = 8 << 20  # cached rows one GraphView holds; least recently used go first
+_LANDMARK_BYTES = 2 << 20  # float16 landmark rows one GraphView holds; oldest go first
 _BUILD_LOCK = threading.RLock()  # first builds of lazy members; one build may read another
 
 
 def rows_per_block(width: int) -> int:
     """Rows of ``width`` floats in one dense block of about ``_ROW_BLOCK_BYTES``; at least 1."""
     return max(1, _ROW_BLOCK_BYTES // (8 * width))
+
+
+def rounded_up(row: np.ndarray) -> np.ndarray:
+    """``row`` (no entry below 0) as float16, each entry the least float16 at or above it
+    (``inf`` past 65504): the cast, then one step up where it fell below (from a float16
+    >= 0, ``np.nextafter`` toward ``inf`` is its bits + 1)."""
+    with np.errstate(over="ignore"):
+        half = row.astype(np.float16)
+    bits = half.view(np.uint16)
+    bits += half < row
+    return half
 
 
 def built_once(owner, name: str, build):
@@ -126,6 +137,7 @@ class GraphView(MetricView):
     searches run ``directed=True`` on it.  ``bands`` is ``(order, position)``, as
     ``LengthGraph.search_matrix`` gives them: row p of ``matrix`` is vertex ``order[p]``,
     and vertex v is row ``position[v]`` (``None``: row v).  Queries take and return vertices.
+    The view holds no float64 row between calls: only its float16 landmarks.
     """
 
     name = "graph"
@@ -135,8 +147,8 @@ class GraphView(MetricView):
         if name:
             self.name = name
         self.order, self._position = (None, None) if bands is None else bands
-        self._cache: OrderedDict[int, np.ndarray] = OrderedDict()  # least recently used first
-        self._cached_bytes = 0
+        self._landmarks: OrderedDict[int, np.ndarray] = OrderedDict()  # oldest first
+        self._landmark_bytes = 0
         self._lock = threading.Lock()
 
     @property
@@ -161,57 +173,35 @@ class GraphView(MetricView):
         dist = dijkstra(self.matrix, directed=True, indices=self._positions(sources), **options)
         return dist if self.order is None else dist.take(self._position, axis=-1)
 
-    def _cached(self, keys) -> dict:
-        """The cached rows of ``keys``, marked most recently used; hold the lock."""
-        found = {}
-        for s in keys:
-            if s in self._cache:
-                self._cache.move_to_end(s)
-                found[s] = self._cache[s]
-        return found
-
-    def _store(self, s: int, row: np.ndarray) -> None:
-        """Cache a copy of ``row`` and evict down to the budget; hold the lock."""
-        if s in self._cache:
-            return
-        self._cache[s] = row = row.copy()
-        self._cached_bytes += row.nbytes
-        while self._cached_bytes > _ROW_CACHE_BYTES:
-            self._cached_bytes -= self._cache.popitem(last=False)[1].nbytes
+    def _keep(self, sources, rows) -> None:
+        """Keep new sources' rows as landmarks (only the last that fit), the oldest dropped."""
+        fit = max(len(sources) - _LANDMARK_BYTES // (2 * max(self.n, 1)), 0)
+        kept = [(s, rounded_up(row)) for s, row in zip(sources[fit:].tolist(), rows[fit:])]
+        with self._lock:
+            for s, row in kept:
+                if s not in self._landmarks:
+                    self._landmarks[s] = row
+                    self._landmark_bytes += row.nbytes
+            while self._landmark_bytes > _LANDMARK_BYTES:
+                self._landmark_bytes -= self._landmarks.popitem(last=False)[1].nbytes
 
     def rows(self, sources, limit: float | np.ndarray | None = None):
-        """Distance rows of ``sources``.
+        """Distance rows of ``sources``: the output of one search.
 
-        ``limit`` is one number or one per source.  Missing rows are computed
-        in one search limited by the largest limit, so a new row holds ``inf``
-        only at vertices farther than that; a finite entry is exact.  A new row
-        enters the cache only if it has no ``inf`` and its largest entry is
-        within its own source's limit, as a search at that limit alone would
-        cache it; a cached row is returned whole.  Without ``limit`` every row
-        must be finite (the graph is connected).  A call that searched every row
-        returns the search output itself; the cache keeps copies.
+        ``limit`` is one number or one per source; the search runs at the
+        largest, so a row holds ``inf`` only at vertices farther than that and
+        a finite entry is exact.  Without ``limit`` every row must be finite
+        (the graph is connected), and each is kept as a landmark.
         """
-        keys = np.atleast_1d(np.asarray(sources, dtype=np.intp)).tolist()
-        with self._lock:
-            known = self._cached(keys)
-        limits = np.broadcast_to(np.inf if limit is None else limit, len(keys)).tolist()
-        own: dict[int, float] = {}  # missing source -> the largest limit asked for it
-        for s, lim in zip(keys, limits):
-            if s not in known:
-                own[s] = max(lim, own.get(s, -np.inf))
-        missing = list(own)
-        if missing:
-            bounded = {} if limit is None else {"limit": max(own.values())}
-            dist = np.atleast_2d(self._search(missing, **bounded))
-            keep = np.isfinite(dist).all(axis=1) & (dist.max(axis=1) <= list(own.values()))
-            with self._lock:
-                for s, row, ok in zip(missing, dist, keep):
-                    if ok:
-                        self._store(s, row)
-                    known[s] = row
-        out = dist if missing and len(missing) == len(keys) else np.vstack([known[s] for s in keys])
-        if limit is None and not np.all(np.isfinite(out)):
-            raise InternalError("unreachable vertex: graph violates the connectivity invariant")
+        keys = np.atleast_1d(np.asarray(sources, dtype=np.intp))
+        if not len(keys):
+            return np.empty((0, self.n))
+        bounded = {} if limit is None else {"limit": float(np.max(limit))}
+        out = np.atleast_2d(self._search(keys, **bounded))
+        if limit is None:
+            if not np.all(np.isfinite(out)):
+                raise InternalError("unreachable vertex: graph violates the connectivity invariant")
+            self._keep(keys, out)
         return out
 
     def _hop_bounds(self, i, j) -> np.ndarray:
@@ -249,51 +239,46 @@ class GraphView(MetricView):
     def pairs(self, i, j):
         """Distances for index arrays i, j; bitwise equal to ``rows(i)[j]``.
 
-        A source with a cached row reads it.  For every other source, each
-        query gets the least of three upper bounds: the edge i-j and the
+        Each query gets the least of three upper bounds: the edge i-j and the
         lightest path i-m-j (``_hop_bounds``), and the landmark bound
-        ``k(i, L) + k(L, j)`` over the cached rows L.  The source's limit is
-        the largest bound of its queries, padded by 1e-9.  The call then drops
-        its references to cached rows, before any search, so a row that the
-        searches evict is freed.  The sources are sorted by limit and searched
-        ``rows_per_block(n)`` rows (about ``_ROW_BLOCK_BYTES``) to a ``rows``
-        call at the chunk's largest limit; each chunk answers its queries and
-        is dropped, and ``rows`` caches a row only as a search at its own limit
-        would.  A source whose row still misses a target gets a full row.
-        With no row cached yet, the most-queried source's full row is
-        computed first to serve as the landmark.
+        ``k(i, L) + k(L, j)`` over the landmarks L (float16 entries, summed
+        exactly in float64).  The source's limit is the largest bound of its
+        queries, padded by 1e-9.  The call then drops its references to the
+        landmarks, before any search, so a landmark that the searches drop is
+        freed.  The sources are sorted by limit and searched ``rows_per_block(n)``
+        rows (about ``_ROW_BLOCK_BYTES``) to a ``rows`` call at the chunk's
+        largest limit; each chunk answers its queries and is dropped.  A source
+        whose row still misses a target gets a full row.  With no landmark
+        yet, the most-queried source's full row is computed first; it answers
+        its own queries and is this call's landmark.
         """
         i = np.asarray(i, dtype=np.intp)
         j = np.asarray(j, dtype=np.intp)
         out = np.empty(len(i), float)
         sources, inverse, counts = np.unique(i, return_inverse=True, return_counts=True)
-        keys = sources.tolist()
         with self._lock:
-            landmarks = list(self._cache.values())
-            found = self._cached(keys)
-        held = [found.get(s) for s in keys]
+            landmarks = list(self._landmarks.values())
+        done = np.zeros(len(sources), dtype=bool)
         if not landmarks and len(sources):
             top = int(np.argmax(counts))
-            held[top] = self.rows([sources[top]])[0]
-            landmarks = [held[top]]
-        # the queries of source k are by_source[start[k]:start[k + 1]]
-        by_source = np.argsort(inverse, kind="stable")
-        start = np.concatenate([[0], np.cumsum(counts)])
-        cached = np.array([row is not None for row in held], dtype=bool)
-        for k in np.flatnonzero(cached):
-            q = by_source[start[k]:start[k + 1]]
-            out[q] = held[k][j[q]]
-        ask = ~cached[inverse]
+            landmarks = [self.rows([sources[top]])[0]]
+            q = inverse == top
+            out[q] = landmarks[0][j[q]]
+            done[top] = True
+        ask = ~done[inverse]
         qi, qj = i[ask], j[ask]
         bound = self._hop_bounds(qi, qj)
-        for a in range(len(landmarks)):
-            np.minimum(bound, landmarks[a][qi] + landmarks[a][qj], out=bound)
-        del found, held, landmarks
+        for a in range(len(landmarks)):  # no loop variable outlives the del below
+            np.minimum(bound, landmarks[a][qi].astype(float) + landmarks[a][qj], out=bound)
+        del landmarks
         limits = np.zeros(len(sources))
         np.maximum.at(limits, inverse[ask], bound)
         limits *= 1.0 + _BOUND_PAD
+        # the queries of source k are by_source[start[k]:start[k + 1]]
+        by_source = np.argsort(inverse, kind="stable")
+        start = np.concatenate([[0], np.cumsum(counts)])
         chunk = rows_per_block(self.n)
-        todo = np.flatnonzero(~cached)[np.argsort(limits[~cached], kind="stable")]
+        todo = np.flatnonzero(~done)[np.argsort(limits[~done], kind="stable")]
         for a in range(0, len(todo), chunk):
             ks = todo[a:a + chunk]
             block = self.rows(sources[ks], limit=limits[ks])

@@ -329,6 +329,63 @@ class TestGridBallPins:
         assert min(sizes) < kw["pts_per_ball"] < max(sizes)
 
 
+class TestOneTreePerPointSet:
+    """Every k-d tree over a point set is built once and shared by its readers."""
+
+    @staticmethod
+    def counted_trees(monkeypatch):
+        from qhgeo import mapping_analysis, metric_core
+
+        built = []
+        for module in (metric_core, mapping_analysis):
+            def make(points, _make=module.cKDTree):
+                built.append(len(points))
+                return _make(points)
+            monkeypatch.setattr(module, "cKDTree", make)
+        return built
+
+    def test_whole_sides_share_the_domain_vertex_tree(self, monkeypatch):
+        from qhgeo import uniformize
+        from qhgeo.mapping_analysis import _grid_balls
+
+        d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.1), 2.0)
+        k = QuasihyperbolicMetric(d)
+        built = self.counted_trees(monkeypatch)
+        side, deformed = DomainSide(d, k), DeformedSide(uniformize(d, k, 0, 0.3))
+        pts = d.coords[:5] + 0.01
+        assert side.nearest_vertex(pts).tolist() == deformed.nearest_vertex(pts).tolist() \
+            == d.nearest_vertex(pts).tolist() == cKDTree(d.coords).query(pts)[1].tolist()
+        first = _grid_balls(side, 0.3, 12, 6, rng=1)
+        again = _grid_balls(side, 0.3, 12, 6, rng=1)
+        assert first.idx.tolist() == again.idx.tolist()
+        assert side.tree() is deformed.tree() is d.vertex_tree()
+        assert built == [d.n]  # the domain's tree (the reference above is not counted)
+
+    def test_subset_side_builds_its_own_tree_once(self, monkeypatch):
+        from qhgeo.mapping_analysis import _grid_balls
+
+        d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.1), 2.0)
+        subset = np.arange(0, d.n, 3)
+        built = self.counted_trees(monkeypatch)
+        side = DomainSide(d, QuasihyperbolicMetric(d), subset=subset)
+        assert side.nearest_vertex(d.coords[subset[4]]).tolist() == [4]
+        _grid_balls(side, 0.3, 12, 6, rng=1)
+        assert side.tree() is not d._kdtree and built == [len(subset)]
+
+    @pytest.mark.parametrize("imported", [False, True])
+    def test_boundary_tree_is_the_one_the_build_queried(self, monkeypatch, imported):
+        from qhgeo import domain_from_length_graph
+
+        built = self.counted_trees(monkeypatch)
+        square = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
+        d = build_grid_domain(ShapeSpec("custom-polygon", {"vertices": square}, 0.2), 2.0)
+        if imported:
+            d = domain_from_length_graph(d.coords, d.graph.edges, d.boundary_coords)
+        got = d.boundary_distance_at([(0.1, 0.2), (0.9, -0.3)])
+        assert built == [len(d.boundary_coords)] * (1 + imported)  # one a build, none since
+        assert got.tolist() == cKDTree(d.boundary_coords).query([(0.1, 0.2), (0.9, -0.3)])[0].tolist()
+
+
 class TestGlobalQSHypotheses:
     def test_disk_value(self, identity_map):
         report = check_global_qs_hypotheses(identity_map)

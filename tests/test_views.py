@@ -71,14 +71,24 @@ class TestEuclideanView:
 
 
 class TestGraphView:
-    def test_cached_rows_are_reused(self):
+    def test_repeated_rows_are_searched_again_and_kept_once(self):
         g = LengthGraph(3, [[0, 1], [1, 2]], [1.0, 2.0], [[0, 0], [1, 0], [3, 0]])
         v = GraphView(g.matrix)
         first = v.rows([0])
         second = v.rows([0])
         assert first[0, 2] == 3.0
-        assert second is not first  # the search output, then a copy of the cached row
-        assert np.array_equal(first, second)
+        assert second is not first and np.array_equal(first, second)  # two search outputs
+        assert list(v._landmarks) == [0] and v._landmarks[0].dtype == np.float16
+        assert v._landmark_bytes == 2 * 3
+
+    def test_no_sources_give_no_rows(self):
+        g = LengthGraph(3, [[0, 1], [1, 2]], [1.0, 2.0], [[0, 0], [1, 0], [3, 0]])
+        banded = (np.array([2, 0, 1]), np.array([1, 2, 0]))
+        for v in (GraphView(g.matrix), GraphView(g.matrix, banded), EuclideanView(g.coords)):
+            assert v.rows([]).shape == (0, 3) and v.rows([]).dtype == float
+            assert v.pairs([], []).shape == (0,)
+            assert v.submatrix([]).shape == (0, 0)
+        assert GraphView(g.matrix).rows([], limit=[]).shape == (0, 3)
 
     def test_min_distance_to_target_set(self):
         g = LengthGraph(4, [[0, 1], [1, 2], [2, 3]], [1.0, 1.0, 1.0],
@@ -111,6 +121,21 @@ class TestGraphViewProperties:
             warmed.rows(warm)
         assert np.array_equal(warmed.pairs(i, j), expected)
 
+    @given(graph_queries(), st.sampled_from([1.0, 2.0 ** -30, 2.0 ** 14, 2.0 ** 24]))
+    @settings(max_examples=80, deadline=None)
+    def test_pairs_bitwise_equal_full_rows_with_float16_landmarks(self, case, scale):
+        # scaled by 2^14 some landmark entries pass 65504 and by 2^24 all nonzero ones do
+        # (they become inf); by 2^-30 they fall to float16 subnormals
+        g, i, j, warm = case
+        g = LengthGraph(g.n, g.edges, g.lengths * scale, g.coords)
+        expected = GraphView(g.matrix).rows(i)[np.arange(len(i)), j]
+        v = GraphView(g.matrix)
+        v.rows(warm + [0])
+        if scale == 2.0 ** 24:
+            assert all(np.isinf(row[row != 0]).all() for row in v._landmarks.values())
+        assert np.array_equal(v.pairs(i, j), expected)
+        assert np.array_equal(v.pairs(j, i), GraphView(g.matrix).rows(j)[np.arange(len(j)), i])
+
     @given(graph_queries())
     @settings(max_examples=40, deadline=None)
     def test_pairs_fall_back_when_the_bound_misses(self, case):
@@ -131,8 +156,8 @@ class TestGraphViewProperties:
         reached = np.isfinite(row)
         assert np.array_equal(row[reached], full[reached])
         assert np.all(full[~reached] > limit)
-        # a limited row that misses a vertex never enters the cache
-        assert (s in v._cache) == bool(reached.all())
+        # a limited row is never kept, even one that reaches every vertex
+        assert not v._landmarks and v._landmark_bytes == 0
 
     @given(connected_graphs())
     @settings(max_examples=60, deadline=None)
@@ -213,7 +238,7 @@ class TestShortPairQueries:
 
     @given(banded_graphs(), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_pairs_cache_only_what_a_per_source_search_would(self, g, data):
+    def test_pairs_keep_only_full_rows_as_landmarks(self, g, data):
         index = st.integers(0, g.n - 1)
         pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=60))
         i, j = (np.array(c, dtype=np.intp) for c in zip(*pairs))
@@ -222,17 +247,11 @@ class TestShortPairQueries:
         calls = recorded_rows(v)
         with mock.patch.object(views, "_ROW_BLOCK_BYTES", 8 * g.n * 3):
             v.pairs(i, j)
-        held = {}  # batch array -> entries of it that are cached rows
-        for s, row in v._cache.items():
-            assert np.array_equal(row, full[s])
-            if row.base is not None:
-                held.setdefault(id(row.base), [row.base.size, 0])[1] += row.size
-        # a batch is kept alive only when all of it is cached rows
-        assert all(size == used for size, used in held.values())
-        for sources, limit in calls:
-            limits = np.broadcast_to(np.inf if limit is None else limit, len(sources))
-            for s, lim in zip(sources, limits):
-                assert (s in v._cache) == (full[s].max() <= lim)
+        whole = [s for sources, limit in calls if limit is None for s in sources]
+        assert whole  # the most-queried source's row, at least
+        assert list(v._landmarks) == list(dict.fromkeys(whole))
+        for s, row in v._landmarks.items():
+            assert row.base is None and row.tobytes() == views.rounded_up(full[s]).tobytes()
 
     @given(banded_graphs(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -248,21 +267,47 @@ class TestShortPairQueries:
         reached = np.isfinite(out)
         assert np.array_equal(out[reached], full[sources][reached])
         assert np.all(full[sources][~reached] > max(limits))
-        own = {}
-        for s, lim in zip(sources, limits):
-            own[s] = max(lim, own.get(s, -np.inf))
-        assert set(v._cache) == {s for s, lim in own.items() if full[s].max() <= lim}
+        assert not v._landmarks
 
 
-class TestRowCacheBudget:
+def assert_landmarks_held(view, budget, full=None):
+    """The byte count is the bytes held and within ``budget``; every landmark is an
+    unshared float16 array (the rounded-up row of ``full`` when given)."""
+    with view._lock:
+        held = dict(view._landmarks)
+        assert sum(row.nbytes for row in held.values()) == view._landmark_bytes <= budget
+    for s, row in held.items():
+        assert row.base is None and row.dtype == np.float16
+        if full is not None:
+            assert row.tobytes() == views.rounded_up(full[s]).tobytes()
+
+
+class TestLandmarkStore:
+    @given(st.lists(st.floats(0.0, 1e6) | st.floats(0.0, 1e-4) | st.sampled_from(
+        [0.0, 2.0 ** -24, 65504.0, 65519.99, 65520.0, 1.0 + 2.0 ** -11]), min_size=1))
+    @settings(max_examples=200, deadline=None)
+    def test_entries_are_the_least_float16_at_or_above(self, values):
+        row = np.array(values)
+        half = views.rounded_up(row)
+        assert half.dtype == np.float16
+        assert np.all(half >= row)
+        # one float16 step down is below the row: within one ulp (inf only past 65504)
+        assert np.all(np.nextafter(half, np.float16(-np.inf)) < row)
+        assert np.array_equal(np.isinf(half), row > 65504.0)
+        with np.errstate(over="ignore"):  # the reference: the cast, then nextafter
+            cast = row.astype(np.float16)
+            below = cast < row
+            cast[below] = np.nextafter(cast[below], np.float16(np.inf))
+        assert half.tobytes() == cast.tobytes()
+
     @given(connected_graphs(), st.data(), st.integers(0, 4))
     @settings(max_examples=80, deadline=None)
-    def test_cache_within_budget_and_evicted_rows_come_back(self, g, data, room):
+    def test_landmarks_within_budget_and_rounded_up(self, g, data, room):
         full = GraphView(g.matrix).rows(np.arange(g.n))
-        budget = 8 * g.n * room + data.draw(st.integers(0, 8 * g.n - 1))
+        budget = 2 * g.n * room + data.draw(st.integers(0, 2 * g.n - 1))
         index = st.integers(0, g.n - 1)
         v = GraphView(g.matrix)
-        with mock.patch.object(views, "_ROW_CACHE_BYTES", budget), \
+        with mock.patch.object(views, "_LANDMARK_BYTES", budget), \
                 mock.patch.object(views, "_ROW_BLOCK_BYTES", 8 * g.n * 2):
             for _ in range(data.draw(st.integers(1, 8))):
                 kind = data.draw(st.sampled_from(["rows", "pairs", "submatrix"]))
@@ -276,22 +321,32 @@ class TestRowCacheBudget:
                 else:
                     idx = np.array(data.draw(st.lists(index, min_size=1, max_size=9)))
                     assert np.array_equal(v.submatrix(idx), full[np.ix_(idx, idx)])
-                assert sum(row.nbytes for row in v._cache.values()) == v._cached_bytes <= budget
-                assert len(v._cache) <= room
-                for s, row in v._cache.items():
-                    assert row.base is None and np.array_equal(row, full[s])
+                assert_landmarks_held(v, budget, full)
+                assert len(v._landmarks) <= room
 
-    def test_least_recently_used_row_is_evicted(self):
+    def test_oldest_landmark_is_dropped_first(self):
         n = 6
         g = LengthGraph(n, [[a, a + 1] for a in range(n - 1)], np.ones(n - 1), np.zeros((n, 2)))
-        v = GraphView(g.matrix)
-        with mock.patch.object(views, "_ROW_CACHE_BYTES", 8 * n * 2):
-            first = v.rows([0, 1])
-            v.rows([0])  # 1 is now the least recently used
+        v, rounded, round_up = GraphView(g.matrix), [], views.rounded_up
+
+        def counted(row):
+            rounded.append(row.copy())
+            return round_up(row)
+
+        with mock.patch.object(views, "_LANDMARK_BYTES", 2 * n * 2), \
+                mock.patch.object(views, "rounded_up", counted):
+            v.rows([0, 1])
+            v.rows([0])  # already held: 0 stays the oldest
             v.rows([2])
-            assert list(v._cache) == [0, 2]
-            assert np.array_equal(v.rows([1]), first[1:])
-            assert list(v._cache) == [2, 1]
+            assert list(v._landmarks) == [1, 2]
+            v.rows([0])
+            assert list(v._landmarks) == [2, 0]
+            v.rows([3, 4, 5])  # only the last two fit: only they are rounded
+            assert list(v._landmarks) == [4, 5]
+            v.rows([0], limit=10.0)  # limited rows are never kept
+            assert list(v._landmarks) == [4, 5]
+        assert len(rounded) == 2 + 1 + 1 + 1 + 2
+        assert_landmarks_held(v, 2 * n * 2, GraphView(g.matrix).rows(np.arange(n)))
 
     def test_threads_sharing_a_view_keep_the_byte_count(self):
         n = 40
@@ -299,24 +354,24 @@ class TestRowCacheBudget:
         edges = [[a, a + 1] for a in range(n - 1)] + [[a, a + 7] for a in range(0, n - 7, 3)]
         g = LengthGraph(n, edges, rng.uniform(0.5, 2.0, len(edges)), np.zeros((n, 2)))
         full = GraphView(g.matrix).rows(np.arange(n))
-        v, budget, errors = GraphView(g.matrix), 8 * n * 5, []
+        v, budget, errors = GraphView(g.matrix), 2 * n * 5, []
 
         def work(seed):
             r = np.random.default_rng(seed)
             try:
                 for _ in range(60):
                     s = r.integers(0, n, 3)
-                    if not (np.array_equal(v.rows(s), full[s])
-                            and np.array_equal(v.pairs(s, s[::-1]), full[s, s[::-1]])
+                    if not (np.array_equal(v.pairs(s, s[::-1]), full[s, s[::-1]])
                             and np.array_equal(v.submatrix(s), full[np.ix_(s, s)])):
                         errors.append(seed)
+                    assert_landmarks_held(v, budget)
             except Exception as exc:  # reported below; a thread cannot fail the test itself
                 errors.append(exc)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with mock.patch.object(views, "_ROW_CACHE_BYTES", budget), \
+            with mock.patch.object(views, "_LANDMARK_BYTES", budget), \
                     mock.patch.object(views, "_ROW_BLOCK_BYTES", 8 * n * 2):
                 threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
                 for t in threads:
@@ -327,7 +382,8 @@ class TestRowCacheBudget:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert sum(row.nbytes for row in v._cache.values()) == v._cached_bytes <= budget
+        assert_landmarks_held(v, budget, full)
+        assert len(v._landmarks) == 5
 
     def test_submatrix_searches_in_chunks_and_keeps_pool_columns(self):
         n = 8
@@ -674,6 +730,8 @@ class TestLazyMembers:
             return mock.patch.object(module, name, slow)
 
         side = mapping_analysis.SpaceSide(d.coords, d.ambient_view(), d.boundary_distance)
+        if member == "boundary_tree":  # a domain built without the tree its build queried
+            d = metric_core.DomainSample(d.graph, d.boundary_coords, d.boundary_distance)
         k = QuasihyperbolicMetric(d)
         space = (uniformize(d, k, 0, 0.3) if member == "uniformized"
                  else sphericalize(d, d.boundary_coords[0], max_points=50, rng=0))
@@ -728,29 +786,30 @@ class TestLengthGraphValidation:
 class TestWorkingSetBudgets:
     """Temporaries and cache references stay within the views' byte constants."""
 
-    def test_rows_evicted_during_pairs_are_freed(self):
+    def test_landmarks_dropped_during_pairs_are_freed(self):
         n = 30
         g = LengthGraph(n, [[a, a + 1] for a in range(n - 1)], np.ones(n - 1), np.zeros((n, 2)))
         full = GraphView(g.matrix).rows(np.arange(n))
         v, refs, leaked = GraphView(g.matrix), [], []
-        store = GraphView._store
+        keep = GraphView._keep
 
-        def watched(self, s, row):
-            store(self, s, row)
-            held = {id(r) for r in self._cache.values()}
-            refs.extend(weakref.ref(r) for r in self._cache.values())
-            # a row the cache no longer holds must not be alive anywhere else
+        def watched(self, sources, rows):
+            keep(self, sources, rows)
+            held = {id(r) for r in self._landmarks.values()}
+            refs.extend(weakref.ref(r) for r in self._landmarks.values())
+            # a landmark the view no longer holds must not be alive anywhere else
             leaked.extend(k for k, ref in enumerate(refs)
                           if ref() is not None and id(ref()) not in held)
 
-        with mock.patch.object(views, "_ROW_CACHE_BYTES", 8 * n * 3), \
+        with mock.patch.object(views, "_LANDMARK_BYTES", 2 * n * 3), \
                 mock.patch.object(views, "_ROW_BLOCK_BYTES", 8 * n), \
-                mock.patch.object(GraphView, "_store", watched):
+                mock.patch.object(views, "_BOUND_PAD", -0.9), \
+                mock.patch.object(GraphView, "_keep", watched):
             v.rows([0, 1, 2])
-            # the far half reaches every vertex within its limit, so its rows are cached
+            # every limit is cut to a tenth, so every source falls back to a full row
             i = np.arange(3, n)
             assert np.array_equal(v.pairs(i, np.zeros_like(i)), full[i, 0])
-        assert 0 not in v._cache and leaked == []
+        assert list(v._landmarks) == [n - 3, n - 2, n - 1] and leaked == []
 
     def test_hop_bounds_peak_within_two_blocks(self):
         # the quasihyperbolic grid of the bounded_pair_distortion scenario
@@ -780,9 +839,10 @@ class TestWorkingSetBudgets:
         with mock.patch.object(views, "dijkstra", recorded):
             got = v.rows([4, 1, 3])
             assert got is outputs[-1]
-            assert not any(np.shares_memory(got, row) for row in v._cache.values())
-            again = v.rows([4, 5])  # one cached row: a stacked copy
-        assert again is not outputs[-1] and np.array_equal(again[0], got[0])
+            assert not any(np.shares_memory(got, row) for row in v._landmarks.values())
+            again = v.rows([4, 5])  # a landmark's source is searched again
+        assert again is outputs[-1] and np.array_equal(again[0], got[0])
+        assert list(v._landmarks) == [4, 1, 3, 5]
 
     def test_int32_edges_are_kept_without_an_int64_copy(self):
         d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.05))
