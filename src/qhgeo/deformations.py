@@ -85,16 +85,20 @@ class UniformizedSpace:
         shortest-path run on every arc from a virtual sink wired to every vertex with that
         weight: its distances reach 1/eps, past the bound of ``search_matrix``.
         """
-        def build():
-            sink = self.domain.graph.sink_matrix(self.arc_weights, self.density / self.eps)
-            return GraphView(sink).rows([self.n])[0, :self.n]
-        return built_once(self, "_boundary_distance", build)
+        return built_once(self, "_boundary_distance", lambda: self._sink_row(self.arc_weights))
+
+    def _sink_row(self, weights) -> np.ndarray:
+        sink = self.domain.graph.sink_matrix(weights, self.density / self.eps)  # copies weights
+        return GraphView(sink).rows([self.n])[0, :self.n]
 
     def qh_view(self) -> GraphView:
         """Quasihyperbolic metric of the deformed space itself."""
-        return built_once(self, "_qh_view", lambda: _qh_view(
-            self.domain.graph, self.arc_weights, self.boundary_distance(),
-            f"qh-of-uniformized(eps={self.eps})"))
+        def build():
+            # one read of the arc weights serves the boundary distance and the view
+            weights = self.arc_weights
+            dg = built_once(self, "_boundary_distance", lambda: self._sink_row(weights))
+            return _qh_view(self.domain.graph, weights, dg, f"qh-of-uniformized(eps={self.eps})")
+        return built_once(self, "_qh_view", build)
 
     def diameter_estimate(self, n_extremal: int = 32) -> float:
         """Lower bound for the deformed diameter: eccentricity of the base

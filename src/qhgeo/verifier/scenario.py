@@ -444,34 +444,26 @@ def _chk_metric_axioms(ctx, p, rng):
     )
 
 
-def _segment_oracle(domain, a, b):
-    from scipy.integrate import quad
-
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    length = float(np.hypot(*(b - a)))
-
-    def integrand(t):
-        p = a + t * (b - a)
-        return length / float(domain.boundary_distance_at(p[None, :])[0])
-
-    value, _ = quad(integrand, 0.0, 1.0, limit=200)
-    return value
-
-
 def _chk_qh_calibration(ctx, p, rng):
+    from .quadpack import segment_oracle  # no other check needs it: imported (and compiled) here
+
     name = p["domain"]
     domain, qh = ctx.domains[name]
     measured = {}
     violations = []
     passed = True
+    ends = [(int(domain.nearest_vertex([seg["x"]])[0]), int(domain.nearest_vertex([seg["y"]])[0]))
+            for seg in p["segments"]]
+    for idx, (i, j) in enumerate(ends):
+        if i == j:
+            # k = 0 and the oracle is 0: the relative error and the truncation drift are 0 / 0
+            return _result(False, {}, notes=[
+                f"infeasible: segments[{idx}]: both ends snap to vertex {i}; no segment to measure"])
     snapped = []
-    for idx, seg in enumerate(p["segments"]):
-        i = int(domain.nearest_vertex([seg["x"]])[0])
-        j = int(domain.nearest_vertex([seg["y"]])[0])
+    for idx, (i, j) in enumerate(ends):
         snapped.append((domain.coords[i], domain.coords[j]))
         k_val = qh.distance(i, j)
-        oracle = _segment_oracle(domain, domain.coords[i], domain.coords[j])
+        oracle = segment_oracle(domain, domain.coords[i], domain.coords[j])
         rel = abs(k_val - oracle) / oracle
         measured[f"segment{idx}_k"] = k_val
         measured[f"segment{idx}_oracle"] = oracle

@@ -273,6 +273,28 @@ class TestSinkMatrix:
         assert peak < 3 * 8 * len(d.graph._indices)
 
 
+class TestUniformizedQhView:
+    def test_three_trapezoid_passes_and_the_rows_of_two_reads(self, disk_pack):
+        from qhgeo.deformations import _qh_view
+        from qhgeo.metric_core import LengthGraph
+
+        d, k, w = disk_pack
+        space = uniformize(d, k, w, 0.3)
+        # the boundary distance and the view as built from one read of the arc weights each
+        sink = d.graph.sink_matrix(space.arc_weights, space.density / space.eps)
+        dg = views.GraphView(sink).rows([space.n])[0, :space.n]
+        expected = _qh_view(d.graph, space.arc_weights, dg, "two reads")
+        trapezoid = LengthGraph.trapezoid
+        with mock.patch.object(LengthGraph, "trapezoid", autospec=True,
+                               side_effect=trapezoid) as passes:
+            view = space.qh_view()
+        # the arc weights (k's and then the density's) once, and the view's own 1/d pass
+        assert passes.call_count == 3
+        assert space.boundary_distance().tobytes() == dg.tobytes()
+        sources = [w, 0, d.n // 2, d.n - 1]
+        assert view.rows(sources).tobytes() == expected.rows(sources).tobytes()
+
+
 class TestBasepointChange:
     def test_identical_bases_give_slope_one(self, disk_pack, rng):
         d, k, w = disk_pack

@@ -731,6 +731,27 @@ class TestRunScenario:
         assert chk["passed"]
         assert chk["measured"]["segment0_truncation_drift"] < 0.01
 
+    @pytest.mark.parametrize("shape, end, truncation", [
+        ({"kind": "disk", "params": {"radius": 1.0}, "resolution": 0.05}, 0.0, False),
+        ({"kind": "punctured-plane-truncation", "params": {"radius": 6.0}, "resolution": 0.2},
+         1.0, True),
+    ], ids=["disk", "punctured-truncation-sensitivity"])
+    def test_calibration_segment_on_one_vertex_is_infeasible(self, tmp_path, capsys, shape,
+                                                              end, truncation):
+        # both ends of segments[1] snap to one vertex: k = 0 and the oracle is 0
+        raw = tiny_scenario(
+            domains=[{"name": "d", "shape": shape}],
+            checks=[{"check": "qh_calibration", "domain": "d",
+                     "segments": [{"x": [end, 0.0], "y": [end + 0.5, 0.0]},
+                                  {"x": [end, 0.0], "y": [end + 0.001, 0.0]}],
+                     "truncation_sensitivity": truncation}],
+        )
+        chk = run_scenario(raw)["checks"][0]
+        assert not chk["passed"] and chk["measured"] == {}
+        assert len(chk["notes"]) == 1
+        assert chk["notes"][0].startswith("infeasible: segments[1]: both ends snap to vertex")
+        assert exit_code_and_error(tmp_path, capsys, raw) == (1, "")
+
     def test_truncation_sensitivity_rejected_for_bounded_shapes(self):
         raw = tiny_scenario(
             checks=[
