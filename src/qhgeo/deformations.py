@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+from .mapping_analysis import QuasimobiusResult, quasimobius_slope
 from .metric_core import DomainSample
 from .quasihyperbolic import QuasihyperbolicMetric
 from .sampling import pool_indices, tuple_sample_from_pool
@@ -235,21 +236,6 @@ def verify_deformation_comparability(space: UniformizedSpace, pairs) -> Comparab
     return ComparabilityReport(constant, max_ratio, min_ratio, len(i), n_skipped)
 
 
-def cross_ratio(dist_pairs_fn, quad) -> np.ndarray:
-    """d(x,z) d(y,w) / [d(x,y) d(z,w)] for an (m, 4) index array."""
-    x, y, z, w = quad[:, 0], quad[:, 1], quad[:, 2], quad[:, 3]
-    return (dist_pairs_fn(x, z) * dist_pairs_fn(y, w)) / (
-        dist_pairs_fn(x, y) * dist_pairs_fn(z, w)
-    )
-
-
-@dataclass(frozen=True)
-class BasepointChangeReport:
-    slope: float
-    n_quadruples: int
-    n_skipped: int
-
-
 def basepoint_change_distortion(
     space0: UniformizedSpace,
     space1: UniformizedSpace,
@@ -257,13 +243,10 @@ def basepoint_change_distortion(
     n_quadruples: int = 1000,
     rng=None,
     pool_size: int = 48,
-) -> BasepointChangeReport:
+) -> QuasimobiusResult:
     """Empirical linear quasimobius slope of the identity between two
-    deformations of the same base with the same epsilon.
-
-    Returns max over quadruples of crossratio(space1)/crossratio(space0);
-    degenerate quadruples (denominators below 1e-9 * diameter) are skipped
-    and counted.
+    deformations of the same base with the same epsilon: ``quasimobius_slope``
+    from ``space0``'s metric to ``space1``'s, over quadruples drawn from a pool.
     """
     if space0.domain is not space1.domain:
         raise ConfigurationError("both deformations must share the same base domain")
@@ -272,26 +255,8 @@ def basepoint_change_distortion(
     rng = np.random.default_rng(rng)
     if quadruples is None:
         pool = pool_indices(space0.n, pool_size, rng)
-        quad_local = tuple_sample_from_pool(len(pool), n_quadruples, 4, rng)
-        quadruples = pool[quad_local]
-    quadruples = np.asarray(quadruples, dtype=np.intp)
-
-    uniq = np.unique(quadruples)
-    local = np.searchsorted(uniq, quadruples)
-    d0 = space0.metric_view().submatrix(uniq)
-    d1 = space1.metric_view().submatrix(uniq)
-
-    delta_min = 1e-9 * max(d0.max(initial=0.0), d1.max(initial=0.0))
-    pairs0 = lambda a, b: d0[a, b]
-    pairs1 = lambda a, b: d1[a, b]
-    x, y, z, w = local[:, 0], local[:, 1], local[:, 2], local[:, 3]
-    den0 = pairs0(x, y) * pairs0(z, w)
-    den1 = pairs1(x, y) * pairs1(z, w)
-    ok = (den0 > delta_min) & (den1 > delta_min)
-    cr0 = cross_ratio(pairs0, local[ok])
-    cr1 = cross_ratio(pairs1, local[ok])
-    slope = float((cr1 / cr0).max(initial=0.0))
-    return BasepointChangeReport(slope, int(ok.sum()), int((~ok).sum()))
+        quadruples = pool[tuple_sample_from_pool(len(pool), n_quadruples, 4, rng)]
+    return quasimobius_slope(space0.pairs, space1.pairs, quadruples)
 
 
 @dataclass(frozen=True)

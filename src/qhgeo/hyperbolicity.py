@@ -35,7 +35,7 @@ def basepoint_identity_residuals(dist: np.ndarray, tuples: np.ndarray) -> np.nda
         x, y, z, u, o, w = tuples[a:a + step].T
 
         def combo(base):
-            gp = lambda p, q: 0.5 * (dist[p, base] + dist[q, base] - dist[p, q])
+            gp = lambda p, q: gromov_products(dist, p, q, base)
             return gp(x, y) + gp(z, u) - gp(x, z) - gp(y, u)
 
         out[a:a + step] = np.abs(combo(o) - combo(w))
@@ -46,7 +46,6 @@ def basepoint_identity_residuals(dist: np.ndarray, tuples: np.ndarray) -> np.nda
 class HyperbolicityReport:
     delta: float
     quadruples_tested: int
-    seed: int | None = None
     pool_size: int = 0
     exhaustive: bool = False
     starlikeness_k: float | None = None
@@ -59,7 +58,6 @@ def estimate_delta(
     rng=None,
     pool_size: int = 64,
     exhaustive: bool = False,
-    seed_label: int | None = None,
     pool=None,
 ) -> HyperbolicityReport:
     """Four-point hyperbolicity defect, maximized over sampled quadruples.
@@ -83,12 +81,12 @@ def estimate_delta(
             hi, mid, _ = sorted((s1, s2, s3), reverse=True)
             best = max(best, 0.5 * (hi - mid))
             count += 1
-        return HyperbolicityReport(best, count, seed_label, n, True)
+        return HyperbolicityReport(best, count, n, True)
 
     rng = np.random.default_rng(rng)
     if n < 4:
         warnings.warn("fewer than 4 points: hyperbolicity defect is vacuously 0")
-        return HyperbolicityReport(0.0, 0, seed_label, n, False)
+        return HyperbolicityReport(0.0, 0, n, False)
     if pool is None:
         pool = pool_indices(n, pool_size, rng)
     else:
@@ -96,13 +94,13 @@ def estimate_delta(
     dist = view.submatrix(pool)
     if n_quadruples <= 0:
         warnings.warn("empty quadruple sample: returning delta 0")
-        return HyperbolicityReport(0.0, 0, seed_label, len(pool), False)
+        return HyperbolicityReport(0.0, 0, len(pool), False)
     quad = tuple_sample_from_pool(len(pool), n_quadruples, 4, rng)
     x, y, z, w = quad[:, 0], quad[:, 1], quad[:, 2], quad[:, 3]
     defect = np.minimum(gromov_products(dist, x, z, w), gromov_products(dist, z, y, w))
     defect -= gromov_products(dist, x, y, w)
     delta = float(max(defect.max(initial=0.0), 0.0))
-    return HyperbolicityReport(delta, len(quad), seed_label, len(pool), False)
+    return HyperbolicityReport(delta, len(quad), len(pool), False)
 
 
 def estimate_rough_starlikeness(

@@ -629,6 +629,34 @@ class QuasimobiusResult:
     n_skipped: int
 
 
+def quasimobius_slope(source_pairs, image_pairs, quadruples) -> QuasimobiusResult:
+    """Linear quasimobius slope over vertex ``quadruples`` of a map with pair distances
+    ``source_pairs(i, j)`` before it and ``image_pairs(i, j)`` after it.
+
+    Cross-ratios use the convention d(x,z) d(y,w) / [d(x,y) d(z,w)].  A quadruple is skipped,
+    and counted, when on either side d(x,y) d(z,w) <= 1e-9 * scale**2, scale being that
+    side's largest sampled d(x,y) or d(x,z): an area against an area, so the skips do not
+    change with the unit of length.  The raw (cr, cr') scatter is returned for reporting.
+    """
+    quadruples = np.asarray(quadruples, dtype=np.intp)
+    x, y, z, w = (quadruples[:, c] for c in range(4))
+
+    # one query per side over (x,y), (z,w), (x,z), (y,w), so each source is asked once
+    a, b = np.concatenate([x, z, x, y]), np.concatenate([y, w, z, w])
+    d_xy, d_zw, d_xz, d_yw = source_pairs(a, b).reshape(4, -1)
+    i_xy, i_zw, i_xz, i_yw = image_pairs(a, b).reshape(4, -1)
+
+    scale_src = max(d_xy.max(initial=0.0), d_xz.max(initial=0.0))
+    scale_img = max(i_xy.max(initial=0.0), i_xz.max(initial=0.0))
+    ok = (d_xy * d_zw > 1e-9 * scale_src**2) & (i_xy * i_zw > 1e-9 * scale_img**2)
+    cr = d_xz[ok] * d_yw[ok] / (d_xy[ok] * d_zw[ok])
+    cr_img = i_xz[ok] * i_yw[ok] / (i_xy[ok] * i_zw[ok])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(cr > 0, cr_img / np.where(cr > 0, cr, 1.0), np.inf)
+    slope = float(ratio.max(initial=0.0))
+    return QuasimobiusResult(slope, cr, cr_img, int(ok.sum()), int((~ok).sum()))
+
+
 def estimate_quasimobius(
     m: MappingPair,
     quadruples=None,
@@ -637,11 +665,7 @@ def estimate_quasimobius(
     pool_size: int = 64,
     min_separation: float = 0.0,
 ) -> QuasimobiusResult:
-    """Linear quasimobius envelope over sampled vertex quadruples.
-
-    Cross-ratios use the convention d(x,z) d(y,w) / [d(x,y) d(z,w)];
-    quadruples whose denominators fall below 1e-9 * diameter are skipped
-    and counted.  The raw (cr, cr') scatter is returned for reporting.
+    """``quasimobius_slope`` of ``m`` from the source's ambient metric to the image's.
 
     ``min_separation`` draws the sample pool as a separated net.  The
     bare linear slope has no finite supremum for maps with genuinely
@@ -653,23 +677,7 @@ def estimate_quasimobius(
     rng = np.random.default_rng(rng)
     if quadruples is None:
         quadruples = sample_quadruples(m, n_quadruples, rng, pool_size, min_separation)
-    quadruples = np.asarray(quadruples, dtype=np.intp)
-    x, y, z, w = (quadruples[:, c] for c in range(4))
-
-    # one query per side over (x,y), (z,w), (x,z), (y,w), so each source is asked once
-    a, b = np.concatenate([x, z, x, y]), np.concatenate([y, w, z, w])
-    d_xy, d_zw, d_xz, d_yw = m.source.ambient.pairs(a, b).reshape(4, -1)
-    i_xy, i_zw, i_xz, i_yw = m.image_distance(a, b).reshape(4, -1)
-
-    scale_src = max(d_xy.max(initial=0.0), d_xz.max(initial=0.0))
-    scale_img = max(i_xy.max(initial=0.0), i_xz.max(initial=0.0))
-    ok = (d_xy * d_zw > 1e-9 * scale_src**2) & (i_xy * i_zw > 1e-9 * scale_img**2)
-    cr = d_xz[ok] * d_yw[ok] / (d_xy[ok] * d_zw[ok])
-    cr_img = i_xz[ok] * i_yw[ok] / (i_xy[ok] * i_zw[ok])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(cr > 0, cr_img / np.where(cr > 0, cr, 1.0), np.inf)
-    slope = float(ratio.max(initial=0.0))
-    return QuasimobiusResult(slope, cr, cr_img, int(ok.sum()), int((~ok).sum()))
+    return quasimobius_slope(m.source.ambient.pairs, m.image_distance, quadruples)
 
 
 @dataclass(frozen=True)

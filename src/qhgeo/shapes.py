@@ -19,11 +19,13 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-# the parameters that each shape kind reads
-SHAPE_PARAMS = {"disk": ("radius", "center"), "annulus": ("inner_radius", "outer_radius"),
-                "square": ("side",), "L-shape": ("arm_width", "arm_length"),
-                "half-plane-truncation": ("radius",), "punctured-plane-truncation": ("radius",),
-                "custom-polygon": ("vertices",)}
+# the parameters that each shape kind reads, with their defaults (None: no default)
+SHAPE_PARAMS = {"disk": {"radius": 1.0, "center": (0.0, 0.0)},
+                "annulus": {"inner_radius": 0.2, "outer_radius": 1.0},
+                "square": {"side": 1.0}, "L-shape": {"arm_width": 1.0, "arm_length": 2.0},
+                "half-plane-truncation": {"radius": 6.0},
+                "punctured-plane-truncation": {"radius": 6.0},
+                "custom-polygon": {"vertices": None}}
 SHAPE_KINDS = tuple(SHAPE_PARAMS)
 
 
@@ -47,6 +49,10 @@ class ShapeSpec:
         if not (_finite(self.resolution, "resolution") > 0):
             raise ConfigurationError("resolution must be > 0")
         _validate_params(self.kind, self.params)
+
+    def param(self, name: str):
+        """Parameter ``name`` as given, or its default."""
+        return self.params.get(name, SHAPE_PARAMS[self.kind][name])
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "params": dict(self.params), "resolution": self.resolution}
@@ -90,13 +96,13 @@ def _finite(value, label):
     return value
 
 
-def _param(params, name, default=None):
-    return _finite(params.get(name, default), f"shape parameter {name!r}")
+def _param(kind, params, name):
+    return _finite(params.get(name, SHAPE_PARAMS[kind][name]), f"shape parameter {name!r}")
 
 
-def _require_positive(params, names):
+def _require_positive(kind, params, names):
     for name in names:
-        if name in params and not (_param(params, name) > 0):
+        if name in params and not (_param(kind, params, name) > 0):
             raise ConfigurationError(f"shape parameter {name!r} must be > 0")
 
 
@@ -119,23 +125,23 @@ def _validate_params(kind, params):
             raise ConfigurationError(f"params.{key}: unknown key; expected one of "
                                      + ", ".join(SHAPE_PARAMS[kind]))
     if kind == "disk":
-        _require_positive(params, ["radius"])
+        _require_positive(kind, params, ["radius"])
         if "center" in params:
             _require_pairs(params, "center", "two finite numbers", lambda s: s == (2,))
     elif kind == "annulus":
-        inner = _param(params, "inner_radius", 0.2)
-        outer = _param(params, "outer_radius", 1.0)
+        inner = _param(kind, params, "inner_radius")
+        outer = _param(kind, params, "outer_radius")
         if not (0 < inner < outer):
             raise ConfigurationError("annulus requires 0 < inner_radius < outer_radius")
     elif kind == "square":
-        _require_positive(params, ["side"])
+        _require_positive(kind, params, ["side"])
     elif kind == "L-shape":
-        width = _param(params, "arm_width", 1.0)
-        length = _param(params, "arm_length", 2.0)
+        width = _param(kind, params, "arm_width")
+        length = _param(kind, params, "arm_length")
         if not (0 < width < length):
             raise ConfigurationError("L-shape requires 0 < arm_width < arm_length")
     elif kind in ("half-plane-truncation", "punctured-plane-truncation"):
-        _require_positive(params, ["radius"])
+        _require_positive(kind, params, ["radius"])
     elif kind == "custom-polygon":
         _require_pairs(params, "vertices", "at least 3 pairs of finite numbers",
                        lambda s: len(s) == 2 and s[0] >= 3 and s[1] == 2)
@@ -244,8 +250,8 @@ class _Disk(ShapeGeometry):
 
     def __init__(self, spec):
         super().__init__(spec)
-        self.radius = float(spec.params.get("radius", 1.0))
-        self.center = np.asarray(spec.params.get("center", (0.0, 0.0)), float)
+        self.radius = float(spec.param("radius"))
+        self.center = np.asarray(spec.param("center"), float)
 
     def bounding_box(self):
         cx, cy = self.center
@@ -270,8 +276,8 @@ class _Annulus(ShapeGeometry):
 
     def __init__(self, spec):
         super().__init__(spec)
-        self.inner = float(spec.params.get("inner_radius", 0.2))
-        self.outer = float(spec.params.get("outer_radius", 1.0))
+        self.inner = float(spec.param("inner_radius"))
+        self.outer = float(spec.param("outer_radius"))
 
     def bounding_box(self):
         r = self.outer
@@ -299,7 +305,7 @@ class _Square(ShapeGeometry):
 
     def __init__(self, spec):
         super().__init__(spec)
-        self.side = float(spec.params.get("side", 1.0))
+        self.side = float(spec.param("side"))
 
     def bounding_box(self):
         return (0.0, 0.0, self.side, self.side)
@@ -325,8 +331,8 @@ class _LShape(ShapeGeometry):
 
     def __init__(self, spec):
         super().__init__(spec)
-        self.width = float(spec.params.get("arm_width", 1.0))
-        self.length = float(spec.params.get("arm_length", 2.0))
+        self.width = float(spec.param("arm_width"))
+        self.length = float(spec.param("arm_length"))
         w, ell = self.width, self.length
         self.vertices = [(0.0, 0.0), (ell, 0.0), (ell, w), (w, w), (w, ell), (0.0, ell)]
 
@@ -354,7 +360,7 @@ class _HalfPlaneTruncation(ShapeGeometry):
 
     def __init__(self, spec):
         super().__init__(spec)
-        self.radius = float(spec.params.get("radius", 6.0))
+        self.radius = float(spec.param("radius"))
 
     def bounding_box(self):
         r = self.radius
@@ -388,7 +394,7 @@ class _PuncturedPlaneTruncation(ShapeGeometry):
 
     def __init__(self, spec):
         super().__init__(spec)
-        self.radius = float(spec.params.get("radius", 6.0))
+        self.radius = float(spec.param("radius"))
 
     def bounding_box(self):
         r = self.radius
@@ -412,7 +418,7 @@ class _CustomPolygon(ShapeGeometry):
 
     def __init__(self, spec):
         super().__init__(spec)
-        self.vertices = [tuple(map(float, v)) for v in spec.params["vertices"]]
+        self.vertices = [tuple(map(float, v)) for v in spec.param("vertices")]
 
     def bounding_box(self):
         arr = np.asarray(self.vertices, float)

@@ -7,10 +7,20 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..mapping_analysis import MappingPair, SpaceSide, build_mapping
 
-# each map id's parameters: a float one is a number, a complex one a number or [re, im]
-MAP_PARAMS = {"identity": {}, "similarity": {"scale": float, "offset": complex},
-              "disk_automorphism": {"a": complex}, "power": {"alpha": float},
-              "mobius": dict.fromkeys("abcd", complex)}
+# each map id's parameters with their defaults: a float one is a number, a complex one a
+# number or [re, im]
+MAP_PARAMS = {"identity": {}, "similarity": {"scale": 1.0, "offset": 0j},
+              "disk_automorphism": {"a": 0j}, "power": {"alpha": 2.0},
+              "mobius": {"a": 1 + 0j, "b": 0j, "c": 0j, "d": 1 + 0j}}
+# each map's bound on its parameters: the parameter it names (None: all of them), the test
+# that they pass and the message when they fail it
+MAP_BOUNDS = {
+    "similarity": ("scale", lambda p: p["scale"] != 0.0, "similarity scale must be nonzero"),
+    "disk_automorphism": ("a", lambda p: abs(p["a"]) < 1.0, "disk automorphism requires |a| < 1"),
+    "power": ("alpha", lambda p: p["alpha"] > 0, "power map exponent must be > 0"),
+    "mobius": (None, lambda p: p["a"] * p["d"] - p["b"] * p["c"] != 0,
+               "mobius map requires a*d - b*c != 0"),
+}
 MAP_IDS = tuple(MAP_PARAMS)
 
 
@@ -34,6 +44,23 @@ def _wrap(fn):
     return lambda pts: _to_coords(fn(_to_complex(pts)))
 
 
+def map_params(map_id: str, params: dict, path: str = "params") -> dict:
+    """The parameters of map ``map_id``: each given or defaulted, as a float or a complex.
+
+    Raises naming ``path`` and the parameter at fault if they break the map's bound.
+    """
+    if map_id not in MAP_PARAMS:
+        raise ConfigurationError(f"unknown builtin map id {map_id!r}; expected one of {MAP_IDS}")
+    values = {key: _complex_param(params.get(key, default)) if type(default) is complex
+              else float(params.get(key, default))
+              for key, default in MAP_PARAMS[map_id].items()}
+    if map_id in MAP_BOUNDS:
+        key, holds, message = MAP_BOUNDS[map_id]
+        if not holds(values):
+            raise ConfigurationError(f"{path if key is None else f'{path}.{key}'}: {message}")
+    return values
+
+
 def builtin_mapping(
     map_id: str,
     params: dict,
@@ -41,49 +68,26 @@ def builtin_mapping(
     target: SpaceSide,
 ) -> MappingPair:
     """Instantiate a built-in map and snap it to the two grids."""
-    params = params or {}
+    p = map_params(map_id, params or {})
     if map_id == "identity":
         same = lambda pts: np.atleast_2d(np.asarray(pts, float))
         return build_mapping(source, target, same, same, name="identity")
     if map_id == "similarity":
-        scale = float(params.get("scale", 1.0))
-        if scale == 0.0:
-            raise ConfigurationError("similarity scale must be nonzero")
-        offset = _complex_param(params.get("offset", 0.0))
+        scale, offset = p["scale"], p["offset"]
         fwd = _wrap(lambda z: scale * z + offset)
         inv = _wrap(lambda z: (z - offset) / scale)
         return build_mapping(source, target, fwd, inv, name=f"similarity(x{scale})")
     if map_id == "disk_automorphism":
-        a = _complex_param(params.get("a", 0.0))
-        if abs(a) >= 1.0:
-            raise ConfigurationError("disk automorphism requires |a| < 1")
+        a = p["a"]
         fwd = _wrap(lambda z: (z - a) / (1.0 - np.conj(a) * z))
         inv = _wrap(lambda z: (z + a) / (1.0 + np.conj(a) * z))
         return build_mapping(source, target, fwd, inv, name=f"disk_automorphism(a={a})")
     if map_id == "power":
-        alpha = float(params.get("alpha", 2.0))
-        if alpha <= 0:
-            raise ConfigurationError("power map exponent must be > 0")
-
-        def fwd_c(z):
-            r = np.abs(z)
-            theta = np.angle(z)
-            return r**alpha * np.exp(1j * alpha * theta)
-
-        def inv_c(z):
-            r = np.abs(z)
-            theta = np.angle(z)
-            return r ** (1.0 / alpha) * np.exp(1j * theta / alpha)
-
-        return build_mapping(source, target, _wrap(fwd_c), _wrap(inv_c), name=f"power(a={alpha})")
-    if map_id == "mobius":
-        a = _complex_param(params.get("a", 1.0))
-        b = _complex_param(params.get("b", 0.0))
-        c = _complex_param(params.get("c", 0.0))
-        d = _complex_param(params.get("d", 1.0))
-        if a * d - b * c == 0:
-            raise ConfigurationError("mobius map requires a*d - b*c != 0")
-        fwd = _wrap(lambda z: (a * z + b) / (c * z + d))
-        inv = _wrap(lambda z: (d * z - b) / (-c * z + a))
-        return build_mapping(source, target, fwd, inv, name="mobius")
-    raise ConfigurationError(f"unknown builtin map id {map_id!r}; expected one of {MAP_IDS}")
+        alpha = p["alpha"]
+        fwd = _wrap(lambda z: np.abs(z) ** alpha * np.exp(1j * alpha * np.angle(z)))
+        inv = _wrap(lambda z: np.abs(z) ** (1.0 / alpha) * np.exp(1j * np.angle(z) / alpha))
+        return build_mapping(source, target, fwd, inv, name=f"power(a={alpha})")
+    a, b, c, d = (p[key] for key in "abcd")  # mobius
+    fwd = _wrap(lambda z: (a * z + b) / (c * z + d))
+    inv = _wrap(lambda z: (d * z - b) / (-c * z + a))
+    return build_mapping(source, target, fwd, inv, name="mobius")

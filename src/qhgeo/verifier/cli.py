@@ -61,13 +61,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag, value, low in (("--seed", args.seed, 0), ("--jobs", args.jobs, 1)):
+            if value is not None and value < low:
+                raise ConfigurationError(f"{flag}: must be >= {low}")
         path = _resolve_scenario(args.scenario)
         raw = load_scenario(path)
         started = time.perf_counter()
         report = run_scenario(
             raw,
             seed=args.seed,
-            jobs=max(1, args.jobs),
+            jobs=args.jobs,
             resolution_override=args.resolution_override,
         )
         elapsed = time.perf_counter() - started

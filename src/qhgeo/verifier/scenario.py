@@ -58,7 +58,7 @@ from ..quasihyperbolic import QuasihyperbolicMetric, estimate_uniformity, verify
 from ..sampling import check_metric_axioms, pair_sample, pool_indices, tuple_sample_from_pool
 from ..shapes import ShapeSpec, _finite
 from ..views import EuclideanView
-from .builtin_maps import MAP_PARAMS, builtin_mapping
+from .builtin_maps import MAP_PARAMS, builtin_mapping, map_params
 from .constants import predicted_constants
 
 SCHEMA_VERSION = 1
@@ -172,14 +172,23 @@ def _check_segments(value, path):
             _check_point(seg[key], f"{path}[{a}].{key}")
 
 
-def _check_map_params(params, path, kinds):
-    """A builtin map's parameters: ``float`` ones a number, ``complex`` ones also [re, im]."""
-    _check_keys(params, path, (), kinds)
+def _check_map_params(params, path, map_id):
+    """A builtin map's parameters: float ones a number, complex ones also [re, im]; all within
+    the map's bounds."""
+    defaults = MAP_PARAMS[map_id]
+    _check_keys(params, path, (), defaults)
     for key, value in params.items():
-        if kinds[key] is complex and isinstance(value, list):
+        if type(defaults[key]) is complex and isinstance(value, list):
             _check_point(value, f"{path}.{key}", "a number or [re, im]")
         else:
             _check_range(value, f"{path}.{key}")
+    map_params(map_id, params, path)
+
+
+def _check_seed(value, path):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        _fail(path, "must be present and an integer >= 0 (determinism contract)")
+    return value
 
 
 def _number(*bounds):
@@ -226,8 +235,7 @@ def validate_scenario(raw: dict) -> dict:
     _check_keys(raw, "", *_KEYS["scenario"])
     if raw.get("schema") != SCHEMA_VERSION:
         _fail("schema", f"must be {SCHEMA_VERSION}")
-    if isinstance(raw.get("seed"), bool) or not isinstance(raw.get("seed"), numbers.Integral):
-        _fail("seed", "must be present and an integer (determinism contract)")
+    _check_seed(raw.get("seed"), "seed")
     domains = raw.get("domains", [])
     if not isinstance(domains, list) or not domains:
         _fail("domains", "must be a non-empty list")
@@ -275,7 +283,7 @@ def validate_scenario(raw: dict) -> dict:
         _check_name(mp["map"], f"{path}.map", MAP_PARAMS, "builtin map id")
         for key in ("source", "target"):
             _check_name(mp[key], f"{path}.{key}", names, "domain")
-        _check_map_params(mp.get("params", {}), f"{path}.params", MAP_PARAMS[mp["map"]])
+        _check_map_params(mp.get("params", {}), f"{path}.params", mp["map"])
     refs = {"domain": names, "mapping": map_names, "deformation": def_names,
             "deformation0": def_names, "deformation1": def_names}
     for a, chk in enumerate(_check_list(raw.get("checks", []), "checks")):
@@ -325,7 +333,7 @@ def load_scenario(path) -> dict:
 class ScenarioContext:
     def __init__(self, raw: dict, resolution_override: float | None = None, seed=None):
         self.raw = raw
-        self.seed = int(seed if seed is not None else raw["seed"])
+        self.seed = int(raw["seed"] if seed is None else _check_seed(seed, "seed"))
         tol = dict(DEFAULTS)
         tol.update(raw.get("tolerances", {}))
         self.slack = float(tol["slack"])
@@ -476,11 +484,8 @@ def _chk_qh_calibration(ctx, p, rng):
         if not is_unbounded_truncation(ctx.sides[name]):
             raise ConfigurationError("truncation_sensitivity applies only to truncated shapes")
         spec = domain.shape
-        big = ShapeSpec(
-            spec.kind,
-            {**spec.params, "radius": 2.0 * float(spec.params.get("radius", 6.0))},
-            spec.resolution,
-        )
+        big = ShapeSpec(spec.kind, {**spec.params, "radius": 2.0 * domain.geometry.radius},
+                        spec.resolution)
         domain2 = build_grid_domain(big, ctx.band_h)
         qh2 = QuasihyperbolicMetric(domain2)
         for idx, (a, b) in enumerate(snapped):
@@ -552,7 +557,7 @@ def _chk_basepoint_identity(ctx, p, rng):
 
 def _chk_delta(ctx, p, rng):
     report = estimate_delta(ctx.space_view(p["space"]), n_quadruples=p["quadruples"], rng=rng,
-                            pool_size=p["pool"], exhaustive=p["exhaustive"], seed_label=ctx.seed)
+                            pool_size=p["pool"], exhaustive=p["exhaustive"])
     _require_samples(report.quadruples_tested, "quadruples")
     max_delta = p["max_delta"]
     return _result(

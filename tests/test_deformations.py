@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,7 @@ from qhgeo import (
     verify_deformation_comparability,
 )
 from qhgeo import views
-from qhgeo.sampling import check_metric_axioms, pair_sample
+from qhgeo.sampling import check_metric_axioms, pair_sample, pool_indices, tuple_sample_from_pool
 from qhgeo.verifier.scenario import ScenarioContext
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "qhgeo" / "verifier" / "scenarios"
@@ -295,7 +296,59 @@ class TestUniformizedQhView:
         assert view.rows(sources).tobytes() == expected.rows(sources).tobytes()
 
 
+def reference_basepoint_change(space0, space1, n_quadruples, rng, pool_size=48):
+    """The former basepoint_change_distortion, with its own cross ratios and skip rule: a
+    quadruple is skipped when d(x,y) d(z,w) <= 1e-9 times the largest sampled distance."""
+    pool = pool_indices(space0.n, pool_size, rng)
+    quadruples = pool[tuple_sample_from_pool(len(pool), n_quadruples, 4, rng)]
+    uniq = np.unique(quadruples)
+    local = np.searchsorted(uniq, quadruples)
+    d0 = space0.metric_view().submatrix(uniq)
+    d1 = space1.metric_view().submatrix(uniq)
+    delta_min = 1e-9 * max(d0.max(initial=0.0), d1.max(initial=0.0))
+    x, y, z, w = local.T
+    ok = (d0[x, y] * d0[z, w] > delta_min) & (d1[x, y] * d1[z, w] > delta_min)
+    x, y, z, w = local[ok].T
+    cr0 = d0[x, z] * d0[y, w] / (d0[x, y] * d0[z, w])
+    cr1 = d1[x, z] * d1[y, w] / (d1[x, y] * d1[z, w])
+    return float((cr1 / cr0).max(initial=0.0)), int(ok.sum()), int((~ok).sum())
+
+
+def euclidean_space(points, domain):
+    """A duck-typed deformation of ``domain`` whose metric is Euclidean on ``points``; it has
+    ``metric_view`` too, so that the former submatrix rule runs on it."""
+    view = views.EuclideanView(points)
+    return SimpleNamespace(domain=domain, eps=0.2, n=len(points), pairs=view.pairs,
+                           metric_view=lambda: view)
+
+
 class TestBasepointChange:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_matches_the_former_cross_ratios_on_uniformized_disks(self, disk_pack, seed, swap):
+        d, k, w = disk_pack
+        spaces = [uniformize(d, k, w, 0.2), uniformize(d, k, (0.5, 0.0), 0.2)]
+        if swap:
+            spaces.reverse()
+        got = basepoint_change_distortion(*spaces, n_quadruples=400,
+                                          rng=np.random.default_rng(seed))
+        expected = reference_basepoint_change(*spaces, 400, np.random.default_rng(seed))
+        assert (got.slope, got.n_quadruples, got.n_skipped) == expected
+        assert got.n_quadruples == 400
+
+    def test_skip_rule_does_not_depend_on_the_unit_of_length(self):
+        # the former rule compared an area with a length and skipped every quadruple at 1e-10
+        points = np.random.default_rng(5).uniform(-1.0, 1.0, (40, 2))
+        image = np.column_stack([points[:, 0] + 0.3 * points[:, 1] ** 2, points[:, 1]])
+        domain = object()
+        reports = [basepoint_change_distortion(euclidean_space(unit * points, domain),
+                                               euclidean_space(unit * image, domain),
+                                               n_quadruples=300, rng=np.random.default_rng(2))
+                   for unit in (1.0, 1e-10)]
+        assert [(r.n_quadruples, r.n_skipped) for r in reports] == [(300, 0)] * 2
+        assert reports[0].slope > 1.0
+        assert reports[1].slope == pytest.approx(reports[0].slope, rel=1e-12)
+
     def test_identical_bases_give_slope_one(self, disk_pack, rng):
         d, k, w = disk_pack
         u = uniformize(d, k, w, 0.2)

@@ -209,7 +209,7 @@ class TestClippingMatchesPerDirectionLoop:
         ("power_sector", "quarter"),
     ])
     def test_shipped_polygon_domains_in_two_contains_calls(self, scenario, name):
-        raw = json.load(open(SCENARIO_DIR / f"{scenario}.json"))
+        raw = json.loads((SCENARIO_DIR / f"{scenario}.json").read_text())
         spec = ShapeSpec.from_json(next(d for d in raw["domains"] if d["name"] == name)["shape"])
         assert spec.kind == "custom-polygon"
         with mock.patch.object(shapes, "_polygon_contains",

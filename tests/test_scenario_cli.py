@@ -1,6 +1,7 @@
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -101,7 +102,7 @@ class TestValidation:
         files = sorted(SCENARIO_DIR.glob("*.json"))
         assert len(files) >= 10
         for path in files:
-            validate_scenario(json.load(open(path)))
+            validate_scenario(json.loads(path.read_text()))
 
     @pytest.mark.parametrize("check, key", [(c, k) for c, keys in sorted(REFERENCES.items())
                                             for k in keys])
@@ -222,6 +223,8 @@ class TestSampleSizeValidation:
          ({"checks": [{"check": "uniformity", "domain": "disk", "max_a": True}]},
           "checks[0].max_a: must be a number"),
          ({"seed": True}, "seed: must be present and an integer"),
+         # died in np.random.SeedSequence with a ValueError traceback, and exited 1
+         ({"seed": -1}, "seed: must be present and an integer >= 0"),
          ({"deformations": [{"name": "s", "domain": "disk", "kind": "sphericalize",
                              "base_point": [0.0, 0.0], "epsilon": 7}]},
           "deformations[0].epsilon: applies only to a 'uniformize' deformation"),
@@ -518,6 +521,15 @@ class TestMappingValidation:
         ({"map": "similarity", "params": {"scale": math.nan}},
          "mappings[0].params.scale: must be a finite number"),
         ({"map": "identity", "params": {"scale": 2.0}}, "mappings[0].params.scale: unknown key"),
+        # the map bounds: each failed only after every domain was built, naming no field
+        ({"map": "similarity", "params": {"scale": 0}},
+         "mappings[0].params.scale: similarity scale must be nonzero"),
+        ({"map": "disk_automorphism", "params": {"a": [2, 0]}},
+         "mappings[0].params.a: disk automorphism requires |a| < 1"),
+        ({"map": "power", "params": {"alpha": -1.5}},
+         "mappings[0].params.alpha: power map exponent must be > 0"),
+        ({"map": "mobius", "params": {"a": 1, "b": 2, "c": [2, 0], "d": 4}},
+         "mappings[0].params: mobius map requires a*d - b*c != 0"),
     ])
     def test_bad_map_or_params_exit_two_before_building(self, tmp_path, capsys, mapping,
                                                         message):
@@ -525,7 +537,8 @@ class TestMappingValidation:
         with pytest.raises(ConfigurationError) as exc:
             validate_scenario(raw)  # validation builds no domain
         assert message in str(exc.value)
-        code, err = exit_code_and_error(tmp_path, capsys, raw)
+        with mock.patch.object(scenario, "build_grid_domain", side_effect=AssertionError):
+            code, err = exit_code_and_error(tmp_path, capsys, raw)
         assert code == 2 and message in err
 
     @pytest.mark.parametrize("map_id, params", [
@@ -589,7 +602,7 @@ class TestEmptySamples:
         path.write_text(json.dumps(raw))
         out = tmp_path / "report.json"
         assert main(["run", "--scenario", str(path), "--report", str(out)]) == 1
-        chk = json.load(open(out))["checks"][0]
+        chk = json.loads(out.read_text())["checks"][0]
         assert not chk["passed"]
         assert chk["notes"] and chk["notes"][0].startswith("infeasible: empty sample")
 
@@ -816,8 +829,8 @@ class TestEmission:
         report = run_scenario(tiny_scenario())
         p1 = emit_report(report, tmp_path / "r.json", "json")
         p2 = emit_report(report, tmp_path / "r.csv", "csv")
-        assert json.load(open(p1))["passed"] == report["passed"]
-        assert open(p2).read().startswith("check,constant,measured,predicted,passed")
+        assert json.loads(Path(p1).read_text())["passed"] == report["passed"]
+        assert Path(p2).read_text().startswith("check,constant,measured,predicted,passed")
 
     def test_bad_format_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="format"):
@@ -834,7 +847,7 @@ class TestCLI:
         path = self.write(tmp_path, tiny_scenario())
         out = tmp_path / "report.json"
         assert main(["run", "--scenario", path, "--report", str(out)]) == 0
-        assert json.load(open(out))["passed"]
+        assert json.loads(out.read_text())["passed"]
         assert "2/2 checks passed" in capsys.readouterr().out
 
     def test_exit_two_on_config_error(self, tmp_path, capsys):
@@ -843,6 +856,18 @@ class TestCLI:
         path = self.write(tmp_path, raw)
         assert main(["run", "--scenario", path]) == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-5"), ("--jobs", "0"), ("--jobs", "-4")])
+    def test_bad_seed_or_jobs_exits_two_naming_the_flag(self, tmp_path, capsys, flag, value):
+        # a negative seed exited 1 with a ValueError traceback; --jobs 0 ran as --jobs 1
+        path = self.write(tmp_path, tiny_scenario())
+        with mock.patch.object(scenario, "build_grid_domain", side_effect=AssertionError):
+            assert main(["run", "--scenario", path, flag, value]) == 2
+        assert f"{flag}: must be >= " in capsys.readouterr().err
+
+    def test_negative_seed_override_is_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="seed: must be present and an integer >= 0"):
+            run_scenario(tiny_scenario(), seed=-2)
 
     def test_exit_one_on_violation(self, tmp_path):
         raw = tiny_scenario(
