@@ -33,7 +33,6 @@ from .deformations import (
     SphericalizedSpace,
     UniformizedSpace,
     basepoint_change_distortion,
-    deformation_density,
     sphericalization_envelope,
     sphericalize,
     uniformize,

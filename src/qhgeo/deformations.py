@@ -27,15 +27,9 @@ from .sampling import pool_indices, tuple_sample_from_pool
 from .views import DenseChainView, GraphView, built_once, rows_per_block
 
 
-def _qh_view(graph, lengths, dg, name: str) -> GraphView:
+def _qh_view(graph, lengths, dg) -> GraphView:
     """Quasihyperbolic view of ``graph`` over arc ``lengths`` (overwritten) and boundary ``dg``."""
-    return GraphView(*graph.search_matrix(graph.trapezoid(1.0 / dg, lengths)), name=name)
-
-
-def deformation_density(k: QuasihyperbolicMetric, i, w: int, eps: float) -> np.ndarray:
-    """exp(-eps * k(x, w)) evaluated at vertex indices i."""
-    row = k.rows([w])[0]
-    return np.exp(-eps * row[np.asarray(i, dtype=np.intp)])
+    return GraphView(*graph.search_matrix(graph.trapezoid(1.0 / dg, lengths)))
 
 
 class UniformizedSpace:
@@ -55,8 +49,7 @@ class UniformizedSpace:
 
         self.k_from_base = k.rows([self.w])[0]
         self.density = np.exp(-eps * self.k_from_base)
-        self._view = GraphView(*domain.graph.search_matrix(self.arc_weights),
-                               name=f"uniformized(eps={eps})")
+        self._view = GraphView(*domain.graph.search_matrix(self.arc_weights))
         self._boundary_distance = None
         self._qh_view = None
 
@@ -74,9 +67,6 @@ class UniformizedSpace:
 
     def pairs(self, i, j) -> np.ndarray:
         return self._view.pairs(i, j)
-
-    def distance(self, i: int, j: int) -> float:
-        return float(self._view.pairs([i], [j])[0])
 
     def boundary_distance(self) -> np.ndarray:
         """Deformed distance from every vertex to the boundary.
@@ -98,7 +88,7 @@ class UniformizedSpace:
             # one read of the arc weights serves the boundary distance and the view
             weights = self.arc_weights
             dg = built_once(self, "_boundary_distance", lambda: self._sink_row(weights))
-            return _qh_view(self.domain.graph, weights, dg, f"qh-of-uniformized(eps={self.eps})")
+            return _qh_view(self.domain.graph, weights, dg)
         return built_once(self, "_qh_view", build)
 
     def diameter_estimate(self, n_extremal: int = 32) -> float:
@@ -137,7 +127,7 @@ class SphericalizedSpace:
         else:
             self.active = np.arange(domain.n, dtype=np.intp)
         act = self.active
-        self._view = DenseChainView(domain.coords[act], name="sphericalized", base_point=p)
+        self._view = DenseChainView(domain.coords[act], base_point=p)
         self._boundary_distance = None
         self._qh_view = None
 
@@ -184,7 +174,7 @@ class SphericalizedSpace:
         graph = self.domain.graph
         return built_once(self, "_qh_view", lambda: _qh_view(
             graph, graph.arc_map(lambda w, du, dv: w / (du * dv), self.depth),
-            self.boundary_distance(), "qh-of-sphericalized"))
+            self.boundary_distance()))
 
 
 def uniformize(domain: DomainSample, k: QuasihyperbolicMetric, w, eps: float) -> UniformizedSpace:

@@ -35,7 +35,6 @@ class _ReindexedView(MetricView):
     def __init__(self, base: MetricView, index: np.ndarray):
         self.base = base
         self.index = np.asarray(index, dtype=np.intp)
-        self.name = base.name
 
     @property
     def n(self):
@@ -144,7 +143,6 @@ class MappingPair:
     inverse_idx: np.ndarray
     forward_fn: object | None = None
     inverse_fn: object | None = None
-    name: str = "mapping"
     roundtrip_error: float = 0.0
     snap_error: float = 0.0
 
@@ -164,7 +162,6 @@ class MappingPair:
             self.forward_idx,
             self.inverse_fn,
             self.forward_fn,
-            name=self.name + "^-1",
             roundtrip_error=self.roundtrip_error,
             snap_error=self.snap_error,
         )
@@ -203,7 +200,6 @@ def build_mapping(
     target: SpaceSide,
     forward_fn=None,
     inverse_fn=None,
-    name: str = "mapping",
 ) -> MappingPair:
     """Snap an analytic homeomorphism to the two grids.
 
@@ -214,7 +210,7 @@ def build_mapping(
         if source.n != target.n:
             raise ConfigurationError("vertex-level identity requires equal vertex counts")
         idx = np.arange(source.n, dtype=np.intp)
-        return MappingPair(source, target, idx, idx.copy(), None, None, name=name)
+        return MappingPair(source, target, idx, idx.copy(), None, None)
     fwd_img = np.asarray(forward_fn(source.coords), float)
     inv_img = np.asarray(inverse_fn(target.coords), float)
     forward_idx = np.asarray(target.nearest_vertex(fwd_img), dtype=np.intp)
@@ -230,7 +226,6 @@ def build_mapping(
         inverse_idx,
         forward_fn,
         inverse_fn,
-        name=name,
         roundtrip_error=roundtrip,
         snap_error=snap_err,
     )

@@ -407,7 +407,7 @@ class DomainSample:
 
     def graph_view(self) -> GraphView:
         """Shortest-path view of the length graph, built once on first use."""
-        return built_once(self, "_graph_view", lambda: GraphView(self.graph.matrix, name="graph"))
+        return built_once(self, "_graph_view", lambda: GraphView(self.graph.matrix))
 
     def ambient_distance(self, i, j) -> np.ndarray:
         return self._ambient.pairs(np.atleast_1d(i), np.atleast_1d(j))

@@ -23,8 +23,7 @@ class QuasihyperbolicMetric:
 
     def __init__(self, domain: DomainSample):
         self.domain = domain
-        self._view = GraphView(*domain.graph.search_matrix(self.arc_weights),
-                               name="quasihyperbolic")
+        self._view = GraphView(*domain.graph.search_matrix(self.arc_weights))
 
     @property
     def arc_weights(self) -> np.ndarray:

@@ -72,7 +72,6 @@ def tuple_sample_from_pool(pool_size: int, n_tuples: int, arity: int, rng) -> np
 
 @dataclass(frozen=True)
 class MetricAxiomReport:
-    name: str
     n_triples: int
     max_symmetry_defect: float
     max_triangle_defect: float
@@ -120,4 +119,4 @@ def check_metric_axioms(
     off = dist[~np.eye(p, dtype=bool)] if p > 1 else np.array([1.0])
     if np.any(off <= 0):
         ident = max(ident, tolerance * 2 + 1.0)
-    return MetricAxiomReport(view.name, len(tri), sym, tri_defect, ident, tolerance)
+    return MetricAxiomReport(len(tri), sym, tri_defect, ident, tolerance)

@@ -187,22 +187,19 @@ def _circle_points(center, radius, spacing):
     return np.column_stack([center[0] + radius * np.cos(theta), center[1] + radius * np.sin(theta)])
 
 
-def _segment_points(a, b, spacing, include_end=False):
+def _segment_points(a, b, spacing):
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     length = float(np.hypot(*(b - a)))
     n = max(1, int(math.ceil(length / spacing)))
-    t = np.arange(n + 1 if include_end else n, dtype=float) / n
+    t = np.arange(n, dtype=float) / n
     return a[None, :] + t[:, None] * (b - a)[None, :]
 
 
-def _polyline_points(vertices, spacing, closed=True):
-    pts = []
+def _polyline_points(vertices, spacing):
     m = len(vertices)
-    rng = range(m) if closed else range(m - 1)
-    for i in rng:
-        pts.append(_segment_points(vertices[i], vertices[(i + 1) % m], spacing))
-    return np.vstack(pts)
+    return np.vstack([_segment_points(vertices[i], vertices[(i + 1) % m], spacing)
+                      for i in range(m)])
 
 
 def _point_segment_distance(pts, a, b):

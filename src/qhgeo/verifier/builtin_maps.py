@@ -71,23 +71,23 @@ def builtin_mapping(
     p = map_params(map_id, params or {})
     if map_id == "identity":
         same = lambda pts: np.atleast_2d(np.asarray(pts, float))
-        return build_mapping(source, target, same, same, name="identity")
+        return build_mapping(source, target, same, same)
     if map_id == "similarity":
         scale, offset = p["scale"], p["offset"]
         fwd = _wrap(lambda z: scale * z + offset)
         inv = _wrap(lambda z: (z - offset) / scale)
-        return build_mapping(source, target, fwd, inv, name=f"similarity(x{scale})")
+        return build_mapping(source, target, fwd, inv)
     if map_id == "disk_automorphism":
         a = p["a"]
         fwd = _wrap(lambda z: (z - a) / (1.0 - np.conj(a) * z))
         inv = _wrap(lambda z: (z + a) / (1.0 + np.conj(a) * z))
-        return build_mapping(source, target, fwd, inv, name=f"disk_automorphism(a={a})")
+        return build_mapping(source, target, fwd, inv)
     if map_id == "power":
         alpha = p["alpha"]
         fwd = _wrap(lambda z: np.abs(z) ** alpha * np.exp(1j * alpha * np.angle(z)))
         inv = _wrap(lambda z: np.abs(z) ** (1.0 / alpha) * np.exp(1j * np.angle(z) / alpha))
-        return build_mapping(source, target, fwd, inv, name=f"power(a={alpha})")
+        return build_mapping(source, target, fwd, inv)
     a, b, c, d = (p[key] for key in "abcd")  # mobius
     fwd = _wrap(lambda z: (a * z + b) / (c * z + d))
     inv = _wrap(lambda z: (d * z - b) / (-c * z + a))
-    return build_mapping(source, target, fwd, inv, name="mobius")
+    return build_mapping(source, target, fwd, inv)

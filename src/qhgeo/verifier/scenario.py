@@ -57,7 +57,6 @@ from ..metric_core import (
 from ..quasihyperbolic import QuasihyperbolicMetric, estimate_uniformity, verify_qh_distance_bounds
 from ..sampling import check_metric_axioms, pair_sample, pool_indices, tuple_sample_from_pool
 from ..shapes import ShapeSpec, _finite
-from ..views import EuclideanView
 from .builtin_maps import MAP_PARAMS, builtin_mapping, map_params
 from .constants import predicted_constants
 
@@ -223,9 +222,14 @@ _KEYS = {
     "segment": (("x", "y"), ()),
     "tolerances": ((), tuple(DEFAULTS)),
 }
-# what the name of each kind of space reference (kind:name) refers to
-_SPACE_KINDS = {"ambient": "domain", "graph": "domain", "qh": "domain",
-                "deformed": "deformation", "qh-of": "deformation"}
+# each kind of space reference (kind:name): what its name names, and the view it reads
+_SPACES = {
+    "ambient": ("domain", lambda ctx, name: ctx.domains[name][0].ambient_view()),
+    "graph": ("domain", lambda ctx, name: ctx.domains[name][0].graph_view()),
+    "qh": ("domain", lambda ctx, name: ctx.domains[name][1].view()),
+    "deformed": ("deformation", lambda ctx, name: ctx.deformations[name].metric_view()),
+    "qh-of": ("deformation", lambda ctx, name: ctx.deformations[name].qh_view()),
+}
 
 
 def validate_scenario(raw: dict) -> dict:
@@ -305,11 +309,11 @@ def validate_scenario(raw: dict) -> dict:
         if "space" in chk:  # kind:name, a name of the sort that the kind reads
             _check_name(chk["space"], f"{path}.space")
             kind, _, name = chk["space"].partition(":")
-            if kind not in _SPACE_KINDS:
+            if kind not in _SPACES:
                 _fail(f"{path}.space", f"unknown space kind {kind!r}; use one of "
-                      + ", ".join(_SPACE_KINDS))
-            what = _SPACE_KINDS[kind]
-            _check_name(name, f"{path}.space", names if what == "domain" else def_names, what)
+                      + ", ".join(_SPACES))
+            what = _SPACES[kind][0]
+            _check_name(name, f"{path}.space", refs[what], what)
     tol = raw.get("tolerances", {})
     _check_keys(tol, "tolerances", *_KEYS["tolerances"])
     for key, value in tol.items():
@@ -336,12 +340,10 @@ class ScenarioContext:
         self.seed = int(raw["seed"] if seed is None else _check_seed(seed, "seed"))
         tol = dict(DEFAULTS)
         tol.update(raw.get("tolerances", {}))
-        self.slack = float(tol["slack"])
         self.defaults = tol
         self.band_h = float(tol["band_h"])
         self.domains = {}
         self.sides = {}
-        self.resolutions = {}
         build_rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0xD0]))
         for dom in raw["domains"]:
             name = dom["name"]
@@ -358,7 +360,6 @@ class ScenarioContext:
             qh = QuasihyperbolicMetric(domain)
             self.domains[name] = (domain, qh)
             self.sides[name] = DomainSide(domain, qh)
-            self.resolutions[name] = domain.resolution
         self.deformations = {}
         self.bases = {}   # deformation name -> side of the domain it deforms
         for d in raw.get("deformations", []):
@@ -381,21 +382,9 @@ class ScenarioContext:
             self.mappings[mp["name"]] = builtin_mapping(mp["map"], mp.get("params", {}), src, tgt)
 
     def space_view(self, ref: str):
+        """The view that a validated space reference (kind:name) reads."""
         kind, _, name = ref.partition(":")
-        if kind == "ambient" and name in self.domains:
-            return EuclideanView(self.domains[name][0].coords)
-        if kind == "graph" and name in self.domains:
-            return self.domains[name][0].graph_view()
-        if kind == "qh" and name in self.domains:
-            return self.domains[name][1].view()
-        if kind == "deformed" and name in self.deformations:
-            return self.deformations[name].metric_view()
-        if kind == "qh-of" and name in self.deformations:
-            return self.deformations[name].qh_view()
-        raise ConfigurationError(
-            f"unknown space reference {ref!r}; use ambient:/graph:/qh:<domain> or "
-            "deformed:/qh-of:<deformation>"
-        )
+        return _SPACES[kind][1](self, name)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +414,11 @@ def _require_samples(count, what):
     """A check that tested no sample proves nothing: it is infeasible, not passed."""
     if count == 0:
         raise ConfigurationError(f"empty sample: no {what} tested")
+
+
+def _bound(value, p, key):
+    """``(passed, predicted)`` of ``value <= p[key]``; a bound of None is off and passes."""
+    return (True, {}) if p[key] is None else (value <= p[key], {key: p[key]})
 
 
 def _jsonable(v):
@@ -559,13 +553,9 @@ def _chk_delta(ctx, p, rng):
     report = estimate_delta(ctx.space_view(p["space"]), n_quadruples=p["quadruples"], rng=rng,
                             pool_size=p["pool"], exhaustive=p["exhaustive"])
     _require_samples(report.quadruples_tested, "quadruples")
-    max_delta = p["max_delta"]
-    return _result(
-        True if max_delta is None else report.delta <= max_delta,
-        {"delta": report.delta, "quadruples_tested": report.quadruples_tested,
-         "pool_size": report.pool_size},
-        {} if max_delta is None else {"max_delta": max_delta},
-    )
+    passed, predicted = _bound(report.delta, p, "max_delta")
+    return _result(passed, {"delta": report.delta, "quadruples_tested": report.quadruples_tested,
+                            "pool_size": report.pool_size}, predicted)
 
 
 def _uniformity_a(domain, qh, p, rng):
@@ -579,13 +569,9 @@ def _chk_uniformity(ctx, p, rng):
     pairs = pair_sample(domain.n, p["pairs"], rng, n_sources=p["sources"])
     report = estimate_uniformity(domain, qh, pairs)
     _require_samples(report.n_pairs, "pairs")
-    max_a = p["max_a"]
-    return _result(
-        True if max_a is None else report.constant_a <= max_a,
-        {"constant_a": report.constant_a, "n_pairs": report.n_pairs,
-         "worst_pair": list(report.worst_pair)},
-        {} if max_a is None else {"max_a": max_a},
-    )
+    passed, predicted = _bound(report.constant_a, p, "max_a")
+    return _result(passed, {"constant_a": report.constant_a, "n_pairs": report.n_pairs,
+                            "worst_pair": list(report.worst_pair)}, predicted)
 
 
 def _chk_starlikeness(ctx, p, rng):
@@ -593,18 +579,13 @@ def _chk_starlikeness(ctx, p, rng):
     base = p["base_point"]
     w = None if base is None else int(domain.nearest_vertex([base])[0])
     report = estimate_rough_starlikeness(domain, qh, w, max_rays=p["max_rays"])
-    max_k = p["max_k"]
-    return _result(
-        True if max_k is None else report.starlikeness_k <= max_k,
-        {"starlikeness_k": report.starlikeness_k, "base_point": list(report.base_point)},
-        {} if max_k is None else {"max_k": max_k},
-    )
+    passed, predicted = _bound(report.starlikeness_k, p, "max_k")
+    return _result(passed, {"starlikeness_k": report.starlikeness_k,
+                            "base_point": list(report.base_point)}, predicted)
 
 
 def _chk_deformed_diameter(ctx, p, rng):
     space = ctx.deformations[p["deformation"]]
-    if space.kind != "uniformize":
-        raise ConfigurationError("deformed_diameter applies to uniformize deformations")
     slack = p["slack"]
     diam = space.diameter_estimate()
     base_bd = float(space.boundary_distance()[space.w])
@@ -641,8 +622,6 @@ def _chk_basepoint_change(ctx, p, rng):
 
 def _chk_spher_envelope(ctx, p, rng):
     space = ctx.deformations[p["deformation"]]
-    if space.kind != "sphericalize":
-        raise ConfigurationError("sphericalization_envelope needs a sphericalize deformation")
     pairs = pair_sample(space.n, p["pairs"], rng, n_sources=p["sources"])
     report = sphericalization_envelope(space, pairs)
     _require_samples(report.n_pairs, "pairs")
@@ -656,14 +635,12 @@ def _chk_spher_envelope(ctx, p, rng):
 
 def _chk_spher_distortion(ctx, p, rng):
     space = ctx.deformations[p["deformation"]]
-    if space.kind != "sphericalize":
-        raise ConfigurationError("sphericalization_distortion needs a sphericalize deformation")
     slack = p["slack"]
     base = ctx.bases[p["deformation"]]
 
     src_side = DomainSide(base.domain, base.metric, subset=space.active)
     tgt_side = DeformedSide(space)
-    identity = build_mapping(src_side, tgt_side, None, None, name="sphericalization-identity")
+    identity = build_mapping(src_side, tgt_side, None, None)
 
     qm = estimate_quasimobius(identity, n_quadruples=p["quadruples"], rng=rng,
                               pool_size=p["pool"])
@@ -841,8 +818,7 @@ def _chk_quasimobius(ctx, p, rng):
         # stability studies run on a separated net: the bare linear
         # envelope diverges along degenerating quadruples for maps with
         # nonlinear distortion control
-        diam = float(np.hypot(*(m.source.coords.max(axis=0) - m.source.coords.min(axis=0))))
-        sep = diam / p["separation_frac"]
+        sep = m.source.domain.diameter_hint() / p["separation_frac"]
     if p["stability_drift"] is not None:
         # prefix study: the small sample is the head of the large one, so
         # the drift isolates genuine tail growth of the envelope
@@ -855,11 +831,8 @@ def _chk_quasimobius(ctx, p, rng):
         bigger = None
     _require_samples(report.n_quadruples, "quadruples")
     measured = {"slope": report.slope, "n_quadruples": report.n_quadruples}
-    predicted = {}
-    passed = np.isfinite(report.slope)
-    if p["max_slope"] is not None:
-        predicted["max_slope"] = p["max_slope"]
-        passed = passed and report.slope <= predicted["max_slope"]
+    passed, predicted = _bound(report.slope, p, "max_slope")
+    passed = passed and np.isfinite(report.slope)
     if bigger is not None:
         drift = abs(bigger.slope - report.slope) / report.slope
         measured["slope_at_10x"] = bigger.slope
@@ -950,6 +923,10 @@ _CHECKS = {
     "global_qs_hypotheses": (_chk_global_qs, "mapping", 0,
                              {"uniformity_pairs": 160, "sources": 20, "slack": "slack"}),
 }
+# the deformation kind that each check reading a deformation needs
+_DEFORMATION_KINDS = {"deformed_diameter": "uniformize", "deformation_comparability": "uniformize",
+                      "basepoint_change": "uniformize", "sphericalization_envelope": "sphericalize",
+                      "sphericalization_distortion": "sphericalize"}
 
 
 def _resolve(ctx, cid, params):
@@ -988,6 +965,12 @@ def run_scenario(
         idx, chk = idx_chk
         rng = np.random.default_rng(streams[idx])
         cid, params = chk["check"], {k: v for k, v in chk.items() if k != "check"}
+        kind = _DEFORMATION_KINDS.get(cid)
+        wrong = [key for key in ("deformation", "deformation0", "deformation1")
+                 if key in params and ctx.deformations[params[key]].kind != kind]
+        if wrong:  # a predicate on the built deformations, tested before the check runs
+            return {"check": cid, "params": params, **_result(False, {}, notes=[
+                f"infeasible: {wrong[0]}: {cid} needs a {kind} deformation"])}
         try:
             result = _CHECKS[cid][0](ctx, _resolve(ctx, cid, params), rng)
         except ConfigurationError as exc:
@@ -1003,10 +986,10 @@ def run_scenario(
     return {
         "schema": SCHEMA_VERSION,
         "seed": ctx.seed,
-        "slack": ctx.slack,
+        "slack": float(ctx.defaults["slack"]),
         "sample_defaults": {k: ctx.defaults[k] for k in ("pairs", "balls", "quadruples")},
         "band_h": ctx.band_h,
-        "resolutions": ctx.resolutions,
+        "resolutions": {name: domain.resolution for name, (domain, _) in ctx.domains.items()},
         "scenario": raw,
         "checks": results,
         "passed": all(r["passed"] for r in results),

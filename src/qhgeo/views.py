@@ -74,8 +74,6 @@ def built_once(owner, name: str, build):
 class MetricView:
     """Distance oracle on points indexed 0..n-1."""
 
-    name = "metric"
-
     @property
     def n(self) -> int:
         raise NotImplementedError
@@ -101,8 +99,6 @@ class MetricView:
 
 class EuclideanView(MetricView):
     """Ambient metric: straight-line distance between stored coordinates."""
-
-    name = "euclidean"
 
     def __init__(self, coords: np.ndarray):
         self.coords = np.asarray(coords, float)
@@ -140,12 +136,8 @@ class GraphView(MetricView):
     The view holds no float64 row between calls: only its float16 landmarks.
     """
 
-    name = "graph"
-
-    def __init__(self, matrix, bands=None, name: str | None = None):
+    def __init__(self, matrix, bands=None):
         self.matrix = matrix.tocsr()
-        if name:
-            self.name = name
         self.order, self._position = (None, None) if bands is None else bands
         self._landmarks: OrderedDict[int, np.ndarray] = OrderedDict()  # oldest first
         self._landmark_bytes = 0
@@ -333,16 +325,12 @@ class DenseChainView(MetricView):
     ``_CHAIN_PAIRS`` pairs a point (a line through s and p), on all vertices, with no pairs.
     """
 
-    name = "chain"
-
-    def __init__(self, coords, depth=None, name: str | None = None, base_point=None):
+    def __init__(self, coords, depth=None, base_point=None):
         self._coords = c = np.asarray(coords, float)
         self._base = p = base_point
         if p is not None:
             depth = 1.0 + np.hypot(c[:, 0] - p[0], c[:, 1] - p[1])
         self._depth = np.asarray(depth, float)
-        if name:
-            self.name = name
 
     @property
     def n(self):

@@ -231,7 +231,7 @@ def test_criterion_08_sphericalization_distortion(sphericalized_punctured, capsy
     rng = np.random.default_rng(SEED + 8)
     src = DomainSide(d, k, subset=space.active)
     tgt = DeformedSide(space)
-    identity = build_mapping(src, tgt, None, None, name="sphericalization-identity")
+    identity = build_mapping(src, tgt, None, None)
     qm = estimate_quasimobius(identity, n_quadruples=1000, rng=rng, pool_size=64)
     env = sphericalization_envelope(space, pair_sample(space.n, 1000, rng, n_sources=24))
     upairs = pair_sample(d.n, 160, rng, n_sources=20)

@@ -17,7 +17,6 @@ from qhgeo import (
     ShapeSpec,
     basepoint_change_distortion,
     build_grid_domain,
-    deformation_density,
     domain_from_length_graph,
     sphericalization_envelope,
     sphericalize,
@@ -43,19 +42,19 @@ def disk_pack():
 
 class TestDensity:
     def test_one_at_base_point(self, disk_pack):
-        _, k, w = disk_pack
-        assert deformation_density(k, [w], w, 0.3)[0] == 1.0
+        d, k, w = disk_pack
+        assert uniformize(d, k, w, 0.3).density[w] == 1.0
 
     def test_matches_radial_oracle(self, disk_pack):
         d, k, w = disk_pack
         x = int(d.nearest_vertex([(0.5, 0.0)])[0])
         # k(w, x) is log 2 along the radius, so the density is 2^(-1/2)
-        assert deformation_density(k, [x], w, 0.5)[0] == pytest.approx(2 ** -0.5, rel=0.02)
+        assert uniformize(d, k, w, 0.5).density[x] == pytest.approx(2 ** -0.5, rel=0.02)
 
     def test_small_epsilon_limit(self, disk_pack):
         d, k, w = disk_pack
         idx = np.arange(0, d.n, 37)
-        assert np.allclose(deformation_density(k, idx, w, 1e-9), 1.0, atol=1e-6)
+        assert np.allclose(uniformize(d, k, w, 1e-9).density[idx], 1.0, atol=1e-6)
 
 
 class TestUniformizedSpace:
@@ -284,7 +283,7 @@ class TestUniformizedQhView:
         # the boundary distance and the view as built from one read of the arc weights each
         sink = d.graph.sink_matrix(space.arc_weights, space.density / space.eps)
         dg = views.GraphView(sink).rows([space.n])[0, :space.n]
-        expected = _qh_view(d.graph, space.arc_weights, dg, "two reads")
+        expected = _qh_view(d.graph, space.arc_weights, dg)
         trapezoid = LengthGraph.trapezoid
         with mock.patch.object(LengthGraph, "trapezoid", autospec=True,
                                side_effect=trapezoid) as passes:

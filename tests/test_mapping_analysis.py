@@ -96,7 +96,6 @@ class TestSimilarityInvariance:
             disk_side_scaled,
             lambda pts: 2.0 * fwd(pts),
             lambda pts: inv(np.asarray(pts, float) / 2.0),
-            name="scaled-automorphism",
         )
         balls = sample_balls(disk_side, 0.2, 150, 6, np.random.default_rng(7))
         balls2 = sample_balls(disk_side, 0.2, 150, 6, np.random.default_rng(7))
@@ -186,7 +185,7 @@ class TestEstimatorMechanics:
 
     def test_vertex_mode_identity(self):
         side = make_side("disk", {"radius": 1.0}, 0.1)
-        m = build_mapping(side, side, None, None, name="vertex-identity")
+        m = build_mapping(side, side, None, None)
         assert not m.analytic
         rng = np.random.default_rng(0)
         assert estimate_boundary_lipschitz(m, 0.5, n_balls=60, pts_per_ball=6, rng=rng).value == 1.0

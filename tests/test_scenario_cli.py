@@ -817,6 +817,67 @@ class TestRunScenario:
         assert report["checks"][1]["passed"]
 
 
+# a uniformized and a sphericalized deformation of the tiny scenario's disk; the sphericalization
+# keeps 200 of its vertices, so its chain view is smaller than the disk
+BOTH_KINDS = [{"name": "u", "domain": "disk", "kind": "uniformize", "base_point": 0},
+              {"name": "sp", "domain": "disk", "kind": "sphericalize", "base_point": [1.0, 0.0]}]
+
+# a space reference of each kind on the tiny disk and on both deformations, with the size of
+# its view (None: every vertex of the disk)
+SPACE_REFS = [("ambient:disk", None), ("graph:disk", None), ("qh:disk", None),
+              ("deformed:u", None), ("qh-of:u", None), ("deformed:sp", 200), ("qh-of:sp", None)]
+
+
+@pytest.fixture(scope="module")
+def both_kinds_ctx():
+    return ScenarioContext(tiny_scenario(deformations=BOTH_KINDS, tolerances={"chain_points": 200}))
+
+
+class TestCheckTargets:
+    def test_every_deformation_reading_check_declares_its_kind(self):
+        readers = {cid for cid, refs in REFERENCES.items()
+                   if any(ref.startswith("deformation") for ref in refs)}
+        assert set(scenario._DEFORMATION_KINDS) == readers
+
+    @pytest.mark.parametrize("check, refs, key", [
+        ("deformed_diameter", {"deformation": "sp"}, "deformation"),
+        ("deformation_comparability", {"deformation": "sp"}, "deformation"),
+        ("basepoint_change", {"deformation0": "sp", "deformation1": "u"}, "deformation0"),
+        ("basepoint_change", {"deformation0": "u", "deformation1": "sp"}, "deformation1"),
+        ("sphericalization_envelope", {"deformation": "u"}, "deformation"),
+        ("sphericalization_distortion", {"deformation": "u"}, "deformation"),
+    ])
+    def test_deformation_of_the_other_kind_is_infeasible(self, tmp_path, capsys, check, refs,
+                                                        key):
+        # the kind is tested before the check runs: no check body reads a missing attribute
+        raw = tiny_scenario(deformations=BOTH_KINDS, tolerances={"chain_points": 200}, checks=[
+            {"check": "metric_axioms", "space": "qh:disk", "triples": 200},
+            {"check": check, **refs},
+            {"check": "ball_containment", "domain": "disk", "centers": 10}])
+        path, out = tmp_path / "scenario.json", tmp_path / "report.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--scenario", str(path), "--report", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        first, wrong, last = json.loads(out.read_text())["checks"]
+        kind = scenario._DEFORMATION_KINDS[check]
+        assert wrong["notes"] == [f"infeasible: {key}: {check} needs a {kind} deformation"]
+        assert not wrong["passed"] and wrong["measured"] == {}
+        assert first["passed"] and first["measured"] and last["passed"] and last["measured"]
+
+    @pytest.mark.parametrize("ref, n", SPACE_REFS)
+    def test_each_space_kind_reads_its_view(self, both_kinds_ctx, ref, n):
+        ctx = both_kinds_ctx
+        view = ctx.space_view(ref)
+        assert view.n == (n or ctx.domains["disk"][0].n)
+        if ref.startswith("ambient:"):
+            assert view is ctx.domains["disk"][0].ambient_view()
+        params = scenario._resolve(ctx, "metric_axioms", {"space": ref, "triples": 200})
+        assert scenario._chk_metric_axioms(ctx, params, np.random.default_rng(3))["passed"]
+
+    def test_space_kinds_are_all_tested(self):
+        assert {ref.partition(":")[0] for ref, _ in SPACE_REFS} == set(scenario._SPACES)
+
+
 class TestEmission:
     def test_csv_row_count_matches_measured_constants(self):
         report = run_scenario(tiny_scenario())
