@@ -200,6 +200,13 @@ class ComparabilityReport:
         return np.isfinite(self.constant) and self.constant > 0
 
 
+def _require_kind(kind, caller, *spaces):
+    """Raise naming the kinds unless every space is a ``kind`` deformation."""
+    for space in spaces:
+        if space.kind != kind:
+            raise ConfigurationError(f"{caller} needs a {kind} deformation, not a {space.kind} one")
+
+
 def verify_deformation_comparability(space: UniformizedSpace, pairs) -> ComparabilityReport:
     """Compare the deformed metric with its Gromov-product model.
 
@@ -207,8 +214,7 @@ def verify_deformation_comparability(space: UniformizedSpace, pairs) -> Comparab
     / d_deformed(x, y); the reported constant is max(max ratio,
     max 1/ratio) over the sample, which must be finite.
     """
-    if space.kind != "uniformize":
-        raise ConfigurationError("comparability check applies to uniformized spaces")
+    _require_kind("uniformize", "verify_deformation_comparability", space)
     i = np.asarray(pairs[0], dtype=np.intp)
     j = np.asarray(pairs[1], dtype=np.intp)
     keep = i != j
@@ -238,6 +244,7 @@ def basepoint_change_distortion(
     deformations of the same base with the same epsilon: ``quasimobius_slope``
     from ``space0``'s metric to ``space1``'s, over quadruples drawn from a pool.
     """
+    _require_kind("uniformize", "basepoint_change_distortion", space0, space1)
     if space0.domain is not space1.domain:
         raise ConfigurationError("both deformations must share the same base domain")
     if abs(space0.eps - space1.eps) > 0:
@@ -265,6 +272,7 @@ class EnvelopeReport:
 
 def sphericalization_envelope(space: SphericalizedSpace, pairs) -> EnvelopeReport:
     """Chain metric vs quasimetric comparability on sampled active pairs."""
+    _require_kind("sphericalize", "sphericalization_envelope", space)
     i = np.asarray(pairs[0], dtype=np.intp)
     j = np.asarray(pairs[1], dtype=np.intp)
     keep = i != j

@@ -743,9 +743,9 @@ def sample_qh_pairs(
     clearance_h grid cells from the source boundary, their images keep
     image_clearance_h cells on the target side, and optionally
     k(x, y) >= min_qh.  The min_qh filter asks the source's quasihyperbolic
-    view for k(x, y), which caches only the full rows it computes (see
-    ``GraphView.pairs``); follow-up estimators reuse those, and recompute
-    pairs whose sources were answered by a bounded search.
+    view for k(x, y) (``GraphView.pairs``), which keeps no row: only float16
+    landmarks of the full rows it computes, which bound later queries but
+    never answer them, so follow-up estimators search again for their pairs.
     """
     rng = np.random.default_rng(rng)
     bd = m.source.boundary_distance

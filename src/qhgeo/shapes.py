@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from .errors import ConfigurationError
+from .validation import _check_keys, _finite, read_params
 
 # the parameters that each shape kind reads, with their defaults (None: no default)
 SHAPE_PARAMS = {"disk": {"radius": 1.0, "center": (0.0, 0.0)},
@@ -26,6 +26,17 @@ SHAPE_PARAMS = {"disk": {"radius": 1.0, "center": (0.0, 0.0)},
                 "half-plane-truncation": {"radius": 6.0},
                 "punctured-plane-truncation": {"radius": 6.0},
                 "custom-polygon": {"vertices": None}}
+# each kind's bound on its parameters, in the form of MAP_BOUNDS: the parameter it names (None:
+# several), the test that they pass and the message when they fail it
+SHAPE_BOUNDS = {
+    **dict.fromkeys(("disk", "half-plane-truncation", "punctured-plane-truncation"),
+                    ("radius", lambda p: p["radius"] > 0, "must be > 0")),
+    "square": ("side", lambda p: p["side"] > 0, "must be > 0"),
+    "annulus": (None, lambda p: 0 < p["inner_radius"] < p["outer_radius"],
+                "annulus requires 0 < inner_radius < outer_radius"),
+    "L-shape": (None, lambda p: 0 < p["arm_width"] < p["arm_length"],
+                "L-shape requires 0 < arm_width < arm_length"),
+}
 SHAPE_KINDS = tuple(SHAPE_PARAMS)
 
 
@@ -48,7 +59,7 @@ class ShapeSpec:
             )
         if not (_finite(self.resolution, "resolution") > 0):
             raise ConfigurationError("resolution must be > 0")
-        _validate_params(self.kind, self.params)
+        read_params(SHAPE_PARAMS, SHAPE_BOUNDS, self.kind, self.params, "params")
 
     def param(self, name: str):
         """Parameter ``name`` as given, or its default."""
@@ -60,91 +71,15 @@ class ShapeSpec:
     @classmethod
     def from_json(cls, obj: dict, path: str = "shape") -> "ShapeSpec":
         """The spec that ``obj`` describes; a fault raises naming ``path`` or the key at fault."""
-        if not isinstance(obj, dict):
-            raise ConfigurationError(f"{path}: shape spec must be a JSON object")
-        for key in ("kind", "resolution"):
-            if key not in obj:
-                raise ConfigurationError(f"{path}: shape spec missing field {key!r}")
-        params = obj.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigurationError(f"{path}: shape spec field 'params' must be a JSON object")
+        _check_keys(obj, path, ("kind", "resolution"), ("params",))
         try:
-            spec = cls(obj["kind"], dict(params), _finite(obj["resolution"], "resolution"))
-        except ConfigurationError as exc:  # an unknown parameter names itself: params.<key>
-            sep = "." if str(exc).startswith("params.") else ": "
+            return cls(obj["kind"], obj.get("params", {}), _finite(obj["resolution"], "resolution"))
+        except ConfigurationError as exc:  # a parameter names itself: params.<key>
+            sep = "." if str(exc).startswith("params") else ": "
             raise ConfigurationError(f"{path}{sep}{exc}") from None
-        for key in obj:
-            if key not in ("kind", "params", "resolution"):
-                raise ConfigurationError(f"{path}.{key}: unknown key; expected one of kind, "
-                                         "params, resolution")
-        return spec
 
     def __str__(self) -> str:
         return json.dumps(self.to_json())
-
-
-def _finite(value, label):
-    """``value`` as a finite float; a string or a boolean is no number (numpy scalars are)."""
-    try:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise TypeError
-        value = float(value)
-    except (TypeError, OverflowError):
-        raise ConfigurationError(f"{label} must be a number") from None
-    if not math.isfinite(value):
-        raise ConfigurationError(f"{label} must be a finite number")
-    return value
-
-
-def _param(kind, params, name):
-    return _finite(params.get(name, SHAPE_PARAMS[kind][name]), f"shape parameter {name!r}")
-
-
-def _require_positive(kind, params, names):
-    for name in names:
-        if name in params and not (_param(kind, params, name) > 0):
-            raise ConfigurationError(f"shape parameter {name!r} must be > 0")
-
-
-def _require_pairs(params, name, what, shape_ok):
-    """Raise naming ``name`` unless ``params[name]`` is an array of finite numbers
-    whose shape passes ``shape_ok``."""
-    try:
-        arr = np.asarray(params.get(name), dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        arr = None
-    if arr is None or not shape_ok(arr.shape) or not np.all(np.isfinite(arr)):
-        raise ConfigurationError(f"shape parameter {name!r} must be {what}")
-
-
-def _validate_params(kind, params):
-    """Every parameter must be one that ``kind`` reads, every length a finite number,
-    ``center`` two finite numbers and ``vertices`` at least 3 pairs of finite numbers."""
-    for key in params:
-        if key not in SHAPE_PARAMS[kind]:
-            raise ConfigurationError(f"params.{key}: unknown key; expected one of "
-                                     + ", ".join(SHAPE_PARAMS[kind]))
-    if kind == "disk":
-        _require_positive(kind, params, ["radius"])
-        if "center" in params:
-            _require_pairs(params, "center", "two finite numbers", lambda s: s == (2,))
-    elif kind == "annulus":
-        inner = _param(kind, params, "inner_radius")
-        outer = _param(kind, params, "outer_radius")
-        if not (0 < inner < outer):
-            raise ConfigurationError("annulus requires 0 < inner_radius < outer_radius")
-    elif kind == "square":
-        _require_positive(kind, params, ["side"])
-    elif kind == "L-shape":
-        width = _param(kind, params, "arm_width")
-        length = _param(kind, params, "arm_length")
-        if not (0 < width < length):
-            raise ConfigurationError("L-shape requires 0 < arm_width < arm_length")
-    elif kind in ("half-plane-truncation", "punctured-plane-truncation"):
-        _require_positive(kind, params, ["radius"])
-    elif kind == "custom-polygon":
-        _require_pairs(params, "vertices", "at least 3 pairs of finite numbers",
-                       lambda s: len(s) == 2 and s[0] >= 3 and s[1] == 2)
 
 
 class ShapeGeometry:
@@ -179,6 +114,11 @@ class ShapeGeometry:
 
     def boundary_samples(self, spacing: float) -> np.ndarray:
         raise NotImplementedError
+
+    def meets_boundary(self, a, b) -> bool:
+        """Whether the segment [a, b] between two interior points meets the boundary, tested
+        exactly against its pieces; on a convex shape it never does."""
+        return False
 
 
 def _circle_points(center, radius, spacing):
@@ -223,6 +163,25 @@ def _polygon_boundary_distance(pts, vertices):
         d = _point_segment_distance(pts, vertices[i], vertices[(i + 1) % m])
         best = d if best is None else np.minimum(best, d)
     return best
+
+
+def _segment_meets_polygon(a, b, vertices):
+    """Whether the closed segment [a, b] shares a point with an edge [c, d] of the polygon: the
+    ends of each lie on opposite sides of (or on) the other's line, and a collinear pair
+    overlaps on both axes."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    c = np.asarray(vertices, float)
+    d = np.roll(c, -1, axis=0)
+
+    def side(p, q, r):  # the sign of the turn p -> q -> r
+        return np.sign((q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1])
+                       - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0]))
+
+    ab_c, ab_d, cd_a, cd_b = side(a, b, c), side(a, b, d), side(c, d, a), side(c, d, b)
+    collinear = (ab_c == 0) & (ab_d == 0)
+    lo, hi = np.minimum(c, d), np.maximum(c, d)
+    overlap = np.all((lo <= np.maximum(a, b)) & (np.minimum(a, b) <= hi), axis=1)
+    return bool(np.any((ab_c * ab_d <= 0) & (cd_a * cd_b <= 0) & (~collinear | overlap)))
 
 
 def _polygon_contains(pts, vertices):
@@ -288,6 +247,9 @@ class _Annulus(ShapeGeometry):
         r = np.hypot(pts[:, 0], pts[:, 1])
         return np.minimum(r - self.inner, self.outer - r)
 
+    def meets_boundary(self, a, b):
+        return bool(_point_segment_distance(np.zeros((1, 2)), a, b)[0] <= self.inner)
+
     def boundary_samples(self, spacing):
         return np.vstack(
             [
@@ -345,6 +307,9 @@ class _LShape(ShapeGeometry):
     def boundary_distance(self, pts):
         d = _polygon_boundary_distance(pts, self.vertices)
         return np.where(self.contains(pts), d, -d)
+
+    def meets_boundary(self, a, b):
+        return _segment_meets_polygon(a, b, self.vertices)
 
     def boundary_samples(self, spacing):
         return _polyline_points(self.vertices, spacing)
@@ -405,6 +370,9 @@ class _PuncturedPlaneTruncation(ShapeGeometry):
         r = np.hypot(pts[:, 0], pts[:, 1])
         return np.minimum(r, self.radius - r)
 
+    def meets_boundary(self, a, b):  # the puncture
+        return bool(_point_segment_distance(np.zeros((1, 2)), a, b)[0] <= 0.0)
+
     def boundary_samples(self, spacing):
         return np.vstack([[[0.0, 0.0]], _circle_points((0.0, 0.0), self.radius, spacing)])
 
@@ -423,6 +391,9 @@ class _CustomPolygon(ShapeGeometry):
 
     def contains(self, pts):
         return _polygon_contains(pts, self.vertices)
+
+    def meets_boundary(self, a, b):
+        return _segment_meets_polygon(a, b, self.vertices)
 
     def boundary_samples(self, spacing):
         return _polyline_points(self.vertices, spacing)

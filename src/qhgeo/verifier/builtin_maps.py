@@ -6,6 +6,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..mapping_analysis import MappingPair, SpaceSide, build_mapping
+from ..validation import read_params
 
 # each map id's parameters with their defaults: a float one is a number, a complex one a
 # number or [re, im]
@@ -33,13 +34,6 @@ def _to_coords(z: np.ndarray) -> np.ndarray:
     return np.column_stack([z.real, z.imag])
 
 
-def _complex_param(value) -> complex:
-    if np.ndim(value) == 0:
-        return complex(value)
-    value = np.asarray(value, float).reshape(-1)
-    return complex(value[0], value[1] if len(value) > 1 else 0.0)
-
-
 def _wrap(fn):
     return lambda pts: _to_coords(fn(_to_complex(pts)))
 
@@ -47,18 +41,12 @@ def _wrap(fn):
 def map_params(map_id: str, params: dict, path: str = "params") -> dict:
     """The parameters of map ``map_id``: each given or defaulted, as a float or a complex.
 
-    Raises naming ``path`` and the parameter at fault if they break the map's bound.
+    Raises naming ``path`` and the parameter at fault on an unknown key, a value that is not
+    a finite number (or [re, im] for a complex one), or one that breaks the map's bound.
     """
     if map_id not in MAP_PARAMS:
         raise ConfigurationError(f"unknown builtin map id {map_id!r}; expected one of {MAP_IDS}")
-    values = {key: _complex_param(params.get(key, default)) if type(default) is complex
-              else float(params.get(key, default))
-              for key, default in MAP_PARAMS[map_id].items()}
-    if map_id in MAP_BOUNDS:
-        key, holds, message = MAP_BOUNDS[map_id]
-        if not holds(values):
-            raise ConfigurationError(f"{path if key is None else f'{path}.{key}'}: {message}")
-    return values
+    return read_params(MAP_PARAMS, MAP_BOUNDS, map_id, params, path)
 
 
 def builtin_mapping(

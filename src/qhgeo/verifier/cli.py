@@ -5,11 +5,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import traceback
 from importlib import resources
 
 from ..errors import ConfigurationError
 from .scenario import (
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_VIOLATIONS,
     emit_report,
@@ -77,6 +79,10 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception:  # not KeyboardInterrupt: a crash must not exit 1, as a violation does
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
     for chk in report["checks"]:
         status = "PASS" if chk["passed"] else "FAIL"

@@ -56,7 +56,8 @@ from ..metric_core import (
 )
 from ..quasihyperbolic import QuasihyperbolicMetric, estimate_uniformity, verify_qh_distance_bounds
 from ..sampling import check_metric_axioms, pair_sample, pool_indices, tuple_sample_from_pool
-from ..shapes import ShapeSpec, _finite
+from ..shapes import ShapeSpec
+from ..validation import _check_array, _check_keys, _check_object, _check_point, _check_range, _fail
 from .builtin_maps import MAP_PARAMS, builtin_mapping, map_params
 from .constants import predicted_constants
 
@@ -68,48 +69,11 @@ DEFAULTS = {"pairs": 10_000, "balls": 1_000, "quadruples": 1_000, "slack": 1.05,
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_CONFIG = 2
+EXIT_INTERNAL = 3  # a crash, an exception that is no ConfigurationError: no violated check
 
 
 # ---------------------------------------------------------------------------
 # validation
-
-
-def _fail(path: str, message: str):
-    raise ConfigurationError(f"{path}: {message}")
-
-
-def _check_range(value, path, low=None, high=None, open_low=False, open_high=False):
-    value = _finite(value, f"{path}:")  # an infinite slack or bound would pass any check
-    if low is not None and (value <= low if open_low else value < low):
-        _fail(path, f"must be {'>' if open_low else '>='} {low}")
-    if high is not None and (value >= high if open_high else value > high):
-        _fail(path, f"must be {'<' if open_high else '<='} {high}")
-    return value
-
-
-def _check_point(value, path, what="two numbers"):
-    if not (isinstance(value, list) and len(value) == 2):
-        _fail(path, f"must be {what}")
-    for c in value:
-        _check_range(c, path)
-
-
-def _check_object(value, path):
-    if not isinstance(value, dict):
-        _fail(path, "must be an object")
-
-
-def _check_keys(obj, path, required, optional):
-    """An object with every key of ``required`` and no key outside ``required`` and ``optional``."""
-    _check_object(obj, path)
-    prefix = f"{path}." if path else ""
-    for key in required:
-        if key not in obj:
-            _fail(prefix + key, "missing")
-    for key in obj:
-        if key not in required and key not in optional:
-            _fail(prefix + str(key), "unknown key; expected one of "
-                  + ", ".join([*required, *optional]))
 
 
 def _check_list(value, path):
@@ -124,21 +88,6 @@ def _check_name(value, path, known=None, what=""):
         _fail(path, "must be a string")
     if known is not None and value not in known:
         _fail(path, f"unknown {what} {value!r}")
-
-
-def _check_array(value, path, width, kinds, what):
-    """A list of finite numbers of a dtype kind in ``kinds``, ``width`` to a row (0: flat)."""
-    arr = None
-    if isinstance(value, list):
-        try:
-            arr = np.asarray(value)
-        except ValueError:  # ragged rows
-            pass
-    if arr is None or arr.size and (arr.dtype.kind not in kinds
-                                    or arr.shape[1:] != ((width,) if width else ())
-                                    or not np.all(np.isfinite(arr))):
-        _fail(path, f"must be a list of {what}")
-    return arr
 
 
 def _check_graph(graph, path):
@@ -169,19 +118,6 @@ def _check_segments(value, path):
         _check_keys(seg, f"{path}[{a}]", *_KEYS["segment"])
         for key in _KEYS["segment"][0]:
             _check_point(seg[key], f"{path}[{a}].{key}")
-
-
-def _check_map_params(params, path, map_id):
-    """A builtin map's parameters: float ones a number, complex ones also [re, im]; all within
-    the map's bounds."""
-    defaults = MAP_PARAMS[map_id]
-    _check_keys(params, path, (), defaults)
-    for key, value in params.items():
-        if type(defaults[key]) is complex and isinstance(value, list):
-            _check_point(value, f"{path}.{key}", "a number or [re, im]")
-        else:
-            _check_range(value, f"{path}.{key}")
-    map_params(map_id, params, path)
 
 
 def _check_seed(value, path):
@@ -287,7 +223,7 @@ def validate_scenario(raw: dict) -> dict:
         _check_name(mp["map"], f"{path}.map", MAP_PARAMS, "builtin map id")
         for key in ("source", "target"):
             _check_name(mp[key], f"{path}.{key}", names, "domain")
-        _check_map_params(mp.get("params", {}), f"{path}.params", mp["map"])
+        map_params(mp["map"], mp.get("params", {}), f"{path}.params")
     refs = {"domain": names, "mapping": map_names, "deformation": def_names,
             "deformation0": def_names, "deformation1": def_names}
     for a, chk in enumerate(_check_list(raw.get("checks", []), "checks")):
@@ -461,6 +397,13 @@ def _chk_qh_calibration(ctx, p, rng):
             # k = 0 and the oracle is 0: the relative error and the truncation drift are 0 / 0
             return _result(False, {}, notes=[
                 f"infeasible: segments[{idx}]: both ends snap to vertex {i}; no segment to measure"])
+        # the oracle integrates 1/d_G along the straight segment, which must stay in the domain;
+        # an imported graph has no geometry to test it against
+        a, b = domain.coords[i], domain.coords[j]
+        if domain.geometry is not None and domain.geometry.meets_boundary(a, b):
+            ends = " to ".join(f"({p[0]:.6g}, {p[1]:.6g})" for p in (a, b))
+            return _result(False, {}, notes=[
+                f"infeasible: segments[{idx}]: the snapped segment from {ends} meets the boundary"])
     snapped = []
     for idx, (i, j) in enumerate(ends):
         snapped.append((domain.coords[i], domain.coords[j]))

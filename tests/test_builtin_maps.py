@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from qhgeo import ConfigurationError, DomainSide, QuasihyperbolicMetric, ShapeSpec, build_grid_domain
 from qhgeo.shapes import regular_sector_polygon
-from qhgeo.verifier.builtin_maps import builtin_mapping
+from qhgeo.verifier.builtin_maps import builtin_mapping, map_params
 
 
 def make_side(kind, params, h):
@@ -75,3 +77,34 @@ class TestMapLibrary:
     def test_similarity_zero_scale_rejected(self, disk_side):
         with pytest.raises(ConfigurationError, match="nonzero"):
             builtin_mapping("similarity", {"scale": 0.0}, disk_side, disk_side)
+
+
+# each value the library read as a number before: "2" and True became 2.0 and 1.0, [0.1, 0.2,
+# 9.0] dropped its 9.0 and [0.5] read as 0.5, NaN and inf failed later in the k-d tree
+BAD_MAP_PARAMS = [("scale", value, "must be a finite number")
+                  for value in (float("nan"), float("inf"), -float("inf"))] + [
+    ("scale", "2", "must be a number"), ("scale", True, "must be a number"),
+    ("offset", [0.1, 0.2, 9.0], "must be a number or [re, im]"),
+    ("offset", [0.5], "must be a number or [re, im]"), ("offset", "x", "must be a number")]
+
+
+class TestMapParameterValues:
+    @pytest.mark.parametrize("key, value, message", BAD_MAP_PARAMS)
+    def test_map_params_names_the_parameter(self, key, value, message):
+        with pytest.raises(ConfigurationError, match=re.escape(f"params.{key}: {message}")):
+            map_params("similarity", {key: value})
+
+    @pytest.mark.parametrize("key, value, message", BAD_MAP_PARAMS)
+    def test_builtin_mapping_names_the_parameter(self, disk_side, key, value, message):
+        with pytest.raises(ConfigurationError, match=re.escape(f"params.{key}: {message}")):
+            builtin_mapping("similarity", {key: value}, disk_side, disk_side)
+
+    @pytest.mark.parametrize("a, expected", [
+        (0.25, 0.25 + 0j), ([0.25, -0.5], 0.25 - 0.5j), ((0.25, -0.5), 0.25 - 0.5j),
+        (0.25 - 0.5j, 0.25 - 0.5j), (np.complex128(0.5j), 0.5j), (np.float32(0.5), 0.5 + 0j)])
+    def test_complex_forms_read_to_one_value(self, a, expected):
+        assert map_params("disk_automorphism", {"a": a})["a"] == expected
+
+    def test_complex_parts_must_be_finite(self):
+        with pytest.raises(ConfigurationError, match=r"params\.a: must be a finite number"):
+            map_params("disk_automorphism", {"a": complex(0.1, float("nan"))})

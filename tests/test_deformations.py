@@ -295,6 +295,37 @@ class TestUniformizedQhView:
         assert view.rows(sources).tobytes() == expected.rows(sources).tobytes()
 
 
+class TestKindGuards:
+    """Library calls on the wrong kind of deformation raise naming both kinds; they raised
+    AttributeError (no ``eps`` on a sphericalization, no ``quasimetric`` on a uniformization)."""
+
+    @pytest.fixture(scope="class")
+    def spaces(self):
+        d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.1), 2.0)
+        from qhgeo import QuasihyperbolicMetric
+
+        return uniformize(d, QuasihyperbolicMetric(d), 0, 0.2), sphericalize(d, (1.0, 0.0))
+
+    def test_basepoint_change_needs_uniformized_spaces(self, spaces):
+        u, s = spaces
+        message = "basepoint_change_distortion needs a uniformize deformation, not a sphericalize"
+        for pair in ((s, s), (u, s), (s, u)):
+            with pytest.raises(ConfigurationError, match=message):
+                basepoint_change_distortion(*pair, n_quadruples=10, rng=1)
+
+    def test_envelope_needs_a_sphericalized_space(self, spaces):
+        u, _ = spaces
+        with pytest.raises(ConfigurationError, match="sphericalization_envelope needs a "
+                           "sphericalize deformation, not a uniformize"):
+            sphericalization_envelope(u, ([0, 1], [2, 3]))
+
+    def test_comparability_needs_a_uniformized_space(self, spaces):
+        _, s = spaces
+        with pytest.raises(ConfigurationError, match="verify_deformation_comparability needs a "
+                           "uniformize deformation, not a sphericalize"):
+            verify_deformation_comparability(s, ([0, 1], [2, 3]))
+
+
 def reference_basepoint_change(space0, space1, n_quadruples, rng, pool_size=48):
     """The former basepoint_change_distortion, with its own cross ratios and skip rule: a
     quadruple is skipped when d(x,y) d(z,w) <= 1e-9 times the largest sampled distance."""
@@ -314,11 +345,11 @@ def reference_basepoint_change(space0, space1, n_quadruples, rng, pool_size=48):
 
 
 def euclidean_space(points, domain):
-    """A duck-typed deformation of ``domain`` whose metric is Euclidean on ``points``; it has
-    ``metric_view`` too, so that the former submatrix rule runs on it."""
+    """A duck-typed uniformized deformation of ``domain`` whose metric is Euclidean on
+    ``points``; it has ``metric_view`` too, so that the former submatrix rule runs on it."""
     view = views.EuclideanView(points)
-    return SimpleNamespace(domain=domain, eps=0.2, n=len(points), pairs=view.pairs,
-                           metric_view=lambda: view)
+    return SimpleNamespace(kind="uniformize", domain=domain, eps=0.2, n=len(points),
+                           pairs=view.pairs, metric_view=lambda: view)
 
 
 class TestBasepointChange:

@@ -409,6 +409,26 @@ class TestShapeSpecJson:
         with pytest.raises(ConfigurationError, match=re.escape(message)):
             build_grid_domain(ShapeSpec(kind, params, 0.1), 2.0)
 
+    @pytest.mark.parametrize("kind, params, message", [
+        ("disk", {"radius": float("nan")}, "params.radius: must be a finite number"),
+        ("disk", {"radius": 0.0}, "params.radius: must be > 0"),
+        ("disk", {"center": "00"}, "params.center: must be two numbers"),
+        ("punctured-plane-truncation", {"radius": "6"}, "params.radius: must be a number"),
+        ("annulus", {"inner_radius": 2.0}, "params: annulus requires 0 < inner_radius < "
+                                           "outer_radius"),
+        ("custom-polygon", {}, "params.vertices: must be a list of at least 3 pairs"),
+        ("custom-polygon", {"vertices": [["0", "0"], [1, 0], [1, 1]]},
+         "params.vertices: must be a list of at least 3 pairs"),
+    ])
+    def test_bad_value_names_the_parameter(self, kind, params, message):
+        with pytest.raises(ConfigurationError, match="^" + re.escape(message)):
+            ShapeSpec(kind, params, 0.1)
+
+    def test_pairs_may_be_tuples(self):
+        spec = ShapeSpec("custom-polygon", {"vertices": ((0, 0), (1, 0), (1, 1))}, 0.1)
+        assert ShapeSpec("disk", {"center": (0.5, -0.5)}, 0.1).param("center") == (0.5, -0.5)
+        assert len(spec.param("vertices")) == 3
+
 
 class TestLengthGraphImport:
     def test_import_with_boundary(self):

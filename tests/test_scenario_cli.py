@@ -274,29 +274,30 @@ class TestSampleSizeValidation:
 
     @pytest.mark.parametrize("shape, message", [
         ({"kind": "custom-polygon", "params": {"vertices": [[0, 0], [1, 0], [1, 1, 5]]}},
-         "shape parameter 'vertices' must be at least 3 pairs of finite numbers"),
+         "domains[0].shape.params.vertices: must be a list of at least 3 pairs of finite numbers"),
         ({"kind": "custom-polygon", "params": {"vertices": [[0, 0], [1, 0], [math.nan, 1]]}},
-         "shape parameter 'vertices' must be at least 3 pairs of finite numbers"),
+         "domains[0].shape.params.vertices: must be a list of at least 3 pairs of finite numbers"),
         ({"kind": "custom-polygon", "params": {"vertices": [[0, 0], [1, 0]]}},
-         "shape parameter 'vertices' must be at least 3 pairs of finite numbers"),
+         "domains[0].shape.params.vertices: must be a list of at least 3 pairs of finite numbers"),
         ({"kind": "disk", "params": {"radius": math.inf}},
-         "shape parameter 'radius' must be a finite number"),
-        ({"kind": "disk", "params": {"radius": None}}, "shape parameter 'radius' must be a number"),
+         "domains[0].shape.params.radius: must be a finite number"),
+        ({"kind": "disk", "params": {"radius": None}},
+         "domains[0].shape.params.radius: must be a number"),
         ({"kind": "disk", "params": {"center": [math.nan, 0.0]}},
-         "shape parameter 'center' must be two finite numbers"),
+         "domains[0].shape.params.center: must be a finite number"),
         ({"kind": "disk", "params": {"center": [0.0, 0.0, 1.0]}},
-         "shape parameter 'center' must be two finite numbers"),
+         "domains[0].shape.params.center: must be two numbers"),
         ({"kind": "annulus", "params": {"outer_radius": math.inf}},
-         "shape parameter 'outer_radius' must be a finite number"),
+         "domains[0].shape.params.outer_radius: must be a finite number"),
         ({"kind": "L-shape", "params": {"arm_length": "long"}},
-         "shape parameter 'arm_length' must be a number"),
+         "domains[0].shape.params.arm_length: must be a number"),
         ({"kind": "disk", "resolution": math.inf}, "resolution must be a finite number"),
         ({"kind": "disk", "resolution": "fine"}, "resolution must be a number"),
-        ({"kind": "disk", "params": [1.0]}, "shape spec field 'params' must be a JSON object"),
+        ({"kind": "disk", "params": [1.0]}, "domains[0].shape.params: must be an object"),
         ({"kind": "disk", "params": {"radius": "0.5"}},
-         "domains[0].shape: shape parameter 'radius' must be a number"),
+         "domains[0].shape.params.radius: must be a number"),
         ({"kind": "square", "params": {"side": True}},
-         "domains[0].shape: shape parameter 'side' must be a number"),
+         "domains[0].shape.params.side: must be a number"),
         ({"kind": "disk", "resolution": False}, "domains[0].shape: resolution must be a number"),
         # a misspelt key built the default unit disk
         ({"kind": "disk", "params": {"raduis": 0.5}},
@@ -305,7 +306,11 @@ class TestSampleSizeValidation:
          "domains[0].shape.params.radius: unknown key; expected one of inner_radius, "
          "outer_radius"),
         ({"kind": "disk", "resolutoin": 0.05},
-         "domains[0].shape.resolutoin: unknown key; expected one of kind, params, resolution"),
+         "domains[0].shape.resolutoin: unknown key; expected one of kind, resolution, params"),
+        # the bounds of SHAPE_BOUNDS: one parameter's names it, one on several names params
+        ({"kind": "square", "params": {"side": -1.0}}, "domains[0].shape.params.side: must be > 0"),
+        ({"kind": "L-shape", "params": {"arm_width": 3.0}},
+         "domains[0].shape.params: L-shape requires 0 < arm_width < arm_length"),
     ])
     def test_malformed_shape_number_exits_two(self, tmp_path, capsys, shape, message):
         raw = tiny_scenario(domains=[{"name": "disk", "shape": {"resolution": 0.08, **shape}}])
@@ -765,6 +770,30 @@ class TestRunScenario:
         assert chk["notes"][0].startswith("infeasible: segments[1]: both ends snap to vertex")
         assert exit_code_and_error(tmp_path, capsys, raw) == (1, "")
 
+    @pytest.mark.parametrize("shape, x, y", [
+        # through the puncture: the integrand divided by d_G = 0 (ZeroDivisionError, exit 1)
+        ({"kind": "punctured-plane-truncation", "params": {"radius": 6.0}, "resolution": 0.2},
+         [-1.0, 0.0], [1.0, 0.0]),
+        # across the L-shape's inner corner (1, 1), where the signed d_G goes negative
+        ({"kind": "L-shape", "params": {"arm_width": 1.0, "arm_length": 2.0}, "resolution": 0.1},
+         [1.7, 0.7], [0.7, 1.7]),
+    ], ids=["puncture", "L-shape-corner"])
+    def test_calibration_segment_meeting_the_boundary_is_infeasible(self, tmp_path, capsys,
+                                                                     shape, x, y):
+        raw = tiny_scenario(domains=[{"name": "d", "shape": shape}],
+                            checks=[{"check": "qh_calibration", "domain": "d",
+                                     "segments": [{"x": x, "y": y}]}])
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "report.json"
+        assert main(["run", "--scenario", str(path), "--report", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        chk = json.loads(out.read_text())["checks"][0]
+        assert not chk["passed"] and chk["measured"] == {}
+        ends = f"({x[0]:g}, {x[1]:g}) to ({y[0]:g}, {y[1]:g})"  # each end is a lattice point
+        assert chk["notes"] == [f"infeasible: segments[0]: the snapped segment from {ends} "
+                                "meets the boundary"]
+
     def test_truncation_sensitivity_rejected_for_bounded_shapes(self):
         raw = tiny_scenario(
             checks=[
@@ -936,6 +965,18 @@ class TestCLI:
         )
         path = self.write(tmp_path, raw)
         assert main(["run", "--scenario", path]) == 1
+
+    def test_crash_exits_three_with_its_traceback(self, tmp_path, capsys):
+        # an escaping exception exited 1, which reads as a violated check
+        path = self.write(tmp_path, tiny_scenario())
+        with mock.patch("qhgeo.verifier.cli.run_scenario", side_effect=RuntimeError("boom")):
+            assert main(["run", "--scenario", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:") and "Traceback" in err
+        assert "RuntimeError: boom" in err
+        violated = tiny_scenario(
+            checks=[{"check": "ball_containment", "domain": "disk", "centers": 20, "slack": 0.5}])
+        assert main(["run", "--scenario", self.write(tmp_path, violated)]) == 1
 
     def test_missing_scenario_is_config_error(self, capsys):
         assert main(["run", "--scenario", "does-not-exist.json"]) == 2

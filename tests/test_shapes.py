@@ -1,8 +1,10 @@
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qhgeo.shapes import _polygon_contains
+from qhgeo import ShapeSpec
+from qhgeo.shapes import _polygon_boundary_distance, _polygon_contains, geometry_for
 
 
 def reference_polygon_contains(pts, vertices):
@@ -48,3 +50,59 @@ class TestPolygonContains:
         square = [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)]
         pts = np.array([[1.0, 1.0], [1.0, 0.0], [1.0, 2.0], [3.0, 1.0], [-1.0, 0.0]])
         assert _polygon_contains(pts, square).tolist() == [True, True, False, False, False]
+
+
+HEXAGON = [[np.cos(t), np.sin(t)] for t in np.arange(6) * np.pi / 3]
+# shapes with a convex part: the shape and that part's vertices (None: all of a convex shape)
+CONVEX_PARTS = [
+    (ShapeSpec("disk", {"radius": 1.5, "center": [0.3, -0.2]}), None),
+    (ShapeSpec("square", {"side": 2.0}), None),
+    (ShapeSpec("half-plane-truncation", {"radius": 6.0}), None),
+    (ShapeSpec("custom-polygon", {"vertices": HEXAGON}), HEXAGON),
+    (ShapeSpec("custom-polygon", {"vertices": [[0, 0], [3, 1], [1, 2]]}), [[0, 0], [3, 1], [1, 2]]),
+    # the L-shape's arms: a segment in one lies on the line of an inner edge but off that edge
+    (ShapeSpec("L-shape", {"arm_width": 1.0, "arm_length": 2.0}), [[0, 0], [2, 0], [2, 1], [0, 1]]),
+    (ShapeSpec("L-shape", {"arm_width": 1.0, "arm_length": 2.0}), [[0, 0], [1, 0], [1, 2], [0, 2]]),
+]
+
+
+@st.composite
+def segments_in_convex_parts(draw):
+    spec, part = draw(st.sampled_from(CONVEX_PARTS))
+    geometry = geometry_for(spec)
+    x0, y0, x1, y1 = geometry.bounding_box()
+    ends = np.array([[draw(st.floats(x0, x1)), draw(st.floats(y0, y1))] for _ in range(2)])
+    # interior points, off the boundary by more than the rounding of the orientation tests
+    if part is None:
+        assume(np.all(geometry.boundary_distance(ends) > 1e-9))
+    else:
+        assume(np.all(_polygon_contains(ends, part))
+               and np.all(_polygon_boundary_distance(ends, part) > 1e-9))
+    return geometry, ends
+
+
+class TestMeetsBoundary:
+    @given(segments_in_convex_parts())
+    @settings(max_examples=300, deadline=None)
+    def test_segment_in_a_convex_part_is_never_flagged(self, case):
+        geometry, (a, b) = case
+        assert not geometry.meets_boundary(a, b)
+
+    @pytest.mark.parametrize("spec, a, b, meets", [
+        (ShapeSpec("annulus", {"inner_radius": 0.2}), [-0.9, 0.2], [0.9, 0.2], True),  # tangent
+        (ShapeSpec("annulus", {"inner_radius": 0.2}), [-0.9, 0.3], [0.9, 0.3], False),
+        (ShapeSpec("annulus", {"inner_radius": 0.2}), [0.5, 0.0], [-0.5, 0.1], True),
+        (ShapeSpec("punctured-plane-truncation", {}), [-1.0, 0.0], [1.0, 0.0], True),
+        (ShapeSpec("punctured-plane-truncation", {}), [-1.0, 1e-12], [1.0, 1e-12], False),
+        (ShapeSpec("punctured-plane-truncation", {}), [0.5, 0.0], [1.5, 0.0], False),
+        (ShapeSpec("L-shape", {}), [1.7, 0.7], [0.7, 1.7], True),  # across the inner corner
+        (ShapeSpec("L-shape", {}), [1.5, 0.5], [0.5, 1.5], True),  # through the corner (1, 1)
+        (ShapeSpec("L-shape", {}), [1.5, 0.5], [0.5, 1.4], False),
+        (ShapeSpec("L-shape", {}), [1.0, 0.2], [1.0, 0.8], False),  # on an inner edge's line
+        (ShapeSpec("custom-polygon", {"vertices": [[0, 0], [2, 0], [1, 1], [2, 2], [0, 2]]}),
+         [1.5, 0.5], [1.5, 1.5], True),  # crosses the notch's two edges
+        (ShapeSpec("custom-polygon", {"vertices": [[0, 0], [2, 0], [1, 1], [2, 2], [0, 2]]}),
+         [0.5, 0.5], [0.5, 1.5], False),
+    ])
+    def test_segment_against_the_boundary_pieces(self, spec, a, b, meets):
+        assert geometry_for(spec).meets_boundary(np.array(a), np.array(b)) is meets
