@@ -179,7 +179,7 @@ class SphericalizedSpace:
 
 def uniformize(domain: DomainSample, k: QuasihyperbolicMetric, w, eps: float) -> UniformizedSpace:
     if np.ndim(w) != 0:
-        w = int(domain.nearest_vertex(np.asarray(w, float))[0])
+        w = int(domain.nearest_vertex(np.asarray(w, float), "base_point")[0])
     return UniformizedSpace(domain, k, int(w), eps)
 
 

@@ -18,15 +18,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import ConvexHull, cKDTree
 
 from .errors import ConfigurationError
-from .metric_core import DomainSample
+from .metric_core import DomainSample, kd_tree, nearest_in
 from .quasihyperbolic import QuasihyperbolicMetric
 from .sampling import pool_indices, tuple_sample_from_pool
 from .views import EuclideanView, MetricView, built_once
+
+if TYPE_CHECKING:  # scipy.spatial is imported where it is used
+    from scipy.spatial import cKDTree
 
 
 class _ReindexedView(MetricView):
@@ -57,7 +60,8 @@ class SpaceSide:
     """One side of a mapping: point set, ambient metric, boundary data.
 
     Subclasses set ``domain``, the grid domain sample the points come from,
-    and pass it as ``whole`` when the points are all its vertices: its k-d tree is shared.
+    and pass it as ``whole`` when the points are all its vertices: points then snap
+    by its ``nearest_vertex``, and its k-d tree is shared.
     """
 
     supports_continuum = False
@@ -78,10 +82,12 @@ class SpaceSide:
         """The k-d tree of the points, built once; the whole domain's own if they are its."""
         if self._whole is not None:
             return self._whole.vertex_tree()
-        return built_once(self, "_tree", lambda: cKDTree(self.coords))
+        return built_once(self, "_tree", lambda: kd_tree(self.coords))
 
     def nearest_vertex(self, points):
-        return self.tree().query(np.atleast_2d(points))[1]
+        if self._whole is not None:
+            return self._whole.nearest_vertex(points)
+        return nearest_in(self.tree(), np.atleast_2d(np.asarray(points, float)))
 
     def boundary_distance_at(self, points):
         raise ConfigurationError("this space supports only vertex-sampled queries")
@@ -688,6 +694,8 @@ def _euclid_diameter(coords) -> float:
     if len(coords) <= 2:
         d = coords[:, None, :] - coords[None, :, :]
         return float(np.hypot(d[..., 0], d[..., 1]).max(initial=0.0))
+    from scipy.spatial import ConvexHull
+
     hull = coords[ConvexHull(coords).vertices]
     d = hull[:, None, :] - hull[None, :, :]
     return float(np.hypot(d[..., 0], d[..., 1]).max())

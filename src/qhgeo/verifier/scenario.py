@@ -390,8 +390,8 @@ def _chk_qh_calibration(ctx, p, rng):
     measured = {}
     violations = []
     passed = True
-    ends = [(int(domain.nearest_vertex([seg["x"]])[0]), int(domain.nearest_vertex([seg["y"]])[0]))
-            for seg in p["segments"]]
+    ends = [tuple(int(domain.nearest_vertex([seg[key]], f"segments[{idx}].{key}")[0])
+                  for key in ("x", "y")) for idx, seg in enumerate(p["segments"])]
     for idx, (i, j) in enumerate(ends):
         if i == j:
             # k = 0 and the oracle is 0: the relative error and the truncation drift are 0 / 0
@@ -520,7 +520,7 @@ def _chk_uniformity(ctx, p, rng):
 def _chk_starlikeness(ctx, p, rng):
     domain, qh = ctx.domains[p["domain"]]
     base = p["base_point"]
-    w = None if base is None else int(domain.nearest_vertex([base])[0])
+    w = None if base is None else int(domain.nearest_vertex([base], "base_point")[0])
     report = estimate_rough_starlikeness(domain, qh, w, max_rays=p["max_rays"])
     passed, predicted = _bound(report.starlikeness_k, p, "max_k")
     return _result(passed, {"starlikeness_k": report.starlikeness_k,

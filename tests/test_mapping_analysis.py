@@ -337,10 +337,10 @@ class TestOneTreePerPointSet:
 
         built = []
         for module in (metric_core, mapping_analysis):
-            def make(points, _make=module.cKDTree):
+            def make(points, _make=module.kd_tree):
                 built.append(len(points))
                 return _make(points)
-            monkeypatch.setattr(module, "cKDTree", make)
+            monkeypatch.setattr(module, "kd_tree", make)
         return built
 
     def test_whole_sides_share_the_domain_vertex_tree(self, monkeypatch):

@@ -240,6 +240,10 @@ class TestSampleSizeValidation:
          ({"deformations": [{"name": "u", "domain": "disk", "kind": "uniformize",
                              "base_point": 10**6}], "checks": []},
           "base vertex 1000000 is not one of the"),
+         # snapped to the index n: the same fault as a base vertex past n
+         ({"deformations": [{"name": "u", "domain": "disk", "kind": "uniformize",
+                             "base_point": [1e200, 0.0]}], "checks": []},
+          "base_point (1e+200, 0) has no nearest vertex"),
          # each of these exited 1: an infeasible check, and a KeyError traceback
          ({"checks": [{"check": "metric_axioms", "triples": 50}]}, "checks[0].space: missing"),
          ({"checks": [{"check": "uniformity"}]}, "checks[0].domain: missing")],
@@ -793,6 +797,26 @@ class TestRunScenario:
         ends = f"({x[0]:g}, {x[1]:g}) to ({y[0]:g}, {y[1]:g})"  # each end is a lattice point
         assert chk["notes"] == [f"infeasible: segments[0]: the snapped segment from {ends} "
                                 "meets the boundary"]
+
+    @pytest.mark.parametrize("check, where", [
+        ({"check": "qh_calibration", "segments": [{"x": [1e200, 0.0], "y": [0.5, 0.0]}]},
+         "segments[0].x"),
+        ({"check": "rough_starlikeness", "base_point": [1e200, 0.0]}, "base_point"),
+    ], ids=["segment", "base-point"])
+    def test_point_too_far_to_snap_is_infeasible(self, tmp_path, capsys, check, where):
+        # cKDTree answered the index n for it: an IndexError, exit 3
+        raw = tiny_scenario(domains=[{"name": "d", "shape": {
+            "kind": "disk", "params": {"radius": 1.0}, "resolution": 0.1}}],
+            checks=[{**check, "domain": "d"}])
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "report.json"
+        assert main(["run", "--scenario", str(path), "--report", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        chk = json.loads(out.read_text())["checks"][0]
+        assert not chk["passed"] and chk["measured"] == {}
+        assert chk["notes"] == [f"infeasible: {where} (1e+200, 0) has no nearest vertex: it is "
+                                "not finite, or its squared distance to every vertex overflows"]
 
     def test_truncation_sensitivity_rejected_for_bounded_shapes(self):
         raw = tiny_scenario(
