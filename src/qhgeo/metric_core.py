@@ -356,7 +356,7 @@ def _reject_non_simple(edges):
 
 def kd_tree(points) -> cKDTree:
     """scipy's k-d tree of ``points``.  ``scipy.spatial`` is imported here, on first use: the
-    import costs a process about 7.5 MB of RSS, and a grid snaps most points without a tree."""
+    import costs a process about 7.5 MB of RSS, and a few points snap without a tree."""
     from scipy.spatial import cKDTree
 
     return cKDTree(points)
@@ -378,10 +378,6 @@ def nearest_in(tree: cKDTree, points: np.ndarray, name: str = "point") -> np.nda
     return idx
 
 
-# a point's 3 x 3 block of lattice cells, as offsets into the lattice padded by one cell all round
-_SNAP_BLOCK = np.array([(a, b) for a in range(3) for b in range(3)]).T[:, None, :]
-
-
 class DomainSample:
     """Immutable discretized incomplete metric space.
 
@@ -391,9 +387,8 @@ class DomainSample:
     the minimum over boundary samples: ``boundary_tree`` is their k-d tree, built by
     the grid's build or on the first ``boundary_distance_at``).
 
-    ``nearest_vertex`` snaps points to vertices as ``cKDTree.query`` does.  A grid
-    (``lattice_origin`` is the lattice index of its first lattice point) settles most
-    points by the lattice alone; the vertex tree is built only for the others.
+    ``nearest_vertex`` snaps points to vertices as ``cKDTree.query`` does.  A few points
+    are settled against every vertex; the vertex tree is built only for the others.
     """
 
     def __init__(
@@ -406,7 +401,6 @@ class DomainSample:
         quasiconvexity: float = 1.0,
         resolution: float | None = None,
         boundary_tree: cKDTree | None = None,
-        lattice_origin: tuple[int, int] | None = None,
     ):
         if graph.coords is None:
             raise ConfigurationError("domain vertices need ambient coordinates")
@@ -432,7 +426,6 @@ class DomainSample:
         self._graph_view = None
         self._kdtree = None
         self._boundary_tree = boundary_tree
-        self._origin = None if graph._lattice is None else lattice_origin
         for arr in (self.coords, self.boundary_coords, self.boundary_distance):
             arr.setflags(write=False)
 
@@ -457,49 +450,28 @@ class DomainSample:
     def nearest_vertex(self, points, name: str = "point") -> np.ndarray:
         """Index of the vertex nearest each point, bitwise the one ``cKDTree.query`` answers.
 
-        A grid rounds each point to its lattice cell and takes the least ``dx*dx + dy*dy`` (as
-        ``cKDTree`` computes it) over the kept vertices of the 3 x 3 block of cells around it.
-        Every other lattice point is at least 1.5 h away, so a unique least value below (1.5 h)^2,
-        less a relative margin for the rounding, settles the point.  The rest go to the vertex
-        tree (``nearest_in``): exact ties, which ``cKDTree`` breaks by its traversal order, points
-        off the lattice and points whose block the boundary band or a clip emptied.  A point
-        without a nearest vertex raises ConfigurationError naming it ``name``.
+        When the (m, n) table of squared distances fits one block of rows, each point takes
+        the least ``dx*dx + dy*dy`` (as ``cKDTree`` computes it) over every vertex, if that
+        least value is finite and unique.  The rest go to the vertex tree (``nearest_in``):
+        exact ties, which ``cKDTree`` breaks by its traversal order, points that are not
+        finite or too far, and every point of a larger set.  A point without a nearest vertex
+        raises ConfigurationError naming it ``name``.
         """
         pts = np.atleast_2d(np.asarray(points, float))
-        if pts.ndim != 2 or pts.shape[1] != 2:  # the lattice would read the first two columns
+        if pts.ndim != 2 or pts.shape[1] != 2:  # the columns would be read as x and y
             raise ConfigurationError(f"{name}: expected (x, y) pairs, got shape {pts.shape}")
-        idx = np.full(len(pts), -1) if self._origin is None else self._lattice_snap(pts)
-        rest = np.flatnonzero(idx < 0)
+        idx, rest = np.zeros(len(pts), dtype=np.intp), np.arange(len(pts))
+        if len(pts) <= rows_per_block(self.n):
+            dx = pts[:, 0, None] - self.coords[:, 0]
+            dy = pts[:, 1, None] - self.coords[:, 1]
+            with np.errstate(over="ignore"):  # too far: left to the tree, which raises
+                d2 = dx * dx + dy * dy
+            idx, least = d2.argmin(axis=1), d2.min(axis=1)  # NaN for a point with a NaN
+            unique = np.count_nonzero(d2 == least[:, None], axis=1) == 1
+            rest = np.flatnonzero(~unique | (least == np.inf))
         if len(rest):
             idx[rest] = nearest_in(self.vertex_tree(), pts[rest], name)
         return idx
-
-    def _lattice_snap(self, pts) -> np.ndarray:
-        """The vertex nearest each point by its 3 x 3 block of lattice cells; -1 where the block
-        does not settle it (see ``nearest_vertex``)."""
-        keep2d, (i0, j0), h = self.graph._lattice, self._origin, self.resolution
-        (nx, ny), out = keep2d.shape, np.full(len(pts), -1, dtype=np.intp)
-        a, b = np.rint(pts[:, 0] / h) - i0, np.rint(pts[:, 1] / h) - j0
-        on = np.flatnonzero((a >= 0) & (a < nx) & (b >= 0) & (b < ny))  # NaN is off the lattice
-        index = np.full((nx + 2, ny + 2), -1, dtype=np.int32)
-        index[1:-1, 1:-1][keep2d] = np.arange(self.n, dtype=np.int32)
-        # the rounding to a cell and the lattice's float coordinates err by a few ulps of the
-        # largest lattice index (in units of h); 1e-9 covers the squares and the sum
-        extent = max(abs(i0), abs(j0), abs(i0 + nx), abs(j0 + ny))
-        limit = 2.25 * h * h * (1.0 - 1e-9 - 2.0**-50 * extent)
-        chunk = rows_per_block(_SNAP_BLOCK.shape[2])  # a (chunk, 9) block of squared distances
-        for r0 in range(0, len(on), chunk):
-            at = on[r0:r0 + chunk]
-            block = index[a[at, None].astype(np.intp) + _SNAP_BLOCK[0],
-                          b[at, None].astype(np.intp) + _SNAP_BLOCK[1]]
-            dx = pts[at, 0, None] - self.coords[block, 0]
-            dy = pts[at, 1, None] - self.coords[block, 1]
-            d2 = dx * dx + dy * dy
-            d2[block < 0] = np.inf
-            least = d2.min(axis=1)
-            settled = (least < limit) & (np.count_nonzero(d2 == least[:, None], axis=1) == 1)
-            out[at[settled]] = block[settled, d2[settled].argmin(axis=1)]
-        return out
 
     def boundary_distance_at(self, points) -> np.ndarray:
         """Boundary distance at arbitrary points (not only vertices)."""
@@ -587,8 +559,7 @@ def build_grid_domain(spec: ShapeSpec, boundary_band_h: float = 0.0) -> DomainSa
     layout = (keep2d, *_lattice_layout(keep2d, clip))
     graph = LengthGraph(len(coords), None, lengths, coords, layout)
     return DomainSample(graph, boundary, inner_bdist, shape=spec, geometry=geom,
-                        quasiconvexity=1.0, resolution=h, boundary_tree=tree,
-                        lattice_origin=(i0, j0))
+                        quasiconvexity=1.0, resolution=h, boundary_tree=tree)
 
 
 def domain_from_length_graph(

@@ -1,6 +1,6 @@
-"""Nearest-vertex snapping: a grid settles points by its lattice, bitwise as ``cKDTree.query``
-answers them, and only the points the lattice cannot settle (exact ties among them) reach the
-vertex tree, which is built for them.  ``scipy.spatial`` stays out of a run that needs no tree."""
+"""Nearest-vertex snapping: a few points are settled against every vertex, bitwise as
+``cKDTree.query`` answers them, and only exact ties and larger point sets reach the vertex tree,
+which is built for them.  ``scipy.spatial`` stays out of a run that needs no tree."""
 
 import functools
 import json
@@ -13,13 +13,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from qhgeo import (
     ConfigurationError,
-    DomainSample,
     DomainSide,
     LengthGraph,
     QuasihyperbolicMetric,
@@ -27,7 +26,8 @@ from qhgeo import (
     build_grid_domain,
     domain_from_length_graph,
 )
-from qhgeo.metric_core import STEPS, _lattice_layout
+from qhgeo import metric_core
+from qhgeo.views import rows_per_block
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SHAPES = {
@@ -57,41 +57,33 @@ def polygons(draw):
         return build_grid_domain(spec, draw(st.sampled_from([0.0, 2.0])))
 
 
-def scattered_lattice(keep2d, h, i0, j0):
-    """The domain of the kept points ``keep2d`` of the lattice from (i0 h, j0 h): far more ragged
-    than a shape's, so that a point's nearest vertex often lies outside its 3 x 3 block of cells
-    while the block's own vertices are up to 2.1 h away."""
-    nx, ny = keep2d.shape
-    xs, ys = np.arange(i0, i0 + nx, dtype=float) * h, np.arange(j0, j0 + ny, dtype=float) * h
-    coords = np.column_stack([g.ravel() for g in np.meshgrid(xs, ys, indexing="ij")])
-    coords = coords[keep2d.ravel()]
-    lengths = h * np.hypot(STEPS[:, 0], STEPS[:, 1])
-    with mock.patch.object(LengthGraph, "_check_connected", lambda self: None):
-        graph = LengthGraph(len(coords), None, lengths, coords, (keep2d, *_lattice_layout(keep2d)))
-    return DomainSample(graph, coords[:1], np.ones(len(coords)), resolution=h,
-                        lattice_origin=(i0, j0))
+@st.composite
+def scattered(draw):
+    """An imported graph (a path) through 1 to 400 points: a random part of a lattice of step
+    0.03 to 0.125 from a random origin, whose points hold exact ties, or uniform points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h, m = draw(st.sampled_from([0.03, 0.1, 0.125])), draw(st.integers(1, 400))
+    origin = rng.integers(-300, 300, size=2)
+    if draw(st.booleans()):
+        cells = rng.choice(900, size=min(m, 900), replace=False)
+        coords = (origin + np.column_stack([cells // 30, cells % 30])) * h
+    else:
+        coords = (origin + rng.uniform(0.0, 30.0, size=(m, 2))) * h
+    edges = np.column_stack([np.arange(len(coords) - 1), np.arange(1, len(coords))])
+    return domain_from_length_graph(coords, edges, [(origin - 1.0) * h], lengths=np.ones(len(edges)))
 
 
 @st.composite
-def scattered_lattices(draw):
-    keep2d = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(
-        (draw(st.integers(1, 30)), draw(st.integers(1, 30)))) < draw(st.sampled_from(
-            [0.03, 0.1, 0.3, 0.7]))
-    assume(keep2d.any())
-    return scattered_lattice(keep2d, draw(st.sampled_from([0.03, 0.1, 0.125])),
-                             draw(st.integers(-300, 300)), draw(st.integers(-300, 300)))
-
-
-@st.composite
-def points(draw, d):
-    """Points of every kind around ``d``: uniform, lattice points, edge midpoints and cell centres
-    (exact ties between lattice neighbours), boundary samples and points past the bounding box."""
-    h, (i0, j0) = d.resolution, d._origin
-    nx, ny = d.graph._lattice.shape
-    lo, hi = (np.array([i0, j0]) - 3) * h, (np.array([i0 + nx, j0 + ny]) + 3) * h
-    cells = st.tuples(st.integers(i0 - 2, i0 + nx + 2), st.integers(j0 - 2, j0 + ny + 2))
+def points(draw, d, spacing):
+    """Points of every kind around ``d``: uniform, lattice points of step ``spacing``, edge
+    midpoints and cell centres (exact ties between lattice neighbours), boundary samples and
+    points past the bounding box."""
+    h = spacing
+    lo, hi = d.coords.min(axis=0) - 3 * h, d.coords.max(axis=0) + 3 * h
+    (i0, j0), (i1, j1) = np.floor(lo / h).astype(int).tolist(), np.ceil(hi / h).astype(int).tolist()
     half = st.sampled_from([(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)])
-    lattice = st.builds(lambda ij, f: ((ij[0] + f[0]) * h, (ij[1] + f[1]) * h), cells, half)
+    lattice = st.builds(lambda i, j, f: ((i + f[0]) * h, (j + f[1]) * h),
+                        st.integers(i0, i1), st.integers(j0, j1), half)
     uniform = st.tuples(st.floats(lo[0], hi[0]), st.floats(lo[1], hi[1]))
     boundary = st.sampled_from(d.boundary_coords.tolist()).map(tuple)
     outside = st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)).filter(
@@ -104,76 +96,83 @@ def tree_answer(d, pts):
     return cKDTree(d.coords).query(pts)[1]
 
 
-class TestLatticeSnapping:
+def snapped_by_tree(d, pts):
+    """``d.nearest_vertex(pts)`` and the number of those points it sent to the vertex tree."""
+    sent = []
+
+    def counted(tree, rest, name):
+        sent.append(len(rest))
+        return nearest_in(tree, rest, name)
+
+    nearest_in = metric_core.nearest_in
+    with mock.patch.object(metric_core, "nearest_in", counted):
+        return d.nearest_vertex(pts).tolist(), sum(sent)
+
+
+class TestSnapping:
     @pytest.mark.parametrize("band", [0.0, 2.0])
     @pytest.mark.parametrize("name", sorted(SHAPES))
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_shapes_snap_as_the_tree_does(self, name, band, data):
         d = grid(name, band)
-        pts = data.draw(points(d))
+        pts = data.draw(points(d, d.resolution))
         assert d.nearest_vertex(pts).tolist() == tree_answer(d, pts).tolist()
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_random_polygons_snap_as_the_tree_does(self, data):
         d = data.draw(polygons())
-        pts = data.draw(points(d))
+        pts = data.draw(points(d, d.resolution))
         assert d.nearest_vertex(pts).tolist() == tree_answer(d, pts).tolist()
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
-    def test_scattered_lattices_snap_as_the_tree_does(self, data):
-        d = data.draw(scattered_lattices())
-        pts = data.draw(points(d))
+    def test_imported_graphs_snap_as_the_tree_does(self, data):
+        d = data.draw(scattered())
+        pts = data.draw(points(d, data.draw(st.sampled_from([0.03, 0.1, 0.125]))))
         assert d.nearest_vertex(pts).tolist() == tree_answer(d, pts).tolist()
 
     @pytest.mark.parametrize("band", [0.0, 2.0])
     def test_every_kind_of_point_in_bulk(self, band):
-        """The h = 0.02 disk: vertices settle by the lattice alone, cell centres and edge
-        midpoints hold exact ties, boundary samples lie in the band (band 2) or next to it."""
+        """The h = 0.02 disk, in sets of the most points snapped without the tree and all at
+        once: vertices and uniform points settle by their unique least distance, cell centres
+        and edge midpoints hold exact ties, boundary samples lie in the band (band 2)."""
         d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.02), band)
-        h, rng = d.resolution, np.random.default_rng(3)
-        kinds = {"uniform": rng.uniform(-1.1, 1.1, size=(20000, 2)), "vertices": d.coords,
-                 "midpoints": d.coords + [h / 2, 0.0], "centres": d.coords + [h / 2, h / 2],
+        h, rng, block = d.resolution, np.random.default_rng(3), rows_per_block(d.n)
+        vertices = d.coords[rng.choice(d.n, size=800, replace=False)]
+        kinds = {"uniform": rng.uniform(-1.1, 1.1, size=(800, 2)), "vertices": vertices,
+                 "midpoints": vertices + [h / 2, 0.0], "centres": vertices + [h / 2, h / 2],
                  "boundary": d.boundary_coords, "outside": rng.uniform(2.0, 40.0, size=(500, 2))}
-        settled = {}
+        to_tree = {}
         for kind, pts in kinds.items():
-            by_lattice = d._lattice_snap(pts)
-            settled[kind] = np.count_nonzero(by_lattice >= 0) / len(pts)
-            assert d.nearest_vertex(pts).tolist() == tree_answer(d, pts).tolist(), kind
-        assert settled["vertices"] == 1.0 and settled["outside"] == 0.0
-        assert settled["centres"] < 0.5  # mostly ties: the tree breaks them
-        assert settled["boundary"] == (0.0 if band else 1.0)
+            expected = tree_answer(d, pts).tolist()
+            answers = [snapped_by_tree(d, pts[r0:r0 + block]) for r0 in range(0, len(pts), block)]
+            assert sum((idx for idx, _ in answers), []) == expected, kind
+            to_tree[kind] = sum(sent for _, sent in answers) / len(pts)
+            assert snapped_by_tree(d, pts) == (expected, len(pts)), kind
+        assert to_tree["vertices"] == to_tree["uniform"] == to_tree["outside"] == 0.0
+        assert to_tree["centres"] > 0.5 and to_tree["midpoints"] > 0.5  # the tree breaks ties
 
-    def test_scattered_lattices_in_bulk(self):
-        """About one uniform point in a thousand has its nearest vertex outside its block."""
-        rng = np.random.default_rng(5)
-        for density in (0.03, 0.1, 0.3, 0.7) * 10:
-            keep2d = rng.random(tuple(rng.integers(1, 30, size=2))) < density
-            if keep2d.any():
-                d = scattered_lattice(keep2d, 0.1, *rng.integers(-300, 300, size=2).tolist())
-                i0, j0 = d._origin
-                pts = rng.uniform([(i0 - 3) * 0.1, (j0 - 3) * 0.1],
-                                  [(i0 + keep2d.shape[0] + 3) * 0.1,
-                                   (j0 + keep2d.shape[1] + 3) * 0.1], size=(2000, 2))
-                assert d.nearest_vertex(pts).tolist() == tree_answer(d, pts).tolist()
-
-    def test_tree_is_built_only_for_points_the_lattice_leaves(self):
-        # h = 1/8: lattice coordinates and their midpoints are exact binary fractions
-        d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.125), 2.0)
-        assert d.nearest_vertex(d.coords + 0.01).tolist() == list(range(d.n))
+    def test_tree_is_built_only_for_ties_and_larger_sets(self):
+        # h = 1/32: lattice coordinates and their midpoints are exact binary fractions
+        d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.03125), 2.0)
+        block = rows_per_block(d.n)
+        assert block < d.n
+        assert d.nearest_vertex(d.coords[:block] + 0.01).tolist() == list(range(block))
         assert d._kdtree is None
-        tie = (0.0625, 0.0)  # as near to (0, 0) as to (0.125, 0)
-        assert d._lattice_snap(np.array([tie])).tolist() == [-1]
-        assert d.nearest_vertex(tie).tolist() == tree_answer(d, [tie]).tolist()
+        tie = (0.015625, 0.0)  # as near to (0, 0) as to (0.03125, 0)
+        assert snapped_by_tree(d, [tie]) == (tree_answer(d, [tie]).tolist(), 1)
         assert d._kdtree is not None
+        pts = d.coords[:block + 1] + 0.01
+        assert snapped_by_tree(d, pts) == (list(range(block + 1)), block + 1)
 
-    def test_imported_graph_snaps_by_its_tree(self):
+    def test_imported_graph_snaps_without_its_tree(self):
         d = build_grid_domain(ShapeSpec("L-shape", {"arm_width": 1.0, "arm_length": 2.0}, 0.1))
         imported = domain_from_length_graph(d.coords, d.graph.edges, d.boundary_coords)
-        pts = np.concatenate([d.coords + 0.05, d.coords + [0.05, 0.0], d.boundary_coords])
-        assert imported._origin is None
+        pts = np.concatenate([d.coords[:20] + 0.03, d.coords[:20] + [0.05, 0.0]])
+        assert imported.nearest_vertex(pts[:20]).tolist() == list(range(20))
+        assert imported._kdtree is None
         assert imported.nearest_vertex(pts).tolist() == tree_answer(d, pts).tolist()
 
 
@@ -182,17 +181,21 @@ class TestPointsWithoutANearestVertex:
 
     @pytest.mark.parametrize("point", [(1e200, 0.0), (0.0, -1e170), (math.inf, 0.0),
                                        (math.nan, 0.5)])
-    @pytest.mark.parametrize("kind", ["grid", "imported", "subset side", "whole side"])
+    @pytest.mark.parametrize("kind", ["grid", "imported", "one vertex", "subset side",
+                                      "whole side"])
     def test_raises_naming_the_point(self, kind, point):
         d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.1), 2.0)
         snap = {
             "grid": lambda pts: d.nearest_vertex(pts, "base_point"),
             "imported": lambda pts: domain_from_length_graph(
                 d.coords, d.graph.edges, d.boundary_coords).nearest_vertex(pts, "base_point"),
+            # its one squared distance is the least and unique even where it overflows
+            "one vertex": lambda pts: domain_from_length_graph(
+                [(0.5, 0.0)], [], [(1.0, 0.0)]).nearest_vertex(pts, "base_point"),
             "subset side": DomainSide(d, QuasihyperbolicMetric(d), subset=[0, 5, 9]).nearest_vertex,
             "whole side": DomainSide(d, QuasihyperbolicMetric(d)).nearest_vertex,
         }[kind]
-        name = "base_point" if kind in ("grid", "imported") else "point"
+        name = "point" if kind.endswith("side") else "base_point"
         with pytest.raises(ConfigurationError, match=rf"^{name} \(.*\) has no nearest vertex"):
             snap([(0.5, 0.0), point])
 

@@ -738,7 +738,7 @@ class TestLazyMembers:
         if member == "bands":
             d.graph._bands = None  # the grid's first search, from every thread at once
         read, patched, expected = {
-            # (0.1, 0.2) is an exact tie of two vertices: the lattice leaves it to the tree
+            # (0.1, 0.2) is an exact tie of two vertices: it goes to the tree
             "nearest_vertex": (lambda: tuple(d.nearest_vertex([(0.1, 0.2)])),
                                [(metric_core, "kd_tree")], ["kd_tree"]),
             "boundary_tree": (lambda: tuple(d.boundary_distance_at([(0.1, 0.2)])),
