@@ -22,14 +22,9 @@ import numpy as np
 from .errors import ConfigurationError
 from .mapping_analysis import QuasimobiusResult, quasimobius_slope
 from .metric_core import DomainSample
-from .quasihyperbolic import QuasihyperbolicMetric
-from .sampling import pool_indices, tuple_sample_from_pool
-from .views import DenseChainView, GraphView, built_once, rows_per_block
-
-
-def _qh_view(graph, lengths, dg) -> GraphView:
-    """Quasihyperbolic view of ``graph`` over arc ``lengths`` (overwritten) and boundary ``dg``."""
-    return GraphView(*graph.search_matrix(graph.trapezoid(1.0 / dg, lengths)))
+from .quasihyperbolic import QuasihyperbolicMetric, quasihyperbolic_view
+from .sampling import distinct_pairs, pool_indices, tuple_sample_from_pool
+from .views import DenseChainView, GraphView, built_once, euclidean_table, rows_per_block
 
 
 class UniformizedSpace:
@@ -88,7 +83,7 @@ class UniformizedSpace:
             # one read of the arc weights serves the boundary distance and the view
             weights = self.arc_weights
             dg = built_once(self, "_boundary_distance", lambda: self._sink_row(weights))
-            return _qh_view(self.domain.graph, weights, dg)
+            return quasihyperbolic_view(self.domain.graph, dg, weights)
         return built_once(self, "_qh_view", build)
 
     def diameter_estimate(self, n_extremal: int = 32) -> float:
@@ -162,8 +157,7 @@ class SphericalizedSpace:
             block = rows_per_block(len(bc))
             for start in range(0, self.domain.n, block):
                 rows = slice(start, start + block)
-                pts = self.domain.coords[rows]
-                s = np.hypot(pts[:, None, 0] - bc[None, :, 0], pts[:, None, 1] - bc[None, :, 1])
+                s = euclidean_table(self.domain.coords[rows], bc)
                 s /= self.depth[rows, None] * self.boundary_depth[None, :]
                 np.minimum(out[rows], s.min(axis=1), out=out[rows])
             return out
@@ -172,9 +166,9 @@ class SphericalizedSpace:
     def qh_view(self) -> GraphView:
         """Quasihyperbolic metric of the sphericalized space (full base graph)."""
         graph = self.domain.graph
-        return built_once(self, "_qh_view", lambda: _qh_view(
-            graph, graph.arc_map(lambda w, du, dv: w / (du * dv), self.depth),
-            self.boundary_distance()))
+        return built_once(self, "_qh_view", lambda: quasihyperbolic_view(
+            graph, self.boundary_distance(),
+            graph.arc_map(lambda w, du, dv: w / (du * dv), self.depth)))
 
 
 def uniformize(domain: DomainSample, k: QuasihyperbolicMetric, w, eps: float) -> UniformizedSpace:
@@ -215,11 +209,7 @@ def verify_deformation_comparability(space: UniformizedSpace, pairs) -> Comparab
     max 1/ratio) over the sample, which must be finite.
     """
     _require_kind("uniformize", "verify_deformation_comparability", space)
-    i = np.asarray(pairs[0], dtype=np.intp)
-    j = np.asarray(pairs[1], dtype=np.intp)
-    keep = i != j
-    n_skipped = int((~keep).sum())
-    i, j = i[keep], j[keep]
+    i, j, n_skipped = distinct_pairs(pairs)
     eps = space.eps
     kxy = space.k.pairs(i, j)
     gp = 0.5 * (space.k_from_base[i] + space.k_from_base[j] - kxy)
@@ -273,10 +263,7 @@ class EnvelopeReport:
 def sphericalization_envelope(space: SphericalizedSpace, pairs) -> EnvelopeReport:
     """Chain metric vs quasimetric comparability on sampled active pairs."""
     _require_kind("sphericalize", "sphericalization_envelope", space)
-    i = np.asarray(pairs[0], dtype=np.intp)
-    j = np.asarray(pairs[1], dtype=np.intp)
-    keep = i != j
-    i, j = i[keep], j[keep]
+    i, j, _ = distinct_pairs(pairs)
     chain = space.pairs(i, j)
     quasi = space.quasimetric(i, j)
     ratio = chain / quasi

@@ -25,8 +25,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .metric_core import DomainSample, kd_tree, nearest_in
 from .quasihyperbolic import QuasihyperbolicMetric
-from .sampling import pool_indices, tuple_sample_from_pool
-from .views import EuclideanView, MetricView, built_once
+from .sampling import distinct_pairs, pool_indices, tuple_sample_from_pool
+from .views import EuclideanView, MetricView, built_once, euclidean_table
 
 if TYPE_CHECKING:  # scipy.spatial is imported where it is used
     from scipy.spatial import cKDTree
@@ -49,6 +49,10 @@ class _ReindexedView(MetricView):
 
     def pairs(self, i, j):
         return self.base.pairs(self.index[np.asarray(i, np.intp)], self.index[np.asarray(j, np.intp)])
+
+    def submatrix(self, idx):
+        """The base's ``submatrix`` of the pool, in blocks of rows as wide as the base's."""
+        return self.base.submatrix(self.index[np.asarray(idx, np.intp)])
 
 
 def _restricted(view: MetricView, index) -> MetricView:
@@ -318,11 +322,6 @@ def _ball_sample(m: MappingPair, q, balls, n_balls, pts_per_ball, rng) -> BallSa
     return sampler(m.source, q, n_balls, pts_per_ball, rng)
 
 
-def _pairwise(pts: np.ndarray) -> np.ndarray:
-    diff = pts[:, :, None, :] - pts[:, None, :, :]
-    return np.hypot(diff[..., 0], diff[..., 1])
-
-
 def _ball_pair_matrices(m: MappingPair, balls: BallSample):
     """Source and image distance tensors (B, P, P) of a sample, and the
     boundary distances d_G(x) and d_G'(f(x)) of its centers.
@@ -342,7 +341,7 @@ def _ball_pair_matrices(m: MappingPair, balls: BallSample):
             raise ConfigurationError("continuum ball samples need an analytic mapping")
         pts = balls.points
         img_pts = m.forward_fn(pts.reshape(-1, 2)).reshape(pts.shape)
-        src, img = _pairwise(pts), _pairwise(img_pts)
+        src, img = euclidean_table(pts, pts), euclidean_table(img_pts, img_pts)
         dgx_img = m.target.boundary_distance_at(img_pts[:, 0, :])
     return src, img, m.source.boundary_distance[balls.centers], dgx_img
 
@@ -496,15 +495,12 @@ def estimate_local_quasisymmetry(
 
 
 def _qh_ratio_pairs(m: MappingPair, pairs):
-    i = np.asarray(pairs[0], dtype=np.intp)
-    j = np.asarray(pairs[1], dtype=np.intp)
-    keep = i != j
-    i, j = i[keep], j[keep]
+    i, j, skipped = distinct_pairs(pairs)
     if m.source.qh is None or m.target.qh is None:
         raise ConfigurationError("both sides need quasihyperbolic metrics for this estimator")
     k_src = m.source.qh.pairs(i, j)
     k_img = m.image_qh_pairs(i, j)
-    return i, j, k_src, k_img, int((~keep).sum())
+    return i, j, k_src, k_img, skipped
 
 
 def estimate_semisolid(m: MappingPair, pairs) -> EstimateResult:
@@ -692,13 +688,11 @@ class GlobalQSReport:
 
 def _euclid_diameter(coords) -> float:
     if len(coords) <= 2:
-        d = coords[:, None, :] - coords[None, :, :]
-        return float(np.hypot(d[..., 0], d[..., 1]).max(initial=0.0))
+        return float(euclidean_table(coords, coords).max(initial=0.0))
     from scipy.spatial import ConvexHull
 
     hull = coords[ConvexHull(coords).vertices]
-    d = hull[:, None, :] - hull[None, :, :]
-    return float(np.hypot(d[..., 0], d[..., 1]).max())
+    return float(euclidean_table(hull, hull).max())
 
 
 def is_unbounded_truncation(side: SpaceSide) -> bool:
@@ -770,10 +764,8 @@ def sample_qh_pairs(
     if n_sources is None:
         n_sources = max(1, min(len(candidates), int(np.ceil(np.sqrt(n_pairs)))))
     sources = rng.choice(candidates, size=min(n_sources, len(candidates)), replace=False)
-    i = rng.choice(sources, size=n_pairs)
-    j = rng.choice(candidates, size=n_pairs)
-    keep = i != j
-    i, j = i[keep], j[keep]
+    i, j, _ = distinct_pairs((rng.choice(sources, size=n_pairs),
+                              rng.choice(candidates, size=n_pairs)))
     if min_qh > 0 and m.source.qh is not None and len(i):
         k = m.source.qh.pairs(i, j)
         floor = min_qh

@@ -20,6 +20,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import ConfigurationError, InternalError
+from .sampling import distinct_pairs
 from .shapes import ShapeGeometry, ShapeSpec, geometry_for
 from .views import EuclideanView, GraphView, built_once, rows_per_block
 
@@ -594,15 +595,10 @@ def estimate_quasiconvexity(domain: DomainSample, pairs=None, n_pairs: int = 512
         rng = np.random.default_rng(rng)
         if domain.n < 2:
             raise ConfigurationError("need at least two vertices to sample pairs")
-        i = rng.integers(0, domain.n, size=n_pairs)
-        j = rng.integers(0, domain.n, size=n_pairs)
-    else:
-        i = np.asarray(pairs[0], dtype=np.intp)
-        j = np.asarray(pairs[1], dtype=np.intp)
-    distinct = i != j
-    if not np.all(distinct):
+        pairs = rng.integers(0, domain.n, size=n_pairs), rng.integers(0, domain.n, size=n_pairs)
+    i, j, dropped = distinct_pairs(pairs)
+    if dropped:
         warnings.warn("coincident pairs skipped in quasiconvexity estimate")
-        i, j = i[distinct], j[distinct]
     if len(i) == 0:
         raise ConfigurationError("no distinct pairs left to estimate quasiconvexity")
     ratio = domain.graph_view().pairs(i, j) / domain.ambient_distance(i, j)

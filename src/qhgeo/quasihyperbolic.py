@@ -14,8 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalError
-from .metric_core import DomainSample
+from .metric_core import DomainSample, LengthGraph
+from .sampling import distinct_pairs
 from .views import GraphView, rows_per_block
+
+
+def quasihyperbolic_view(graph: LengthGraph, dg: np.ndarray, lengths=None) -> GraphView:
+    """Quasihyperbolic view of ``graph`` with boundary distances ``dg``: the trapezoid weights
+    of the density 1/dg over arc ``lengths`` (overwritten; the graph's own if omitted)."""
+    return GraphView(*graph.search_matrix(graph.trapezoid(1.0 / dg, lengths)))
 
 
 class QuasihyperbolicMetric:
@@ -23,7 +30,7 @@ class QuasihyperbolicMetric:
 
     def __init__(self, domain: DomainSample):
         self.domain = domain
-        self._view = GraphView(*domain.graph.search_matrix(self.arc_weights))
+        self._view = quasihyperbolic_view(domain.graph, domain.boundary_distance)
 
     @property
     def arc_weights(self) -> np.ndarray:
@@ -196,10 +203,7 @@ def estimate_uniformity(
     min(len(gamma[x,z]), len(gamma[z,y])) / d_G(z) along the path; its steps
     are read with ``LengthGraph.arc_lengths``, so no length matrix is built.
     """
-    i = np.asarray(pairs[0], dtype=np.intp)
-    j = np.asarray(pairs[1], dtype=np.intp)
-    keep = i != j
-    i, j = i[keep], j[keep]
+    i, j, _ = distinct_pairs(pairs)
     dg = domain.boundary_distance
     d = domain.ambient_distance(i, j)
     length_ratios = np.empty(len(i))

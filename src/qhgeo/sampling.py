@@ -22,6 +22,14 @@ def pool_indices(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     return np.sort(rng.permutation(n)[: min(size, n)].astype(np.intp))
 
 
+def distinct_pairs(pairs) -> tuple[np.ndarray, np.ndarray, int]:
+    """The pairs of index arrays ``pairs = (i, j)`` with i != j, and how many were dropped."""
+    i = np.asarray(pairs[0], dtype=np.intp)
+    j = np.asarray(pairs[1], dtype=np.intp)
+    keep = i != j
+    return i[keep], j[keep], int((~keep).sum())
+
+
 def pair_sample(
     n: int,
     n_pairs: int,

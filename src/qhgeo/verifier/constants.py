@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
+from ..validation import _check_range
 
 
 @dataclass(frozen=True)
@@ -24,16 +25,11 @@ class ConstantsLedger:
 
 
 def _need(inputs: dict, stage: str, name: str, low=None, high=None, low_open=False, high_open=False):
+    """Input ``name``: a finite number within the stage's hypotheses, else raise naming it."""
     if name not in inputs:
         raise ConfigurationError(f"{stage} requires input {name!r}")
-    value = float(inputs[name])
-    if low is not None and (value <= low if low_open else value < low):
-        op = ">" if low_open else ">="
-        raise ConfigurationError(f"{stage}: hypothesis violated, {name} must be {op} {low} (got {value})")
-    if high is not None and (value >= high if high_open else value > high):
-        op = "<" if high_open else "<="
-        raise ConfigurationError(f"{stage}: hypothesis violated, {name} must be {op} {high} (got {value})")
-    return value
+    return _check_range(inputs[name], f"{stage}: hypothesis violated, {name}", low, high,
+                        low_open, high_open)
 
 
 def predicted_constants(stage: str, inputs: dict) -> ConstantsLedger:

@@ -9,8 +9,9 @@ each call asks for and keep nothing.
 full row (no limit) it computes is also kept as a landmark: a float16 copy
 rounded up, so each entry is the least float16 at or above the distance
 (``inf`` past 65504), at most ``_LANDMARK_BYTES`` (2 MiB) per view, the
-oldest dropped first.  Limited rows are never kept.  ``submatrix`` runs its
-sources about 1 MiB of rows at a time and keeps only the pool columns.  A
+oldest dropped first.  Limited rows are never kept.  Every view's
+``submatrix`` asks ``rows`` for about 1 MiB of rows at a time and keeps only
+the pool columns (``EuclideanView`` computes the pool x pool block alone).  A
 pair query is bounded by the least of the edge i-j, the lightest path i-m-j
 (sparse row intersections), and the landmark bound ``k(i, j) <= k(i, L) +
 k(L, j)`` over the landmarks L (ALT-style pruning, Goldberg & Harrelson,
@@ -22,8 +23,9 @@ floats as an undirected run at about half the cost.  A grid's search graph
 (``LengthGraph.search_matrix``) holds only arcs a shortest path can use, in
 its own numbering; a view searches from rows and keeps and returns by vertex.
 
-``DenseChainView`` starts a row as the quasimetric row, a metric by Ptolemy's inequality,
-and runs a plain dense Dijkstra on the ends of the angular-window pairs that pass a screen.
+``DenseChainView`` is the chain metric of a sphericalization at a base point.  It starts a row
+as the quasimetric row, a metric by Ptolemy's inequality, and runs a plain dense Dijkstra on the
+ends of the angular-window pairs that pass a screen.
 """
 
 from __future__ import annotations
@@ -93,8 +95,13 @@ class MetricView:
         return out
 
     def submatrix(self, idx) -> np.ndarray:
+        """``rows(idx)[:, idx]``, from ``rows`` calls of about 1 MiB of rows each."""
         idx = np.asarray(idx, dtype=np.intp)
-        return self.rows(idx)[:, idx]
+        out = np.empty((len(idx), len(idx)))
+        chunk = rows_per_block(self.n)
+        for a in range(0, len(idx), chunk):
+            out[a:a + chunk] = self.rows(idx[a:a + chunk])[:, idx]
+        return out
 
 
 class EuclideanView(MetricView):
@@ -108,7 +115,7 @@ class EuclideanView(MetricView):
         return len(self.coords)
 
     def rows(self, sources):
-        return _euclidean(self.coords[np.asarray(sources, dtype=np.intp)], self.coords)
+        return euclidean_table(self.coords[np.asarray(sources, dtype=np.intp)], self.coords)
 
     def pairs(self, i, j):
         d = self.coords[np.asarray(i, dtype=np.intp)] - self.coords[np.asarray(j, dtype=np.intp)]
@@ -117,13 +124,15 @@ class EuclideanView(MetricView):
     def submatrix(self, idx):
         """``rows(idx)[:, idx]``, computed on the pool x pool block only."""
         pool = self.coords[np.asarray(idx, dtype=np.intp)]
-        return _euclidean(pool, pool)
+        return euclidean_table(pool, pool)
 
 
-def _euclidean(a, b) -> np.ndarray:
-    """Distances from every point of ``a`` to every point of ``b``."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.hypot(diff[..., 0], diff[..., 1])
+def euclidean_table(a, b) -> np.ndarray:
+    """Distances from every point of ``a`` to every point of ``b``, (..., m, 2) against
+    (..., n, 2) points: shape (..., m, n), one table for each index of the leading axes.
+    Each coordinate's differences form a contiguous table: ``hypot`` reads strided ones slower."""
+    dx = a[..., :, None, 0] - b[..., None, :, 0]
+    return np.hypot(dx, a[..., :, None, 1] - b[..., None, :, 1])
 
 
 class GraphView(MetricView):
@@ -282,15 +291,6 @@ class GraphView(MetricView):
                 out[q] = got
         return out
 
-    def submatrix(self, idx) -> np.ndarray:
-        """``rows(idx)[:, idx]``, from ``rows`` calls of about 1 MiB of rows each."""
-        idx = np.asarray(idx, dtype=np.intp)
-        out = np.empty((len(idx), len(idx)))
-        chunk = rows_per_block(self.n)
-        for a in range(0, len(idx), chunk):
-            out[a:a + chunk] = self.rows(idx[a:a + chunk])[:, idx]
-        return out
-
     def min_distance_to(self, targets) -> np.ndarray:
         """Distance from every vertex to the target set (one multi-source run)."""
         return self._search(np.asarray(targets, dtype=np.intp), min_only=True)
@@ -311,26 +311,23 @@ def _dense_chain(coords, depth, source) -> np.ndarray:
 class DenseChainView(MetricView):
     """Chain metric of ``q(u, v) = |x_u - x_v| / (D_u D_v)`` on points ``coords``.
 
-    D is ``depth``, or ``1 + |x - p|`` for a ``base_point`` p (bitwise ``SphericalizedSpace``'s).
-    Rows are bitwise ``_dense_chain``'s, run on all vertices for free depths.  With p,
-    ``q(s,u) + q(u,v) - q(s,v) = (T + P) / (D_s D_u D_v)`` with ``T = |s-u| + |u-v| - |s-v|
-    >= 0`` and ``P = |s-u||v-p| + |u-v||s-p| - |s-v||u-p| >= 0`` (Ptolemy; Buckley, Herron &
-    Xie, Indiana Univ. Math. J. 57, 2008): a row is its q row up to rounding.  A settled u
-    changes a bit of v only if ``dx^2 + dy^2 < ((q_v - q_u + slack) D_u D_v (1 + 2e-9))^2 +
-    tiny``; ``slack = (n + 16) eps max q`` is twice the drift of a relaxed entry (a rounded
-    sum of under n hops) below q, so near-ties and flipped settle orders pass.  As ``T >= 2
-    |s-u| sin^2(theta/2)``, v lies in u's window of angles around s ``sin^2(theta/2) < D_u
-    (4e-9 max|s-.| + 2 slack D_s max D) / (2 |s-u|)``: twice the bound, for rounding; all of
-    it for u on s.  ``_dense_chain`` runs on s and the ends of the passing window pairs; past
-    ``_CHAIN_PAIRS`` pairs a point (a line through s and p), on all vertices, with no pairs.
+    D is ``1 + |x - p|`` for the ``base_point`` p (bitwise ``SphericalizedSpace``'s).  Rows are
+    bitwise those of ``_dense_chain`` run on all vertices.  ``q(s,u) + q(u,v) - q(s,v) = (T + P)
+    / (D_s D_u D_v)`` with ``T = |s-u| + |u-v| - |s-v| >= 0`` and ``P = |s-u||v-p| + |u-v||s-p|
+    - |s-v||u-p| >= 0`` (Ptolemy; Buckley, Herron & Xie, Indiana Univ. Math. J. 57, 2008): a
+    row is its q row up to rounding.  A settled u changes a bit of v only if ``dx^2 + dy^2 <
+    ((q_v - q_u + slack) D_u D_v (1 + 2e-9))^2 + tiny``; ``slack = (n + 16) eps max q`` is twice
+    the drift of a relaxed entry (a rounded sum of under n hops) below q, so near-ties and
+    flipped settle orders pass.  As ``T >= 2 |s-u| sin^2(theta/2)``, v lies in u's window of
+    angles around s ``sin^2(theta/2) < D_u (4e-9 max|s-.| + 2 slack D_s max D) / (2 |s-u|)``:
+    twice the bound, for rounding; all of it for u on s.  ``_dense_chain`` runs on s and the ends
+    of the passing window pairs; past ``_CHAIN_PAIRS`` pairs a point (a line through s and p), on
+    all vertices, with no pairs.
     """
 
-    def __init__(self, coords, depth=None, base_point=None):
+    def __init__(self, coords, base_point):
         self._coords = c = np.asarray(coords, float)
-        self._base = p = base_point
-        if p is not None:
-            depth = 1.0 + np.hypot(c[:, 0] - p[0], c[:, 1] - p[1])
-        self._depth = np.asarray(depth, float)
+        self._depth = 1.0 + np.hypot(c[:, 0] - base_point[0], c[:, 1] - base_point[1])
 
     @property
     def n(self):
@@ -367,7 +364,7 @@ class DenseChainView(MetricView):
 
     def _single_source(self, source: int) -> np.ndarray:
         row = self.quasimetric(source, np.arange(self.n))
-        pairs = None if self._base is None else self._candidates(source, row)
+        pairs = self._candidates(source, row)
         if pairs is None:
             return _dense_chain(self._coords, self._depth, source)
         u, v, hit = pairs
@@ -376,4 +373,5 @@ class DenseChainView(MetricView):
         return row
 
     def rows(self, sources):
-        return np.vstack([self._single_source(int(s)) for s in np.atleast_1d(sources)])
+        rows = [self._single_source(int(s)) for s in np.atleast_1d(sources)]
+        return np.array(rows, float).reshape(len(rows), self.n)

@@ -51,6 +51,18 @@ class TestStageFormulas:
         assert led["step_bound"] == 16.0 * math.log(2.0)
 
 
+# inputs that every stage accepts
+VALID_INPUTS = {
+    "lipschitz_to_relative": {"l": 3.0, "lam": 0.25},
+    "relative_to_semisolid": {"c": 1.0, "c1": 1.0, "t0": 0.2},
+    "semisolid_to_lipschitz": {"c": 2.0, "c2": 3.0},
+    "relative_to_local_bilipschitz": {"c1": 1.0, "t0": 1.0},
+    "local_bilipschitz_to_local_qs": {"l1": 3.0, "theta1": 0.1},
+    "local_qs_to_lipschitz": {"c": 1.0, "c2": 1.0, "q": 0.5},
+    "local_qs_to_quasi_isometry": {"uniformity_a": 2.0, "q": 0.5, "eta_slope": 1.5},
+}
+
+
 class TestValidation:
     def test_unknown_stage(self):
         with pytest.raises(ConfigurationError, match="unknown ledger stage"):
@@ -72,6 +84,16 @@ class TestValidation:
     )
     def test_out_of_range_inputs_name_the_field(self, stage, inputs, field):
         with pytest.raises(ConfigurationError, match=field):
+            predicted_constants(stage, inputs)
+
+    @pytest.mark.parametrize("stage,field", [
+        (stage, field) for stage, inputs in VALID_INPUTS.items() for field in inputs])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_inputs_name_the_field(self, stage, field, bad):
+        # an infinite c1 would make t1 = log(1 + 1/inf) = 0, which the slope divides by
+        inputs = {**VALID_INPUTS[stage], field: bad}
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{stage}: hypothesis violated, {field}: must be a finite"):
             predicted_constants(stage, inputs)
 
 

@@ -275,7 +275,7 @@ class TestSinkMatrix:
 
 class TestUniformizedQhView:
     def test_three_trapezoid_passes_and_the_rows_of_two_reads(self, disk_pack):
-        from qhgeo.deformations import _qh_view
+        from qhgeo.quasihyperbolic import quasihyperbolic_view
         from qhgeo.metric_core import LengthGraph
 
         d, k, w = disk_pack
@@ -283,7 +283,7 @@ class TestUniformizedQhView:
         # the boundary distance and the view as built from one read of the arc weights each
         sink = d.graph.sink_matrix(space.arc_weights, space.density / space.eps)
         dg = views.GraphView(sink).rows([space.n])[0, :space.n]
-        expected = _qh_view(d.graph, space.arc_weights, dg)
+        expected = quasihyperbolic_view(d.graph, dg, space.arc_weights)
         trapezoid = LengthGraph.trapezoid
         with mock.patch.object(LengthGraph, "trapezoid", autospec=True,
                                side_effect=trapezoid) as passes:

@@ -15,7 +15,8 @@ from scipy.sparse.csgraph import dijkstra
 
 from qhgeo import (ConfigurationError, InternalError, LengthGraph, QuasihyperbolicMetric, ShapeSpec,
                    build_grid_domain, metric_core, views)
-from qhgeo.views import DenseChainView, EuclideanView, GraphView
+from qhgeo.mapping_analysis import _ReindexedView
+from qhgeo.views import DenseChainView, EuclideanView, GraphView, rows_per_block
 
 
 @st.composite
@@ -84,7 +85,10 @@ class TestGraphView:
     def test_no_sources_give_no_rows(self):
         g = LengthGraph(3, [[0, 1], [1, 2]], [1.0, 2.0], [[0, 0], [1, 0], [3, 0]])
         banded = (np.array([2, 0, 1]), np.array([1, 2, 0]))
-        for v in (GraphView(g.matrix), GraphView(g.matrix, banded), EuclideanView(g.coords)):
+        for v in (GraphView(g.matrix), GraphView(g.matrix, banded), EuclideanView(g.coords),
+                  DenseChainView(g.coords, g.coords[0]),
+                  _ReindexedView(GraphView(g.matrix), [2, 0, 1]),
+                  _ReindexedView(DenseChainView(g.coords, g.coords[0]), [2, 0, 1])):
             assert v.rows([]).shape == (0, 3) and v.rows([]).dtype == float
             assert v.pairs([], []).shape == (0,)
             assert v.submatrix([]).shape == (0, 0)
@@ -385,6 +389,32 @@ class TestLandmarkStore:
         assert_landmarks_held(v, budget, full)
         assert len(v._landmarks) == 5
 
+    @pytest.mark.parametrize("kind", ["chain", "reindexed"])
+    def test_every_view_builds_submatrix_in_blocks(self, kind):
+        # pools past one block of rows (about 1 MiB): no rows call asks for more sources
+        rng = np.random.default_rng(4)
+        if kind == "chain":
+            n, t = 2000, rng.uniform(0.0, 2.0 * np.pi, 2000)
+            coords = np.sqrt(rng.random(n))[:, None] * np.c_[np.cos(t), np.sin(t)]
+            view = counted = DenseChainView(coords, (1.0, 0.0))
+        else:
+            n = 20_000  # a path; the view keeps every other vertex
+            g = LengthGraph(n, [[a, a + 1] for a in range(n - 1)], rng.uniform(0.5, 2.0, n - 1),
+                            np.zeros((n, 2)))
+            counted = GraphView(g.matrix)
+            view = _ReindexedView(counted, np.arange(0, n, 2))
+        idx = rng.choice(view.n, size=rows_per_block(n) + 5)  # repeats included
+        asked, rows = [], counted.rows
+
+        def record(sources, *args, **kwargs):
+            asked.append(len(np.atleast_1d(sources)))
+            return rows(sources, *args, **kwargs)
+
+        with mock.patch.object(counted, "rows", record):
+            sub = view.submatrix(idx)
+        assert len(asked) > 1 and max(asked) <= rows_per_block(n)
+        assert sub.tobytes() == view.rows(idx)[:, idx].tobytes()
+
     def test_submatrix_searches_in_chunks_and_keeps_pool_columns(self):
         n = 8
         g = LengthGraph(n, [[a, a + 1] for a in range(n - 1)], np.ones(n - 1), np.zeros((n, 2)))
@@ -476,10 +506,11 @@ class TestDenseChainView:
         # 0 <-> 2 is 2, but the two-hop route costs 1/4 + 1/4; a correct
         # solver must find it even though the planar quasimetrics in this
         # package rarely benefit from chaining
-        v = DenseChainView([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [1.0, 4.0, 1.0])
-        assert v.pairs([0], [2])[0] == 0.5
-        assert v.pairs([0], [1])[0] == 0.25
-        assert v.rows([0])[0].tolist() == [0.0, 0.25, 0.5]
+        row = views._dense_chain(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
+                                 np.array([1.0, 4.0, 1.0]), 0)
+        assert row[2] == 0.5
+        assert row[1] == 0.25
+        assert row.tolist() == [0.0, 0.25, 0.5]
 
     def test_matches_sparse_dijkstra_on_random_weights(self):
         rng = np.random.default_rng(5)
@@ -492,12 +523,12 @@ class TestDenseChainView:
 
         ref = dijkstra(csr_matrix(w), directed=False, indices=[3])[0]
         assert np.any(ref < w[3] - 1e-9)  # some chain beats its direct hop
-        assert np.max(np.abs(DenseChainView(coords, depth).rows([3])[0] - ref)) < 1e-12
+        assert np.max(np.abs(views._dense_chain(coords, depth, 3) - ref)) < 1e-12
 
     def test_submatrix_symmetry(self):
         rng = np.random.default_rng(7)
         pts = rng.uniform(0, 1, size=(20, 2))
-        v = DenseChainView(pts, np.ones(20))
+        v = DenseChainView(pts, (0.0, 0.0))  # a corner of the square the points fill
         sub = v.submatrix(np.arange(0, 20, 3))
         assert np.max(np.abs(sub - sub.T)) < 1e-12
 
@@ -506,7 +537,7 @@ class TestDenseChainView:
         # deeper copy of the source must still be found
         coords = np.array([[0.0, 0.0], [0.0, 4e-291], [0.0, 0.0]])
         depth = np.array([0.5, 0.5, 1.0])
-        row = DenseChainView(coords, depth).rows([0])[0]
+        row = views._dense_chain(coords, depth, 0)
         assert row[1] < 4e-291 / 0.25
         assert np.array_equal(row, reference_chain_row(coords, depth, 0))
 
@@ -515,7 +546,7 @@ class TestDenseChainView:
         # against the direct 4; vertex 0 must be relaxed even though it sorts first
         coords = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
         depth = np.array([1.0, 0.5, 0.5])
-        row = DenseChainView(coords, depth).rows([1])[0]
+        row = views._dense_chain(coords, depth, 1)
         assert row.tolist() == [0.0, 0.0, 2.0]
         assert np.array_equal(row, reference_chain_row(coords, depth, 1))
 
@@ -533,7 +564,7 @@ class TestDenseChainView:
         coords, depth, base = space
         source = data.draw(st.integers(0, len(depth) - 1))
         if base is None:
-            row = DenseChainView(coords, depth).rows([source])[0]
+            row = views._dense_chain(coords, depth, source)
         else:
             row = DenseChainView(coords, base_point=base).rows([source])[0]
         assert np.array_equal(row, reference_chain_row(coords, depth, source))
@@ -747,11 +778,13 @@ class TestLazyMembers:
                           [(mapping_analysis, "kd_tree")], ["kd_tree"]),
             # both members from both entry points: qh_view reads boundary_distance
             "uniformized": (lambda: (id(space.qh_view()), id(space.boundary_distance())),
-                            [(deformations, "_qh_view"), (LengthGraph, "sink_matrix")],
-                            ["_qh_view", "sink_matrix"]),
+                            [(deformations, "quasihyperbolic_view"),
+                             (LengthGraph, "sink_matrix")],
+                            ["quasihyperbolic_view", "sink_matrix"]),
             "sphericalized": (lambda: (id(space.qh_view()), id(space.boundary_distance())),
-                              [(deformations, "_qh_view"), (deformations, "rows_per_block")],
-                              ["_qh_view", "rows_per_block"]),
+                              [(deformations, "quasihyperbolic_view"),
+                               (deformations, "rows_per_block")],
+                              ["quasihyperbolic_view", "rows_per_block"]),
             "bands": (lambda: id(QuasihyperbolicMetric(d).view().order),
                       [(metric_core, "_band_order")], ["_band_order"]),
         }[member]
