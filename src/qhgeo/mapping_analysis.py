@@ -7,18 +7,15 @@ points; only quasihyperbolic queries go through grid snapping, whose
 error is absorbed by the verification slack.
 
 The four ball estimators (boundary Lipschitz, relative slope, local
-biLipschitz, local quasisymmetry) share one ``BallSample``.  It comes in
-a continuum form (coordinates, for analytic maps) and a grid form
-(padded vertex indices, for grid-snapped maps); ``_ball_pair_matrices``
-turns either into masked (B, P, P) distance tensors, so each estimator
-has a single body.
+biLipschitz, local quasisymmetry) share one ``BallSample`` of continuum
+points, which needs an analytic map; ``_ball_pair_matrices`` turns it
+into (B, P, P) distance tensors, so each estimator has a single body.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,9 +24,6 @@ from .metric_core import DomainSample, kd_tree, nearest_in
 from .quasihyperbolic import QuasihyperbolicMetric
 from .sampling import distinct_pairs, pool_indices, tuple_sample_from_pool
 from .views import EuclideanView, MetricView, built_once, euclidean_table
-
-if TYPE_CHECKING:  # scipy.spatial is imported where it is used
-    from scipy.spatial import cKDTree
 
 
 class _ReindexedView(MetricView):
@@ -82,16 +76,11 @@ class SpaceSide:
     def n(self):
         return len(self.coords)
 
-    def tree(self) -> cKDTree:
-        """The k-d tree of the points, built once; the whole domain's own if they are its."""
-        if self._whole is not None:
-            return self._whole.vertex_tree()
-        return built_once(self, "_tree", lambda: kd_tree(self.coords))
-
     def nearest_vertex(self, points):
         if self._whole is not None:
             return self._whole.nearest_vertex(points)
-        return nearest_in(self.tree(), np.atleast_2d(np.asarray(points, float)))
+        tree = built_once(self, "_tree", lambda: kd_tree(self.coords))
+        return nearest_in(tree, np.atleast_2d(np.asarray(points, float)))
 
     def boundary_distance_at(self, points):
         raise ConfigurationError("this space supports only vertex-sampled queries")
@@ -247,22 +236,16 @@ def build_mapping(
 
 @dataclass
 class BallSample:
-    """Shared sample of metric balls B(x, q d_G(x)), one row of P slots per center.
+    """Shared sample of metric balls B(x, q d_G(x)), one row of P points per center.
 
-    Two forms carry the slots.  The continuum form (analytic maps) holds
-    coordinates in ``points``; the grid form (grid-snapped maps) holds
-    vertex indices in ``idx``, padded to P slots, and ``mask`` marks the
-    real slots of both forms.  Slot 0 is always the center itself, so
-    center-anchored ratios (relative maps) are a subset of the pairwise
-    ratios used by the ball-based estimators, which keeps the
-    cross-estimator comparisons exact on a common sample.
+    Slot 0 is always the center itself, so center-anchored ratios
+    (relative maps) are a subset of the pairwise ratios used by the
+    ball-based estimators, which keeps the cross-estimator comparisons
+    exact on a common sample.
     """
 
     centers: np.ndarray          # (B,) vertex indices
-    points: np.ndarray | None    # continuum form: (B, P, 2) coordinates, slot 0 = center
-    idx: np.ndarray | None       # grid form: (B, P) vertex indices, slot 0 = center
-    mask: np.ndarray             # (B, P) True on real slots
-    n_skipped: int = 0           # grid form: centers whose ball held no other vertex
+    points: np.ndarray           # (B, P, 2) coordinates, slot 0 = center
 
 
 def sample_balls(side: SpaceSide, q: float, n_balls: int, pts_per_ball: int, rng) -> BallSample:
@@ -281,68 +264,26 @@ def sample_balls(side: SpaceSide, q: float, n_balls: int, pts_per_ball: int, rng
     theta = 2.0 * np.pi * rng.random((B, pts_per_ball))
     pts[:, 1:, 0] = pts[:, 0:1, 0] + r * np.cos(theta)
     pts[:, 1:, 1] = pts[:, 0:1, 1] + r * np.sin(theta)
-    return BallSample(centers, pts, None, np.ones((B, P), dtype=bool))
-
-
-def _grid_balls(side: SpaceSide, q: float, n_balls: int, pts_per_ball: int, rng) -> BallSample:
-    """Grid form of the ball sample: at most pts_per_ball other vertices per ball.
-
-    Centers whose ball holds no other vertex are dropped and counted in
-    ``n_skipped``.  Raises when every ball is dropped, advising a larger
-    radius factor or a finer grid.
-    """
-    rng = np.random.default_rng(rng)
-    tree = side.tree()
-    drawn = rng.permutation(side.n)[: min(n_balls, side.n)]
-    balls = []
-    for c in drawn:
-        members = tree.query_ball_point(side.coords[c], q * side.boundary_distance[c])
-        members = np.asarray([v for v in members if v != c], dtype=np.intp)
-        if len(members) > pts_per_ball:
-            members = rng.choice(members, size=pts_per_ball, replace=False)
-        if len(members):
-            balls.append(np.concatenate([[c], members]))
-    if not balls:
-        raise ConfigurationError(
-            f"no grid ball at radius factor {q} contains two vertices; "
-            "increase it or refine the grid"
-        )
-    centers = np.array([b[0] for b in balls], dtype=np.intp)
-    mask = np.arange(pts_per_ball + 1) < np.array([len(b) for b in balls])[:, None]
-    idx = np.repeat(centers[:, None], pts_per_ball + 1, axis=1)   # padding repeats the center
-    idx[mask] = np.concatenate(balls)
-    return BallSample(centers, None, idx, mask, len(drawn) - len(balls))
+    return BallSample(centers, pts)
 
 
 def _ball_sample(m: MappingPair, q, balls, n_balls, pts_per_ball, rng) -> BallSample:
-    """The given sample, else a fresh one in the form the mapping can evaluate."""
+    """The given sample, else a fresh one on the mapping's source."""
     if balls is not None:
         return balls
-    sampler = sample_balls if m.analytic else _grid_balls
-    return sampler(m.source, q, n_balls, pts_per_ball, rng)
+    return sample_balls(m.source, q, n_balls, pts_per_ball, rng)
 
 
 def _ball_pair_matrices(m: MappingPair, balls: BallSample):
-    """Source and image distance tensors (B, P, P) of a sample, and the
-    boundary distances d_G(x) and d_G'(f(x)) of its centers.
-
-    The continuum form is measured on coordinates and needs an analytic
-    mapping; the grid form asks both sides' metrics for every slot pair.
+    """Source and image distance tensors (B, P, P) of a sample, measured on
+    coordinates, and the boundary distances d_G(x) and d_G'(f(x)) of its centers.
     """
-    if balls.points is None:
-        B, P = balls.idx.shape
-        rows = np.repeat(balls.idx, P, axis=1).ravel()
-        cols = np.tile(balls.idx, (1, P)).ravel()
-        src = m.source.ambient.pairs(rows, cols).reshape(B, P, P)
-        img = m.image_distance(rows, cols).reshape(B, P, P)
-        dgx_img = m.image_boundary_distance(balls.centers)
-    else:
-        if not m.analytic:
-            raise ConfigurationError("continuum ball samples need an analytic mapping")
-        pts = balls.points
-        img_pts = m.forward_fn(pts.reshape(-1, 2)).reshape(pts.shape)
-        src, img = euclidean_table(pts, pts), euclidean_table(img_pts, img_pts)
-        dgx_img = m.target.boundary_distance_at(img_pts[:, 0, :])
+    if not m.analytic:
+        raise ConfigurationError("continuum ball samples need an analytic mapping")
+    pts = balls.points
+    img_pts = m.forward_fn(pts.reshape(-1, 2)).reshape(pts.shape)
+    src, img = euclidean_table(pts, pts), euclidean_table(img_pts, img_pts)
+    dgx_img = m.target.boundary_distance_at(img_pts[:, 0, :])
     return src, img, m.source.boundary_distance[balls.centers], dgx_img
 
 
@@ -371,11 +312,9 @@ def _boundary_ratio_max(m: MappingPair, balls: BallSample, a, b) -> EstimateResu
     src, img, dgx, dgx_img = _ball_pair_matrices(m, balls)
     num = img[:, a, b] / dgx_img[:, None]
     den = src[:, a, b] / dgx[:, None]
-    valid = balls.mask[:, a] & balls.mask[:, b]
-    ok = valid & (den > 0)
+    ok = den > 0
     ratio = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
-    return EstimateResult(float(ratio.max(initial=0.0)), int(ok.sum()),
-                          int((valid & ~ok).sum()) + balls.n_skipped)
+    return EstimateResult(float(ratio.max(initial=0.0)), int(ok.sum()), int((~ok).sum()))
 
 
 def estimate_boundary_lipschitz(
@@ -397,7 +336,7 @@ def estimate_boundary_lipschitz(
     if bilateral:
         return _bilateral(estimate_boundary_lipschitz, m, lam, balls, n_balls, pts_per_ball, rng)
     balls = _ball_sample(m, lam, balls, n_balls, pts_per_ball, rng)
-    return _boundary_ratio_max(m, balls, *np.triu_indices(balls.mask.shape[1], k=1))
+    return _boundary_ratio_max(m, balls, *np.triu_indices(balls.points.shape[1], k=1))
 
 
 def estimate_relative(
@@ -419,7 +358,7 @@ def estimate_relative(
     if not (0.0 < t0 <= 1.0):
         raise ConfigurationError("t0 must lie in (0, 1]")
     balls = _ball_sample(m, min(t0, 1.0 - 1e-12), balls, n_balls, pts_per_ball, rng)
-    P = balls.mask.shape[1]
+    P = balls.points.shape[1]
     return _boundary_ratio_max(m, balls, np.zeros(P - 1, dtype=np.intp), np.arange(1, P))
 
 
@@ -442,23 +381,21 @@ def estimate_local_bilipschitz(
     """Per-center scale table C_x and the residual two-sided constant L1.
 
     C_x is the median of d'(f(y), f(z)) / d(y, z) over ball pairs (robust
-    to snapping outliers); L1 is the worst max(ratio/C_x, C_x/ratio) over
-    centers with C_x > 0.  A pair with d'(f(y), f(z)) = 0 (a snapped map
-    can send two ball vertices to one image vertex) is skipped and counted;
-    a ball with no pair left gets C_x = 0.
+    to outliers); L1 is the worst max(ratio/C_x, C_x/ratio) over
+    centers with C_x > 0.  A pair with d'(f(y), f(z)) = 0 is skipped and
+    counted; a ball with no pair left gets C_x = 0.
     """
     balls = _ball_sample(m, q, balls, n_balls, pts_per_ball, rng)
     src, img, _, _ = _ball_pair_matrices(m, balls)
     iu, ju = np.triu_indices(src.shape[1], k=1)
-    valid = balls.mask[:, iu] & balls.mask[:, ju]
-    ok = valid & (img[:, iu, ju] > 0)
+    ok = img[:, iu, ju] > 0
     ratios = np.where(ok, img[:, iu, ju] / np.where(ok, src[:, iu, ju], 1.0), np.nan)
     c_x = np.nanmedian(np.where(ok.any(axis=1)[:, None], ratios, 0.0), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         spread = np.maximum(ratios / c_x[:, None], c_x[:, None] / ratios)
     spread = np.where(ok & (c_x > 0)[:, None], spread, 1.0)
     return LocalBiLipschitzResult(float(spread.max(initial=1.0)), balls.centers, c_x,
-                                  int((valid & ~ok).sum()) + balls.n_skipped)
+                                  int((~ok).sum()))
 
 
 def estimate_local_quasisymmetry(
@@ -483,15 +420,14 @@ def estimate_local_quasisymmetry(
     # r[x, .] = d'(fx, f.) / d(x, .), so the P^3 scan reduces to P^2
     with np.errstate(divide="ignore", invalid="ignore"):
         r = img / src
-    P = src.shape[1]
-    valid = balls.mask[:, :, None] & balls.mask[:, None, :] & ~np.eye(P, dtype=bool)
+    valid = ~np.eye(src.shape[1], dtype=bool)
     finite = valid & np.isfinite(r)
     hi = np.where(finite, r, -np.inf).max(axis=2)
     lo = np.where(finite, r, np.inf).min(axis=2)
-    # a snapped map can send two vertices to one image vertex (lo = 0): no slope there
+    # a ball whose image collapses a pair (lo = 0) has no slope
     ok = np.isfinite(hi) & (lo > 0)
     slope = float((hi[ok] / lo[ok]).max(initial=1.0))
-    return EstimateResult(slope, int(finite.sum()), int((valid & ~finite).sum()) + balls.n_skipped)
+    return EstimateResult(slope, int(finite.sum()), int((valid & ~finite).sum()))
 
 
 def _qh_ratio_pairs(m: MappingPair, pairs):

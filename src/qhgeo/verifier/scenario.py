@@ -385,6 +385,7 @@ def _chk_metric_axioms(ctx, p, rng):
 def _chk_qh_calibration(ctx, p, rng):
     from .quadpack import segment_oracle  # no other check needs it: imported (and compiled) here
 
+    _require_samples(len(p["segments"]), "segments")
     name = p["domain"]
     domain, qh = ctx.domains[name]
     measured = {}

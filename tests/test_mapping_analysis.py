@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -183,22 +181,27 @@ class TestEstimatorMechanics:
         full = estimate_semisolid(m, (i, j)).value
         assert full >= small
 
-    def test_vertex_mode_identity(self):
+    @pytest.mark.parametrize("estimator, bilateral", [
+        (estimate_boundary_lipschitz, False), (estimate_boundary_lipschitz, True),
+        (estimate_relative, False), (estimate_relative, True),
+        (estimate_local_bilipschitz, None),
+        (estimate_local_quasisymmetry, False), (estimate_local_quasisymmetry, True),
+    ])
+    def test_ball_estimators_refuse_a_non_analytic_mapping(self, estimator, bilateral):
         side = make_side("disk", {"radius": 1.0}, 0.1)
         m = build_mapping(side, side, None, None)
         assert not m.analytic
-        rng = np.random.default_rng(0)
-        assert estimate_boundary_lipschitz(m, 0.5, n_balls=60, pts_per_ball=6, rng=rng).value == 1.0
-        assert estimate_relative(m, 0.5, n_balls=60, pts_per_ball=6, rng=rng).value == 1.0
-        lb = estimate_local_bilipschitz(m, 0.5, n_balls=60, pts_per_ball=6, rng=rng)
-        assert lb.l1 == 1.0
-        assert estimate_local_quasisymmetry(m, 0.5, n_balls=60, pts_per_ball=6, rng=rng).value == 1.0
+        kw = {} if bilateral is None else {"bilateral": bilateral}
+        with pytest.raises(ConfigurationError, match="analytic"):
+            estimator(m, 0.5, n_balls=60, pts_per_ball=6, rng=0, **kw)
 
-    def test_vertex_mode_radius_too_small_raises(self):
-        side = make_side("disk", {"radius": 1.0}, 0.1)
-        m = build_mapping(side, side, None, None)
-        with pytest.raises(ConfigurationError, match="refine"):
-            estimate_boundary_lipschitz(m, 0.01, n_balls=40, rng=np.random.default_rng(0))
+    def test_ball_sample_refuses_a_deformed_side(self):
+        from qhgeo import uniformize
+
+        d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.1), 2.0)
+        side = DeformedSide(uniformize(d, QuasihyperbolicMetric(d), 0, 0.3))
+        with pytest.raises(ConfigurationError, match=r"analytic \(shape-backed\) side"):
+            sample_balls(side, 0.5, 60, 6, 0)
 
     def test_degenerate_quadruples_skipped(self, automorphism):
         m = automorphism
@@ -248,84 +251,13 @@ class TestQuasimobiusOneQuery:
         assert n_quadruples > 0
 
 
-# Exact grid-ball ("vertex mode") outputs of the four ball estimators, recorded from
-# the per-ball reference implementation: (value, n_samples, n_skipped), and for local
-# biLipschitz (l1, centers, c_x, n_skipped).  A snapped map can send two vertices to
-# one image vertex; local biLipschitz skips such pairs (n_skipped counts them), and a
-# ball left with none gets c_x = 0.
-GRID_BALL_PINS = {
-    "snapped": {
-        "boundary_lipschitz": (2.874226525764396, 105, 7),
-        "relative": (2.2500000000000013, 34, 6),
-        "local_quasisymmetry": (2.8284271247461903, 394, 0),
-        "local_bilipschitz": (
-            2.0, [160, 36, 121, 51, 113, 37, 24, 13, 169, 72],
-            [1.4142135623730947, 0.6035533905932738, 0.7071067811865474, 0.6324555320336759,
-             1.0, 0.7071067811865476, 0.5771601883432528, 0.7071067811865475,
-             1.2747548783981961, 0.0],
-            51,
-        ),
-    },
-    "snapped_inverse": {
-        "boundary_lipschitz": (2.9935531555637533, 105, 7),
-        "relative": (2.191796260511249, 34, 6),
-        "local_quasisymmetry": (2.8284271247461907, 394, 0),
-        "local_bilipschitz": (
-            2.23606797749979, [160, 36, 121, 51, 113, 37, 24, 13, 169, 72],
-            [0.7071067811865477, 1.0000000000000002, 0.7071067811865478, 1.0,
-             0.7887031434188869, 1.0, 1.0, 1.5811388300841895, 0.49999999999999994,
-             1.0000000000000009],
-            21,
-        ),
-    },
-    "sphericalized_identity": {
-        "boundary_lipschitz": (1.516737321146161, 165, 3),
-        "relative": (1.291046674670229, 27, 6),
-        "local_quasisymmetry": (1.2328087058830266, 316, 2),
-        "local_bilipschitz": (
-            1.2029780425056191, [70, 66, 67, 107, 71, 41, 72, 47],
-            [0.24328675753467913, 0.2129156924495594, 0.22731269256084732,
-             0.34458025742759113, 0.23744792331101308, 0.18747412180168013,
-             0.24012917487176624, 0.20506866104132945],
-            4,
-        ),
-    },
-}
-
-
 @pytest.fixture(scope="module")
 def grid_mappings():
     d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.1), 2.0)
     k = QuasihyperbolicMetric(d)
-    side = DomainSide(d, k)
-    auto = builtin_mapping("disk_automorphism", {"a": [0.5, 0.0]}, side, side)
-    snapped = dataclasses.replace(auto, forward_fn=None, inverse_fn=None)
     space = sphericalize(d, d.boundary_coords[0], max_points=150, rng=0)
     identity = build_mapping(DomainSide(d, k, subset=space.active), DeformedSide(space), None, None)
-    return {"snapped": snapped, "snapped_inverse": snapped.inverse(),
-            "sphericalized_identity": identity}
-
-
-class TestGridBallPins:
-    @pytest.mark.parametrize("case", sorted(GRID_BALL_PINS))
-    def test_grid_ball_estimators_exact(self, grid_mappings, case):
-        m = grid_mappings[case]
-        pins = GRID_BALL_PINS[case]
-        assert not m.analytic
-        kw = {"n_balls": 12, "pts_per_ball": 6}
-        for name, est, seed in (("boundary_lipschitz", estimate_boundary_lipschitz, 1),
-                                ("relative", estimate_relative, 2),
-                                ("local_quasisymmetry", estimate_local_quasisymmetry, 3)):
-            r = est(m, 0.3, rng=seed, **kw)
-            assert (r.value, r.n_samples, r.n_skipped) == pins[name], name
-        lb = estimate_local_bilipschitz(m, 0.3, rng=4, **kw)
-        assert (lb.l1, lb.centers.tolist(), lb.c_x.tolist(), lb.n_skipped) == \
-            pins["local_bilipschitz"]
-        # some sampled ball holds fewer than pts_per_ball other vertices
-        tree = cKDTree(m.source.coords)
-        sizes = [len(tree.query_ball_point(m.source.coords[c], 0.3 * m.source.boundary_distance[c]))
-                 - 1 for c in lb.centers]
-        assert min(sizes) < kw["pts_per_ball"] < max(sizes)
+    return {"sphericalized_identity": identity}
 
 
 class TestOneTreePerPointSet:
@@ -345,31 +277,27 @@ class TestOneTreePerPointSet:
 
     def test_whole_sides_share_the_domain_vertex_tree(self, monkeypatch):
         from qhgeo import uniformize
-        from qhgeo.mapping_analysis import _grid_balls
+        from qhgeo.views import rows_per_block
 
         d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.1), 2.0)
         k = QuasihyperbolicMetric(d)
         built = self.counted_trees(monkeypatch)
         side, deformed = DomainSide(d, k), DeformedSide(uniformize(d, k, 0, 0.3))
-        pts = d.coords[:5] + 0.01
-        assert side.nearest_vertex(pts).tolist() == deformed.nearest_vertex(pts).tolist() \
-            == d.nearest_vertex(pts).tolist() == cKDTree(d.coords).query(pts)[1].tolist()
-        first = _grid_balls(side, 0.3, 12, 6, rng=1)
-        again = _grid_balls(side, 0.3, 12, 6, rng=1)
-        assert first.idx.tolist() == again.idx.tolist()
-        assert side.tree() is deformed.tree() is d.vertex_tree()
+        # more points than the brute-force snap settles: they go to the vertex tree
+        pts = np.resize(d.coords, (rows_per_block(d.n) + 1, 2)) + 0.01
+        expected = cKDTree(d.coords).query(pts)[1].tolist()
+        assert side.nearest_vertex(pts).tolist() == expected
+        assert deformed.nearest_vertex(pts).tolist() == expected
         assert built == [d.n]  # the domain's tree (the reference above is not counted)
 
     def test_subset_side_builds_its_own_tree_once(self, monkeypatch):
-        from qhgeo.mapping_analysis import _grid_balls
-
         d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.1), 2.0)
         subset = np.arange(0, d.n, 3)
         built = self.counted_trees(monkeypatch)
         side = DomainSide(d, QuasihyperbolicMetric(d), subset=subset)
         assert side.nearest_vertex(d.coords[subset[4]]).tolist() == [4]
-        _grid_balls(side, 0.3, 12, 6, rng=1)
-        assert side.tree() is not d._kdtree and built == [len(subset)]
+        assert side.nearest_vertex(d.coords[subset[7]]).tolist() == [7]
+        assert built == [len(subset)] and side._tree is not d._kdtree
 
     @pytest.mark.parametrize("imported", [False, True])
     def test_boundary_tree_is_the_one_the_build_queried(self, monkeypatch, imported):

@@ -563,6 +563,7 @@ class TestMappingValidation:
 # them; the checks are called directly so that the guard behind it is tested too)
 EMPTY_SAMPLE_CASES = {
     "metric_axioms": {"space": "qh:disk", "triples": 0},
+    "qh_calibration": {"domain": "disk"},
     "distance_vs_qh_bounds": {"domain": "disk", "pairs": 0},
     "ball_containment": {"domain": "disk", "centers": 0},
     "gromov_basepoint_identity": {"space": "qh:disk", "tuples": 0},
