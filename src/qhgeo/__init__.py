@@ -39,7 +39,6 @@ from .deformations import (
     verify_deformation_comparability,
 )
 from .mapping_analysis import (
-    DeformedSide,
     DomainSide,
     MappingPair,
     build_mapping,

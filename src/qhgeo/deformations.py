@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .mapping_analysis import QuasimobiusResult, quasimobius_slope
+from .mapping_analysis import EstimateResult, QuasimobiusResult, qh_bilipschitz, quasimobius_slope
 from .metric_core import DomainSample
 from .quasihyperbolic import QuasihyperbolicMetric, quasihyperbolic_view
 from .sampling import distinct_pairs, pool_indices, tuple_sample_from_pool
@@ -244,6 +244,32 @@ def basepoint_change_distortion(
         pool = pool_indices(space0.n, pool_size, rng)
         quadruples = pool[tuple_sample_from_pool(len(pool), n_quadruples, 4, rng)]
     return quasimobius_slope(space0.pairs, space1.pairs, quadruples)
+
+
+def sphericalization_quasimobius(space: SphericalizedSpace, n_quadruples: int = 1000, rng=None,
+                                 pool_size: int = 64) -> QuasimobiusResult:
+    """Linear quasimobius slope of the identity from the base domain onto its
+    sphericalization: ``quasimobius_slope`` from the Euclidean metric to the chain metric,
+    over quadruples of active positions drawn from a pool.
+    """
+    _require_kind("sphericalize", "sphericalization_quasimobius", space)
+    rng = np.random.default_rng(rng)
+    pool = pool_indices(space.n, pool_size, rng)
+    quadruples = pool[tuple_sample_from_pool(len(pool), n_quadruples, 4, rng)]
+    act = space.active
+    return quasimobius_slope(lambda i, j: space.domain.ambient_distance(act[i], act[j]),
+                             space.pairs, quadruples)
+
+
+def sphericalization_qh_distortion(space: SphericalizedSpace, k: QuasihyperbolicMetric,
+                                   pairs) -> EstimateResult:
+    """Two-sided quasihyperbolic distortion of the identity from the base domain, with its
+    quasihyperbolic metric ``k``, onto its sphericalization, on pairs of active positions.
+    """
+    _require_kind("sphericalize", "sphericalization_qh_distortion", space)
+    act, qh = space.active, space.qh_view()
+    return qh_bilipschitz(lambda i, j: k.pairs(act[i], act[j]),
+                          lambda i, j: qh.pairs(act[i], act[j]), pairs)
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,14 @@
 
 Every estimator reports a sampled maximum, i.e. a lower bound of the true
 constant; comparison checks against predicted constants are therefore
-one-sided.  Built-in analytic maps are evaluated exactly at off-lattice
-points; only quasihyperbolic queries go through grid snapping, whose
-error is absorbed by the verification slack.
+one-sided.  A mapping is an analytic map between two ``DomainSide``s,
+evaluated exactly at off-lattice points; only quasihyperbolic queries go
+through grid snapping, whose error is absorbed by the verification slack.
 
 The four ball estimators (boundary Lipschitz, relative slope, local
 biLipschitz, local quasisymmetry) share one ``BallSample`` of continuum
-points, which needs an analytic map; ``_ball_pair_matrices`` turns it
-into (B, P, P) distance tensors, so each estimator has a single body.
+points; ``_ball_pair_matrices`` turns it into (B, P, P) distance tensors,
+so each estimator has a single body.
 """
 
 from __future__ import annotations
@@ -20,138 +20,54 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .metric_core import DomainSample, kd_tree, nearest_in
+from .metric_core import DomainSample
 from .quasihyperbolic import QuasihyperbolicMetric
 from .sampling import distinct_pairs, pool_indices, tuple_sample_from_pool
-from .views import EuclideanView, MetricView, built_once, euclidean_table
+from .views import euclidean_table
 
 
-class _ReindexedView(MetricView):
-    """View over a subset of another view's index space."""
+class DomainSide:
+    """One side of a mapping: every vertex of a domain, with the Euclidean ambient metric.
 
-    def __init__(self, base: MetricView, index: np.ndarray):
-        self.base = base
-        self.index = np.asarray(index, dtype=np.intp)
-
-    @property
-    def n(self):
-        return len(self.index)
-
-    def rows(self, sources):
-        sources = np.asarray(sources, dtype=np.intp)
-        return self.base.rows(self.index[sources])[:, self.index]
-
-    def pairs(self, i, j):
-        return self.base.pairs(self.index[np.asarray(i, np.intp)], self.index[np.asarray(j, np.intp)])
-
-    def submatrix(self, idx):
-        """The base's ``submatrix`` of the pool, in blocks of rows as wide as the base's."""
-        return self.base.submatrix(self.index[np.asarray(idx, np.intp)])
-
-
-def _restricted(view: MetricView, index) -> MetricView:
-    """``view`` on the points ``index`` of its index space; ``slice(None)`` keeps all."""
-    return view if isinstance(index, slice) else _ReindexedView(view, index)
-
-
-class SpaceSide:
-    """One side of a mapping: point set, ambient metric, boundary data.
-
-    Subclasses set ``domain``, the grid domain sample the points come from,
-    and pass it as ``whole`` when the points are all its vertices: points then snap
-    by its ``nearest_vertex``, and its k-d tree is shared.
+    Points snap by the domain's ``nearest_vertex`` (its one k-d tree), and boundary
+    distances are the domain's, at vertices and at arbitrary points.  ``metric`` is the
+    domain's quasihyperbolic metric, or None when the side carries none.
     """
 
-    supports_continuum = False
-
-    def __init__(self, coords, ambient, boundary_distance, qh=None, whole=None):
-        self.coords = np.asarray(coords, float)
-        self.ambient = ambient
-        self.boundary_distance = np.asarray(boundary_distance, float)
-        self.qh = qh
-        self._whole = whole
-        self._tree = None
-
-    @property
-    def n(self):
-        return len(self.coords)
-
-    def nearest_vertex(self, points):
-        if self._whole is not None:
-            return self._whole.nearest_vertex(points)
-        tree = built_once(self, "_tree", lambda: kd_tree(self.coords))
-        return nearest_in(tree, np.atleast_2d(np.asarray(points, float)))
-
-    def boundary_distance_at(self, points):
-        raise ConfigurationError("this space supports only vertex-sampled queries")
-
-    @property
-    def resolution(self):
-        return self.domain.resolution
-
-
-class DomainSide(SpaceSide):
-    """Plain shape-backed domain: Euclidean ambient, analytic continuum data.
-
-    ``metric`` is the domain's quasihyperbolic metric itself (on the whole
-    domain, also for a subset side); ``qh`` is its view on the side's points.
-    """
-
-    supports_continuum = True
-
-    def __init__(self, domain: DomainSample, qh: QuasihyperbolicMetric | None = None, subset=None):
+    def __init__(self, domain: DomainSample, qh: QuasihyperbolicMetric | None = None):
         self.domain = domain
         self.metric = qh
-        index = slice(None) if subset is None else np.asarray(subset, dtype=np.intp)
-        qh_view = None if qh is None else _restricted(qh.view(), index)
-        coords = domain.coords[index]
-        super().__init__(coords, EuclideanView(coords), domain.boundary_distance[index], qh_view,
-                         whole=domain if subset is None else None)
+        self.coords = domain.coords
+        self.ambient = domain.ambient_view()
+        self.boundary_distance = domain.boundary_distance
+        self.resolution = domain.resolution
+        self.nearest_vertex = domain.nearest_vertex
+        self.boundary_distance_at = domain.boundary_distance_at
+        self.n = domain.n
 
-    def boundary_distance_at(self, points):
-        return self.domain.boundary_distance_at(points)
-
-
-class DeformedSide(SpaceSide):
-    """Deformed space as a mapping side (vertex-sampled only)."""
-
-    supports_continuum = False
-
-    def __init__(self, space):
-        # a sphericalization's metric lives on its active vertices only
-        index = space.active if space.kind == "sphericalize" else slice(None)
-        super().__init__(space.domain.coords[index], space.metric_view(),
-                         space.boundary_distance()[index], _restricted(space.qh_view(), index),
-                         whole=None if space.kind == "sphericalize" else space.domain)
-        self.space = space
-        self.domain = space.domain
+    def qh_pairs(self, i, j) -> np.ndarray:
+        if self.metric is None:
+            raise ConfigurationError("a mapping side carries no quasihyperbolic metric")
+        return self.metric.pairs(i, j)
 
 
 @dataclass
 class MappingPair:
-    """Sampled homeomorphism with forward/inverse lookup.
+    """Sampled homeomorphism between two domain sides.
 
-    ``forward_fn``/``inverse_fn`` evaluate the analytic map on (m, 2)
-    coordinate arrays when available; ``forward_idx``/``inverse_idx`` are
-    the grid-snapped correspondences used for quasihyperbolic queries.
+    ``forward_fn``/``inverse_fn`` evaluate the analytic map and its inverse
+    on (m, 2) coordinate arrays; ``forward_idx``/``inverse_idx`` are the
+    grid-snapped correspondences used for quasihyperbolic queries.
     """
 
-    source: SpaceSide
-    target: SpaceSide
+    source: DomainSide
+    target: DomainSide
     forward_idx: np.ndarray
     inverse_idx: np.ndarray
-    forward_fn: object | None = None
-    inverse_fn: object | None = None
+    forward_fn: object
+    inverse_fn: object
     roundtrip_error: float = 0.0
     snap_error: float = 0.0
-
-    @property
-    def analytic(self) -> bool:
-        return (
-            self.forward_fn is not None
-            and self.source.supports_continuum
-            and self.target.supports_continuum
-        )
 
     def inverse(self) -> "MappingPair":
         return MappingPair(
@@ -166,52 +82,43 @@ class MappingPair:
         )
 
     def image_coords(self, idx) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.intp)
-        if self.analytic:
-            return self.forward_fn(self.source.coords[idx])
-        return self.target.coords[self.forward_idx[idx]]
+        return self.forward_fn(self.source.coords[np.asarray(idx, dtype=np.intp)])
 
     def image_distance(self, i, j) -> np.ndarray:
         """d'(f(x_i), f(x_j)) for vertex index arrays."""
-        if self.analytic:
-            a = self.image_coords(i)
-            b = self.image_coords(j)
-            return np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
-        return self.target.ambient.pairs(
-            self.forward_idx[np.asarray(i, np.intp)], self.forward_idx[np.asarray(j, np.intp)]
-        )
+        a = self.image_coords(i)
+        b = self.image_coords(j)
+        return np.hypot(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
 
     def image_boundary_distance(self, idx) -> np.ndarray:
-        if self.analytic:
-            return self.target.boundary_distance_at(self.image_coords(idx))
-        return self.target.boundary_distance[self.forward_idx[np.asarray(idx, np.intp)]]
+        return self.target.boundary_distance_at(self.image_coords(idx))
 
     def image_qh_pairs(self, i, j) -> np.ndarray:
-        if self.target.qh is None:
-            raise ConfigurationError("target side carries no quasihyperbolic metric")
-        return self.target.qh.pairs(
+        return self.target.qh_pairs(
             self.forward_idx[np.asarray(i, np.intp)], self.forward_idx[np.asarray(j, np.intp)]
         )
 
 
-def build_mapping(
-    source: SpaceSide,
-    target: SpaceSide,
-    forward_fn=None,
-    inverse_fn=None,
-) -> MappingPair:
+def build_mapping(source: DomainSide, target: DomainSide, forward_fn, inverse_fn) -> MappingPair:
     """Snap an analytic homeomorphism to the two grids.
 
-    Records a round-trip diagnostic (max |f^-1(f(x)) - x| over source
-    vertices) instead of enforcing exact bijectivity.
+    Raises ConfigurationError naming the first vertex that the map sends outside the
+    target domain, or its inverse outside the source domain; an imported graph has no
+    geometry to test against, so its side is not tested.  Records a round-trip
+    diagnostic (max |f^-1(f(x)) - x| over source vertices) instead of enforcing exact
+    bijectivity.
     """
-    if forward_fn is None:
-        if source.n != target.n:
-            raise ConfigurationError("vertex-level identity requires equal vertex counts")
-        idx = np.arange(source.n, dtype=np.intp)
-        return MappingPair(source, target, idx, idx.copy(), None, None)
     fwd_img = np.asarray(forward_fn(source.coords), float)
     inv_img = np.asarray(inverse_fn(target.coords), float)
+    for direction, side, img, start, end in (("forward", target, fwd_img, "source", "target"),
+                                             ("inverse", source, inv_img, "target", "source")):
+        if side.domain.geometry is None:  # an imported graph
+            continue
+        outside = np.flatnonzero(~side.domain.contains(img))
+        if len(outside):
+            x, y = img[outside[0]]
+            raise ConfigurationError(f"the {direction} map sends {start} vertex {outside[0]} to "
+                                     f"({x:.6g}, {y:.6g}), outside the {end} domain")
     forward_idx = np.asarray(target.nearest_vertex(fwd_img), dtype=np.intp)
     inverse_idx = np.asarray(source.nearest_vertex(inv_img), dtype=np.intp)
     back = np.asarray(inverse_fn(fwd_img), float)
@@ -248,12 +155,10 @@ class BallSample:
     points: np.ndarray           # (B, P, 2) coordinates, slot 0 = center
 
 
-def sample_balls(side: SpaceSide, q: float, n_balls: int, pts_per_ball: int, rng) -> BallSample:
+def sample_balls(side: DomainSide, q: float, n_balls: int, pts_per_ball: int, rng) -> BallSample:
     """Continuum sample of boundary-proportional balls B(x, q d_G(x))."""
     if not (0.0 < q < 1.0):
         raise ConfigurationError("ball radius factor must lie in (0, 1)")
-    if not side.supports_continuum:
-        raise ConfigurationError("continuum ball sampling needs an analytic (shape-backed) side")
     rng = np.random.default_rng(rng)
     centers = rng.permutation(side.n)[: min(n_balls, side.n)]
     radii = q * side.boundary_distance[centers]
@@ -278,8 +183,6 @@ def _ball_pair_matrices(m: MappingPair, balls: BallSample):
     """Source and image distance tensors (B, P, P) of a sample, measured on
     coordinates, and the boundary distances d_G(x) and d_G'(f(x)) of its centers.
     """
-    if not m.analytic:
-        raise ConfigurationError("continuum ball samples need an analytic mapping")
     pts = balls.points
     img_pts = m.forward_fn(pts.reshape(-1, 2)).reshape(pts.shape)
     src, img = euclidean_table(pts, pts), euclidean_table(img_pts, img_pts)
@@ -432,11 +335,7 @@ def estimate_local_quasisymmetry(
 
 def _qh_ratio_pairs(m: MappingPair, pairs):
     i, j, skipped = distinct_pairs(pairs)
-    if m.source.qh is None or m.target.qh is None:
-        raise ConfigurationError("both sides need quasihyperbolic metrics for this estimator")
-    k_src = m.source.qh.pairs(i, j)
-    k_img = m.image_qh_pairs(i, j)
-    return i, j, k_src, k_img, skipped
+    return i, j, m.source.qh_pairs(i, j), m.image_qh_pairs(i, j), skipped
 
 
 def estimate_semisolid(m: MappingPair, pairs) -> EstimateResult:
@@ -449,7 +348,15 @@ def estimate_semisolid(m: MappingPair, pairs) -> EstimateResult:
 
 def estimate_qh_bilipschitz(m: MappingPair, pairs) -> EstimateResult:
     """Two-sided quasihyperbolic distortion M = max(k'/k, k/k')."""
-    _, _, k_src, k_img, skipped = _qh_ratio_pairs(m, pairs)
+    return qh_bilipschitz(m.source.qh_pairs, m.image_qh_pairs, pairs)
+
+
+def qh_bilipschitz(source_pairs, image_pairs, pairs) -> EstimateResult:
+    """M = max(k'/k, k/k') over the distinct ``pairs`` of a map with quasihyperbolic pair
+    distances ``source_pairs(i, j)`` before it and ``image_pairs(i, j)`` after it; a pair
+    with k = 0 or k' = 0 is skipped, and counted."""
+    i, j, skipped = distinct_pairs(pairs)
+    k_src, k_img = source_pairs(i, j), image_pairs(i, j)
     ok = (k_src > 0) & (k_img > 0)
     ratio = k_img[ok] / k_src[ok]
     value = float(max(ratio.max(initial=0.0), (1.0 / ratio).max(initial=0.0)))
@@ -631,7 +538,7 @@ def _euclid_diameter(coords) -> float:
     return float(euclidean_table(hull, hull).max())
 
 
-def is_unbounded_truncation(side: SpaceSide) -> bool:
+def is_unbounded_truncation(side: DomainSide) -> bool:
     """True when the side's domain is a finite truncation of an unbounded shape."""
     shape = side.domain.shape
     return shape is not None and shape.kind in (
@@ -702,8 +609,8 @@ def sample_qh_pairs(
     sources = rng.choice(candidates, size=min(n_sources, len(candidates)), replace=False)
     i, j, _ = distinct_pairs((rng.choice(sources, size=n_pairs),
                               rng.choice(candidates, size=n_pairs)))
-    if min_qh > 0 and m.source.qh is not None and len(i):
-        k = m.source.qh.pairs(i, j)
+    if min_qh > 0 and m.source.metric is not None and len(i):
+        k = m.source.qh_pairs(i, j)
         floor = min_qh
         if not np.any(k >= floor):
             # the requested floor exceeds the sampled range: keep the top half

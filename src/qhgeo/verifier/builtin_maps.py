@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..mapping_analysis import MappingPair, SpaceSide, build_mapping
+from ..mapping_analysis import DomainSide, MappingPair, build_mapping
 from ..validation import read_params
 
 # each map id's parameters with their defaults: a float one is a number, a complex one a
@@ -52,8 +52,8 @@ def map_params(map_id: str, params: dict, path: str = "params") -> dict:
 def builtin_mapping(
     map_id: str,
     params: dict,
-    source: SpaceSide,
-    target: SpaceSide,
+    source: DomainSide,
+    target: DomainSide,
 ) -> MappingPair:
     """Instantiate a built-in map and snap it to the two grids."""
     p = map_params(map_id, params or {})

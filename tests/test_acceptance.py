@@ -33,8 +33,9 @@ from qhgeo import (
     verify_deformation_comparability,
     verify_qh_distance_bounds,
 )
+from qhgeo.deformations import sphericalization_qh_distortion, sphericalization_quasimobius
 from qhgeo.hyperbolicity import basepoint_identity_residuals
-from qhgeo.mapping_analysis import DeformedSide, build_mapping, sample_balls, sample_qh_pairs
+from qhgeo.mapping_analysis import build_mapping, sample_balls, sample_qh_pairs
 from qhgeo.sampling import check_metric_axioms, pair_sample, pool_indices, tuple_sample_from_pool
 from qhgeo.verifier.builtin_maps import builtin_mapping
 from qhgeo.verifier.scenario import report_to_json_bytes, run_scenario
@@ -229,14 +230,12 @@ def test_criterion_07_comparability_drift(capsys):
 def test_criterion_08_sphericalization_distortion(sphericalized_punctured, capsys):
     d, k, space = sphericalized_punctured
     rng = np.random.default_rng(SEED + 8)
-    src = DomainSide(d, k, subset=space.active)
-    tgt = DeformedSide(space)
-    identity = build_mapping(src, tgt, None, None)
-    qm = estimate_quasimobius(identity, n_quadruples=1000, rng=rng, pool_size=64)
+    qm = sphericalization_quasimobius(space, n_quadruples=1000, rng=rng, pool_size=64)
     env = sphericalization_envelope(space, pair_sample(space.n, 1000, rng, n_sources=24))
     upairs = pair_sample(d.n, 160, rng, n_sources=20)
     a_meas = estimate_uniformity(d, k, upairs).constant_a
-    m_hat = estimate_qh_bilipschitz(identity, pair_sample(src.n, 1000, rng, n_sources=20))
+    m_hat = sphericalization_qh_distortion(space, k, pair_sample(space.n, 1000, rng,
+                                                                 n_sources=20))
     ok = qm.slope <= 16.0 * SLACK and m_hat.value <= 80.0 * a_meas * SLACK and env.passed
     verdict(capsys, 8, ok,
             f"qm slope {qm.slope:.3f} <= {16*SLACK:.1f}; M {m_hat.value:.2f} <= "

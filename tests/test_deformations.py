@@ -24,6 +24,7 @@ from qhgeo import (
     verify_deformation_comparability,
 )
 from qhgeo import views
+from qhgeo.deformations import sphericalization_qh_distortion, sphericalization_quasimobius
 from qhgeo.sampling import check_metric_axioms, pair_sample, pool_indices, tuple_sample_from_pool
 from qhgeo.verifier.scenario import ScenarioContext
 
@@ -319,6 +320,16 @@ class TestKindGuards:
                            "sphericalize deformation, not a uniformize"):
             sphericalization_envelope(u, ([0, 1], [2, 3]))
 
+    @pytest.mark.parametrize("measure, args", [
+        (sphericalization_quasimobius, {"n_quadruples": 10, "rng": 1}),
+        (sphericalization_qh_distortion, {"k": None, "pairs": ([0, 1], [2, 3])}),
+    ])
+    def test_identity_measurements_need_a_sphericalized_space(self, spaces, measure, args):
+        u, _ = spaces
+        with pytest.raises(ConfigurationError, match=f"{measure.__name__} needs a "
+                           "sphericalize deformation, not a uniformize"):
+            measure(u, **args)
+
     def test_comparability_needs_a_uniformized_space(self, spaces):
         _, s = spaces
         with pytest.raises(ConfigurationError, match="verify_deformation_comparability needs a "
@@ -400,3 +411,49 @@ class TestBasepointChange:
         u1 = uniformize(d, k, w, 0.3)
         with pytest.raises(ConfigurationError, match="epsilon"):
             basepoint_change_distortion(u0, u1, n_quadruples=10)
+
+
+class TestSphericalizationIdentity:
+    """The identity from a domain onto its sphericalization, measured on active positions,
+    against references read from whole rows."""
+
+    @pytest.fixture(scope="class")
+    def pack(self):
+        from qhgeo import QuasihyperbolicMetric
+
+        d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.1), 2.0)
+        space = sphericalize(d, d.boundary_coords[0], max_points=150, rng=0)
+        assert space.n < d.n  # the active positions are a strict subset of the vertices
+        return d, QuasihyperbolicMetric(d), space
+
+    def test_quasimobius_slope_equals_the_whole_table_reference(self, pack):
+        d, _, space = pack
+        got = sphericalization_quasimobius(space, n_quadruples=400,
+                                           rng=np.random.default_rng(3), pool_size=24)
+        rng = np.random.default_rng(3)
+        pool = pool_indices(space.n, 24, rng)
+        x, y, z, w = pool[tuple_sample_from_pool(len(pool), 400, 4, rng)].T
+        pts = d.coords[space.active]
+        euclid = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
+        chain = space.metric_view().rows(np.arange(space.n))
+        cross = []
+        for table in (euclid, chain):
+            area, scale = table[x, y] * table[z, w], max(table[x, y].max(), table[x, z].max())
+            cross.append((table[x, z] * table[y, w], area, area > 1e-9 * scale**2))
+        ok = cross[0][2] & cross[1][2]
+        ratio = (cross[1][0][ok] / cross[1][1][ok]) / (cross[0][0][ok] / cross[0][1][ok])
+        assert got.n_quadruples == ok.sum() > 0 and got.n_skipped == (~ok).sum()
+        assert got.slope == ratio.max()
+
+    def test_qh_distortion_equals_the_whole_row_reference(self, pack):
+        d, k, space = pack
+        i, j = pair_sample(space.n, 300, np.random.default_rng(4), n_sources=10)
+        i[:5] = j[:5]  # coincident pairs are dropped and counted
+        got = sphericalization_qh_distortion(space, k, (i, j))
+        keep = i != j
+        src, img = space.active[i[keep]], space.active[j[keep]]
+        k_src = k.rows(src)[np.arange(len(src)), img]
+        k_img = space.qh_view().rows(src)[np.arange(len(src)), img]
+        ratio = k_img / k_src
+        assert (got.n_samples, got.n_skipped) == (int(keep.sum()), 5)
+        assert got.value == max(ratio.max(), (1.0 / ratio).max())

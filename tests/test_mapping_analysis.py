@@ -4,7 +4,6 @@ from scipy.spatial import cKDTree
 
 from qhgeo import (
     ConfigurationError,
-    DeformedSide,
     DomainSide,
     QuasihyperbolicMetric,
     ShapeSpec,
@@ -20,14 +19,14 @@ from qhgeo import (
     estimate_semisolid,
     sphericalize,
 )
+from qhgeo.deformations import sphericalization_quasimobius
 from qhgeo.mapping_analysis import (
     MappingPair,
     build_mapping,
     sample_balls,
     sample_qh_pairs,
-    sample_quadruples,
 )
-from qhgeo.sampling import pair_sample
+from qhgeo.sampling import pair_sample, pool_indices, tuple_sample_from_pool
 from qhgeo.verifier.builtin_maps import builtin_mapping
 from qhgeo.views import DenseChainView
 
@@ -173,6 +172,36 @@ class TestAutomorphismDistortion:
         assert abs(slope - 1.0) <= 1e-9
 
 
+class TestImagesInsideTheirDomain:
+    """``build_mapping`` refuses a map whose images leave the domain they must lie in."""
+
+    @staticmethod
+    def shift(dx):
+        return lambda pts: np.atleast_2d(np.asarray(pts, float)) + [dx, 0.0]
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_a_vertex_sent_outside_raises_naming_it(self, direction):
+        side = make_side("disk", {"radius": 1.0}, 0.1)
+        # every vertex leaves the disk, so the first one is named
+        fns = (self.shift(3.0), self.shift(0.0))
+        start, end = "source", "target"
+        if direction == "inverse":
+            fns, start, end = fns[::-1], end, start
+        x, y = side.coords[0] + [3.0, 0.0]
+        with pytest.raises(ConfigurationError, match=(
+                rf"^the {direction} map sends {start} vertex 0 to \({x:.6g}, {y:.6g}\), "
+                rf"outside the {end} domain$")):
+            build_mapping(side, side, *fns)
+
+    def test_an_imported_graph_is_not_tested(self):
+        from qhgeo import domain_from_length_graph
+
+        d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.1), 2.0)
+        side = DomainSide(domain_from_length_graph(d.coords, d.graph.edges, d.boundary_coords))
+        m = build_mapping(side, side, self.shift(3.0), self.shift(-3.0))
+        assert m.snap_error > 2.0  # snapped, with no geometry to test the images against
+
+
 class TestEstimatorMechanics:
     def test_monotone_in_sample(self, automorphism, rng):
         m = automorphism
@@ -181,28 +210,6 @@ class TestEstimatorMechanics:
         full = estimate_semisolid(m, (i, j)).value
         assert full >= small
 
-    @pytest.mark.parametrize("estimator, bilateral", [
-        (estimate_boundary_lipschitz, False), (estimate_boundary_lipschitz, True),
-        (estimate_relative, False), (estimate_relative, True),
-        (estimate_local_bilipschitz, None),
-        (estimate_local_quasisymmetry, False), (estimate_local_quasisymmetry, True),
-    ])
-    def test_ball_estimators_refuse_a_non_analytic_mapping(self, estimator, bilateral):
-        side = make_side("disk", {"radius": 1.0}, 0.1)
-        m = build_mapping(side, side, None, None)
-        assert not m.analytic
-        kw = {} if bilateral is None else {"bilateral": bilateral}
-        with pytest.raises(ConfigurationError, match="analytic"):
-            estimator(m, 0.5, n_balls=60, pts_per_ball=6, rng=0, **kw)
-
-    def test_ball_sample_refuses_a_deformed_side(self):
-        from qhgeo import uniformize
-
-        d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.1), 2.0)
-        side = DeformedSide(uniformize(d, QuasihyperbolicMetric(d), 0, 0.3))
-        with pytest.raises(ConfigurationError, match=r"analytic \(shape-backed\) side"):
-            sample_balls(side, 0.5, 60, 6, 0)
-
     def test_degenerate_quadruples_skipped(self, automorphism):
         m = automorphism
         quad = np.array([[1, 1, 2, 3], [4, 5, 6, 7]])
@@ -210,13 +217,13 @@ class TestEstimatorMechanics:
         assert report.n_skipped == 1 and report.n_quadruples == 1
 
 
-def reference_quasimobius(m, quadruples):
-    """The four-call form of ``estimate_quasimobius``: one query per distance pair."""
+def reference_quasimobius(source_pairs, image_pairs, quadruples):
+    """The four-call form of ``quasimobius_slope``: one query per distance pair."""
     x, y, z, w = (quadruples[:, c] for c in range(4))
-    d_xy, d_zw = m.source.ambient.pairs(x, y), m.source.ambient.pairs(z, w)
-    d_xz, d_yw = m.source.ambient.pairs(x, z), m.source.ambient.pairs(y, w)
-    i_xy, i_zw = m.image_distance(x, y), m.image_distance(z, w)
-    i_xz, i_yw = m.image_distance(x, z), m.image_distance(y, w)
+    d_xy, d_zw = source_pairs(x, y), source_pairs(z, w)
+    d_xz, d_yw = source_pairs(x, z), source_pairs(y, w)
+    i_xy, i_zw = image_pairs(x, y), image_pairs(z, w)
+    i_xz, i_yw = image_pairs(x, z), image_pairs(y, w)
     scale_src = max(d_xy.max(initial=0.0), d_xz.max(initial=0.0))
     scale_img = max(i_xy.max(initial=0.0), i_xz.max(initial=0.0))
     ok = (d_xy * d_zw > 1e-9 * scale_src**2) & (i_xy * i_zw > 1e-9 * scale_img**2)
@@ -228,10 +235,13 @@ def reference_quasimobius(m, quadruples):
 
 
 class TestQuasimobiusOneQuery:
-    def test_chain_rows_once_per_source_and_values_unchanged(self, grid_mappings, monkeypatch):
-        m = grid_mappings["sphericalized_identity"]
-        quad = sample_quadruples(m, 300, 6, pool_size=16)
-        chain = m.target.ambient
+    def test_chain_rows_once_per_source_and_values_unchanged(self, monkeypatch):
+        d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.1), 2.0)
+        space = sphericalize(d, d.boundary_coords[0], max_points=150, rng=0)
+        rng = np.random.default_rng(6)
+        pool = pool_indices(space.n, 16, rng)
+        quad = pool[tuple_sample_from_pool(len(pool), 300, 4, rng)]
+        chain = space.metric_view()
         assert isinstance(chain, DenseChainView)
         computed = []
         single_source = chain._single_source
@@ -241,23 +251,16 @@ class TestQuasimobiusOneQuery:
             return single_source(source)
 
         monkeypatch.setattr(chain, "_single_source", counted)
-        got = estimate_quasimobius(m, quadruples=quad)
-        sources = m.forward_idx[np.concatenate([quad[:, 0], quad[:, 2], quad[:, 1]])]
+        got = sphericalization_quasimobius(space, 300, np.random.default_rng(6), pool_size=16)
+        sources = np.concatenate([quad[:, 0], quad[:, 2], quad[:, 1]])
         assert sorted(computed) == sorted(set(sources.tolist()))
-        slope, cr, cr_img, n_quadruples, n_skipped = reference_quasimobius(m, quad)
+        act = space.active
+        slope, cr, cr_img, n_quadruples, n_skipped = reference_quasimobius(
+            lambda i, j: d.ambient_distance(act[i], act[j]), chain.pairs, quad)
         assert got.slope == slope and np.array_equal(got.source_cross_ratios, cr)
         assert np.array_equal(got.image_cross_ratios, cr_img)
         assert (got.n_quadruples, got.n_skipped) == (n_quadruples, n_skipped)
         assert n_quadruples > 0
-
-
-@pytest.fixture(scope="module")
-def grid_mappings():
-    d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.1), 2.0)
-    k = QuasihyperbolicMetric(d)
-    space = sphericalize(d, d.boundary_coords[0], max_points=150, rng=0)
-    identity = build_mapping(DomainSide(d, k, subset=space.active), DeformedSide(space), None, None)
-    return {"sphericalized_identity": identity}
 
 
 class TestOneTreePerPointSet:
@@ -265,39 +268,30 @@ class TestOneTreePerPointSet:
 
     @staticmethod
     def counted_trees(monkeypatch):
-        from qhgeo import mapping_analysis, metric_core
+        from qhgeo import metric_core
 
         built = []
-        for module in (metric_core, mapping_analysis):
-            def make(points, _make=module.kd_tree):
-                built.append(len(points))
-                return _make(points)
-            monkeypatch.setattr(module, "kd_tree", make)
+        make = metric_core.kd_tree
+
+        def counted(points):
+            built.append(len(points))
+            return make(points)
+
+        monkeypatch.setattr(metric_core, "kd_tree", counted)
         return built
 
     def test_whole_sides_share_the_domain_vertex_tree(self, monkeypatch):
-        from qhgeo import uniformize
         from qhgeo.views import rows_per_block
 
         d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.1), 2.0)
-        k = QuasihyperbolicMetric(d)
         built = self.counted_trees(monkeypatch)
-        side, deformed = DomainSide(d, k), DeformedSide(uniformize(d, k, 0, 0.3))
+        side, other = DomainSide(d, QuasihyperbolicMetric(d)), DomainSide(d)
         # more points than the brute-force snap settles: they go to the vertex tree
         pts = np.resize(d.coords, (rows_per_block(d.n) + 1, 2)) + 0.01
         expected = cKDTree(d.coords).query(pts)[1].tolist()
         assert side.nearest_vertex(pts).tolist() == expected
-        assert deformed.nearest_vertex(pts).tolist() == expected
+        assert other.nearest_vertex(pts).tolist() == expected
         assert built == [d.n]  # the domain's tree (the reference above is not counted)
-
-    def test_subset_side_builds_its_own_tree_once(self, monkeypatch):
-        d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.1), 2.0)
-        subset = np.arange(0, d.n, 3)
-        built = self.counted_trees(monkeypatch)
-        side = DomainSide(d, QuasihyperbolicMetric(d), subset=subset)
-        assert side.nearest_vertex(d.coords[subset[4]]).tolist() == [4]
-        assert side.nearest_vertex(d.coords[subset[7]]).tolist() == [7]
-        assert built == [len(subset)] and side._tree is not d._kdtree
 
     @pytest.mark.parametrize("imported", [False, True])
     def test_boundary_tree_is_the_one_the_build_queried(self, monkeypatch, imported):

@@ -550,6 +550,17 @@ class TestMappingValidation:
             code, err = exit_code_and_error(tmp_path, capsys, raw)
         assert code == 2 and message in err
 
+    def test_map_out_of_its_target_exits_two_naming_the_mapping(self, tmp_path, capsys):
+        # every image lies outside the disk: the checks passed and the run exited 0
+        raw = self.mapping_scenario({"name": "m", "map": "similarity",
+                                     "params": {"offset": [3, 0]}})
+        raw["checks"] = [{"check": cid, "mapping": "m"} for cid in
+                         ("distortion_chain_local", "global_qs_hypotheses", "quasimobius_slope")]
+        code, err = exit_code_and_error(tmp_path, capsys, raw)
+        assert code == 2
+        assert "mapping 'm': the forward map sends source vertex 0 to (" in err
+        assert "outside the target domain" in err
+
     @pytest.mark.parametrize("map_id, params", [
         ("identity", {}), ("similarity", {"scale": 2, "offset": [0.5, -1.0]}),
         ("similarity", {"offset": 0.5}), ("disk_automorphism", {"a": 0.25}),

@@ -15,7 +15,6 @@ from scipy.sparse.csgraph import dijkstra
 
 from qhgeo import (ConfigurationError, InternalError, LengthGraph, QuasihyperbolicMetric, ShapeSpec,
                    build_grid_domain, metric_core, views)
-from qhgeo.mapping_analysis import _ReindexedView
 from qhgeo.views import DenseChainView, EuclideanView, GraphView, rows_per_block
 
 
@@ -86,9 +85,7 @@ class TestGraphView:
         g = LengthGraph(3, [[0, 1], [1, 2]], [1.0, 2.0], [[0, 0], [1, 0], [3, 0]])
         banded = (np.array([2, 0, 1]), np.array([1, 2, 0]))
         for v in (GraphView(g.matrix), GraphView(g.matrix, banded), EuclideanView(g.coords),
-                  DenseChainView(g.coords, g.coords[0]),
-                  _ReindexedView(GraphView(g.matrix), [2, 0, 1]),
-                  _ReindexedView(DenseChainView(g.coords, g.coords[0]), [2, 0, 1])):
+                  DenseChainView(g.coords, g.coords[0])):
             assert v.rows([]).shape == (0, 3) and v.rows([]).dtype == float
             assert v.pairs([], []).shape == (0,)
             assert v.submatrix([]).shape == (0, 0)
@@ -389,7 +386,7 @@ class TestLandmarkStore:
         assert_landmarks_held(v, budget, full)
         assert len(v._landmarks) == 5
 
-    @pytest.mark.parametrize("kind", ["chain", "reindexed"])
+    @pytest.mark.parametrize("kind", ["chain", "graph"])
     def test_every_view_builds_submatrix_in_blocks(self, kind):
         # pools past one block of rows (about 1 MiB): no rows call asks for more sources
         rng = np.random.default_rng(4)
@@ -398,11 +395,10 @@ class TestLandmarkStore:
             coords = np.sqrt(rng.random(n))[:, None] * np.c_[np.cos(t), np.sin(t)]
             view = counted = DenseChainView(coords, (1.0, 0.0))
         else:
-            n = 20_000  # a path; the view keeps every other vertex
+            n = 20_000  # a path
             g = LengthGraph(n, [[a, a + 1] for a in range(n - 1)], rng.uniform(0.5, 2.0, n - 1),
                             np.zeros((n, 2)))
-            counted = GraphView(g.matrix)
-            view = _ReindexedView(counted, np.arange(0, n, 2))
+            view = counted = GraphView(g.matrix)
         idx = rng.choice(view.n, size=rows_per_block(n) + 5)  # repeats included
         asked, rows = [], counted.rows
 
@@ -739,10 +735,10 @@ class TestLazyMembers:
             built = in_threads(domain.graph_view)
         assert all(v is domain.graph_view() for v in built)
 
-    @pytest.mark.parametrize("member", ["nearest_vertex", "boundary_tree", "side_tree",
-                                        "uniformized", "sphericalized", "bands"])
+    @pytest.mark.parametrize("member", ["nearest_vertex", "boundary_tree", "uniformized",
+                                        "sphericalized", "bands"])
     def test_threads_build_each_lazy_member_once(self, member):
-        from qhgeo import deformations, mapping_analysis, sphericalize, uniformize
+        from qhgeo import deformations, sphericalize, uniformize
 
         # a polygon: no analytic boundary distance, so boundary_distance_at needs its tree
         square = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
@@ -760,7 +756,6 @@ class TestLazyMembers:
 
             return mock.patch.object(module, name, slow)
 
-        side = mapping_analysis.SpaceSide(d.coords, d.ambient_view(), d.boundary_distance)
         if member == "boundary_tree":  # a domain built without the tree its build queried
             d = metric_core.DomainSample(d.graph, d.boundary_coords, d.boundary_distance)
         k = QuasihyperbolicMetric(d)
@@ -774,8 +769,6 @@ class TestLazyMembers:
                                [(metric_core, "kd_tree")], ["kd_tree"]),
             "boundary_tree": (lambda: tuple(d.boundary_distance_at([(0.1, 0.2)])),
                               [(metric_core, "kd_tree")], ["kd_tree"]),
-            "side_tree": (lambda: tuple(side.nearest_vertex([(0.1, 0.2)])),
-                          [(mapping_analysis, "kd_tree")], ["kd_tree"]),
             # both members from both entry points: qh_view reads boundary_distance
             "uniformized": (lambda: (id(space.qh_view()), id(space.boundary_distance())),
                             [(deformations, "quasihyperbolic_view"),
