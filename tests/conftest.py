@@ -5,6 +5,7 @@ from qhgeo import (
     QuasihyperbolicMetric,
     ShapeSpec,
     build_grid_domain,
+    domain_from_length_graph,
     sphericalize,
 )
 
@@ -42,6 +43,21 @@ def punctured_sphericalized():
     d = make_domain("punctured-plane-truncation", {"radius": 6.0}, 0.25)
     space = sphericalize(d, (0.0, 0.0), max_points=1200, rng=np.random.default_rng(0))
     return d, QuasihyperbolicMetric(d), space
+
+
+@pytest.fixture(scope="session")
+def imported_subset():
+    """``imported_subset(d, keep)``: the vertices ``keep`` of ``d`` and the edges among
+    them, imported as a domain of their own (vertex ``i`` is ``d``'s vertex ``keep[i]``)."""
+
+    def imported(d, keep):
+        index = np.full(d.n, -1)
+        index[keep] = np.arange(len(keep))
+        edges = index[d.graph.edges]
+        return domain_from_length_graph(d.coords[keep], edges[(edges >= 0).all(axis=1)],
+                                        d.boundary_coords)
+
+    return imported
 
 
 @pytest.fixture()

@@ -293,6 +293,20 @@ class TestOneTreePerPointSet:
         assert other.nearest_vertex(pts).tolist() == expected
         assert built == [d.n]  # the domain's tree (the reference above is not counted)
 
+    def test_subset_side_builds_its_own_tree_once(self, monkeypatch, imported_subset):
+        from qhgeo.views import rows_per_block
+
+        d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.1), 2.0)
+        subset = np.flatnonzero(d.coords[:, 0] > 0.0)  # a half disk
+        side = DomainSide(imported_subset(d, subset))
+        built = self.counted_trees(monkeypatch)
+        # more points than the brute-force snap settles: they go to the side's tree
+        pts = np.resize(d.coords[subset], (rows_per_block(len(subset)) + 1, 2))
+        expected = np.resize(np.arange(len(subset)), len(pts)).tolist()
+        assert side.nearest_vertex(pts).tolist() == expected
+        assert side.nearest_vertex(pts[::-1]).tolist() == expected[::-1]
+        assert built == [len(subset)] and d._kdtree is None
+
     @pytest.mark.parametrize("imported", [False, True])
     def test_boundary_tree_is_the_one_the_build_queried(self, monkeypatch, imported):
         from qhgeo import domain_from_length_graph

@@ -181,8 +181,9 @@ class TestPointsWithoutANearestVertex:
 
     @pytest.mark.parametrize("point", [(1e200, 0.0), (0.0, -1e170), (math.inf, 0.0),
                                        (math.nan, 0.5)])
-    @pytest.mark.parametrize("kind", ["grid", "imported", "one vertex", "whole side"])
-    def test_raises_naming_the_point(self, kind, point):
+    @pytest.mark.parametrize("kind", ["grid", "imported", "one vertex", "subset side",
+                                      "whole side"])
+    def test_raises_naming_the_point(self, kind, point, imported_subset):
         d = build_grid_domain(ShapeSpec("disk", {"radius": 1.0}, 0.1), 2.0)
         snap = {
             "grid": lambda pts: d.nearest_vertex(pts, "base_point"),
@@ -191,9 +192,12 @@ class TestPointsWithoutANearestVertex:
             # its one squared distance is the least and unique even where it overflows
             "one vertex": lambda pts: domain_from_length_graph(
                 [(0.5, 0.0)], [], [(1.0, 0.0)]).nearest_vertex(pts, "base_point"),
+            # a side over the grid's vertices near the centre, imported as their own domain
+            "subset side": lambda pts: DomainSide(imported_subset(
+                d, np.flatnonzero(np.hypot(*d.coords.T) < 0.25))).nearest_vertex(pts),
             "whole side": DomainSide(d, QuasihyperbolicMetric(d)).nearest_vertex,
         }[kind]
-        name = "point" if kind == "whole side" else "base_point"
+        name = "point" if kind.endswith("side") else "base_point"
         with pytest.raises(ConfigurationError, match=rf"^{name} \(.*\) has no nearest vertex"):
             snap([(0.5, 0.0), point])
 

@@ -735,10 +735,10 @@ class TestLazyMembers:
             built = in_threads(domain.graph_view)
         assert all(v is domain.graph_view() for v in built)
 
-    @pytest.mark.parametrize("member", ["nearest_vertex", "boundary_tree", "uniformized",
-                                        "sphericalized", "bands"])
+    @pytest.mark.parametrize("member", ["nearest_vertex", "boundary_tree", "side_tree",
+                                        "uniformized", "sphericalized", "bands"])
     def test_threads_build_each_lazy_member_once(self, member):
-        from qhgeo import deformations, sphericalize, uniformize
+        from qhgeo import DomainSide, deformations, sphericalize, uniformize
 
         # a polygon: no analytic boundary distance, so boundary_distance_at needs its tree
         square = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
@@ -758,6 +758,7 @@ class TestLazyMembers:
 
         if member == "boundary_tree":  # a domain built without the tree its build queried
             d = metric_core.DomainSample(d.graph, d.boundary_coords, d.boundary_distance)
+        side = DomainSide(d)  # snaps through the domain's one vertex tree
         k = QuasihyperbolicMetric(d)
         space = (uniformize(d, k, 0, 0.3) if member == "uniformized"
                  else sphericalize(d, d.boundary_coords[0], max_points=50, rng=0))
@@ -769,6 +770,8 @@ class TestLazyMembers:
                                [(metric_core, "kd_tree")], ["kd_tree"]),
             "boundary_tree": (lambda: tuple(d.boundary_distance_at([(0.1, 0.2)])),
                               [(metric_core, "kd_tree")], ["kd_tree"]),
+            "side_tree": (lambda: tuple(side.nearest_vertex([(0.1, 0.2)])),
+                          [(metric_core, "kd_tree")], ["kd_tree"]),
             # both members from both entry points: qh_view reads boundary_distance
             "uniformized": (lambda: (id(space.qh_view()), id(space.boundary_distance())),
                             [(deformations, "quasihyperbolic_view"),
