@@ -11,6 +11,9 @@ Two transforms are provided:
   chain construction, which Ptolemy's inequality makes equal to it up to
   rounding.  ``DenseChainView`` gives its rows on at most ``max_points``
   sampled vertices, bitwise equal to the plain dense Dijkstra.
+
+Each measurement takes the sample its caller draws: pairs, or quadruples
+from ``sampling.pool_quadruples``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .errors import ConfigurationError
 from .mapping_analysis import EstimateResult, QuasimobiusResult, qh_bilipschitz, quasimobius_slope
 from .metric_core import DomainSample
 from .quasihyperbolic import QuasihyperbolicMetric, quasihyperbolic_view
-from .sampling import distinct_pairs, pool_indices, tuple_sample_from_pool
+from .sampling import distinct_pairs
 from .views import DenseChainView, GraphView, built_once, euclidean_table, rows_per_block
 
 
@@ -222,40 +225,26 @@ def verify_deformation_comparability(space: UniformizedSpace, pairs) -> Comparab
     return ComparabilityReport(constant, max_ratio, min_ratio, len(i), n_skipped)
 
 
-def basepoint_change_distortion(
-    space0: UniformizedSpace,
-    space1: UniformizedSpace,
-    quadruples=None,
-    n_quadruples: int = 1000,
-    rng=None,
-    pool_size: int = 48,
-) -> QuasimobiusResult:
-    """Empirical linear quasimobius slope of the identity between two
-    deformations of the same base with the same epsilon: ``quasimobius_slope``
-    from ``space0``'s metric to ``space1``'s, over quadruples drawn from a pool.
+def basepoint_change_distortion(space0: UniformizedSpace, space1: UniformizedSpace,
+                                quadruples) -> QuasimobiusResult:
+    """Empirical linear quasimobius slope of the identity between two deformations of the
+    same base with the same epsilon: ``quasimobius_slope`` from ``space0``'s metric to
+    ``space1``'s, over vertex ``quadruples`` (``sampling.pool_quadruples``).
     """
     _require_kind("uniformize", "basepoint_change_distortion", space0, space1)
     if space0.domain is not space1.domain:
         raise ConfigurationError("both deformations must share the same base domain")
     if abs(space0.eps - space1.eps) > 0:
         raise ConfigurationError("both deformations must use the same epsilon")
-    rng = np.random.default_rng(rng)
-    if quadruples is None:
-        pool = pool_indices(space0.n, pool_size, rng)
-        quadruples = pool[tuple_sample_from_pool(len(pool), n_quadruples, 4, rng)]
     return quasimobius_slope(space0.pairs, space1.pairs, quadruples)
 
 
-def sphericalization_quasimobius(space: SphericalizedSpace, n_quadruples: int = 1000, rng=None,
-                                 pool_size: int = 64) -> QuasimobiusResult:
+def sphericalization_quasimobius(space: SphericalizedSpace, quadruples) -> QuasimobiusResult:
     """Linear quasimobius slope of the identity from the base domain onto its
     sphericalization: ``quasimobius_slope`` from the Euclidean metric to the chain metric,
-    over quadruples of active positions drawn from a pool.
+    over ``quadruples`` of active positions (``sampling.pool_quadruples`` of ``space.n``).
     """
     _require_kind("sphericalize", "sphericalization_quasimobius", space)
-    rng = np.random.default_rng(rng)
-    pool = pool_indices(space.n, pool_size, rng)
-    quadruples = pool[tuple_sample_from_pool(len(pool), n_quadruples, 4, rng)]
     act = space.active
     return quasimobius_slope(lambda i, j: space.domain.ambient_distance(act[i], act[j]),
                              space.pairs, quadruples)

@@ -6,10 +6,12 @@ one-sided.  A mapping is an analytic map between two ``DomainSide``s,
 evaluated exactly at off-lattice points; only quasihyperbolic queries go
 through grid snapping, whose error is absorbed by the verification slack.
 
-The four ball estimators (boundary Lipschitz, relative slope, local
-biLipschitz, local quasisymmetry) share one ``BallSample`` of continuum
-points; ``_ball_pair_matrices`` turns it into (B, P, P) distance tensors,
-so each estimator has a single body.
+Every estimator measures the sample it is given, drawn by its caller.  The
+four ball estimators (boundary Lipschitz, relative slope, local biLipschitz,
+local quasisymmetry) can share one ``BallSample`` of continuum points;
+``_ball_pair_matrices`` turns it into (B, P, P) distance tensors, so each
+estimator has a single body.  ``bilateral`` gives two-sided data: the larger
+of an estimate on the map and on its inverse, each over a fresh ball sample.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .metric_core import DomainSample
 from .quasihyperbolic import QuasihyperbolicMetric
-from .sampling import distinct_pairs, pool_indices, tuple_sample_from_pool
+from .sampling import distinct_pairs, pool_quadruples, tuple_sample_from_pool
 from .views import euclidean_table
 
 
@@ -172,13 +174,6 @@ def sample_balls(side: DomainSide, q: float, n_balls: int, pts_per_ball: int, rn
     return BallSample(centers, pts)
 
 
-def _ball_sample(m: MappingPair, q, balls, n_balls, pts_per_ball, rng) -> BallSample:
-    """The given sample, else a fresh one on the mapping's source."""
-    if balls is not None:
-        return balls
-    return sample_balls(m.source, q, n_balls, pts_per_ball, rng)
-
-
 def _ball_pair_matrices(m: MappingPair, balls: BallSample):
     """Source and image distance tensors (B, P, P) of a sample, measured on
     coordinates, and the boundary distances d_G(x) and d_G'(f(x)) of its centers.
@@ -201,12 +196,13 @@ class EstimateResult:
     n_skipped: int = 0
 
 
-def _bilateral(estimator, m, x, balls, n_balls, pts_per_ball, rng) -> EstimateResult:
-    """Max of an estimate on m and on its inverse (two-sided data)."""
-    fwd = estimator(m, x, balls, n_balls, pts_per_ball, rng)
-    bwd = estimator(m.inverse(), x, None, n_balls, pts_per_ball, rng)
-    return EstimateResult(max(fwd.value, bwd.value), fwd.n_samples + bwd.n_samples,
-                          fwd.n_skipped + bwd.n_skipped)
+def bilateral(estimator, m: MappingPair, q: float, n_balls: int, pts_per_ball: int,
+              rng) -> float:
+    """Two-sided data: the larger of ``estimator`` on m, over a fresh ``sample_balls`` of the
+    source, and on m's inverse, over a fresh sample of the target drawn after it."""
+    inv = m.inverse()
+    return max(estimator(m, sample_balls(m.source, q, n_balls, pts_per_ball, rng)).value,
+               estimator(inv, sample_balls(inv.source, q, n_balls, pts_per_ball, rng)).value)
 
 
 def _boundary_ratio_max(m: MappingPair, balls: BallSample, a, b) -> EstimateResult:
@@ -220,47 +216,21 @@ def _boundary_ratio_max(m: MappingPair, balls: BallSample, a, b) -> EstimateResu
     return EstimateResult(float(ratio.max(initial=0.0)), int(ok.sum()), int((~ok).sum()))
 
 
-def estimate_boundary_lipschitz(
-    m: MappingPair,
-    lam: float,
-    balls: BallSample | None = None,
-    n_balls: int = 1000,
-    pts_per_ball: int = 8,
-    rng=None,
-    bilateral: bool = False,
-) -> EstimateResult:
-    """Boundary-relative Lipschitz constant with ball factor ``lam``.
+def estimate_boundary_lipschitz(m: MappingPair, balls: BallSample) -> EstimateResult:
+    """Boundary-relative Lipschitz constant on balls B(x, lam d_G(x)).
 
-    L = max over centers x and distinct y, z in B(x, lam d_G(x)) of
-    [d'(f(y), f(z)) / d_G'(f(x))] / [d(y, z) / d_G(x)].  With
-    ``bilateral`` the same estimate runs on the inverse and the max is
-    returned (two-sided data).
+    L = max over centers x and distinct y, z in the ball of x of
+    [d'(f(y), f(z)) / d_G'(f(x))] / [d(y, z) / d_G(x)].
     """
-    if bilateral:
-        return _bilateral(estimate_boundary_lipschitz, m, lam, balls, n_balls, pts_per_ball, rng)
-    balls = _ball_sample(m, lam, balls, n_balls, pts_per_ball, rng)
     return _boundary_ratio_max(m, balls, *np.triu_indices(balls.points.shape[1], k=1))
 
 
-def estimate_relative(
-    m: MappingPair,
-    t0: float,
-    balls: BallSample | None = None,
-    n_balls: int = 1000,
-    pts_per_ball: int = 8,
-    rng=None,
-    bilateral: bool = False,
-) -> EstimateResult:
-    """Linear relative-distortion slope at scale ``t0``.
+def estimate_relative(m: MappingPair, balls: BallSample) -> EstimateResult:
+    """Linear relative-distortion slope on balls B(x, t0 d_G(x)).
 
-    c1 = max over centers x and y in B(x, t0 d_G(x)) of
+    c1 = max over centers x and y in the ball of x of
     [d'(f(x), f(y)) / d_G'(f(x))] / [d(x, y) / d_G(x)].
     """
-    if bilateral:
-        return _bilateral(estimate_relative, m, t0, balls, n_balls, pts_per_ball, rng)
-    if not (0.0 < t0 <= 1.0):
-        raise ConfigurationError("t0 must lie in (0, 1]")
-    balls = _ball_sample(m, min(t0, 1.0 - 1e-12), balls, n_balls, pts_per_ball, rng)
     P = balls.points.shape[1]
     return _boundary_ratio_max(m, balls, np.zeros(P - 1, dtype=np.intp), np.arange(1, P))
 
@@ -273,14 +243,7 @@ class LocalBiLipschitzResult:
     n_skipped: int
 
 
-def estimate_local_bilipschitz(
-    m: MappingPair,
-    q: float,
-    balls: BallSample | None = None,
-    n_balls: int = 1000,
-    pts_per_ball: int = 8,
-    rng=None,
-) -> LocalBiLipschitzResult:
+def estimate_local_bilipschitz(m: MappingPair, balls: BallSample) -> LocalBiLipschitzResult:
     """Per-center scale table C_x and the residual two-sided constant L1.
 
     C_x is the median of d'(f(y), f(z)) / d(y, z) over ball pairs (robust
@@ -288,7 +251,6 @@ def estimate_local_bilipschitz(
     centers with C_x > 0.  A pair with d'(f(y), f(z)) = 0 is skipped and
     counted; a ball with no pair left gets C_x = 0.
     """
-    balls = _ball_sample(m, q, balls, n_balls, pts_per_ball, rng)
     src, img, _, _ = _ball_pair_matrices(m, balls)
     iu, ju = np.triu_indices(src.shape[1], k=1)
     ok = img[:, iu, ju] > 0
@@ -301,23 +263,12 @@ def estimate_local_bilipschitz(
                                   int((~ok).sum()))
 
 
-def estimate_local_quasisymmetry(
-    m: MappingPair,
-    q: float,
-    balls: BallSample | None = None,
-    n_balls: int = 1000,
-    pts_per_ball: int = 8,
-    rng=None,
-    bilateral: bool = False,
-) -> EstimateResult:
-    """Linear quasisymmetry slope on boundary-proportional balls.
+def estimate_local_quasisymmetry(m: MappingPair, balls: BallSample) -> EstimateResult:
+    """Linear quasisymmetry slope on boundary-proportional balls B(x, q d_G(x)).
 
     slope = max over balls and distinct triples (x, a, b) in the ball of
     [d'(f(x), f(a)) / d'(f(x), f(b))] / [d(x, a) / d(x, b)].
     """
-    if bilateral:
-        return _bilateral(estimate_local_quasisymmetry, m, q, balls, n_balls, pts_per_ball, rng)
-    balls = _ball_sample(m, q, balls, n_balls, pts_per_ball, rng)
     src, img, _, _ = _ball_pair_matrices(m, balls)
     # ratio factorizes: slope over (x, a, b) = max_x rowmax/rowmin of
     # r[x, .] = d'(fx, f.) / d(x, .), so the P^3 scan reduces to P^2
@@ -451,12 +402,15 @@ def sample_quadruples(
     pool_size: int = 64,
     min_separation: float = 0.0,
 ) -> np.ndarray:
-    """Vertex quadruples from a random pool (optionally a separated net)."""
+    """Vertex quadruples of the source from a random pool, or from a separated net with
+    ``min_separation``: the bare linear quasimobius slope has no finite supremum for maps with
+    genuinely nonlinear distortion control (degenerating quadruples push it up without bound),
+    so stability studies compare envelopes over a net, where the configuration family is
+    compact and the sampled max saturates."""
     rng = np.random.default_rng(rng)
-    if min_separation > 0:
-        pool = separated_pool(m.source.coords, pool_size, min_separation, rng)
-    else:
-        pool = pool_indices(m.source.n, pool_size, rng)
+    if min_separation <= 0:
+        return pool_quadruples(m.source.n, pool_size, n_quadruples, rng)
+    pool = separated_pool(m.source.coords, pool_size, min_separation, rng)
     return pool[tuple_sample_from_pool(len(pool), n_quadruples, 4, rng)]
 
 
@@ -497,26 +451,9 @@ def quasimobius_slope(source_pairs, image_pairs, quadruples) -> QuasimobiusResul
     return QuasimobiusResult(slope, cr, cr_img, int(ok.sum()), int((~ok).sum()))
 
 
-def estimate_quasimobius(
-    m: MappingPair,
-    quadruples=None,
-    n_quadruples: int = 1000,
-    rng=None,
-    pool_size: int = 64,
-    min_separation: float = 0.0,
-) -> QuasimobiusResult:
-    """``quasimobius_slope`` of ``m`` from the source's ambient metric to the image's.
-
-    ``min_separation`` draws the sample pool as a separated net.  The
-    bare linear slope has no finite supremum for maps with genuinely
-    nonlinear distortion control (degenerating quadruples push it up
-    without bound), so stability studies compare envelopes over a net,
-    where the configuration family is compact and the sampled max
-    saturates.
-    """
-    rng = np.random.default_rng(rng)
-    if quadruples is None:
-        quadruples = sample_quadruples(m, n_quadruples, rng, pool_size, min_separation)
+def estimate_quasimobius(m: MappingPair, quadruples) -> QuasimobiusResult:
+    """``quasimobius_slope`` of ``m`` from the source's ambient metric to the image's, over
+    vertex ``quadruples`` of the source (``sample_quadruples``)."""
     return quasimobius_slope(m.source.ambient.pairs, m.image_distance, quadruples)
 
 

@@ -585,17 +585,12 @@ def domain_from_length_graph(
                         quasiconvexity=quasiconvexity, boundary_tree=tree)
 
 
-def estimate_quasiconvexity(domain: DomainSample, pairs=None, n_pairs: int = 512, rng=None):
+def estimate_quasiconvexity(domain: DomainSample, pairs):
     """Sampled lower bound for the quasiconvexity constant of the length structure.
 
-    Returns max over pairs of graph distance / ambient distance.  Coincident
-    pairs are skipped with a warning.
+    Returns max over the vertex ``pairs = (i, j)`` of graph distance / ambient distance.
+    Coincident pairs are skipped with a warning.
     """
-    if pairs is None:
-        rng = np.random.default_rng(rng)
-        if domain.n < 2:
-            raise ConfigurationError("need at least two vertices to sample pairs")
-        pairs = rng.integers(0, domain.n, size=n_pairs), rng.integers(0, domain.n, size=n_pairs)
     i, j, dropped = distinct_pairs(pairs)
     if dropped:
         warnings.warn("coincident pairs skipped in quasiconvexity estimate")

@@ -78,6 +78,13 @@ def tuple_sample_from_pool(pool_size: int, n_tuples: int, arity: int, rng) -> np
     return out
 
 
+def pool_quadruples(n: int, pool_size: int, n_quadruples: int, rng) -> np.ndarray:
+    """(n_quadruples, 4) vertex quadruples, entries distinct per row, from a random pool of
+    at most ``pool_size`` of the n vertices."""
+    pool = pool_indices(n, pool_size, rng)
+    return pool[tuple_sample_from_pool(len(pool), n_quadruples, 4, rng)]
+
+
 @dataclass(frozen=True)
 class MetricAxiomReport:
     n_triples: int

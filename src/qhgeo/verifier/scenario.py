@@ -34,6 +34,7 @@ from ..hyperbolicity import (
 from ..mapping_analysis import (
     DomainSide,
     _euclid_diameter,
+    bilateral,
     check_global_qs_hypotheses,
     estimate_boundary_lipschitz,
     estimate_local_bilipschitz,
@@ -54,7 +55,13 @@ from ..metric_core import (
     safe_ball_radius,
 )
 from ..quasihyperbolic import QuasihyperbolicMetric, estimate_uniformity, verify_qh_distance_bounds
-from ..sampling import check_metric_axioms, pair_sample, pool_indices, tuple_sample_from_pool
+from ..sampling import (
+    check_metric_axioms,
+    pair_sample,
+    pool_indices,
+    pool_quadruples,
+    tuple_sample_from_pool,
+)
 from ..shapes import ShapeSpec
 from ..validation import _check_array, _check_keys, _check_object, _check_point, _check_range, _fail
 from .builtin_maps import MAP_PARAMS, builtin_mapping, map_params
@@ -277,48 +284,46 @@ class ScenarioContext:
         tol.update(raw.get("tolerances", {}))
         self.defaults = tol
         self.band_h = float(tol["band_h"])
-        self.domains = {}
-        self.sides = {}
+        self.domains, self.sides, self.deformations, self.mappings = {}, {}, {}, {}
+        self.bases = {}   # deformation name -> side of the domain it deforms
         build_rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0xD0]))
-        for dom in raw["domains"]:
-            name = dom["name"]
-            if "shape" in dom:
-                spec = ShapeSpec.from_json(dom["shape"])
+        for what in ("domain", "deformation", "mapping"):
+            for obj in raw.get(what + "s", []):
+                try:
+                    self._build(what, obj, resolution_override, build_rng)
+                except ConfigurationError as exc:  # the same error, naming what it builds
+                    raise ConfigurationError(f"{what} {obj['name']!r}: {exc}") from exc
+
+    def _build(self, what, obj, resolution_override, build_rng):
+        """Build one named domain, deformation or mapping of the scenario."""
+        name = obj["name"]
+        if what == "domain":
+            if "shape" in obj:
+                spec = ShapeSpec.from_json(obj["shape"])
                 if resolution_override is not None:
                     spec = ShapeSpec(spec.kind, spec.params, resolution_override)
                 domain = build_grid_domain(spec, self.band_h)
             else:
-                g = dom["graph"]
+                g = obj["graph"]
                 domain = domain_from_length_graph(
                     g["vertices"], g["edges"], g.get("boundary", []), g.get("lengths")
                 )
             qh = QuasihyperbolicMetric(domain)
             self.domains[name] = (domain, qh)
             self.sides[name] = DomainSide(domain, qh)
-        self.deformations = {}
-        self.bases = {}   # deformation name -> side of the domain it deforms
-        for d in raw.get("deformations", []):
-            domain, qh = self.domains[d["domain"]]
-            self.bases[d["name"]] = self.sides[d["domain"]]
-            if d["kind"] == "uniformize":
-                space = uniformize(domain, qh, d["base_point"], float(d.get("epsilon", 0.2)))
+        elif what == "deformation":
+            domain, qh = self.domains[obj["domain"]]
+            self.bases[name] = self.sides[obj["domain"]]
+            if obj["kind"] == "uniformize":
+                space = uniformize(domain, qh, obj["base_point"], float(obj.get("epsilon", 0.2)))
             else:
-                space = sphericalize(
-                    domain,
-                    d["base_point"],
-                    max_points=int(tol["chain_points"]),
-                    rng=build_rng,
-                )
-            self.deformations[d["name"]] = space
-        self.mappings = {}
-        for mp in raw.get("mappings", []):
-            src = self.sides[mp["source"]]
-            tgt = self.sides[mp["target"]]
-            try:
-                self.mappings[mp["name"]] = builtin_mapping(mp["map"], mp.get("params", {}),
-                                                            src, tgt)
-            except ConfigurationError as exc:  # the same error, naming the mapping
-                raise ConfigurationError(f"mapping {mp['name']!r}: {exc}") from exc
+                space = sphericalize(domain, obj["base_point"],
+                                     max_points=int(self.defaults["chain_points"]), rng=build_rng)
+            self.deformations[name] = space
+        else:
+            self.mappings[name] = builtin_mapping(obj["map"], obj.get("params", {}),
+                                                  self.sides[obj["source"]],
+                                                  self.sides[obj["target"]])
 
     def space_view(self, ref: str):
         """The view that a validated space reference (kind:name) reads."""
@@ -559,7 +564,7 @@ def _chk_comparability(ctx, p, rng):
 def _chk_basepoint_change(ctx, p, rng):
     s0 = ctx.deformations[p["deformation0"]]
     s1 = ctx.deformations[p["deformation1"]]
-    report = basepoint_change_distortion(s0, s1, n_quadruples=p["quadruples"], rng=rng)
+    report = basepoint_change_distortion(s0, s1, pool_quadruples(s0.n, 48, p["quadruples"], rng))
     return _result(
         np.isfinite(report.slope) and report.slope > 0,
         {"slope": report.slope, "n_quadruples": report.n_quadruples},
@@ -586,8 +591,8 @@ def _chk_spher_distortion(ctx, p, rng):
     base = ctx.bases[p["deformation"]]
     space.qh_view()  # built before the chain rows: after them, peak RSS reads 0.1-0.3 MB higher
 
-    qm = sphericalization_quasimobius(space, n_quadruples=p["quadruples"], rng=rng,
-                                      pool_size=p["pool"])
+    qm = sphericalization_quasimobius(space, pool_quadruples(space.n, p["pool"],
+                                                             p["quadruples"], rng))
 
     a_meas = _uniformity_a(base.domain, base.metric, p, rng)
 
@@ -616,8 +621,8 @@ def _chk_chain_linear(ctx, p, rng):
     m, n_balls, pts, c, slack = _chain_common(ctx, p)
     lam = p["lam"]
     balls = sample_balls(m.source, lam, n_balls, pts, rng)
-    l_meas = estimate_boundary_lipschitz(m, lam, balls=balls).value
-    c1_meas = estimate_relative(m, lam, balls=balls).value
+    l_meas = estimate_boundary_lipschitz(m, balls).value
+    c1_meas = estimate_relative(m, balls).value
 
     qh_pairs = sample_qh_pairs(
         m, p["pairs"] or min(ctx.defaults["pairs"], 4000), rng,
@@ -633,8 +638,8 @@ def _chk_chain_linear(ctx, p, rng):
         "relative_to_semisolid", {"c": c, "c1": max(c1_meas, 1.0), "t0": lam}
     )
     led_31 = predicted_constants("semisolid_to_lipschitz", {"c": c, "c2": max(c2_meas, 1.0)})
-    l3_meas = estimate_boundary_lipschitz(m, led_31["lam"], n_balls=n_balls, pts_per_ball=pts,
-                                          rng=rng).value
+    l3_meas = estimate_boundary_lipschitz(
+        m, sample_balls(m.source, led_31["lam"], n_balls, pts, rng)).value
 
     checks = {
         "relative_le_lipschitz": c1_meas <= l_meas * slack,
@@ -662,22 +667,20 @@ def _chk_chain_linear(ctx, p, rng):
 
 def _chk_chain_local(ctx, p, rng):
     m, n_balls, pts, c, slack = _chain_common(ctx, p)
-    c1_bi = estimate_relative(m, p["t0"], n_balls=n_balls, pts_per_ball=pts, rng=rng,
-                              bilateral=True).value
-    c1_bi = max(c1_bi, 1.0)
+    c1_bi = max(bilateral(estimate_relative, m, p["t0"], n_balls, pts, rng), 1.0)
     led_34 = predicted_constants("relative_to_local_bilipschitz", {"c1": c1_bi, "t0": p["t0"]})
     theta1 = led_34["theta1"]
 
     balls = sample_balls(m.source, theta1, n_balls, pts, rng)
-    lb = estimate_local_bilipschitz(m, theta1, balls=balls)
-    qs_fwd = estimate_local_quasisymmetry(m, theta1, balls=balls)
-    qs_inv = estimate_local_quasisymmetry(m.inverse(), theta1, n_balls=n_balls,
-                                          pts_per_ball=pts, rng=rng)
+    lb = estimate_local_bilipschitz(m, balls)
+    # two-sided, written out: the forward half reads the shared sample
+    qs_fwd = estimate_local_quasisymmetry(m, balls)
+    inv = m.inverse()
+    qs_inv = estimate_local_quasisymmetry(inv, sample_balls(inv.source, theta1, n_balls, pts, rng))
     qs_bi = max(qs_fwd.value, qs_inv.value, 1.0)
 
     led_36 = predicted_constants("local_qs_to_lipschitz", {"c": c, "c2": qs_bi, "q": theta1})
-    l6_meas = estimate_boundary_lipschitz(m, led_36["lam"], n_balls=n_balls, pts_per_ball=pts,
-                                          rng=rng, bilateral=True).value
+    l6_meas = bilateral(estimate_boundary_lipschitz, m, led_36["lam"], n_balls, pts, rng)
 
     checks = {
         "local_bilipschitz_le_predicted": lb.l1 <= led_34["l1"] * slack,
@@ -711,8 +714,7 @@ def _chk_chain_local(ctx, p, rng):
 def _chk_qi_step(ctx, p, rng):
     m, n_balls, pts, _, slack = _chain_common(ctx, p)
     q = p["q"]
-    eta_slope = max(estimate_local_quasisymmetry(m, q, n_balls=n_balls, pts_per_ball=pts,
-                                                 rng=rng, bilateral=True).value, 1.0)
+    eta_slope = max(bilateral(estimate_local_quasisymmetry, m, q, n_balls, pts, rng), 1.0)
 
     a_meas = max(_uniformity_a(side.domain, side.metric, p, rng)
                  for side in (m.source, m.target))
@@ -762,16 +764,12 @@ def _chk_quasimobius(ctx, p, rng):
         # envelope diverges along degenerating quadruples for maps with
         # nonlinear distortion control
         sep = m.source.domain.diameter_hint() / p["separation_frac"]
-    if p["stability_drift"] is not None:
-        # prefix study: the small sample is the head of the large one, so
-        # the drift isolates genuine tail growth of the envelope
-        quad = sample_quadruples(m, 10 * n_quad, rng, pool_size=p["pool"], min_separation=sep)
-        report = estimate_quasimobius(m, quadruples=quad[:n_quad])
-        bigger = estimate_quasimobius(m, quadruples=quad)
-    else:
-        report = estimate_quasimobius(m, n_quadruples=n_quad, rng=rng,
-                                      pool_size=p["pool"], min_separation=sep)
-        bigger = None
+    # a stability study is a prefix study: the small sample is the head of a 10x larger
+    # one, so the drift isolates genuine tail growth of the envelope
+    study = p["stability_drift"] is not None
+    quad = sample_quadruples(m, 10 * n_quad if study else n_quad, rng, p["pool"], sep)
+    report = estimate_quasimobius(m, quad[:n_quad])
+    bigger = estimate_quasimobius(m, quad) if study else None
     _require_samples(report.n_quadruples, "quadruples")
     measured = {"slope": report.slope, "n_quadruples": report.n_quadruples}
     passed, predicted = _bound(report.slope, p, "max_slope")

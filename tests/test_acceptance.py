@@ -35,8 +35,20 @@ from qhgeo import (
 )
 from qhgeo.deformations import sphericalization_qh_distortion, sphericalization_quasimobius
 from qhgeo.hyperbolicity import basepoint_identity_residuals
-from qhgeo.mapping_analysis import build_mapping, sample_balls, sample_qh_pairs
-from qhgeo.sampling import check_metric_axioms, pair_sample, pool_indices, tuple_sample_from_pool
+from qhgeo.mapping_analysis import (
+    bilateral,
+    build_mapping,
+    sample_balls,
+    sample_qh_pairs,
+    sample_quadruples,
+)
+from qhgeo.sampling import (
+    check_metric_axioms,
+    pair_sample,
+    pool_indices,
+    pool_quadruples,
+    tuple_sample_from_pool,
+)
 from qhgeo.verifier.builtin_maps import builtin_mapping
 from qhgeo.verifier.scenario import report_to_json_bytes, run_scenario
 
@@ -230,7 +242,7 @@ def test_criterion_07_comparability_drift(capsys):
 def test_criterion_08_sphericalization_distortion(sphericalized_punctured, capsys):
     d, k, space = sphericalized_punctured
     rng = np.random.default_rng(SEED + 8)
-    qm = sphericalization_quasimobius(space, n_quadruples=1000, rng=rng, pool_size=64)
+    qm = sphericalization_quasimobius(space, pool_quadruples(space.n, 64, 1000, rng))
     env = sphericalization_envelope(space, pair_sample(space.n, 1000, rng, n_sources=24))
     upairs = pair_sample(d.n, 160, rng, n_sources=20)
     a_meas = estimate_uniformity(d, k, upairs).constant_a
@@ -249,15 +261,15 @@ def test_criterion_09_linear_distortion_chain(automorphism_02, capsys):
     lam = 0.2
     c = 1.0
     balls = sample_balls(m.source, lam, 1000, 8, rng)
-    l_meas = estimate_boundary_lipschitz(m, lam, balls=balls).value
-    c1_meas = estimate_relative(m, lam, balls=balls).value
+    l_meas = estimate_boundary_lipschitz(m, balls).value
+    c1_meas = estimate_relative(m, balls).value
     pairs = sample_qh_pairs(m, 4000, rng, clearance_h=4, image_clearance_h=12, min_qh=2.0)
     c2_meas = estimate_semisolid(m, pairs).value
     led23 = predicted_constants("relative_to_semisolid",
                                 {"c": c, "c1": max(c1_meas, 1.0), "t0": lam})
     led31 = predicted_constants("semisolid_to_lipschitz", {"c": c, "c2": max(c2_meas, 1.0)})
-    l3_meas = estimate_boundary_lipschitz(m, led31["lam"], n_balls=1000, pts_per_ball=8,
-                                          rng=rng).value
+    l3_meas = estimate_boundary_lipschitz(m, sample_balls(m.source, led31["lam"], 1000, 8,
+                                                          rng)).value
     checks = [
         c1_meas <= l_meas * SLACK,
         c2_meas <= led23["semisolid_slope"] * SLACK,
@@ -274,19 +286,17 @@ def test_criterion_10_local_distortion_chain(automorphism_02, capsys):
     rng = np.random.default_rng(SEED + 10)
     t0 = 0.2
     c = 1.0
-    c1_bi = max(estimate_relative(m, t0, n_balls=1000, pts_per_ball=8, rng=rng,
-                                  bilateral=True).value, 1.0)
+    c1_bi = max(bilateral(estimate_relative, m, t0, 1000, 8, rng), 1.0)
     led34 = predicted_constants("relative_to_local_bilipschitz", {"c1": c1_bi, "t0": t0})
     theta1 = led34["theta1"]
     balls = sample_balls(m.source, theta1, 1000, 8, rng)
-    lb = estimate_local_bilipschitz(m, theta1, balls=balls)
-    qs = estimate_local_quasisymmetry(m, theta1, balls=balls)
+    lb = estimate_local_bilipschitz(m, balls)
+    qs = estimate_local_quasisymmetry(m, balls)
     qs_bi = max(qs.value,
-                estimate_local_quasisymmetry(m.inverse(), theta1, n_balls=1000,
-                                             pts_per_ball=8, rng=rng).value, 1.0)
+                estimate_local_quasisymmetry(m.inverse(), sample_balls(m.target, theta1, 1000,
+                                                                       8, rng)).value, 1.0)
     led36 = predicted_constants("local_qs_to_lipschitz", {"c": c, "c2": qs_bi, "q": theta1})
-    l6 = estimate_boundary_lipschitz(m, led36["lam"], n_balls=1000, pts_per_ball=8, rng=rng,
-                                     bilateral=True).value
+    l6 = bilateral(estimate_boundary_lipschitz, m, led36["lam"], 1000, 8, rng)
     checks = [
         lb.l1 <= led34["l1"] * SLACK,
         qs.value <= lb.l1**2 * SLACK,
@@ -315,9 +325,9 @@ def test_criterion_11_step_bound(automorphism_02, capsys):
     for label, m in scenarios.items():
         q = 0.5
         eta = max(
-            estimate_local_quasisymmetry(m, q, n_balls=400, pts_per_ball=8, rng=rng).value,
-            estimate_local_quasisymmetry(m.inverse(), q, n_balls=400, pts_per_ball=8,
-                                         rng=rng).value,
+            estimate_local_quasisymmetry(m, sample_balls(m.source, q, 400, 8, rng)).value,
+            estimate_local_quasisymmetry(m.inverse(),
+                                         sample_balls(m.target, q, 400, 8, rng)).value,
             1.0,
         )
         a_meas = 1.0
@@ -348,10 +358,10 @@ def test_criterion_12_neutrality_and_invariance(disk_side_02, capsys):
     pairs = pair_sample(side.n, 1000, rng)
     qi = estimate_quasi_isometry(ident, pairs)
     neutral = (
-        estimate_boundary_lipschitz(ident, 0.2, balls=balls).value == 1.0
-        and estimate_relative(ident, 0.2, balls=balls).value == 1.0
-        and estimate_local_bilipschitz(ident, 0.2, balls=balls).l1 == 1.0
-        and estimate_local_quasisymmetry(ident, 0.2, balls=balls).value == 1.0
+        estimate_boundary_lipschitz(ident, balls).value == 1.0
+        and estimate_relative(ident, balls).value == 1.0
+        and estimate_local_bilipschitz(ident, balls).l1 == 1.0
+        and estimate_local_quasisymmetry(ident, balls).value == 1.0
         and estimate_semisolid(ident, pairs).value == 1.0
         and estimate_qh_bilipschitz(ident, pairs).value == 1.0
         and (qi.multiplicative_l, qi.additive_c) == (1.0, 0.0)
@@ -370,17 +380,17 @@ def test_criterion_12_neutrality_and_invariance(disk_side_02, capsys):
     b1 = sample_balls(side, 0.2, 300, 8, np.random.default_rng(99))
     b2 = sample_balls(side, 0.2, 300, 8, np.random.default_rng(99))
     invariant = (
-        estimate_boundary_lipschitz(auto, 0.2, balls=b1).value
-        == estimate_boundary_lipschitz(composed, 0.2, balls=b2).value
-        and estimate_local_quasisymmetry(auto, 0.2, balls=b1).value
-        == estimate_local_quasisymmetry(composed, 0.2, balls=b2).value
+        estimate_boundary_lipschitz(auto, b1).value
+        == estimate_boundary_lipschitz(composed, b2).value
+        and estimate_local_quasisymmetry(auto, b1).value
+        == estimate_local_quasisymmetry(composed, b2).value
         and np.array_equal(
-            2.0 * estimate_local_bilipschitz(auto, 0.2, balls=b1).c_x,
-            estimate_local_bilipschitz(composed, 0.2, balls=b2).c_x,
+            2.0 * estimate_local_bilipschitz(auto, b1).c_x,
+            estimate_local_bilipschitz(composed, b2).c_x,
         )
     )
 
-    slope = estimate_quasimobius(auto, n_quadruples=1000, rng=rng).slope
+    slope = estimate_quasimobius(auto, sample_quadruples(auto, 1000, rng)).slope
     mobius_exact = abs(slope - 1.0) <= 1e-9
     verdict(capsys, 12, neutral and invariant and mobius_exact,
             f"identity neutral: {neutral}; similarity invariance: {invariant}; "

@@ -25,7 +25,13 @@ from qhgeo import (
 )
 from qhgeo import views
 from qhgeo.deformations import sphericalization_qh_distortion, sphericalization_quasimobius
-from qhgeo.sampling import check_metric_axioms, pair_sample, pool_indices, tuple_sample_from_pool
+from qhgeo.sampling import (
+    check_metric_axioms,
+    pair_sample,
+    pool_indices,
+    pool_quadruples,
+    tuple_sample_from_pool,
+)
 from qhgeo.verifier.scenario import ScenarioContext
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "qhgeo" / "verifier" / "scenarios"
@@ -312,7 +318,7 @@ class TestKindGuards:
         message = "basepoint_change_distortion needs a uniformize deformation, not a sphericalize"
         for pair in ((s, s), (u, s), (s, u)):
             with pytest.raises(ConfigurationError, match=message):
-                basepoint_change_distortion(*pair, n_quadruples=10, rng=1)
+                basepoint_change_distortion(*pair, [[0, 1, 2, 3]])
 
     def test_envelope_needs_a_sphericalized_space(self, spaces):
         u, _ = spaces
@@ -321,7 +327,7 @@ class TestKindGuards:
             sphericalization_envelope(u, ([0, 1], [2, 3]))
 
     @pytest.mark.parametrize("measure, args", [
-        (sphericalization_quasimobius, {"n_quadruples": 10, "rng": 1}),
+        (sphericalization_quasimobius, {"quadruples": [[0, 1, 2, 3]]}),
         (sphericalization_qh_distortion, {"k": None, "pairs": ([0, 1], [2, 3])}),
     ])
     def test_identity_measurements_need_a_sphericalized_space(self, spaces, measure, args):
@@ -371,8 +377,8 @@ class TestBasepointChange:
         spaces = [uniformize(d, k, w, 0.2), uniformize(d, k, (0.5, 0.0), 0.2)]
         if swap:
             spaces.reverse()
-        got = basepoint_change_distortion(*spaces, n_quadruples=400,
-                                          rng=np.random.default_rng(seed))
+        got = basepoint_change_distortion(*spaces, pool_quadruples(
+            spaces[0].n, 48, 400, np.random.default_rng(seed)))
         expected = reference_basepoint_change(*spaces, 400, np.random.default_rng(seed))
         assert (got.slope, got.n_quadruples, got.n_skipped) == expected
         assert got.n_quadruples == 400
@@ -384,7 +390,8 @@ class TestBasepointChange:
         domain = object()
         reports = [basepoint_change_distortion(euclidean_space(unit * points, domain),
                                                euclidean_space(unit * image, domain),
-                                               n_quadruples=300, rng=np.random.default_rng(2))
+                                               pool_quadruples(len(points), 48, 300,
+                                                               np.random.default_rng(2)))
                    for unit in (1.0, 1e-10)]
         assert [(r.n_quadruples, r.n_skipped) for r in reports] == [(300, 0)] * 2
         assert reports[0].slope > 1.0
@@ -393,15 +400,17 @@ class TestBasepointChange:
     def test_identical_bases_give_slope_one(self, disk_pack, rng):
         d, k, w = disk_pack
         u = uniformize(d, k, w, 0.2)
-        report = basepoint_change_distortion(u, u, n_quadruples=200, rng=rng)
+        report = basepoint_change_distortion(u, u, pool_quadruples(u.n, 48, 200, rng))
         assert report.slope == 1.0
 
     def test_swap_duality(self, disk_pack):
         d, k, w = disk_pack
         u0 = uniformize(d, k, w, 0.2)
         u1 = uniformize(d, k, (0.5, 0.0), 0.2)
-        fwd = basepoint_change_distortion(u0, u1, n_quadruples=400, rng=np.random.default_rng(1))
-        bwd = basepoint_change_distortion(u1, u0, n_quadruples=400, rng=np.random.default_rng(1))
+        fwd = basepoint_change_distortion(u0, u1, pool_quadruples(u0.n, 48, 400,
+                                                                  np.random.default_rng(1)))
+        bwd = basepoint_change_distortion(u1, u0, pool_quadruples(u1.n, 48, 400,
+                                                                  np.random.default_rng(1)))
         assert fwd.slope > 0 and np.isfinite(fwd.slope)
         assert bwd.slope >= 1.0 / fwd.slope - 1e-12
 
@@ -410,7 +419,7 @@ class TestBasepointChange:
         u0 = uniformize(d, k, w, 0.2)
         u1 = uniformize(d, k, w, 0.3)
         with pytest.raises(ConfigurationError, match="epsilon"):
-            basepoint_change_distortion(u0, u1, n_quadruples=10)
+            basepoint_change_distortion(u0, u1, [[0, 1, 2, 3]])
 
 
 class TestSphericalizationIdentity:
@@ -428,8 +437,8 @@ class TestSphericalizationIdentity:
 
     def test_quasimobius_slope_equals_the_whole_table_reference(self, pack):
         d, _, space = pack
-        got = sphericalization_quasimobius(space, n_quadruples=400,
-                                           rng=np.random.default_rng(3), pool_size=24)
+        got = sphericalization_quasimobius(space, pool_quadruples(space.n, 24, 400,
+                                                                  np.random.default_rng(3)))
         rng = np.random.default_rng(3)
         pool = pool_indices(space.n, 24, rng)
         x, y, z, w = pool[tuple_sample_from_pool(len(pool), 400, 4, rng)].T

@@ -22,11 +22,13 @@ from qhgeo import (
 from qhgeo.deformations import sphericalization_quasimobius
 from qhgeo.mapping_analysis import (
     MappingPair,
+    bilateral,
     build_mapping,
     sample_balls,
     sample_qh_pairs,
+    sample_quadruples,
 )
-from qhgeo.sampling import pair_sample, pool_indices, tuple_sample_from_pool
+from qhgeo.sampling import pair_sample, pool_indices, pool_quadruples, tuple_sample_from_pool
 from qhgeo.verifier.builtin_maps import builtin_mapping
 from qhgeo.views import DenseChainView
 
@@ -60,28 +62,28 @@ class TestIdentityNeutrality:
     def test_all_estimators_exactly_neutral(self, identity_map, rng):
         m = identity_map
         balls = sample_balls(m.source, 0.2, 150, 6, rng)
-        assert estimate_boundary_lipschitz(m, 0.2, balls=balls).value == 1.0
-        assert estimate_relative(m, 0.2, balls=balls).value == 1.0
-        lb = estimate_local_bilipschitz(m, 0.2, balls=balls)
+        assert estimate_boundary_lipschitz(m, balls).value == 1.0
+        assert estimate_relative(m, balls).value == 1.0
+        lb = estimate_local_bilipschitz(m, balls)
         assert lb.l1 == 1.0 and np.all(lb.c_x == 1.0)
-        assert estimate_local_quasisymmetry(m, 0.2, balls=balls).value == 1.0
+        assert estimate_local_quasisymmetry(m, balls).value == 1.0
         pairs = pair_sample(m.source.n, 400, rng)
         assert estimate_semisolid(m, pairs).value == 1.0
         assert estimate_qh_bilipschitz(m, pairs).value == 1.0
         qi = estimate_quasi_isometry(m, pairs)
         assert (qi.multiplicative_l, qi.additive_c) == (1.0, 0.0)
-        assert estimate_quasimobius(m, n_quadruples=300, rng=rng).slope == 1.0
+        assert estimate_quasimobius(m, sample_quadruples(m, 300, rng)).slope == 1.0
 
 
 class TestSimilarityInvariance:
     def test_scaling_map_has_unit_constants_and_scaled_table(self, disk_side, disk_side_scaled, rng):
         m = builtin_mapping("similarity", {"scale": 2.0}, disk_side, disk_side_scaled)
         balls = sample_balls(m.source, 0.2, 150, 6, rng)
-        assert estimate_boundary_lipschitz(m, 0.2, balls=balls).value == 1.0
-        assert estimate_relative(m, 0.2, balls=balls).value == 1.0
-        lb = estimate_local_bilipschitz(m, 0.2, balls=balls)
+        assert estimate_boundary_lipschitz(m, balls).value == 1.0
+        assert estimate_relative(m, balls).value == 1.0
+        lb = estimate_local_bilipschitz(m, balls)
         assert lb.l1 == 1.0 and np.all(lb.c_x == 2.0)
-        assert estimate_local_quasisymmetry(m, 0.2, balls=balls).value == 1.0
+        assert estimate_local_quasisymmetry(m, balls).value == 1.0
 
     def test_post_composition_with_similarity_is_invisible(self, disk_side, disk_side_scaled, rng):
         auto = builtin_mapping("disk_automorphism", {"a": [0.5, 0.0]}, disk_side, disk_side)
@@ -96,14 +98,14 @@ class TestSimilarityInvariance:
         )
         balls = sample_balls(disk_side, 0.2, 150, 6, np.random.default_rng(7))
         balls2 = sample_balls(disk_side, 0.2, 150, 6, np.random.default_rng(7))
-        l0 = estimate_boundary_lipschitz(auto, 0.2, balls=balls).value
-        l1 = estimate_boundary_lipschitz(composed, 0.2, balls=balls2).value
+        l0 = estimate_boundary_lipschitz(auto, balls).value
+        l1 = estimate_boundary_lipschitz(composed, balls2).value
         assert l0 == l1
-        q0 = estimate_local_quasisymmetry(auto, 0.2, balls=balls).value
-        q1 = estimate_local_quasisymmetry(composed, 0.2, balls=balls2).value
+        q0 = estimate_local_quasisymmetry(auto, balls).value
+        q1 = estimate_local_quasisymmetry(composed, balls2).value
         assert q0 == q1
-        cx0 = estimate_local_bilipschitz(auto, 0.2, balls=balls).c_x
-        cx1 = estimate_local_bilipschitz(composed, 0.2, balls=balls2).c_x
+        cx0 = estimate_local_bilipschitz(auto, balls).c_x
+        cx1 = estimate_local_bilipschitz(composed, balls2).c_x
         assert np.array_equal(2.0 * cx0, cx1)
 
 
@@ -113,19 +115,33 @@ class TestInverseDuality:
         swapped = MappingPair(
             m.target, m.source, m.inverse_idx, m.forward_idx, m.inverse_fn, m.forward_fn
         )
-        a = estimate_boundary_lipschitz(m.inverse(), 0.2, n_balls=100, pts_per_ball=6,
-                                        rng=np.random.default_rng(3)).value
-        b = estimate_boundary_lipschitz(swapped, 0.2, n_balls=100, pts_per_ball=6,
-                                        rng=np.random.default_rng(3)).value
+        a = estimate_boundary_lipschitz(m.inverse(), sample_balls(
+            m.inverse().source, 0.2, 100, 6, np.random.default_rng(3))).value
+        b = estimate_boundary_lipschitz(swapped, sample_balls(
+            swapped.source, 0.2, 100, 6, np.random.default_rng(3))).value
         assert a == b
+
+    @pytest.mark.parametrize("estimator", [estimate_boundary_lipschitz, estimate_relative,
+                                           estimate_local_quasisymmetry])
+    def test_bilateral_draws_the_source_sample_then_the_target_sample(
+            self, automorphism, disk_side_scaled, estimator):
+        # the automorphism followed by a scaling: source and target are different disks
+        m = build_mapping(automorphism.source, disk_side_scaled,
+                          lambda pts: 2.0 * automorphism.forward_fn(pts),
+                          lambda pts: automorphism.inverse_fn(np.asarray(pts, float) / 2.0))
+        rng = np.random.default_rng(4)
+        fwd = estimator(m, sample_balls(m.source, 0.2, 100, 6, rng)).value
+        inv = estimator(m.inverse(), sample_balls(m.target, 0.2, 100, 6, rng)).value
+        assert fwd != inv
+        assert bilateral(estimator, m, 0.2, 100, 6, np.random.default_rng(4)) == max(fwd, inv)
 
 
 class TestAutomorphismDistortion:
     def test_relative_below_lipschitz_on_shared_sample(self, automorphism, rng):
         m = automorphism
         balls = sample_balls(m.source, 0.2, 300, 8, rng)
-        l_val = estimate_boundary_lipschitz(m, 0.2, balls=balls).value
-        c1 = estimate_relative(m, 0.2, balls=balls).value
+        l_val = estimate_boundary_lipschitz(m, balls).value
+        c1 = estimate_relative(m, balls).value
         assert 1.0 < c1 <= l_val
 
     def test_semisolid_and_bilipschitz_bounded_by_density_comparison(self, automorphism):
@@ -138,12 +154,11 @@ class TestAutomorphismDistortion:
 
     def test_local_chain_couplings(self, automorphism, rng):
         m = automorphism
-        c1 = estimate_relative(m, 0.2, n_balls=200, pts_per_ball=6, rng=rng,
-                               bilateral=True).value
+        c1 = bilateral(estimate_relative, m, 0.2, 200, 6, rng)
         theta1 = 0.2 / (8.0 * c1)
         balls = sample_balls(m.source, theta1, 200, 6, rng)
-        lb = estimate_local_bilipschitz(m, theta1, balls=balls)
-        qs = estimate_local_quasisymmetry(m, theta1, balls=balls)
+        lb = estimate_local_bilipschitz(m, balls)
+        qs = estimate_local_quasisymmetry(m, balls)
         assert lb.l1 <= 4.0 * c1 * 1.05
         assert qs.value <= lb.l1**2 * (1.0 + 1e-12)
 
@@ -168,7 +183,7 @@ class TestAutomorphismDistortion:
         assert qi.step_bound == pytest.approx(4.0 * 4.0 * np.log(2.0))
 
     def test_mobius_cross_ratio_exactness(self, automorphism, rng):
-        slope = estimate_quasimobius(automorphism, n_quadruples=800, rng=rng).slope
+        slope = estimate_quasimobius(automorphism, sample_quadruples(automorphism, 800, rng)).slope
         assert abs(slope - 1.0) <= 1e-9
 
 
@@ -216,6 +231,24 @@ class TestEstimatorMechanics:
         report = estimate_quasimobius(m, quadruples=quad)
         assert report.n_skipped == 1 and report.n_quadruples == 1
 
+    @pytest.mark.parametrize("n, pool_size", [(200, 48), (30, 64), (4, 4)])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_pool_quadruples_is_a_pool_then_its_tuples(self, n, pool_size, seed):
+        rng = np.random.default_rng(seed)
+        pool = pool_indices(n, pool_size, rng)
+        expected = pool[tuple_sample_from_pool(len(pool), 500, 4, rng)]
+        got = pool_quadruples(n, pool_size, 500, np.random.default_rng(seed))
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_unseparated_sample_quadruples_is_pool_quadruples_of_the_source(self, automorphism,
+                                                                            seed):
+        m = automorphism
+        got = sample_quadruples(m, 500, np.random.default_rng(seed), pool_size=32,
+                                min_separation=0.0)
+        expected = pool_quadruples(m.source.n, 32, 500, np.random.default_rng(seed))
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
 
 def reference_quasimobius(source_pairs, image_pairs, quadruples):
     """The four-call form of ``quasimobius_slope``: one query per distance pair."""
@@ -251,7 +284,8 @@ class TestQuasimobiusOneQuery:
             return single_source(source)
 
         monkeypatch.setattr(chain, "_single_source", counted)
-        got = sphericalization_quasimobius(space, 300, np.random.default_rng(6), pool_size=16)
+        got = sphericalization_quasimobius(space, pool_quadruples(space.n, 16, 300,
+                                                                  np.random.default_rng(6)))
         sources = np.concatenate([quad[:, 0], quad[:, 2], quad[:, 1]])
         assert sorted(computed) == sorted(set(sources.tolist()))
         act = space.active

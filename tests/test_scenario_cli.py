@@ -187,6 +187,27 @@ class TestSampleSizeValidation:
         validate_scenario(tiny_scenario(deformations=[{"name": "f", "domain": "disk",
                                                        "kind": kind, "base_point": base_point}]))
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"domains": [*tiny_scenario()["domains"], {"name": "coarse", "shape": {
+            "kind": "disk", "params": {"radius": 1.0}, "resolution": 0.9}}]},
+         "domain 'coarse': empty interior for disk at resolution 0.9"),
+        ({"domains": [{"name": "g", "graph": {"vertices": [[0, 0], [1, 0], [5, 5]],
+                                              "edges": [[0, 1]], "boundary": [[0, 2]]}}],
+          "checks": []},
+         "domain 'g': graph has 2 connected components"),
+        ({"deformations": [{"name": "u", "domain": "disk", "kind": "uniformize",
+                            "base_point": 99999}]},
+         "deformation 'u': base vertex 99999 is not one of the"),
+        ({"deformations": [{"name": "s", "domain": "disk", "kind": "sphericalize",
+                            "base_point": [0.5, 0]}]},
+         "deformation 's': sphericalization base point must be one of the boundary samples"),
+    ], ids=["coarse-disk", "isolated-vertex", "base-vertex", "interior-base-point"])
+    def test_build_error_names_its_domain_or_deformation(self, tmp_path, capsys, overrides,
+                                                         message):
+        # each exited 2 naming no object, where a mapping's error named its mapping
+        code, err = exit_code_and_error(tmp_path, capsys, tiny_scenario(**overrides))
+        assert code == 2 and message in err
+
     def test_base_vertex_out_of_range_is_configuration_error(self):
         raw = tiny_scenario(deformations=[{"name": "u", "domain": "disk", "kind": "uniformize",
                                            "base_point": 10**6}], checks=[])
